@@ -1,7 +1,7 @@
 """Certification and synthesis of first-order optimization algorithms
 via integral quadratic constraints and semidefinite programming."""
 
-from .algorithms import (AlgorithmRealization, NamedAlgorithm, SectorBounds,
+from .algorithms import (AlgorithmRealization, SectorBounds,
                          StructuredControllerForm, check_equilibrium_conditions,
                          from_structured, load_algorithm, make_named,
                          nominal_closed_loop, save_algorithm)

@@ -66,25 +66,6 @@ class AlgorithmRealization:
         return self.A + m * self.B @ self.C
 
 
-@dataclass(frozen=True)
-class NamedAlgorithm:
-    """A Table-style algorithm: kind plus its scalar parameters."""
-
-    kind: str
-    bounds: SectorBounds
-    nu1: float
-    nu2: float
-    nu3: float
-
-
-def named_algorithm(kind: str, bounds: SectorBounds) -> NamedAlgorithm:
-    kind = _KIND_ALIASES.get(kind.lower())
-    if kind is None:
-        raise ArgumentError(f"unknown algorithm kind; expected one of {KINDS}")
-    nu1, nu2, nu3 = table_parameters(kind, bounds)
-    return NamedAlgorithm(kind, bounds, nu1, nu2, nu3)
-
-
 KINDS = ("gd", "nm", "nm_mod", "tmm", "hb")
 
 _KIND_ALIASES = {

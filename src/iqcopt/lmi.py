@@ -36,7 +36,7 @@ __all__ = [
     "SdpProblem", "RateCertificate", "H2Certificate", "SynthesisResult",
     "kyp_block", "assemble_rate", "assemble_rate_reduced", "assemble_h2",
     "assemble_convex_synth", "assemble_convex_synth_perf",
-    "assemble_bmi_fixed_P", "assemble_bmi_fixed_AB",
+    "assemble_bmi_fixed_P",
     "assemble_structured_synth", "assemble_structured_rate",
     "assemble_structured_h2",
 ]
@@ -79,28 +79,19 @@ class SynthesisResult:
 
 def _smul(scalar: AffineMatrix, M: np.ndarray) -> AffineMatrix:
     """scalar (1x1 expression) times a constant matrix."""
-    out = AffineMatrix(M.shape, scalar.const[0, 0] * M)
-    for k, v in scalar.coeffs.items():
-        out.coeffs[k] = v[0, 0] * M
-    return out
+    return AffineMatrix(M.shape, scalar.const[0, 0] * M, scalar.keys, scalar.coeffs * M)
 
 
 def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
                     name: str = "zf_theta"):
     """Kernel variables, their M_Delta expression, and membership rows."""
-    nvar = structure.parameter_count()
-    theta = prob.add_matrix(name, nvar, 1)
-    entries = [theta.entry(k, 0) for k in range(nvar)]
+    theta = prob.add_matrix(name, structure.parameter_count(), 1)
     coeffs = m_delta_coefficients(structure)
-    md = AffineMatrix(coeffs[0].shape)
-    for e, E in zip(entries, coeffs):
-        md = md + _smul(e, E)
-    for con in membership_constraints(structure):
-        expr = AffineMatrix((1, 1))
-        for k, c in enumerate(con.coeffs):
-            if c:
-                expr = expr + c * entries[k]
-        prob.add_linear(expr, con.sense, con.rhs, name=f"{name}:{con.label}")
+    md = AffineMatrix(coeffs.shape[1:], keys=theta.keys, coeffs=coeffs)
+    cons = membership_constraints(structure)
+    rows = np.array([con.coeffs for con in cons]) @ theta
+    for r, con in enumerate(cons):
+        prob.add_linear(rows.entry(r, 0), con.sense, con.rhs, name=f"{name}:{con.label}")
     return theta, md
 
 
@@ -109,9 +100,28 @@ def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameter
         np.asarray(theta_value).ravel())))
 
 
-def _kyp_outer(A, B, C, D) -> np.ndarray:
-    n, m = A.shape[0], B.shape[1]
-    return np.block([[A, B], [np.eye(n), np.zeros((n, m))], [C, D]])
+def _embed_state_block(expr: AffineMatrix, p: int) -> AffineMatrix:
+    """Pad an nc x nc expression with p zero rows/cols (the input block)."""
+    return blkdiag(expr, np.zeros((p, p)))
+
+
+def _kyp(AB: np.ndarray, P: AffineMatrix, *rows) -> AffineMatrix:
+    """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
+
+    Posed as the sum over the row blocks of out, AB^T P AB - blkdiag(P, 0)
+    + sum_b out_b^T X_b out_b with ``rows`` the pairs (out_b, X_b), so the
+    zero-padded middle matrix is never built.
+    """
+    n = P.shape[0]
+    total = congruence(AB, P)
+    # the I rows only pick P out: subtract it in place from the congruence's
+    # own fresh stack instead of allocating a padded copy (each new stack of
+    # the p=4 rate LMI is 5.5 MB of page faults)
+    total.const[:n, :n] -= P.const
+    total.coeffs[:, :n, :n] -= P.coeffs
+    for out_b, X in rows:
+        total = total + congruence(out_b, X)
+    return total
 
 
 def _spectral_radius(A) -> float:
@@ -138,15 +148,9 @@ def kyp_block(G: StateSpace, M, name: str = "kyp") -> SdpProblem:
                              f"{G.ny} or {G.ny + G.nu}")
     prob = SdpProblem(name)
     P = prob.add_symmetric("P", G.nx)
-    out = _kyp_outer(G.A, G.B, C, D)
-    mid = blkdiag(P, -P, AffineMatrix.constant(M))
-    prob.add_lmi(congruence(out, mid), "neg", name=name)
+    prob.add_lmi(_kyp(np.hstack([G.A, G.B]), P,
+                      (np.hstack([C, D]), AffineMatrix.constant(M))), "neg", name=name)
     return prob
-
-
-def _add_kyp_constraint(prob, plant_out, P, md, name):
-    mid = blkdiag(P, -P, md)
-    return prob.add_lmi(congruence(plant_out, mid), "neg", name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +191,8 @@ def assemble_rate(plant: AugmentedPlant, structure: ZamesFalbStructure = None,
     prob = SdpProblem(f"rate[rho={rho:.6g}]")
     P = prob.add_symmetric("P", plant.n_c)
     theta, md = _add_multiplier(prob, structure)
-    out = _kyp_outer(plant.Ac, plant.Bc, plant.Cc, plant.Dc)
-    _add_kyp_constraint(prob, out, P, md, "rate")
+    kyp = _kyp(np.hstack([plant.Ac, plant.Bc]), P, (np.hstack([plant.Cc, plant.Dc]), md))
+    prob.add_lmi(kyp, "neg", name="rate")
     return RateAssembly(prob, plant, structure)
 
 
@@ -242,14 +246,11 @@ def assemble_h2(perf_plant: PerformanceAugmentedPlant,
     Z = prob.add_symmetric("Z", pl.n_wp)
     t = prob.add_scalar("t")
 
-    out = np.block([
-        [pl.boldA, pl.boldB1],
-        [np.eye(pl.n_c), np.zeros((pl.n_c, pl.p_c))],
-        [pl.boldC1, pl.boldD11],
-        [pl.boldC2, np.zeros((pl.n_yp, pl.p_c))],
-    ])
-    mid = blkdiag(P, -P, md, AffineMatrix.constant(np.eye(pl.n_yp)))
-    prob.add_lmi(congruence(out, mid), "neg", name="h2-kyp")
+    kyp = _kyp(np.hstack([pl.boldA, pl.boldB1]), P,
+               (np.hstack([pl.boldC1, pl.boldD11]), md),
+               (np.hstack([pl.boldC2, np.zeros((pl.n_yp, pl.p_c))]),
+                AffineMatrix.constant(np.eye(pl.n_yp))))
+    prob.add_lmi(kyp, "neg", name="h2-kyp")
 
     NPN = congruence(pl.N, P)                      # N^T P N
     NB2 = pl.N.T @ pl.boldB2
@@ -289,12 +290,6 @@ def _synth_constants(n: int, p: int, bounds: SectorBounds,
     top = np.hstack([psi.A, psi.B @ Cext / rho, psi.B @ Din])
     CcDc = np.hstack([psi.C, psi.D @ Cext / rho, psi.D @ Din])
     return C, D, Dd, nd, N, nc, top, CcDc
-
-
-def _embed_state_block(expr: AffineMatrix, nc: int, p: int) -> AffineMatrix:
-    """Pad an nc x nc expression with p zero rows/cols (the input block)."""
-    E = np.vstack([np.eye(nc), np.zeros((p, nc))])
-    return congruence(E.T, expr)
 
 
 @dataclass
@@ -345,7 +340,7 @@ def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
     # [Ac Bc] are annihilated by P - N P22 N^T = blkdiag(P11, 0).
     U = congruence(top, P11) if nd else AffineMatrix((nc + p, nc + p))
     P_full = blkdiag(P11, P22) if nd else P22
-    U = U - _embed_state_block(P_full, nc, p)
+    U = U - _embed_state_block(P_full, p)
     U = U + congruence(CcDc, md)
 
     TR = AffineMatrix.block([[np.zeros((N, nd)),
@@ -377,7 +372,7 @@ def assemble_convex_synth_perf(n: int, p: int, bounds: SectorBounds,
 
     Up = congruence(top1, Pp11) if nd else AffineMatrix((nc + p, nc + p))
     Pp_full = blkdiag(Pp11, P22) if nd else P22
-    Up = Up - _embed_state_block(Pp_full, nc, p)
+    Up = Up - _embed_state_block(Pp_full, p)
     Up = Up + congruence(CcDc1, md_p)
     # performance rows: C_perf = C on the algorithm states, zero elsewhere
     C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
@@ -464,7 +459,7 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
         U = AffineMatrix.constant(top_.T @ P11c @ top_)
         cross = (bot.__rmatmul__(P12c)).__rmatmul__(top_.T)  # top^T P12 bot
         U = U + cross + cross.T
-        U = U - _embed_state_block(AffineMatrix.constant(P_), nc, p)
+        U = U - _embed_state_block(AffineMatrix.constant(P_), p)
         U = U + congruence(CcDc_, md_)
         if extra_const is not None:
             U = U + AffineMatrix.constant(extra_const)
@@ -520,12 +515,6 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     return BmiFixedPAssembly(prob, n, p, bounds, structure, rho, with_perf, slack)
 
 
-def assemble_bmi_fixed_AB(algo: AlgorithmRealization, bounds: SectorBounds,
-                          structure: ZamesFalbStructure, rho: float) -> RateAssembly:
-    """Fixed-algorithm half-step: exactly the rate analysis LMI."""
-    return assemble_rate_for(algo, bounds, structure, rho)
-
-
 @dataclass
 class RateSlackAssembly:
     problem: SdpProblem
@@ -553,8 +542,7 @@ def assemble_rate_slack(algo: AlgorithmRealization, bounds: SectorBounds,
     P = prob.add_symmetric("P", plant.n_c)
     theta, md = _add_multiplier(prob, structure.with_rho(rho))
     s = prob.add_scalar("s")
-    out = _kyp_outer(plant.Ac, plant.Bc, plant.Cc, plant.Dc)
-    big = congruence(out, blkdiag(P, -P, md))
+    big = _kyp(np.hstack([plant.Ac, plant.Bc]), P, (np.hstack([plant.Cc, plant.Dc]), md))
     dim = big.shape[0]
     prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="rate-slack")
     nd = plant.n_mult

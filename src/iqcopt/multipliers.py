@@ -166,27 +166,22 @@ def membership_constraints(structure: ZamesFalbStructure) -> list:
     rho, p = structure.rho, structure.p
     basis = structure.tap_basis()
     nvar = len(basis)
+    taps = [i for i, _ in basis]
+    E = np.array([Eb for _, Eb in basis])        # (nvar, p, p), 0/1 entries
     cons = []
-    # sign constraints
-    for k, (i, E) in enumerate(basis):
-        r, c = np.argwhere(E)[0]
-        offdiag = r != c
-        if i != 0 or (offdiag and structure.klass == "repeated"):
+    # sign constraints, one per basis matrix at its (first) nonzero entry
+    for k, (i, f) in enumerate(zip(taps, E.reshape(nvar, -1).argmax(axis=1))):
+        r, c = divmod(int(f), p)
+        if i != 0 or (r != c and structure.klass == "repeated"):
             e = np.zeros(nvar)
             e[k] = 1.0
             cons.append(LinearConstraint(e, "<=", 0.0, label=f"sign[{i}]({r},{c})"))
     # rho-weighted row sums: (sum_i M_i rho^{-i}) 1 >= 0  (p rows)
-    for row in range(p):
-        e = np.zeros(nvar)
-        for k, (i, E) in enumerate(basis):
-            e[k] += rho ** (-i) * float(E[row, :].sum())
-        cons.append(LinearConstraint(e, ">=", 0.0, label=f"rowsum[{row}]"))
+    rows = (np.array([rho ** (-i) for i in taps])[:, None] * E.sum(axis=2)).T.copy()
+    cons += [LinearConstraint(e, ">=", 0.0, label=f"rowsum[{r}]") for r, e in enumerate(rows)]
     # rho-weighted column sums: 1^T (sum_i M_i rho^{i}) >= 0
-    for col in range(p):
-        e = np.zeros(nvar)
-        for k, (i, E) in enumerate(basis):
-            e[k] += rho ** (i) * float(E[:, col].sum())
-        cons.append(LinearConstraint(e, ">=", 0.0, label=f"colsum[{col}]"))
+    cols = (np.array([rho ** i for i in taps])[:, None] * E.sum(axis=1)).T.copy()
+    cons += [LinearConstraint(e, ">=", 0.0, label=f"colsum[{c}]") for c, e in enumerate(cols)]
     return cons
 
 
@@ -243,31 +238,22 @@ def block_layout(structure: ZamesFalbStructure):
     return sizes, offsets
 
 
-def m_delta_coefficients(structure: ZamesFalbStructure) -> list:
-    """dM_Delta/dtheta_k as constant symmetric matrices, ordered like theta."""
+def m_delta_coefficients(structure: ZamesFalbStructure) -> np.ndarray:
+    """dM_Delta/dtheta_k as one stack of constant symmetric matrices, ordered like theta."""
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
     q = p * (4 + lc + la)
     _, off = block_layout(structure)
-
-    def place(bi, bj, val):
-        E = np.zeros((q, q))
-        E[off[bi]:off[bi + 1], off[bj]:off[bj + 1]] = val
-        return E
-
-    coeffs = []
-    for i, Eb in structure.tap_basis():
+    basis = structure.tap_basis()
+    coeffs = np.zeros((len(basis), q, q))
+    for k, (i, Eb) in enumerate(basis):
         if i == 0:
-            coeffs.append(place(0, 1, Eb.T) + place(1, 0, Eb))
-        elif i < 0:
-            k = -i  # column slot of M_{-k} inside M_- = [M_{-lc} .. M_{-1}]
-            col = np.zeros((p, lc * p))
-            col[:, (lc - k) * p:(lc - k + 1) * p] = Eb
-            coeffs.append(place(3, 2, col) + place(2, 3, col.T))
-        else:
-            k = i  # slot of M_k^T inside M_+ = [M_1^T .. M_la^T]
-            row = np.zeros((p, la * p))
-            row[:, (k - 1) * p:k * p] = Eb.T
-            coeffs.append(place(4, 5, row) + place(5, 4, row.T))
+            r, c, B = off[1], off[0], Eb
+        elif i < 0:  # M_{i} sits in column slot lc + i of M_- = [M_{-lc} .. M_{-1}]
+            r, c, B = off[3], off[2] + (lc + i) * p, Eb
+        else:  # M_i^T sits in slot i - 1 of M_+ = [M_1^T .. M_la^T]
+            r, c, B = off[4], off[5] + (i - 1) * p, Eb.T
+        coeffs[k, r:r + p, c:c + p] = B
+        coeffs[k, c:c + p, r:r + p] = B.T
     return coeffs
 
 

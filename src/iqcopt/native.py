@@ -109,8 +109,7 @@ class _Reduced:
         for blk in problem.blocks:
             sgn = -1.0 if blk.sense == "neg" else 1.0
             d = blk.expr.shape[0]
-            keys = np.array(sorted(blk.expr.coeffs), dtype=int)
-            Fsub = np.array([sgn * _sym(blk.expr.coeffs[k]) for k in keys]).reshape(len(keys), d, d)
+            keys, Fsub = blk.expr.keys, sgn * _sym_stack(blk.expr.coeffs)
             F0 = sgn * _sym(blk.expr.const) - blk.eps * np.eye(d)
             blocks.append((keys, F0, Fsub))
         ineq = [r for r in problem.linear if r.sense != "=="]
@@ -125,8 +124,7 @@ class _Reduced:
         self.blocks, self.A_x, self.g0_x = blocks, A, g0
         self.c_x = np.zeros(n)
         if problem.objective is not None:
-            for k, v in problem.objective.coeffs.items():
-                self.c_x[k] = v[0, 0]
+            self.c_x[problem.objective.keys] = problem.objective.coeffs[:, 0, 0]
         self.message = ""
         self.inconsistent = False
         self._eliminate(eq)

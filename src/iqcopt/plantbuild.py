@@ -53,9 +53,6 @@ class UncertainLoop:
     def channel_dim(self) -> int:
         return self.Beff.shape[1]
 
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.Anom))))
-
 
 def sector_loop(algo: AlgorithmRealization, bounds: SectorBounds) -> UncertainLoop:
     return UncertainLoop(algo.nominal_matrix(bounds.m), algo.B, algo.C,

@@ -1,10 +1,17 @@
 """Affine matrix expressions and the SdpProblem container.
 
+An AffineMatrix is const + sum_k x[keys[k]] * coeffs[k]: a constant
+term, the sorted indices of the scalar variables it holds, and one
+K x r x c stack of their coefficient matrices. Every operation is one
+numpy call on that stack: a key union and an aligned add for +/-, a
+batched matmul for products with constants, slices for blocks and
+entries, and one tensordot for evaluation.
+
 An SdpProblem collects scalar/matrix decision variables, affine
 matrix-inequality blocks, scalar linear constraints and an optional
 linear objective. It is solver-agnostic; see :mod:`iqcopt.sdp` for the
-conic backend. Problems serialize to a JSON interchange with all
-coefficient matrices dense.
+conic backend. Problems serialize to a JSON interchange with one dense
+coefficient matrix per variable a block holds.
 """
 
 from dataclasses import dataclass
@@ -16,19 +23,32 @@ from .errors import DimensionError, ArgumentError
 # strict LMIs are realized with this relative margin
 EPS_REL = 1e-7
 
+_NO_KEYS = np.zeros(0, dtype=np.intp)
+
 
 class AffineMatrix:
-    """Matrix-valued affine expression: const + sum_k x_k * coeff[k]."""
+    """Matrix-valued affine expression: const + sum_k x[keys[k]] * coeffs[k].
 
-    __slots__ = ("shape", "const", "coeffs")
+    keys is sorted and unique, coeffs is K x r x c. Results may share these
+    arrays with their operands (views, unchanged stacks), so an expression's
+    arrays are not written once it has been passed on.
+    """
+
+    __slots__ = ("shape", "const", "keys", "coeffs")
     __array_priority__ = 100  # so ndarray @ AffineMatrix dispatches here
 
-    def __init__(self, shape, const=None, coeffs=None):
+    def __init__(self, shape, const=None, keys=None, coeffs=None):
         self.shape = tuple(shape)
         self.const = np.zeros(self.shape) if const is None else np.asarray(const, dtype=float)
         if self.const.shape != self.shape:
             raise DimensionError("const shape mismatch")
-        self.coeffs = {} if coeffs is None else coeffs
+        if keys is None:
+            self.keys, self.coeffs = _NO_KEYS, np.zeros((0,) + self.shape)
+        else:
+            self.keys = np.asarray(keys, dtype=np.intp)
+            self.coeffs = np.asarray(coeffs, dtype=float)
+            if self.coeffs.shape != (self.keys.size,) + self.shape:
+                raise DimensionError("coeffs shape mismatch")
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -43,85 +63,81 @@ class AffineMatrix:
         return AffineMatrix.constant(obj)
 
     # -- algebra ------------------------------------------------------------
-    def copy(self) -> "AffineMatrix":
-        return AffineMatrix(self.shape, self.const.copy(),
-                            {k: v.copy() for k, v in self.coeffs.items()})
-
-    def __add__(self, other):
-        other = AffineMatrix.lift(other)
+    def _combine(self, other, op) -> "AffineMatrix":
+        """op(self, other) for op in (np.add, np.subtract) over the key union."""
         if other.shape != self.shape:
             raise DimensionError(f"add: {self.shape} vs {other.shape}")
-        out = self.copy()
-        out.const = out.const + other.const
-        for k, v in other.coeffs.items():
-            out.coeffs[k] = out.coeffs.get(k, 0.0) + v
-        return out
+        const = op(self.const, other.const)
+        if not other.keys.size:
+            return AffineMatrix(self.shape, const, self.keys, self.coeffs)
+        if np.array_equal(self.keys, other.keys):
+            return AffineMatrix(self.shape, const, self.keys, op(self.coeffs, other.coeffs))
+        keys = np.union1d(self.keys, other.keys)
+        coeffs = np.zeros((keys.size,) + self.shape)
+        coeffs[np.searchsorted(keys, self.keys)] = self.coeffs
+        idx = np.searchsorted(keys, other.keys)
+        coeffs[idx] = op(coeffs[idx], other.coeffs)
+        return AffineMatrix(self.shape, const, keys, coeffs)
+
+    def __add__(self, other):
+        return self._combine(AffineMatrix.lift(other), np.add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AffineMatrix(self.shape, -self.const,
-                            {k: -v for k, v in self.coeffs.items()})
+        return AffineMatrix(self.shape, -self.const, self.keys, -self.coeffs)
 
     def __sub__(self, other):
-        return self + (-AffineMatrix.lift(other))
+        return self._combine(AffineMatrix.lift(other), np.subtract)
 
     def __rsub__(self, other):
-        return AffineMatrix.lift(other) + (-self)
+        return AffineMatrix.lift(other)._combine(self, np.subtract)
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return AffineMatrix(self.shape, s * self.const,
-                            {k: s * v for k, v in self.coeffs.items()})
+        return AffineMatrix(self.shape, s * self.const, self.keys, s * self.coeffs)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         """Affine @ constant (right multiplication)."""
         if isinstance(other, AffineMatrix):
-            if not other.coeffs:
+            if not other.keys.size:
                 other = other.const
-            elif not self.coeffs:
-                return AffineMatrix.lift(other).__rmatmul__(self.const)
+            elif not self.keys.size:
+                return other.__rmatmul__(self.const)
             else:
                 raise ArgumentError("product of two non-constant expressions")
         T = np.atleast_2d(np.asarray(other, dtype=float))
         out_shape = (self.shape[0], T.shape[1])
-        return AffineMatrix(out_shape, self.const @ T,
-                            {k: v @ T for k, v in self.coeffs.items()})
+        return AffineMatrix(out_shape, self.const @ T, self.keys, self.coeffs @ T)
 
     def __rmatmul__(self, other):
         """constant @ Affine (left multiplication)."""
         T = np.atleast_2d(np.asarray(other, dtype=float))
         out_shape = (T.shape[0], self.shape[1])
-        return AffineMatrix(out_shape, T @ self.const,
-                            {k: T @ v for k, v in self.coeffs.items()})
+        return AffineMatrix(out_shape, T @ self.const, self.keys, T @ self.coeffs)
 
     @property
     def T(self) -> "AffineMatrix":
-        return AffineMatrix(self.shape[::-1], self.const.T,
-                            {k: v.T for k, v in self.coeffs.items()})
+        return AffineMatrix(self.shape[::-1], self.const.T, self.keys,
+                            self.coeffs.transpose(0, 2, 1))
 
     def sym(self) -> "AffineMatrix":
-        return 0.5 * (self + self.T)
+        coeffs = self.coeffs + self.coeffs.transpose(0, 2, 1)
+        coeffs *= 0.5
+        return AffineMatrix(self.shape, 0.5 * (self.const + self.const.T), self.keys, coeffs)
 
     def trace(self) -> "AffineMatrix":
-        out = AffineMatrix((1, 1), np.array([[np.trace(self.const)]]))
-        for k, v in self.coeffs.items():
-            out.coeffs[k] = np.array([[np.trace(v)]])
-        return out
+        return AffineMatrix((1, 1), [[np.trace(self.const)]], self.keys,
+                            np.trace(self.coeffs, axis1=1, axis2=2)[:, None, None])
 
     def entry(self, i, j) -> "AffineMatrix":
-        out = AffineMatrix((1, 1), np.array([[self.const[i, j]]]))
-        for k, v in self.coeffs.items():
-            out.coeffs[k] = np.array([[v[i, j]]])
-        return out
+        return AffineMatrix((1, 1), self.const[i:i + 1, j:j + 1], self.keys,
+                            self.coeffs[:, i:i + 1, j:j + 1])
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        out = self.const.copy()
-        for k, v in self.coeffs.items():
-            out += x[k] * v
-        return out
+        return self.const + np.tensordot(x[self.keys], self.coeffs, 1)
 
     @staticmethod
     def block(rows) -> "AffineMatrix":
@@ -137,20 +153,22 @@ class AffineMatrix:
         total = (sum(heights), sum(widths))
         ro = np.concatenate([[0], np.cumsum(heights)])
         co = np.concatenate([[0], np.cumsum(widths)])
-        out = AffineMatrix(total)
+        keys = np.unique(np.concatenate([_NO_KEYS] + [b.keys for r in rows for b in r]))
+        const = np.zeros(total)
+        coeffs = np.zeros((keys.size,) + total)
         for i, r in enumerate(rows):
             for j, b in enumerate(r):
-                out.const[ro[i]:ro[i + 1], co[j]:co[j + 1]] = b.const
-                for k, v in b.coeffs.items():
-                    if k not in out.coeffs:
-                        out.coeffs[k] = np.zeros(total)
-                    out.coeffs[k][ro[i]:ro[i + 1], co[j]:co[j + 1]] = v
-        return out
+                const[ro[i]:ro[i + 1], co[j]:co[j + 1]] = b.const
+                if b.keys.size:
+                    coeffs[np.searchsorted(keys, b.keys), ro[i]:ro[i + 1],
+                           co[j]:co[j + 1]] = b.coeffs
+        return AffineMatrix(total, const, keys, coeffs)
 
 
 def congruence(T, X: AffineMatrix) -> AffineMatrix:
     """T^T X T for a constant outer factor T."""
-    return (X.__rmatmul__(np.asarray(T, dtype=float).T)) @ np.asarray(T, dtype=float)
+    T = np.asarray(T, dtype=float)
+    return X.__rmatmul__(T.T) @ T
 
 
 def blkdiag(*exprs) -> AffineMatrix:
@@ -221,58 +239,32 @@ class SdpProblem:
         return info
 
     def add_scalar(self, name: str) -> AffineMatrix:
-        info = self._register(name, "scalar", (1, 1), 1)
-        return AffineMatrix((1, 1), coeffs={info.offset: np.array([[1.0]])})
+        self._register(name, "scalar", (1, 1), 1)
+        return self.variable_expr(name)
 
     def add_symmetric(self, name: str, n: int) -> AffineMatrix:
-        info = self._register(name, "symmetric", (n, n), n * (n + 1) // 2)
-        expr = AffineMatrix((n, n))
-        k = info.offset
-        for i in range(n):
-            for j in range(i, n):
-                E = np.zeros((n, n))
-                E[i, j] = 1.0
-                E[j, i] = 1.0
-                expr.coeffs[k] = E
-                k += 1
-        return expr
+        self._register(name, "symmetric", (n, n), n * (n + 1) // 2)
+        return self.variable_expr(name)
 
     def add_matrix(self, name: str, rows: int, cols: int) -> AffineMatrix:
-        info = self._register(name, "matrix", (rows, cols), rows * cols)
-        expr = AffineMatrix((rows, cols))
-        k = info.offset
-        for i in range(rows):
-            for j in range(cols):
-                E = np.zeros((rows, cols))
-                E[i, j] = 1.0
-                expr.coeffs[k] = E
-                k += 1
-        return expr
+        self._register(name, "matrix", (rows, cols), rows * cols)
+        return self.variable_expr(name)
 
     def variable_expr(self, name: str) -> AffineMatrix:
-        """Re-create the canonical expression of a declared variable."""
+        """Re-create the canonical expression of a declared variable.
+
+        Its stack holds one unit basis matrix per scalar, in row-major
+        order over the entries (the upper triangle for symmetric ones).
+        """
         info = self._by_name[name]
-        if info.kind == "scalar":
-            return AffineMatrix((1, 1), coeffs={info.offset: np.array([[1.0]])})
-        n, m = info.shape
-        expr = AffineMatrix(info.shape)
-        k = info.offset
+        r, c = info.shape
+        i, j = np.triu_indices(r) if info.kind == "symmetric" else np.divmod(np.arange(r * c), c)
+        k = np.arange(info.size)
+        basis = np.zeros((info.size, r, c))
+        basis[k, i, j] = 1.0
         if info.kind == "symmetric":
-            for i in range(n):
-                for j in range(i, n):
-                    E = np.zeros(info.shape)
-                    E[i, j] = 1.0
-                    E[j, i] = 1.0
-                    expr.coeffs[k] = E
-                    k += 1
-        else:
-            for i in range(n):
-                for j in range(m):
-                    E = np.zeros(info.shape)
-                    E[i, j] = 1.0
-                    expr.coeffs[k] = E
-                    k += 1
-        return expr
+            basis[k, j, i] = 1.0
+        return AffineMatrix(info.shape, keys=info.offset + k, coeffs=basis)
 
     def extract(self, name: str, x: np.ndarray):
         """Variable value (scalar or ndarray) from a flat solution vector."""
@@ -298,8 +290,9 @@ class SdpProblem:
     def _scalarize(self, expr: AffineMatrix):
         if expr.shape != (1, 1):
             raise DimensionError("expected a 1x1 expression")
-        row = {k: v[0, 0] for k, v in expr.coeffs.items() if v[0, 0] != 0.0}
-        return row, float(expr.const[0, 0])
+        c = expr.coeffs[:, 0, 0]
+        nz = c != 0.0
+        return dict(zip(expr.keys[nz].tolist(), c[nz].tolist())), float(expr.const[0, 0])
 
     def add_linear(self, expr: AffineMatrix, sense: str, rhs: float = 0.0,
                    name: str = "") -> None:
@@ -364,8 +357,8 @@ class SdpProblem:
     # -- JSON interchange ---------------------------------------------------
     def to_json_dict(self) -> dict:
         def coeffs_list(expr):
-            return [{"var": int(k), "matrix": v.tolist()} for k, v in
-                    sorted(expr.coeffs.items())]
+            return [{"var": int(k), "matrix": v.tolist()}
+                    for k, v in zip(expr.keys, expr.coeffs)]
 
         return {
             "name": self.name,
@@ -397,15 +390,15 @@ class SdpProblem:
             prob._register(v["name"], v["kind"], tuple(v["shape"]), v["size"])
         prob.nvars = sum(v["size"] for v in d["variables"])
 
-        def expr_from(shape, const, coeffs):
-            e = AffineMatrix(shape, np.asarray(const, dtype=float))
-            for c in coeffs:
-                e.coeffs[int(c["var"])] = np.asarray(c["matrix"], dtype=float)
-            return e
+        def expr_from(const, coeffs):
+            const = np.asarray(const, dtype=float)
+            coeffs = sorted(coeffs, key=lambda c: int(c["var"]))
+            stack = np.reshape(np.asarray([c["matrix"] for c in coeffs], dtype=float),
+                               (len(coeffs),) + const.shape)
+            return AffineMatrix(const.shape, const, [int(c["var"]) for c in coeffs], stack)
 
         for b in d["blocks"]:
-            const = np.asarray(b["const"], dtype=float)
-            expr = expr_from(const.shape, const, b["coeffs"])
+            expr = expr_from(b["const"], b["coeffs"])
             prob.blocks.append(LmiBlock(b["name"], expr, b["sense"], float(b["eps"])))
         for r in d["linear"]:
             prob.linear.append(LinearConstraintRow(
@@ -413,6 +406,5 @@ class SdpProblem:
                 float(r["rhs"]), r.get("name", "")))
         if d.get("objective"):
             o = d["objective"]
-            const = np.asarray(o["const"], dtype=float)
-            prob.objective = expr_from(const.shape, const, o["coeffs"])
+            prob.objective = expr_from(o["const"], o["coeffs"])
         return prob

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .errors import SolverError
-from .problem import SdpProblem
+from .problem import AffineMatrix, SdpProblem
 
 try:
     import cvxpy as cp
@@ -70,19 +70,28 @@ class SdpSolution:
         return self.status in (STATUS_OPTIMAL, STATUS_FEASIBLE) and self.verified
 
 
-def _build_cvxpy(problem: SdpProblem):
+def coefficient_operator(expr: AffineMatrix, nvars: int):
+    """Sparse (r*c, nvars) G with vec(expr.value(x) - expr.const) = G @ x.
+
+    vec stacks rows (C order).
+    """
     import scipy.sparse as sp
 
+    G = expr.coeffs.reshape(expr.keys.size, -1).T
+    rows, cols = np.nonzero(G)
+    return sp.csr_matrix((G[rows, cols], (rows, expr.keys[cols])),
+                         shape=(G.shape[0], nvars))
+
+
+def _build_cvxpy(problem: SdpProblem):
     x = cp.Variable(problem.nvars) if problem.nvars else None
     cons = []
     for blk in problem.blocks:
         d = blk.expr.shape[0]
         F0 = blk.expr.const
-        if blk.expr.coeffs and problem.nvars:
-            G = sp.lil_matrix((d * d, problem.nvars))
-            for k, V in blk.expr.coeffs.items():
-                G[:, k] = V.reshape(-1, 1)
-            expr = cp.reshape(sp.csr_matrix(G) @ x, (d, d), order="C") + F0
+        if blk.expr.keys.size and problem.nvars:
+            G = coefficient_operator(blk.expr, problem.nvars)
+            expr = cp.reshape(G @ x, (d, d), order="C") + F0
             expr = 0.5 * (expr + expr.T)
         else:
             expr = cp.Constant(F0)
@@ -100,8 +109,7 @@ def _build_cvxpy(problem: SdpProblem):
             cons.append(lhs == row.rhs)
     if problem.objective is not None and problem.nvars:
         orow = np.zeros(problem.nvars)
-        for k, v in problem.objective.coeffs.items():
-            orow[k] = v[0, 0]
+        orow[problem.objective.keys] = problem.objective.coeffs[:, 0, 0]
         objective = cp.Minimize(orow @ x + problem.objective.const[0, 0])
     else:
         objective = cp.Minimize(0)

@@ -4,7 +4,7 @@ Everything here operates on plain dense numpy arrays; systems are small
 (tens of states), so no sparsity or balancing is attempted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class StateSpace:
         D = _as_matrix(D)
         ny, nu = D.shape
         return StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((ny, 0)), D)
-
-    def poles(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A) if self.nx else np.zeros(0, dtype=complex)
 
 
 def series(first: StateSpace, second: StateSpace) -> StateSpace:
@@ -155,10 +152,3 @@ def stack_outputs(top: StateSpace, bottom: StateSpace) -> StateSpace:
     D = np.vstack([top.D, bottom.D])
     return StateSpace(A, B, C, D)
 
-
-@dataclass(frozen=True)
-class FrequencyResponse:
-    """A single frequency sample of a transfer matrix."""
-
-    z: complex
-    value: np.ndarray = field(repr=False)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import iqcopt
 from iqcopt.cli import main
 
 RUN = lambda *argv: main(list(argv))
@@ -121,6 +124,10 @@ class TestSweep:
 
 
 def test_console_entry_point():
+    # the child imports the same iqcopt as this process, installed or not
+    src = str(Path(iqcopt.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "iqcopt.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

@@ -6,8 +6,8 @@ from iqcopt.engines import h2_norm_linear
 from iqcopt.errors import InfeasiblePrecondition, PreconditionError
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
                         assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for,
-                        assemble_rate_reduced, assemble_structured_rate,
-                        kyp_block)
+                        assemble_rate_reduced, assemble_structured_h2,
+                        assemble_structured_rate, kyp_block)
 from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.sdp import solve
 from iqcopt.statespace import StateSpace
@@ -95,9 +95,8 @@ class TestReducedAssembly:
         assert red.problem.nvars == direct.problem.nvars
         for ours, ref in zip(red.problem.blocks, direct.problem.blocks):
             np.testing.assert_allclose(ours.expr.const, ref.expr.const, atol=1e-14)
-            for k in ref.expr.coeffs:
-                np.testing.assert_allclose(ours.expr.coeffs[k], ref.expr.coeffs[k],
-                                           atol=1e-14)
+            np.testing.assert_array_equal(ours.expr.keys, ref.expr.keys)
+            np.testing.assert_allclose(ours.expr.coeffs, ref.expr.coeffs, atol=1e-14)
 
     def test_feasibility_agrees_on_random_instances(self):
         rng = np.random.default_rng(99)
@@ -223,10 +222,24 @@ class TestStructuredRate:
                                           0.0, 9.0, st, 0.83)
         for ours, ref in zip(struct.problem.blocks, plain.problem.blocks):
             np.testing.assert_allclose(ours.expr.const, ref.expr.const, atol=1e-13)
-            assert set(ours.expr.coeffs) == set(ref.expr.coeffs)
-            for k in ref.expr.coeffs:
-                np.testing.assert_allclose(ours.expr.coeffs[k], ref.expr.coeffs[k],
-                                           atol=1e-13)
+            np.testing.assert_array_equal(ours.expr.keys, ref.expr.keys)
+            np.testing.assert_allclose(ours.expr.coeffs, ref.expr.coeffs, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["gd", "nm", "tmm"])
+    def test_trivial_substitution_matches_plain_h2(self, kind):
+        """The H2 counterpart: T = I, H1 = m I, (0, L-m) gives matrix-equal problems."""
+        algo = make_named(kind, BOUNDS10)
+        st = ZamesFalbStructure(2, 1, 1, "unstructured", 1.0)
+        plain = assemble_h2_for(algo, BOUNDS10, st)
+        struct = assemble_structured_h2(algo, BOUNDS10.m * np.eye(1), np.eye(1),
+                                        0.0, 9.0, st)
+        assert struct.problem.nvars == plain.problem.nvars
+        assert len(struct.problem.blocks) == len(plain.problem.blocks)
+        for ours, ref in zip(struct.problem.blocks, plain.problem.blocks):
+            assert ours.name == ref.name
+            np.testing.assert_allclose(ours.expr.const, ref.expr.const, atol=1e-13)
+            np.testing.assert_array_equal(ours.expr.keys, ref.expr.keys)
+            np.testing.assert_allclose(ours.expr.coeffs, ref.expr.coeffs, atol=1e-13)
 
 
 def test_perf_synth_gamma_weakly_decreasing_in_rho():

@@ -2,9 +2,28 @@ import importlib.util
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from iqcopt.algorithms import SectorBounds, make_named
+from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
+from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.problem import AffineMatrix, SdpProblem, blkdiag, congruence
-from iqcopt.sdp import SolverOptions, _solve_native, solve
+from iqcopt.sdp import SolverOptions, _solve_native, coefficient_operator, solve
+
+
+def _random_expr(rng, shape, nvars):
+    """An expression holding a random subset of the nvars variables."""
+    keys = np.sort(rng.choice(nvars, size=int(rng.integers(0, nvars + 1)), replace=False))
+    return AffineMatrix(shape, rng.standard_normal(shape), keys,
+                        rng.standard_normal((keys.size,) + tuple(shape)))
+
+
+def _dense(expr, x):
+    """Reference evaluation, one variable at a time."""
+    out = expr.const.copy()
+    for k, C in zip(expr.keys, expr.coeffs):
+        out += x[k] * C
+    return out
 
 
 class TestAffineMatrix:
@@ -46,6 +65,34 @@ class TestAffineMatrix:
         b = AffineMatrix.constant([[2.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(blkdiag(a, b).value(np.zeros(0)),
                                    np.diag([1.0, 2.0, 2.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 4), c=st.integers(1, 4), nvars=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_algebra_matches_dense_values(self, r, c, nvars, seed):
+        rng = np.random.default_rng(seed)
+        A, B = (_random_expr(rng, (r, c), nvars) for _ in range(2))
+        S = _random_expr(rng, (c, c), nvars)
+        x = rng.standard_normal(nvars)
+        a, b, s = _dense(A, x), _dense(B, x), _dense(S, x)
+        L, R, T = (rng.standard_normal(shape) for shape in ((3, r), (c, 2), (c, 3)))
+        k = float(rng.standard_normal())
+        i, j = int(rng.integers(r)), int(rng.integers(c))
+        cases = [
+            (A + B, a + b), (A - B, a - b), (A + b, a + b), (b - A, b - a),
+            (k * A, k * a), (A * k, a * k), (-A, -a),
+            (L @ A, L @ a), (A @ R, a @ R), (A.T, a.T), (S.sym(), 0.5 * (s + s.T)),
+            (AffineMatrix.block([[A, B], [A, np.ones((r, c))]]),
+             np.block([[a, b], [a, np.ones((r, c))]])),
+            (blkdiag(A, S), np.block([[a, np.zeros((r, c))], [np.zeros((c, c)), s]])),
+            (congruence(T, S), T.T @ s @ T),
+            (A.entry(i, j), a[i:i + 1, j:j + 1]),
+            (S.trace(), np.array([[np.trace(s)]])),
+        ]
+        for expr, want in cases:
+            assert list(expr.keys) == sorted(set(expr.keys))
+            np.testing.assert_allclose(expr.value(x), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(_dense(expr, x), want, rtol=1e-12, atol=1e-12)
 
 
 class TestSolve:
@@ -169,6 +216,19 @@ class TestNativeBackend:
         assert _solve_native(prob, SolverOptions()).status == "optimal"
         assert _solve_native(prob, SolverOptions(max_iters=1)).status != "optimal"
 
+    def test_coefficient_operator_matches_value(self):
+        # the sparse operator the cvxpy backend is built from; needs no cvxpy
+        bounds = SectorBounds(1.0, 10.0)
+        asm = assemble_h2_for(make_named("nm", bounds), bounds,
+                              ZamesFalbStructure(2, 1, 1, "unstructured", 1.0))
+        prob = asm.problem
+        x = np.random.default_rng(3).standard_normal(prob.nvars)
+        for blk in prob.blocks:
+            G = coefficient_operator(blk.expr, prob.nvars)
+            assert G.shape == (blk.expr.const.size, prob.nvars)
+            np.testing.assert_allclose(G @ x, (blk.expr.value(x) - blk.expr.const).ravel(),
+                                       rtol=1e-12, atol=1e-12)
+
     @pytest.mark.skipif(importlib.util.find_spec("cvxpy") is not None,
                         reason="cvxpy is installed")
     def test_cvxpy_rung_without_cvxpy_returns_error(self):
@@ -203,3 +263,42 @@ class TestJsonInterchange:
         assert len(clone.blocks) == 1
         assert clone.blocks[0].eps == prob.blocks[0].eps
         assert len(clone.linear) == 1
+
+    @staticmethod
+    def _problems():
+        bounds = SectorBounds(1.0, 10.0)
+        nm = make_named("nm", bounds)
+        st_rate = ZamesFalbStructure(2, 1, 1, "unstructured", 0.9)
+        rate = assemble_rate_for(nm, bounds, st_rate, 0.9).problem
+        h2 = assemble_h2_for(nm, bounds, st_rate.with_rho(1.0)).problem
+        st_bmi = ZamesFalbStructure(1, 0, 1, "unstructured", 0.9)
+        nc = 3
+        P = np.eye(nc) + 0.1 * np.ones((nc, nc))
+        bmi = assemble_bmi_fixed_P(2, 1, bounds, st_bmi, 0.9, P, P_p=P).problem
+        return {"rate": rate, "h2": h2, "bmi": bmi}
+
+    def test_one_coefficient_entry_per_held_variable(self):
+        # each block lists exactly the variables it holds, none padded in
+        held = {
+            "rate": {"rate": ("P", "zf_theta")},
+            "h2": {"h2-kyp": ("P_p", "zf_theta"), "h2-trace-schur": ("P_p", "Z"),
+                   "h2-Pp-pos": ("P_p",)},
+            "bmi": {"bmi-rate": ("A", "B", "zf_theta"), "bmi-h2": ("A", "B", "zf_theta_p"),
+                    "bmi-h2-trace": ("B", "Z")},
+        }
+        for kind, prob in self._problems().items():
+            d = prob.to_json_dict()
+            where = {v["name"]: range(v["offset"], v["offset"] + v["size"])
+                     for v in d["variables"]}
+            assert [b["name"] for b in d["blocks"]] == list(held[kind])
+            for b in d["blocks"]:
+                want = sorted(k for name in held[kind][b["name"]] for k in where[name])
+                assert [c["var"] for c in b["coeffs"]] == want
+
+    def test_roundtrip_verify_is_identical(self):
+        rng = np.random.default_rng(5)
+        for prob in self._problems().values():
+            clone = SdpProblem.from_json_dict(prob.to_json_dict())
+            for _ in range(3):
+                x = rng.standard_normal(prob.nvars)
+                assert clone.verify(x) == prob.verify(x)
