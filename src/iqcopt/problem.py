@@ -271,7 +271,14 @@ class SdpProblem:
         info = self._by_name[name]
         if info.kind == "scalar":
             return float(x[info.offset])
-        return self.variable_expr(name).value(x)
+        v = np.array(x[info.offset:info.offset + info.size], dtype=float)
+        if info.kind == "matrix":
+            return v.reshape(info.shape)
+        M = np.empty(info.shape)
+        i, j = np.triu_indices(info.shape[0])
+        M[i, j] = v
+        M[j, i] = v
+        return M
 
     # -- constraints --------------------------------------------------------
     def add_lmi(self, expr: AffineMatrix, sense: str = "neg", eps: float = None,

@@ -1,12 +1,46 @@
 import numpy as np
 import pytest
 
-from iqcopt.algorithms import SectorBounds, make_named
+from iqcopt import sampling
+from iqcopt.algorithms import (AlgorithmRealization, SectorBounds, StructuredControllerForm,
+                               from_structured, lift, make_named)
 from iqcopt.engines import h2_norm_linear
 from iqcopt.errors import DivergenceError
 from iqcopt.sampling import RandomFunctionSpec, sample_function, simulate_h2
 
 BOUNDS = SectorBounds(1.0, 10.0)
+
+
+def reference_simulate_h2(algo, spec, k_max, realizations, seed, noise_scale=1.0):
+    """One draw, one dense update and one divergence check per step: the oracle."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    X = np.zeros((realizations, algo.n * algo.p))
+    sums = np.zeros(k_max + 1)
+    for k in range(k_max + 1):
+        Y = X @ algo.D.T
+        sums[k] = np.mean(np.sum(Y * Y, axis=1))
+        W = rng.standard_normal(size=(realizations, algo.p)) * noise_scale
+        G = spec.gradient(X @ algo.C.T)
+        X = X @ algo.A.T + (G + W) @ algo.B.T
+        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > sampling.DIVERGENCE_LIMIT:
+            raise DivergenceError(f"trajectory diverged at step {k}")
+    return float(np.sqrt(np.sum(sums) / k_max)), sums
+
+
+def _dense_p2():
+    """A stable two-state algorithm whose 2x2 gains are not of Kronecker form."""
+    K1 = -np.array([[0.08, 0.02], [0.02, 0.05]])
+    K2 = np.array([[0.1, 0.03], [-0.02, 0.05]])
+    return from_structured(StructuredControllerForm((K1, K2)))
+
+
+def _unstable(p):
+    """x+ = 3x - 2x_prev + grad + noise, lifted to dimension p."""
+    A = np.array([[3.0, -2.0], [1.0, 0.0]])
+    B = np.array([[1.0], [0.0]])
+    C = np.array([[1.0, 0.0]])
+    algo = AlgorithmRealization(A, B, C, C, np.array([[1.0], [1.0]]), n=2, p=1)
+    return algo if p == 1 else lift(algo, p)
 
 
 class TestSampleFunction:
@@ -77,17 +111,36 @@ class TestSimulateH2:
         b = simulate_h2(gd, spec, k_max=500, realizations=50, seed=42)
         assert a.estimate == b.estimate  # bit-for-bit
 
-    def test_divergence_detected(self):
-        # unstable iteration: x+ = 3x + noise
-        from iqcopt.algorithms import AlgorithmRealization
-        A = np.array([[3.0, -2.0], [1.0, 0.0]])
-        B = np.array([[1.0], [0.0]])
-        C = np.array([[1.0, 0.0]])
-        algo = AlgorithmRealization(A, B, C, C, np.array([[1.0], [1.0]]),
-                                    n=2, p=1)
-        spec = RandomFunctionSpec(kind="quadratic", p=1, Q=np.array([[1.0]]))
-        with pytest.raises(DivergenceError):
+    @staticmethod
+    def _assert_diverges_at_step_23(p):
+        # step 23 lies inside a block, so the first bad step must be located
+        algo = _unstable(p)
+        spec = RandomFunctionSpec(kind="quadratic", p=p, Q=np.eye(p))
+        with pytest.raises(DivergenceError, match="at step 23$"):
+            reference_simulate_h2(algo, spec, k_max=2000, realizations=2, seed=1)
+        with pytest.raises(DivergenceError, match="at step 23$"):
             simulate_h2(algo, spec, k_max=2000, realizations=2, seed=1)
+
+    def test_divergence_detected(self):
+        self._assert_diverges_at_step_23(1)
+
+    def test_divergence_detected_on_kronecker_core(self):
+        self._assert_diverges_at_step_23(2)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "cosine"])
+    @pytest.mark.parametrize("make", [lambda: make_named("tmm", BOUNDS),
+                                      lambda: make_named("nm", BOUNDS, 3),
+                                      _dense_p2],
+                             ids=["named-p1", "named-p3", "dense-p2"])
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.5])
+    @pytest.mark.parametrize("k_max", [1, 37, 3 * sampling.BLOCK])
+    def test_matches_reference_loop(self, kind, make, noise_scale, k_max):
+        algo = make()
+        spec = sample_function(BOUNDS, algo.p, kind, np.random.default_rng(k_max))
+        estimate, sums = reference_simulate_h2(algo, spec, k_max, 7, 19, noise_scale)
+        run = simulate_h2(algo, spec, k_max, 7, 19, noise_scale)
+        np.testing.assert_allclose(run.estimate, estimate, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(run.second_moments, sums, rtol=1e-12, atol=0)
 
     def test_estimate_below_certified_bound_smoke(self):
         from iqcopt.engines import certify_h2

@@ -60,6 +60,23 @@ class TestAffineMatrix:
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(P.value(x), [[1.0, 2.0], [2.0, 3.0]])
 
+    def test_extract_matches_variable_value(self):
+        prob = SdpProblem()
+        prob.add_scalar("t")
+        prob.add_symmetric("P", 3)
+        prob.add_matrix("M", 2, 3)
+        prob.add_symmetric("s", 1)
+        x = np.random.default_rng(4).standard_normal(prob.nvars)
+        for name in ("t", "P", "M", "s"):
+            got = prob.extract(name, x)
+            want = prob.variable_expr(name).value(x)
+            if name == "t":
+                assert got == float(want[0, 0])
+            else:
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+                assert not np.shares_memory(got, x)
+
     def test_blkdiag(self):
         a = AffineMatrix.constant([[1.0]])
         b = AffineMatrix.constant([[2.0, 0.0], [0.0, 2.0]])
