@@ -191,9 +191,11 @@ def cmd_sample_h2(args) -> int:
     rows = []
     for i in range(args.runs):
         seed = args.seed + i
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        spec = sample_function(bounds, args.p, args.kind, rng)
-        run = simulate_h2(algo, spec, args.steps, args.realizations, seed)
+        # independent streams for the objective and the noise of one run
+        objective_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
+        spec = sample_function(bounds, args.p, args.kind,
+                               np.random.default_rng(np.random.PCG64(objective_seed)))
+        run = simulate_h2(algo, spec, args.steps, args.realizations, noise_seed)
         rows.append([args.algo, args.kind, args.m, args.L, seed, args.steps,
                      args.realizations, repr(run.estimate)])
     manifest = _manifest("sample-h2", _params(args), time.time() - t0, opts)

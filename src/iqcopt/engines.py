@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import lmi
 from .algorithms import AlgorithmRealization, SectorBounds, check_equilibrium_conditions
@@ -64,7 +63,9 @@ def h2_norm_linear(A, B, C) -> float:
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
     C = np.atleast_2d(C)
-    P = sla.solve_discrete_lyapunov(A, B @ B.T)
+    from scipy.linalg import solve_discrete_lyapunov  # kept out of `import iqcopt`
+
+    P = solve_discrete_lyapunov(A, B @ B.T)
     return float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0)))
 
 
@@ -92,7 +93,8 @@ def verify_fdi(certificate, plant, n_samples: int = 64) -> FdiReport:
             worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().T)))))
     elif isinstance(certificate, H2Certificate) and isinstance(plant, PerformanceAugmentedPlant):
         MD = m_delta_matrix(certificate.zf, certificate.structure)
-        mid = sla.block_diag(MD, np.eye(plant.n_yp))
+        mid = np.block([[MD, np.zeros((MD.shape[0], plant.n_yp))],
+                        [np.zeros((plant.n_yp, MD.shape[0])), np.eye(plant.n_yp)]])
         Cfull = np.vstack([plant.boldC1, plant.boldC2])
         Dfull = np.vstack([plant.boldD11, np.zeros((plant.n_yp, plant.p_c))])
         from .statespace import StateSpace

@@ -4,9 +4,12 @@ All analysis inequalities share one KYP-style congruence
 
     [A B; I 0; C D]^T blkdiag(P, -P, M) [A B; I 0; C D]  <=  -eps I,
 
-with the multiplier matrix M affine in the kernel parameters. Synthesis
-variants reshuffle the same blocks by Schur complement so the algorithm
-matrices appear linearly. Strict inequalities carry a relative margin
+with the multiplier matrix M affine in the kernel parameters. The block
+is written into one coefficient stack: P's first factor [A B]^T
+(E_ij + E_ji) is scattered from columns of [A B]^T and one batched
+product by [A B] gives P's terms, so P's unit basis is never built (see
+``_kyp``). Synthesis variants reshuffle the same blocks by Schur
+complement so the algorithm matrices appear linearly. Strict inequalities carry a relative margin
 eps = 1e-7 (1 + ||const||_F); certificates are rechecked by eigenvalue
 computation in the solver layer, so a reported certificate always holds
 numerically.
@@ -22,13 +25,12 @@ from .algorithms import (AlgorithmRealization, SectorBounds, canonical_output,
 from .errors import (DimensionError, DomainError, InfeasiblePrecondition,
                      PreconditionError, StructureError)
 from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
-                          m_delta_coefficients, membership_constraints,
-                          psi_delta_realization)
+                          m_delta_coefficients, membership_constraints)
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
                          UncertainLoop, build_perf_plant_loop,
                          build_rate_plant_loop, sector_loop, structured_loop,
                          _psi_pieces)
-from .problem import AffineMatrix, SdpProblem, blkdiag, congruence
+from .problem import AffineMatrix, SdpProblem, VariableInfo, blkdiag, congruence
 from .sdp import SdpSolution
 from .statespace import StateSpace
 
@@ -105,23 +107,38 @@ def _embed_state_block(expr: AffineMatrix, p: int) -> AffineMatrix:
     return blkdiag(expr, np.zeros((p, p)))
 
 
-def _kyp(AB: np.ndarray, P: AffineMatrix, *rows) -> AffineMatrix:
+def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
 
-    Posed as the sum over the row blocks of out, AB^T P AB - blkdiag(P, 0)
-    + sum_b out_b^T X_b out_b with ``rows`` the pairs (out_b, X_b), so the
-    zero-padded middle matrix is never built.
+    P is a declared symmetric variable and ``rows`` the pairs (out_b, X_b).
+    The block is the sum over the row blocks of out, AB^T P AB -
+    blkdiag(P, 0) + sum_b out_b^T X_b out_b, written into one stack over
+    the key union, so neither the zero-padded middle matrix nor P's unit
+    basis is built. The first factor AB^T (E_ij + E_ji) is just columns i
+    and j of AB^T, so it is scattered, and one batched product by AB
+    writes P's terms into their slots; the I rows then subtract the basis
+    entries in place.
     """
-    n = P.shape[0]
-    total = congruence(AB, P)
-    # the I rows only pick P out: subtract it in place from the congruence's
-    # own fresh stack instead of allocating a padded copy (each new stack of
-    # the p=4 rate LMI is 5.5 MB of page faults)
-    total.const[:n, :n] -= P.const
-    total.coeffs[:, :n, :n] -= P.coeffs
+    n, m = AB.shape
+    i, j = np.triu_indices(n)
+    k = np.arange(P.size)
+    keys = np.unique(np.concatenate([P.offset + k] + [X.keys for _, X in rows]))
+    coeffs = np.zeros((keys.size, m, m))
+    # P's keys are consecutive, so their slots are one slice of the stack
+    slots = coeffs[np.searchsorted(keys, P.offset):][:P.size]
+    first = np.zeros((P.size, m, n))
+    first[k, :, j] = AB[i]
+    first[k, :, i] = AB[j]
+    np.matmul(first, AB, out=slots)
+    off = i != j
+    slots[k, i, j] -= 1.0
+    slots[k[off], j[off], i[off]] -= 1.0
+    const = np.zeros((m, m))
     for out_b, X in rows:
-        total = total + congruence(out_b, X)
-    return total
+        term = congruence(out_b, X)
+        const += term.const
+        coeffs[np.searchsorted(keys, term.keys)] += term.coeffs
+    return AffineMatrix((m, m), const, keys, coeffs)
 
 
 def _spectral_radius(A) -> float:
@@ -147,7 +164,7 @@ def kyp_block(G: StateSpace, M, name: str = "kyp") -> SdpProblem:
         raise DimensionError(f"M has size {M.shape[0]}, expected "
                              f"{G.ny} or {G.ny + G.nu}")
     prob = SdpProblem(name)
-    P = prob.add_symmetric("P", G.nx)
+    P = prob.declare("P", "symmetric", (G.nx, G.nx))
     prob.add_lmi(_kyp(np.hstack([G.A, G.B]), P,
                       (np.hstack([C, D]), AffineMatrix.constant(M))), "neg", name=name)
     return prob
@@ -189,7 +206,7 @@ def assemble_rate(plant: AugmentedPlant, structure: ZamesFalbStructure = None,
         raise InfeasiblePrecondition(
             f"nominal spectral radius {_spectral_radius(Anom):.6f} >= rho={rho}")
     prob = SdpProblem(f"rate[rho={rho:.6g}]")
-    P = prob.add_symmetric("P", plant.n_c)
+    P = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
     theta, md = _add_multiplier(prob, structure)
     kyp = _kyp(np.hstack([plant.Ac, plant.Bc]), P, (np.hstack([plant.Cc, plant.Dc]), md))
     prob.add_lmi(kyp, "neg", name="rate")
@@ -241,17 +258,18 @@ def assemble_h2(perf_plant: PerformanceAugmentedPlant,
         raise InfeasiblePrecondition("nominal loop is not Schur stable")
     pl = perf_plant
     prob = SdpProblem("h2")
-    P = prob.add_symmetric("P_p", pl.n_c)
+    P_info = prob.declare("P_p", "symmetric", (pl.n_c, pl.n_c))
     theta, md = _add_multiplier(prob, structure)
     Z = prob.add_symmetric("Z", pl.n_wp)
     t = prob.add_scalar("t")
 
-    kyp = _kyp(np.hstack([pl.boldA, pl.boldB1]), P,
+    kyp = _kyp(np.hstack([pl.boldA, pl.boldB1]), P_info,
                (np.hstack([pl.boldC1, pl.boldD11]), md),
                (np.hstack([pl.boldC2, np.zeros((pl.n_yp, pl.p_c))]),
                 AffineMatrix.constant(np.eye(pl.n_yp))))
     prob.add_lmi(kyp, "neg", name="h2-kyp")
 
+    P = prob.variable_expr("P_p")
     NPN = congruence(pl.N, P)                      # N^T P N
     NB2 = pl.N.T @ pl.boldB2
     schur = AffineMatrix.block([[NPN, NPN @ NB2],
@@ -280,15 +298,13 @@ def _synth_constants(n: int, p: int, bounds: SectorBounds,
                      structure: ZamesFalbStructure, rho: float):
     """Constant plant pieces for synthesis with canonical C, D, Ddagger."""
     C, D, Dd = canonical_output(n, p)
-    psi, _ = _psi_pieces(structure, bounds.L - bounds.m)
+    psi = _psi_pieces(structure, bounds.L - bounds.m)
     nd = psi.nx
     N = n * p
     nc = nd + N
-    Cext = np.vstack([C, np.zeros((p, N))])
-    Din = np.vstack([np.zeros((p, p)), np.eye(p)])
     # rows of [Ac(rho) Bc] belonging to the multiplier states (constant)
-    top = np.hstack([psi.A, psi.B @ Cext / rho, psi.B @ Din])
-    CcDc = np.hstack([psi.C, psi.D @ Cext / rho, psi.D @ Din])
+    top = np.hstack([psi.A, psi.B[:, :p] @ C / rho, psi.B[:, p:]])
+    CcDc = np.hstack([psi.C, psi.D[:, :p] @ C / rho, psi.D[:, p:]])
     return C, D, Dd, nd, N, nc, top, CcDc
 
 
@@ -539,12 +555,14 @@ def assemble_rate_slack(algo: AlgorithmRealization, bounds: SectorBounds,
 
     plant = build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
     prob = SdpProblem(f"rate-slack[rho={rho:.6g}]")
-    P = prob.add_symmetric("P", plant.n_c)
+    P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
     theta, md = _add_multiplier(prob, structure.with_rho(rho))
     s = prob.add_scalar("s")
-    big = _kyp(np.hstack([plant.Ac, plant.Bc]), P, (np.hstack([plant.Cc, plant.Dc]), md))
+    big = _kyp(np.hstack([plant.Ac, plant.Bc]), P_info,
+               (np.hstack([plant.Cc, plant.Dc]), md))
     dim = big.shape[0]
     prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="rate-slack")
+    P = prob.variable_expr("P")
     nd = plant.n_mult
     sel = np.vstack([np.zeros((nd, plant.n_loop)), np.eye(plant.n_loop)])
     P22 = congruence(sel, P)

@@ -13,12 +13,15 @@ Sign conventions follow the doubly hyperdominant reading: off-diagonal
 entries nonpositive, rho-weighted row and column sums nonnegative. For
 the repeated class, this includes the off-diagonal entries of M_0: the
 underlying Toeplitz operator must be doubly hyperdominant as a whole.
+
+The filter psi_Delta of the factorization Pi = psi^* M_Delta psi is
+written by index into zeroed arrays (two shift chains, the sector
+transform folded into B and D); no kron or block_diag is composed.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algorithms import SectorBounds
 from .errors import ArgumentError, DimensionError, DomainError
@@ -207,29 +210,6 @@ def sector_transform(bounds: SectorBounds, p: int) -> np.ndarray:
     ])
 
 
-def _shift_chain(ell: int):
-    """States store the last `ell` inputs; (zI-A)^{-1}B = [z^-ell .. z^-1]^T."""
-    A = np.zeros((ell, ell))
-    for i in range(ell - 1):
-        A[i, i + 1] = 1.0
-    B = np.zeros((ell, 1))
-    if ell:
-        B[-1, 0] = 1.0
-    return A, B
-
-
-def causal_basis_realization(ell: int) -> StateSpace:
-    """psi_c(z) = [z^-ell, ..., z^-1]^T."""
-    A, B = _shift_chain(ell)
-    return StateSpace(A, B, np.eye(ell), np.zeros((ell, 1)))
-
-
-def anticausal_basis_realization(ell: int) -> StateSpace:
-    """psi_a(z) = [z^-1, ..., z^-ell]^T (reversed chain output)."""
-    A, B = _shift_chain(ell)
-    return StateSpace(A, B, np.flipud(np.eye(ell)), np.zeros((ell, 1)))
-
-
 def block_layout(structure: ZamesFalbStructure):
     """Row/column sizes of the six M_Delta blocks and their offsets."""
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
@@ -262,36 +242,51 @@ def m_delta_matrix(params: ZamesFalbParameters, structure: ZamesFalbStructure) -
     return sum(t * E for t, E in zip(theta, m_delta_coefficients(structure)))
 
 
+def _set_diagonal(X: np.ndarray, row: int, col: int, length: int, value: float) -> None:
+    """X[row + i, col + i] = value for i < length, as one strided slice."""
+    n = X.shape[1]
+    start = row * n + col
+    X.reshape(-1)[start:start + max(length, 0) * (n + 1):n + 1] = value
+
+
 def psi_delta_realization(structure: ZamesFalbStructure, bounds: SectorBounds) -> StateSpace:
     """State-space realization of the multiplier filter psi_Delta.
 
     psi_Delta = [I 0; 0 I; psi_c (x) I 0; 0 I; I 0; 0 psi_a (x) I] @ What,
-    with p(lc+la) states, 2p inputs and p(4+lc+la) outputs.
+    with p(lc+la) states, 2p inputs (u_1, u_2) and p(4+lc+la) outputs.
+    psi_c = [z^-lc .. z^-1]^T and psi_a = [z^-1 .. z^-la]^T are shift
+    chains. Every entry is 0, 1, -1 or L - m, so A, B, C and D are written
+    by index into zeroed arrays: the causal chain stores the last lc
+    values of v = (L-m) u_1 - u_2 and the anticausal chain the last la
+    values of u_2 (What folded into B and D), and C reads the anticausal
+    chain in reverse.
     """
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
-    W = sector_transform(bounds, p)
-    psic = causal_basis_realization(lc)
-    psia = anticausal_basis_realization(la)
-    Ip = np.eye(p)
-    A = sla.block_diag(np.kron(psic.A, Ip), np.kron(psia.A, Ip))
-    B = sla.block_diag(np.kron(psic.B, Ip), np.kron(psia.B, Ip)) @ W
-    Z = np.zeros
-    C = np.block([
-        [Z((p, lc * p)), Z((p, la * p))],
-        [Z((p, lc * p)), Z((p, la * p))],
-        [np.kron(psic.C, Ip), Z((lc * p, la * p))],
-        [Z((p, lc * p)), Z((p, la * p))],
-        [Z((p, lc * p)), Z((p, la * p))],
-        [Z((la * p, lc * p)), np.kron(psia.C, Ip)],
-    ])
-    D = np.block([
-        [Ip, Z((p, p))],
-        [Z((p, p)), Ip],
-        [Z((lc * p, p)), Z((lc * p, p))],
-        [Z((p, p)), Ip],
-        [Ip, Z((p, p))],
-        [Z((la * p, p)), Z((la * p, p))],
-    ]) @ W
+    w = bounds.L - bounds.m
+    nc, na = lc * p, la * p
+    nx, ny = nc + na, 4 * p + nc + na
+    # output blocks (see block_layout), with v = (L-m) u_1 - u_2:
+    # v, u_2, the causal taps of v, u_2, v, the anticausal taps of u_2
+    o3, o4, o5 = 2 * p + nc, 3 * p + nc, 4 * p + nc
+    A = np.zeros((nx, nx))
+    _set_diagonal(A, 0, p, nc - p, 1.0)
+    _set_diagonal(A, nc, nc + p, na - p, 1.0)
+    B = np.zeros((nx, 2 * p))
+    if lc:
+        _set_diagonal(B, nc - p, 0, p, w)
+        _set_diagonal(B, nc - p, p, p, -1.0)
+    if la:
+        _set_diagonal(B, nx - p, p, p, 1.0)
+    C = np.zeros((ny, nx))
+    _set_diagonal(C, 2 * p, 0, nc, 1.0)
+    for a in range(la):                      # output tap a reads state la-1 - a
+        _set_diagonal(C, o5 + a * p, nc + (la - 1 - a) * p, p, 1.0)
+    D = np.zeros((ny, 2 * p))
+    for r in (0, o4):
+        _set_diagonal(D, r, 0, p, w)
+        _set_diagonal(D, r, p, p, -1.0)
+    for r in (p, o3):
+        _set_diagonal(D, r, p, p, 1.0)
     return StateSpace(A, B, C, D)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algorithms import AlgorithmRealization, SectorBounds, check_equilibrium_conditions
 from .errors import DimensionError, DomainError, PreconditionError, UnsupportedError
-from .multipliers import ZamesFalbStructure, psi_delta_realization, sector_transform
+from .multipliers import ZamesFalbStructure, psi_delta_realization
 from .statespace import StateSpace
 
 
@@ -99,18 +99,19 @@ class AugmentedPlant:
         return StateSpace(self.Ac, self.Bc, self.Cc, self.Dc)
 
 
-def _psi_pieces(structure: ZamesFalbStructure, width: float):
+def _psi_pieces(structure: ZamesFalbStructure, width: float) -> StateSpace:
     """psi_Delta realization for a given sector width."""
     # reuse the bounds-based builder through a synthetic (m, L) pair
-    bounds = SectorBounds(1.0, 1.0 + width)
-    psi = psi_delta_realization(structure, bounds)
-    W = sector_transform(bounds, structure.p)
-    return psi, W
+    return psi_delta_realization(structure, SectorBounds(1.0, 1.0 + width))
 
 
 def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
                           rho: float) -> AugmentedPlant:
-    """Block assembly of the augmented plant for an explicit uncertain loop."""
+    """Block assembly of the augmented plant for an explicit uncertain loop.
+
+    psi_Delta acts on [y; u] with y = Ceff x / rho, so its two input
+    blocks enter through the column blocks of psi.B and psi.D.
+    """
     if not (0 < rho <= 1):
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     q = loop.channel_dim
@@ -118,18 +119,16 @@ def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
         raise DimensionError(
             f"multiplier dimension p={structure.p} must match channel dim {q}"
         )
-    psi, _ = _psi_pieces(structure, loop.width)
+    psi = _psi_pieces(structure, loop.width)
     N = loop.nstates
     nd = psi.nx
-    Cext = np.vstack([loop.Ceff, np.zeros((q, N))])      # [C; 0]
-    Din = np.vstack([np.zeros((q, q)), np.eye(q)])       # [0; I]
-    Ac = np.block([
-        [psi.A, psi.B @ Cext / rho],
-        [np.zeros((N, nd)), loop.Anom / rho],
-    ])
-    Bc = np.vstack([psi.B @ Din, loop.Beff])
-    Cc = np.hstack([psi.C, psi.D @ Cext / rho])
-    Dc = psi.D @ Din
+    Ac = np.zeros((nd + N, nd + N))
+    Ac[:nd, :nd] = psi.A
+    Ac[:nd, nd:] = psi.B[:, :q] @ loop.Ceff / rho
+    Ac[nd:, nd:] = loop.Anom / rho
+    Bc = np.vstack([psi.B[:, q:], loop.Beff])
+    Cc = np.hstack([psi.C, psi.D[:, :q] @ loop.Ceff / rho])
+    Dc = psi.D[:, q:].copy()
     return AugmentedPlant(Ac, Bc, Cc, Dc, n_mult=nd, n_loop=N, p_c=q,
                           q_c=psi.ny, rho=rho, structure=structure)
 
@@ -185,19 +184,17 @@ def build_perf_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
     if B_perf.shape[0] != N or C_perf.shape[1] != N:
         raise DimensionError("performance channel dimensions do not match the loop")
     nwp, nyp = B_perf.shape[1], C_perf.shape[0]
-    psi, _ = _psi_pieces(structure, loop.width)
+    psi = _psi_pieces(structure, loop.width)
     nd = psi.nx
-    Cext = np.vstack([loop.Ceff, np.zeros((q, N))])
-    Din = np.vstack([np.zeros((q, q)), np.eye(q)])
-    boldA = np.block([
-        [psi.A, psi.B @ Cext],
-        [np.zeros((N, nd)), loop.Anom],
-    ])
-    boldB1 = np.vstack([psi.B @ Din, loop.Beff])
+    boldA = np.zeros((nd + N, nd + N))
+    boldA[:nd, :nd] = psi.A
+    boldA[:nd, nd:] = psi.B[:, :q] @ loop.Ceff
+    boldA[nd:, nd:] = loop.Anom
+    boldB1 = np.vstack([psi.B[:, q:], loop.Beff])
     boldB2 = np.vstack([np.zeros((nd, nwp)), B_perf])
-    boldC1 = np.hstack([psi.C, psi.D @ Cext])
+    boldC1 = np.hstack([psi.C, psi.D[:, :q] @ loop.Ceff])
     boldC2 = np.hstack([np.zeros((nyp, nd)), C_perf])
-    boldD11 = psi.D @ Din
+    boldD11 = psi.D[:, q:].copy()
     Nsel = np.vstack([np.zeros((nd, N)), np.eye(N)])
     return PerformanceAugmentedPlant(
         boldA, boldB1, boldB2, boldC1, boldC2, boldD11, Nsel,

@@ -229,25 +229,32 @@ class SdpProblem:
         self.objective: AffineMatrix | None = None  # 1x1, minimized
 
     # -- variables ----------------------------------------------------------
-    def _register(self, name, kind, shape, size) -> VariableInfo:
+    def declare(self, name: str, kind: str, shape) -> VariableInfo:
+        """Register a variable without building its expression.
+
+        kind is 'scalar', 'symmetric' (the upper triangle is stored) or
+        'matrix' (all entries, row-major).
+        """
         if name in self._by_name:
             raise ArgumentError(f"duplicate variable name {name!r}")
-        info = VariableInfo(name, kind, shape, self.nvars, size)
+        r, c = shape
+        size = {"scalar": 1, "symmetric": r * (r + 1) // 2, "matrix": r * c}[kind]
+        info = VariableInfo(name, kind, (r, c), self.nvars, size)
         self.variables.append(info)
         self._by_name[name] = info
         self.nvars += size
         return info
 
     def add_scalar(self, name: str) -> AffineMatrix:
-        self._register(name, "scalar", (1, 1), 1)
+        self.declare(name, "scalar", (1, 1))
         return self.variable_expr(name)
 
     def add_symmetric(self, name: str, n: int) -> AffineMatrix:
-        self._register(name, "symmetric", (n, n), n * (n + 1) // 2)
+        self.declare(name, "symmetric", (n, n))
         return self.variable_expr(name)
 
     def add_matrix(self, name: str, rows: int, cols: int) -> AffineMatrix:
-        self._register(name, "matrix", (rows, cols), rows * cols)
+        self.declare(name, "matrix", (rows, cols))
         return self.variable_expr(name)
 
     def variable_expr(self, name: str) -> AffineMatrix:
@@ -394,8 +401,7 @@ class SdpProblem:
     def from_json_dict(d: dict) -> "SdpProblem":
         prob = SdpProblem(d.get("name", ""))
         for v in d["variables"]:
-            prob._register(v["name"], v["kind"], tuple(v["shape"]), v["size"])
-        prob.nvars = sum(v["size"] for v in d["variables"])
+            prob.declare(v["name"], v["kind"], tuple(v["shape"]))
 
         def expr_from(const, coeffs):
             const = np.asarray(const, dtype=float)

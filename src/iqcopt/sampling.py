@@ -96,7 +96,7 @@ class SimulationRun:
 
 
 def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
-                k_max: int, realizations: int, seed: int,
+                k_max: int, realizations: int, seed,
                 noise_scale: float = 1.0) -> SimulationRun:
     """Empirical time-averaged output second moment under white gradient noise.
 
@@ -106,7 +106,8 @@ def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
 
     On the core of A = kron(Abar, I_q) the state is an (n, realizations * q)
     array whose column j q + i is coordinate i of realization j. A
-    DivergenceError names the first step whose state left the limit.
+    DivergenceError names the first step whose state left the limit. The
+    noise comes from PCG64(seed), seed an int or a SeedSequence.
     """
     if k_max < 1 or realizations < 1:
         raise DomainError("k_max and realizations must be positive")

@@ -1,12 +1,15 @@
+import copy
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iqcopt
+from iqcopt import cli
 from iqcopt.cli import main
 
 RUN = lambda *argv: main(list(argv))
@@ -97,6 +100,30 @@ class TestSampleH2:
         assert RUN(*args, "-o", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_objective_and_noise_streams_differ(self, monkeypatch, tmp_path):
+        """Each run draws its objective and its noise from separate streams."""
+        words = []
+        sample, simulate = cli.sample_function, cli.simulate_h2
+
+        def recording_sample(bounds, p, kind, rng):
+            words.append(copy.deepcopy(rng.bit_generator).random_raw(4))
+            return sample(bounds, p, kind, rng)
+
+        def recording_simulate(algo, spec, k_max, realizations, seed, **kw):
+            words.append(np.random.PCG64(seed).random_raw(4))
+            return simulate(algo, spec, k_max, realizations, seed, **kw)
+
+        monkeypatch.setattr(cli, "sample_function", recording_sample)
+        monkeypatch.setattr(cli, "simulate_h2", recording_simulate)
+        args = ["sample-h2", "--algo", "gd", "--m", "1", "--L", "10", "--runs", "3",
+                "--steps", "50", "--realizations", "4", "--seed", "5"]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            assert RUN(*args, "-o", str(path)) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # objective and noise words of the first file's 3 runs: all distinct
+        assert len({w.tobytes() for w in words[:6]}) == 6
+
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "out.csv"
         RUN("sample-h2", "--algo", "gd", "--m", "1", "--L", "10",
@@ -123,11 +150,22 @@ class TestSweep:
             assert float(value_s) >= float(lb_s) - 1e-3
 
 
-def test_console_entry_point():
+def _child_env():
     # the child imports the same iqcopt as this process, installed or not
     src = str(Path(iqcopt.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "iqcopt.cli", "--version"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, iqcopt; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from iqcopt.algorithms import SectorBounds, lift, make_named
+from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_structured,
+                               lift, make_named)
 from iqcopt.engines import h2_norm_linear
 from iqcopt.errors import InfeasiblePrecondition, PreconditionError
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
                         assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for,
-                        assemble_rate_reduced, assemble_structured_h2,
-                        assemble_structured_rate, kyp_block)
+                        assemble_rate_reduced, assemble_rate_slack,
+                        assemble_structured_h2, assemble_structured_rate, kyp_block)
 from iqcopt.multipliers import ZamesFalbStructure
+from iqcopt.plantbuild import build_rate_plant
 from iqcopt.sdp import solve
 from iqcopt.statespace import StateSpace
+from reference_builders import use_reference_builders
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
 ST10 = ZamesFalbStructure(1, 0, 1, "unstructured", 1.0)
@@ -253,3 +256,81 @@ def test_perf_synth_gamma_weakly_decreasing_in_rho():
         gammas.append(asm.decode(sol).gamma)
     assert gammas[0] >= gammas[1] * (1 - 1e-6)
     assert gammas[1] >= gammas[2] * (1 - 1e-6)
+
+
+def _direct_and_reference(monkeypatch, build):
+    """build() under the library's builders, then under the reference ones."""
+    got = build()
+    with monkeypatch.context() as m:
+        use_reference_builders(m)
+        ref = build()
+    return got, ref
+
+
+def _assert_same_problem(got, ref):
+    """Equal interchange, and every block equal bit for bit (signed zeros too)."""
+    assert got.to_json_dict() == ref.to_json_dict()
+    for a, b in zip(got.blocks, ref.blocks):
+        for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
+                     (a.expr.coeffs, b.expr.coeffs)):
+            assert np.array_equal(x, y)
+            assert x.tobytes() == y.tobytes()
+
+
+def _dense(p):
+    """Stable integrator-chain gains that are not of Kronecker form."""
+    rng = np.random.default_rng(p)
+    K1 = -0.1 * np.eye(p) - 0.02 * rng.uniform(size=(p, p))
+    K2 = -0.5 * np.eye(p) + 0.02 * rng.uniform(-1, 1, size=(p, p))
+    return from_structured(StructuredControllerForm((K1, K2)))
+
+
+class TestDirectBuildersMatchReference:
+    """The index-built psi_Delta, plants and KYP blocks reproduce, entry for
+    entry, the problems composed with kron/block_diag and P's basis stack."""
+
+    ALGOS = [("gd", 1), ("nm", 2), ("tmm", 3), ("hb", 4), ("nm", 4), ("dense", 2),
+             ("dense", 3)]
+
+    @pytest.fixture(params=ALGOS, ids=lambda a: f"{a[0]}-p{a[1]}")
+    def algo(self, request):
+        kind, p = request.param
+        return _dense(p) if kind == "dense" else make_named(kind, BOUNDS10, p)
+
+    @pytest.mark.parametrize("lc,la", [(1, 0), (2, 1), (0, 2), (6, 0)])
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    def test_whole_problems_identical(self, monkeypatch, algo, lc, la, klass):
+        st = ZamesFalbStructure(lc, la, algo.p, klass, 1.0)
+        radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS10.m))))
+        assert radius < 1
+        rho = 0.5 * (1.0 + radius)
+        builds = [
+            lambda: assemble_rate_for(algo, BOUNDS10, st, rho).problem,
+            lambda: assemble_h2_for(algo, BOUNDS10, st).problem,
+            lambda: assemble_rate_slack(algo, BOUNDS10, st, rho).problem,
+        ]
+        for build in builds:
+            _assert_same_problem(*_direct_and_reference(monkeypatch, build))
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_kyp_block_identical(self, monkeypatch, algo, joint):
+        st = ZamesFalbStructure(2, 1, algo.p, "repeated", 0.95)
+        G = build_rate_plant(algo, BOUNDS10, st, 0.95).as_statespace()
+        size = G.ny + G.nu if joint else G.ny
+        M = np.random.default_rng(size).normal(size=(size, size))
+        _assert_same_problem(*_direct_and_reference(
+            monkeypatch, lambda: kyp_block(G, M + M.T)))
+
+    def test_synthesis_problems_identical(self, monkeypatch):
+        st = ZamesFalbStructure(2, 1, 2, "unstructured", 0.9)
+        rng = np.random.default_rng(5)
+        nc = 2 * 3 + 2 * 2
+        X = rng.normal(size=(nc, nc))
+        P = X @ X.T + nc * np.eye(nc)
+        builds = [
+            lambda: assemble_convex_synth(2, 2, BOUNDS10, st, 0.9).problem,
+            lambda: assemble_convex_synth_perf(2, 2, BOUNDS10, st, 0.9).problem,
+            lambda: assemble_bmi_fixed_P(2, 2, BOUNDS10, st, 0.9, P, P_p=P).problem,
+        ]
+        for build in builds:
+            _assert_same_problem(*_direct_and_reference(monkeypatch, build))

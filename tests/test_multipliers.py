@@ -7,6 +7,7 @@ from iqcopt.multipliers import (ZamesFalbParameters, ZamesFalbStructure,
                                 membership_constraints, multiplier_value,
                                 psi_delta_realization, verify_membership)
 from iqcopt.statespace import eval_frequency
+from reference_builders import reference_psi_delta_realization
 
 
 def params_from_scalars(values, p=1):
@@ -137,6 +138,21 @@ class TestFactorization:
         mats = tuple(rng.normal(size=(2, 2)) for _ in st.indices())
         MD = m_delta_matrix(ZamesFalbParameters(mats), st)
         np.testing.assert_allclose(MD, MD.T, atol=0)
+
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("lc", range(4))
+    @pytest.mark.parametrize("la", range(4))
+    def test_psi_matches_reference_builder(self, lc, la, p, klass):
+        st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+        # a width L - m other than 1, so that w and the unit entries differ
+        bounds = SectorBounds(1.0, 1.0 + 0.1 * (7 + lc + 3 * la))
+        got = psi_delta_realization(st, bounds)
+        ref = reference_psi_delta_realization(st, bounds)
+        for name in "ABCD":
+            assert getattr(got, name).shape == getattr(ref, name).shape
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_psi_state_count(self):
         st = ZamesFalbStructure(3, 2, 2, "unstructured", 1.0)
