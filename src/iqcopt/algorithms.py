@@ -54,9 +54,11 @@ class AlgorithmRealization:
             ("D", self.D, (p, n * p)),
             ("Ddagger", self.Ddagger, (n * p, p)),
         ):
-            M = np.asarray(M, dtype=float)
+            # a read-only copy, so the equilibrium check below keeps holding
+            M = np.array(M, dtype=float)
             if M.shape != shape:
                 raise DimensionError(f"{name} must have shape {shape}, got {M.shape}")
+            M.flags.writeable = False
             object.__setattr__(self, name, M)
         ok, _ = check_equilibrium_conditions(self.A, self.B, self.C, self.D, self.Ddagger)
         if not ok:

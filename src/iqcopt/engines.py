@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lmi
-from .algorithms import AlgorithmRealization, SectorBounds, check_equilibrium_conditions
+from .algorithms import AlgorithmRealization, SectorBounds, nominal_closed_loop
 from .errors import InfeasiblePrecondition, NotCertifiable, PreconditionError, SolverError
 from .lmi import (H2Certificate, RateCertificate, SynthesisResult,
                   assemble_bmi_fixed_P, assemble_convex_synth,
@@ -42,7 +42,6 @@ class CertificationResult:
     solves: int = 0
     seconds: float = 0.0
     log: list = field(default_factory=list)
-    weak: bool = False
     bracket: tuple | None = None
 
 
@@ -118,7 +117,7 @@ def _rate_feasible(algo, bounds, structure, rho, options, counter):
         asm = assemble_rate_for(algo, bounds, structure, rho)
     except InfeasiblePrecondition:
         return False, None, None
-    sol = solve(asm.problem, options.as_probe())
+    sol = solve(asm.problem, options)
     counter[0] += 1
     if sol.certified:
         return True, asm, sol
@@ -133,11 +132,7 @@ def certify_rate(algo: AlgorithmRealization, bounds: SectorBounds,
     t0 = time.time()
     config = config or BisectionConfig()
     options = options or SolverOptions()
-    ok, _ = check_equilibrium_conditions(algo.A, algo.B, algo.C, algo.D, algo.Ddagger)
-    if not ok:
-        raise PreconditionError("algorithm violates the equilibrium conditions")
-    _, radius = (algo.nominal_matrix(bounds.m),
-                 float(np.max(np.abs(np.linalg.eigvals(algo.nominal_matrix(bounds.m))))))
+    _, radius = nominal_closed_loop(algo, bounds)
     lo = config.rho_lo if config.rho_lo is not None else radius + 1e-6
     hi = config.rho_hi
     if lo >= hi:
@@ -170,7 +165,7 @@ def certify_rate(algo: AlgorithmRealization, bounds: SectorBounds,
             f"(worst eig {report.worst_eig:.3e})")
     return CertificationResult(
         value=rho_star, kind="rate", certificate=cert, solves=counter[0],
-        seconds=time.time() - t0, log=log, weak=sol.weak, bracket=(lo, hi))
+        seconds=time.time() - t0, log=log, bracket=(lo, hi))
 
 
 def certify_h2(algo: AlgorithmRealization, bounds: SectorBounds,
@@ -202,7 +197,7 @@ def certify_h2(algo: AlgorithmRealization, bounds: SectorBounds,
             f"H2 certificate failed FDI verification (worst eig {report.worst_eig:.3e})")
     return CertificationResult(
         value=cert.gamma, kind="h2", certificate=cert, solves=2,
-        seconds=time.time() - t0, log=[(1.0, cert.gamma)], weak=sol.weak)
+        seconds=time.time() - t0, log=[(1.0, cert.gamma)])
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,7 @@ def _structured_initializer(n: int, p: int, bounds: SectorBounds,
 
     def try_rho(r):
         asm = assemble_structured_synth(H1, T, m2, L2, n, r)
-        sol = solve(asm.problem, options.as_probe())
+        sol = solve(asm.problem, options)
         return (asm, sol) if sol.certified else None
 
     lo, hi = 1e-3, 1.0 - 1e-6
@@ -305,9 +300,6 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
             f"{fundamental_lower_bound(bounds):.4f}")
     structure = structure or ZamesFalbStructure(1, 0, p, "unstructured", target_rho)
     options = options or SolverOptions()
-    # candidate half-steps skip the slow rescue rung; certification solves
-    # keep the full verification ladder
-    fast = options.as_probe()
     solves = [0]
     iters = []
 
@@ -328,7 +320,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
         s_prev = np.inf
         for _ in range(inner):
             asm_p = lmi.assemble_rate_slack(cur, bnds, structure, rho, radius=100.0)
-            sol_p = solve(asm_p.problem, fast)
+            sol_p = solve(asm_p.problem, options)
             solves[0] += 1
             if sol_p.x is None:
                 break
@@ -343,7 +335,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
                                               P_try, slack=True)
             except PreconditionError:
                 break
-            sol_ab = solve(asm_ab.problem, fast)
+            sol_ab = solve(asm_ab.problem, options)
             solves[0] += 1
             if sol_ab.x is None:
                 break
@@ -418,7 +410,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
             P_perf = h2_cert.P_p
             asm = assemble_bmi_fixed_P(n, p, bounds, structure, target_rho,
                                        P_rate, P_p=P_perf, slack=False)
-            sol = solve(asm.problem, fast)
+            sol = solve(asm.problem, options)
             solves[0] += 1
             # a near-feasible candidate suffices: the fresh analysis below is
             # the actual certificate
@@ -458,7 +450,7 @@ def synthesize_structured(H1, T, m2: float, L2: float, n: int, rho: float,
     """One-shot structured design at a fixed rho; None when infeasible."""
     options = options or SolverOptions()
     asm = assemble_structured_synth(H1, T, m2, L2, n, rho)
-    sol = solve(asm.problem, options.as_probe())
+    sol = solve(asm.problem, options)
     if not sol.certified:
         return None
     return asm.decode(sol)

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .sdp import MAX_ITERS
+
 # a Farkas certificate must exclude every x with ||G(x) - G(x0)||_F below
 # this many times the problem's scale 1 + ||G(x0)||_F, x0 the minimum-norm
 # point of the equality rows (cf. the feasibility radius of feasp)
@@ -40,9 +42,6 @@ FEAS_RADIUS = 1e6
 # after Jacobi scaling, directions whose singular value is below this
 # fraction of the largest barely move any constraint and are dropped
 RANK_TOL = 1e-12
-# iterations per phase; an interior-point method that has not converged
-# by then is stalled, so larger caps are clipped to this one
-MAX_ITERS = 100
 
 
 @dataclass

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import AlgorithmRealization, SectorBounds, check_equilibrium_conditions
-from .errors import DimensionError, DomainError, PreconditionError, UnsupportedError
+from .algorithms import AlgorithmRealization, SectorBounds
+from .errors import DimensionError, DomainError, UnsupportedError
 from .multipliers import ZamesFalbStructure, psi_delta_realization
 from .statespace import StateSpace
 
@@ -135,9 +135,6 @@ def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
 
 def build_rate_plant(algo: AlgorithmRealization, bounds: SectorBounds,
                      structure: ZamesFalbStructure, rho: float) -> AugmentedPlant:
-    ok, _ = check_equilibrium_conditions(algo.A, algo.B, algo.C, algo.D, algo.Ddagger)
-    if not ok:
-        raise PreconditionError("algorithm violates the equilibrium conditions")
     if structure.p != algo.p:
         raise DimensionError("structure.p must equal the algorithm dimension p")
     return build_rate_plant_loop(sector_loop(algo, bounds), structure, rho)
@@ -209,9 +206,6 @@ def build_perf_plant(algo: AlgorithmRealization, bounds: SectorBounds,
     B_perf, C_perf, D_perf = perf
     if D_perf is not None and np.any(np.abs(np.asarray(D_perf, dtype=float)) > 0):
         raise UnsupportedError("only D_perf = 0 is supported for the H2 setup")
-    ok, _ = check_equilibrium_conditions(algo.A, algo.B, algo.C, algo.D, algo.Ddagger)
-    if not ok:
-        raise PreconditionError("algorithm violates the equilibrium conditions")
     if structure.p != algo.p:
         raise DimensionError("structure.p must equal the algorithm dimension p")
     return build_perf_plant_loop(sector_loop(algo, bounds), structure, B_perf, C_perf)

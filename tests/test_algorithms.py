@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iqcopt.algorithms import (SectorBounds,
+from iqcopt.algorithms import (AlgorithmRealization, SectorBounds,
                                StructuredControllerForm, canonical_output,
                                check_equilibrium_conditions, from_structured,
                                from_json_dict, lift, make_named, known_rate,
@@ -82,6 +82,17 @@ class TestEquilibrium:
         # A = 0 scalar forces Ddagger = 0, contradicting D Ddagger = 1
         ok, X = check_equilibrium_conditions([[0.0]], None, [[1.0]], [[1.0]])
         assert not ok and X is None
+
+    def test_realization_owns_read_only_copies(self):
+        # the constructor's check must keep holding: the caller's arrays
+        # are copied, and the stored ones cannot be written
+        gd = make_named("gd", SectorBounds(1.0, 10.0))
+        A = np.array(gd.A)
+        algo = AlgorithmRealization(A, gd.B, gd.C, gd.D, gd.Ddagger, n=2, p=1)
+        A[0, 0] = 5.0
+        np.testing.assert_array_equal(algo.A, gd.A)
+        with pytest.raises(ValueError):
+            algo.A[0, 0] = 1.0
 
 
 class TestNominal:

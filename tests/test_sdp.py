@@ -1,14 +1,20 @@
-import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import iqcopt
 from iqcopt.algorithms import SectorBounds, make_named
 from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.problem import AffineMatrix, SdpProblem, blkdiag, congruence
-from iqcopt.sdp import SolverOptions, _solve_native, coefficient_operator, solve
+from iqcopt.sdp import MAX_ITERS, SolverOptions, solve
 
 
 def _random_expr(rng, shape, nvars):
@@ -189,7 +195,7 @@ class TestNativeBackend:
         blk = AffineMatrix.block([[x, np.ones((1, 1))], [np.ones((1, 1)), x]])
         prob.add_lmi(blk, "pos", eps=0.0)
         prob.minimize(x)
-        sol = _solve_native(prob, SolverOptions())
+        sol = solve(prob)
         assert sol.solver == "native" and sol.certified
         assert sol.values["x"] == pytest.approx(1.0, abs=1e-6)
 
@@ -199,14 +205,14 @@ class TestNativeBackend:
         prob.add_linear(x, "==", 1.0)
         prob.add_linear(x, "==", 2.0)
         prob.add_lmi(x, "pos", eps=0.0)
-        assert _solve_native(prob, SolverOptions()).status == "infeasible"
+        assert solve(prob).status == "infeasible"
 
     def test_unbounded_objective_is_an_error(self):
         prob = SdpProblem()
         x = prob.add_scalar("x")
         prob.add_lmi(x, "pos", eps=0.0)
         prob.minimize(-1.0 * x)
-        sol = _solve_native(prob, SolverOptions())
+        sol = solve(prob)
         assert sol.status == "error" and not sol.certified
 
     def test_nearly_dependent_direction_not_declared_infeasible(self):
@@ -222,7 +228,7 @@ class TestNativeBackend:
         prob.add_linear(-1.0 * x1 + (-1 + d) * x2, ">=", 1.0)
         prob.add_linear(1e8 * x1 + 1e8 * x2, ">=", 0.0)
         assert prob.verify(np.array([-2.0 ** 51, 2.0 ** 51]))[0]
-        assert _solve_native(prob, SolverOptions()).status != "infeasible"
+        assert solve(prob).status != "infeasible"
 
     def test_iteration_cap_is_read(self):
         prob = SdpProblem()
@@ -230,31 +236,37 @@ class TestNativeBackend:
         blk = AffineMatrix.block([[x, np.ones((1, 1))], [np.ones((1, 1)), x]])
         prob.add_lmi(blk, "pos", eps=0.0)
         prob.minimize(x)
-        assert _solve_native(prob, SolverOptions()).status == "optimal"
-        assert _solve_native(prob, SolverOptions(max_iters=1)).status != "optimal"
+        assert solve(prob).status == "optimal"
+        assert solve(prob, SolverOptions(max_iters=1)).status != "optimal"
 
-    def test_coefficient_operator_matches_value(self):
-        # the sparse operator the cvxpy backend is built from; needs no cvxpy
-        bounds = SectorBounds(1.0, 10.0)
-        asm = assemble_h2_for(make_named("nm", bounds), bounds,
-                              ZamesFalbStructure(2, 1, 1, "unstructured", 1.0))
-        prob = asm.problem
-        x = np.random.default_rng(3).standard_normal(prob.nvars)
-        for blk in prob.blocks:
-            G = coefficient_operator(blk.expr, prob.nvars)
-            assert G.shape == (blk.expr.const.size, prob.nvars)
-            np.testing.assert_allclose(G @ x, (blk.expr.value(x) - blk.expr.const).ravel(),
-                                       rtol=1e-12, atol=1e-12)
+    def test_default_cap_is_the_applied_one(self):
+        assert [f.name for f in fields(SolverOptions)] == ["tol_abs", "tol_rel", "max_iters"]
+        assert SolverOptions().max_iters == MAX_ITERS == 100
 
-    @pytest.mark.skipif(importlib.util.find_spec("cvxpy") is not None,
-                        reason="cvxpy is installed")
-    def test_cvxpy_rung_without_cvxpy_returns_error(self):
-        prob = SdpProblem()
-        x = prob.add_scalar("x")
-        prob.add_lmi(x, "pos", eps=0.0)
-        sol = solve(prob, SolverOptions(solver="clarabel"))
-        assert sol.status == "error"
-        assert "cvxpy unavailable" in sol.message
+    def test_answers_with_a_cvxpy_stub_first_on_path(self, tmp_path):
+        # an importable cvxpy, even an empty one, is not consulted:
+        # solve() has a single backend
+        (tmp_path / "cvxpy.py").write_text("")
+        code = textwrap.dedent("""
+            import numpy as np
+            import cvxpy
+            from iqcopt.problem import AffineMatrix, SdpProblem
+            from iqcopt.sdp import solve
+            prob = SdpProblem()
+            x = prob.add_scalar("x")
+            one = np.ones((1, 1))
+            prob.add_lmi(AffineMatrix.block([[x, one], [one, x]]), "pos", eps=0.0)
+            prob.minimize(x)
+            sol = solve(prob)
+            print(cvxpy.__file__, sol.solver, sol.certified, round(sol.values["x"], 6))
+        """)
+        src = str(Path(iqcopt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(tmp_path / "cvxpy.py"), "native", "True", "1.0"]
 
 
 class TestJsonInterchange:
