@@ -91,9 +91,9 @@ def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
     coeffs = m_delta_coefficients(structure)
     md = AffineMatrix(coeffs.shape[1:], keys=theta.keys, coeffs=coeffs)
     cons = membership_constraints(structure)
-    rows = np.array([con.coeffs for con in cons]) @ theta
-    for r, con in enumerate(cons):
-        prob.add_linear(rows.entry(r, 0), con.sense, con.rhs, name=f"{name}:{con.label}")
+    prob.add_linear(np.array([con.coeffs for con in cons]) @ theta,
+                    [con.sense for con in cons], [con.rhs for con in cons],
+                    [f"{name}:{con.label}" for con in cons])
     return theta, md
 
 
@@ -434,6 +434,20 @@ class BmiFixedPAssembly:
         return SynthesisResult(algo=algo, rho=self.rho, gamma=gamma)
 
 
+def _add_box_rows(prob: SdpProblem, Ae: AffineMatrix, Be: AffineMatrix) -> None:
+    """|entry| <= 10 for every entry of [A B]: a '<=' row, then a '>=' row.
+
+    Keeps candidate algorithms well-scaled for the next half-step. The
+    entries come row by row, A's entries (i, :) before B's; the solver's
+    SVD sees the rows in this order, so it is kept.
+    """
+    AB = AffineMatrix.block([[Ae, Be]]).ravel()
+    k = AB.shape[0]
+    twice = np.repeat(np.arange(k), 2)
+    prob.add_linear(AffineMatrix((2 * k, 1), AB.const[twice], AB.keys, AB.coeffs[:, twice]),
+                    ["<=", ">="] * k, [10.0, -10.0] * k)
+
+
 def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
                          structure: ZamesFalbStructure, rho: float,
                          P: np.ndarray, P_p: np.ndarray = None,
@@ -491,14 +505,7 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
         s_max = 10.0 * (1.0 + float(np.max(np.abs(P))))
         prob.add_linear(s, ">=", -s_max)
         prob.add_linear(s, "<=", s_max)
-        # keep candidate algorithms well-scaled for the next half-step
-        for i in range(N):
-            for j in range(N):
-                prob.add_linear(Ae.entry(i, j), "<=", 10.0)
-                prob.add_linear(Ae.entry(i, j), ">=", -10.0)
-            for j in range(p):
-                prob.add_linear(Be.entry(i, j), "<=", 10.0)
-                prob.add_linear(Be.entry(i, j), ">=", -10.0)
+        _add_box_rows(prob, Ae, Be)
         prob.minimize(s)
     else:
         # absolute margin: the block constant carries P, so the default

@@ -4,12 +4,13 @@ Every inequality of an SdpProblem becomes one block of
 
     G(x) = G0 + sum_i x_i G_i  >= 0,
 
-one matrix block per ``add_lmi`` (sign-flipped for 'neg', shifted by its
-eps margin) and a 1x1 block per inequality row. Equality rows are
-eliminated through a null space, x = x0 + N z, and the remaining
-coordinates are whitened so that z -> G(z) - G0 is an isometry. The
-whitening only conditions the arithmetic: the Newton directions below
-are invariant under a linear change of variables.
+one matrix block per ``add_lmi``, the symmetric part of its stack
+(sign-flipped for 'neg', shifted by its eps margin), and a 1x1 block per
+inequality row. Equality rows are eliminated through a null space,
+x = x0 + N z, and the remaining coordinates are whitened so that
+z -> G(z) - G0 is an isometry. The whitening only conditions the
+arithmetic: the Newton directions below are invariant under a linear
+change of variables.
 
 * Feasibility problems solve the phase-I problem min t s.t. G(x) + tI >= 0
   from a strictly feasible start and stop as soon as t < 0 and

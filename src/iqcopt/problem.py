@@ -12,6 +12,13 @@ matrix-inequality blocks, scalar linear constraints and an optional
 linear objective. It is solver-agnostic; see :mod:`iqcopt.sdp` for the
 conic backend. Problems serialize to a JSON interchange with one dense
 coefficient matrix per variable a block holds.
+
+A block means the symmetric part of its expression: v^T F v = v^T sym(F) v,
+so F(x) <= 0 and sym(F(x)) <= 0 are the same constraint. ``add_lmi`` keeps
+the coefficient stack as it was built, and its two readers, ``verify`` and
+the native backend, symmetrize what they read. Coefficient matrices in the
+JSON interchange can therefore be asymmetric at rounding level; only the
+constant term, which the eps margin is computed from, is stored symmetrized.
 """
 
 from dataclasses import dataclass
@@ -123,11 +130,6 @@ class AffineMatrix:
         return AffineMatrix(self.shape[::-1], self.const.T, self.keys,
                             self.coeffs.transpose(0, 2, 1))
 
-    def sym(self) -> "AffineMatrix":
-        coeffs = self.coeffs + self.coeffs.transpose(0, 2, 1)
-        coeffs *= 0.5
-        return AffineMatrix(self.shape, 0.5 * (self.const + self.const.T), self.keys, coeffs)
-
     def trace(self) -> "AffineMatrix":
         return AffineMatrix((1, 1), [[np.trace(self.const)]], self.keys,
                             np.trace(self.coeffs, axis1=1, axis2=2)[:, None, None])
@@ -135,6 +137,12 @@ class AffineMatrix:
     def entry(self, i, j) -> "AffineMatrix":
         return AffineMatrix((1, 1), self.const[i:i + 1, j:j + 1], self.keys,
                             self.coeffs[:, i:i + 1, j:j + 1])
+
+    def ravel(self) -> "AffineMatrix":
+        """The entries as an (r*c) x 1 column, row by row."""
+        n = self.shape[0] * self.shape[1]
+        return AffineMatrix((n, 1), self.const.reshape(n, 1), self.keys,
+                            self.coeffs.reshape(self.keys.size, n, 1))
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.const + np.tensordot(x[self.keys], self.coeffs, 1)
@@ -195,7 +203,7 @@ class VariableInfo:
 class LmiBlock:
     name: str
     expr: AffineMatrix
-    sense: str          # 'neg': expr <= -eps I ; 'pos': expr >= eps I
+    sense: str          # 'neg': sym(expr) <= -eps I ; 'pos': sym(expr) >= eps I
     eps: float
 
 
@@ -290,37 +298,55 @@ class SdpProblem:
     # -- constraints --------------------------------------------------------
     def add_lmi(self, expr: AffineMatrix, sense: str = "neg", eps: float = None,
                 name: str = "") -> LmiBlock:
-        expr = expr.sym()
+        """Add sym(expr) <= -eps I ('neg') or sym(expr) >= eps I ('pos').
+
+        The coefficient stack is stored as built, not symmetrized: the
+        block means its symmetric part, which ``verify`` and the solver
+        form themselves. The constant term is stored symmetrized, and the
+        default eps is relative to its Frobenius norm.
+        """
         if expr.shape[0] != expr.shape[1]:
             raise DimensionError("LMI block must be square")
         if sense not in ("neg", "pos"):
             raise ArgumentError("sense must be 'neg' or 'pos'")
+        const = 0.5 * (expr.const + expr.const.T)
         if eps is None:
-            eps = EPS_REL * (1.0 + np.linalg.norm(expr.const, "fro"))
-        block = LmiBlock(name or f"lmi{len(self.blocks)}", expr, sense, float(eps))
+            eps = EPS_REL * (1.0 + np.linalg.norm(const, "fro"))
+        block = LmiBlock(name or f"lmi{len(self.blocks)}",
+                         AffineMatrix(expr.shape, const, expr.keys, expr.coeffs),
+                         sense, float(eps))
         self.blocks.append(block)
         return block
 
-    def _scalarize(self, expr: AffineMatrix):
-        if expr.shape != (1, 1):
-            raise DimensionError("expected a 1x1 expression")
-        c = expr.coeffs[:, 0, 0]
-        nz = c != 0.0
-        return dict(zip(expr.keys[nz].tolist(), c[nz].tolist())), float(expr.const[0, 0])
+    def add_linear(self, expr: AffineMatrix, sense, rhs=0.0, name="") -> None:
+        """Scalar rows expr[i, 0] (sense) rhs for an r x 1 expression.
 
-    def add_linear(self, expr: AffineMatrix, sense: str, rhs: float = 0.0,
-                   name: str = "") -> None:
-        if sense not in ("<=", ">=", "=="):
+        sense, rhs and name are each one value for every row or a sequence
+        of one value per row. Rows are appended in order and keep only
+        their nonzero coefficients, with the constant moved to the rhs.
+        """
+        r = expr.shape[0]
+        if expr.shape[1] != 1:
+            raise DimensionError("expected an r x 1 expression")
+        senses = [sense] * r if isinstance(sense, str) else list(sense)
+        names = [name] * r if isinstance(name, str) else list(name)
+        if len(senses) != r or len(names) != r:
+            raise DimensionError(f"expected {r} senses and names")
+        if not set(senses) <= {"<=", ">=", "=="}:
             raise ArgumentError("sense must be one of <=, >=, ==")
-        row, c = self._scalarize(expr)
-        self.linear.append(LinearConstraintRow(row, sense, float(rhs) - c, name))
+        rhs = (np.asarray(rhs, dtype=float) - expr.const[:, 0]).tolist()
+        C = expr.coeffs[:, :, 0].T
+        rows, cols = np.nonzero(C)   # row by row, keys ascending within a row
+        coeffs = [{} for _ in range(r)]
+        for i, k, v in zip(rows.tolist(), expr.keys[cols].tolist(), C[rows, cols].tolist()):
+            coeffs[i][k] = v
+        self.linear += map(LinearConstraintRow, coeffs, senses, rhs, names)
 
     def add_matrix_equality(self, expr: AffineMatrix, name: str = "") -> None:
-        """Entrywise expr == 0 as scalar equalities."""
+        """Entrywise expr == 0 as scalar equalities, row by row."""
         r, c = expr.shape
-        for i in range(r):
-            for j in range(c):
-                self.add_linear(expr.entry(i, j), "==", 0.0, name=f"{name}[{i},{j}]")
+        self.add_linear(expr.ravel(), "==", 0.0,
+                        [f"{name}[{i},{j}]" for i in range(r) for j in range(c)])
 
     def minimize(self, expr: AffineMatrix) -> None:
         if expr.shape != (1, 1):
@@ -341,6 +367,7 @@ class SdpProblem:
         """
         ok = True
         worst = -np.inf
+        xmax = float(np.max(np.abs(x))) if x.size else 0.0
         for blk in self.blocks:
             V = blk.expr.value(x)
             V = 0.5 * (V + V.T)
@@ -356,7 +383,7 @@ class SdpProblem:
                 ok = False
         for row in self.linear:
             v = row.evaluate(x)
-            scale = 1.0 + abs(row.rhs) + float(np.max(np.abs(x))) if x.size else 1.0
+            scale = 1.0 + abs(row.rhs) + xmax if x.size else 1.0
             if row.sense == "<=":
                 viol = v - row.rhs
             elif row.sense == ">=":

@@ -4,6 +4,12 @@ psi_Delta from kron, np.block and block_diag, the plants through the
 [C; 0] and [0; I] helpers, and the KYP block as a congruence of P's unit
 basis stack. The library builds the same objects by index; the tests
 compare the two entry for entry.
+
+The problem container's former forms are kept here as well: an
+``add_lmi`` that stores every block symmetrized, and linear rows added one
+1x1 expression per call (membership rows, matrix equalities and the BMI
+box rows). The tests check that the solver receives the same blocks and
+the same rows from the library's forms.
 """
 
 import numpy as np
@@ -11,9 +17,11 @@ import scipy.linalg as sla
 
 from iqcopt import lmi, plantbuild
 from iqcopt.algorithms import SectorBounds, canonical_output
-from iqcopt.multipliers import sector_transform
+from iqcopt.errors import DimensionError
+from iqcopt.multipliers import m_delta_coefficients, membership_constraints, sector_transform
 from iqcopt.plantbuild import AugmentedPlant, PerformanceAugmentedPlant
-from iqcopt.problem import AffineMatrix, congruence
+from iqcopt.problem import (EPS_REL, AffineMatrix, LinearConstraintRow, LmiBlock,
+                            SdpProblem, congruence)
 from iqcopt.statespace import StateSpace
 
 
@@ -141,3 +149,67 @@ def use_reference_builders(monkeypatch):
         monkeypatch.setattr(module, "build_perf_plant_loop", reference_build_perf_plant_loop)
     monkeypatch.setattr(lmi, "_synth_constants", reference_synth_constants)
     monkeypatch.setattr(lmi, "_kyp", reference_kyp)
+
+
+def reference_add_lmi(self, expr, sense="neg", eps=None, name=""):
+    """add_lmi storing the symmetrized stack 0.5 (F_k + F_k^T) of every block."""
+    coeffs = expr.coeffs + expr.coeffs.transpose(0, 2, 1)
+    coeffs *= 0.5
+    expr = AffineMatrix(expr.shape, 0.5 * (expr.const + expr.const.T), expr.keys, coeffs)
+    if eps is None:
+        eps = EPS_REL * (1.0 + np.linalg.norm(expr.const, "fro"))
+    block = LmiBlock(name or f"lmi{len(self.blocks)}", expr, sense, float(eps))
+    self.blocks.append(block)
+    return block
+
+
+def reference_add_linear(self, expr, sense, rhs=0.0, name=""):
+    """One row from a 1x1 expression: its nonzero coefficients, rhs - const."""
+    if expr.shape != (1, 1):
+        raise DimensionError("expected a 1x1 expression")
+    c = expr.coeffs[:, 0, 0]
+    nz = c != 0.0
+    self.linear.append(LinearConstraintRow(dict(zip(expr.keys[nz].tolist(), c[nz].tolist())),
+                                           sense, float(rhs) - float(expr.const[0, 0]), name))
+
+
+def reference_add_matrix_equality(self, expr, name=""):
+    r, c = expr.shape
+    for i in range(r):
+        for j in range(c):
+            self.add_linear(expr.entry(i, j), "==", 0.0, name=f"{name}[{i},{j}]")
+
+
+def reference_add_multiplier(prob, structure, name="zf_theta"):
+    theta = prob.add_matrix(name, structure.parameter_count(), 1)
+    coeffs = m_delta_coefficients(structure)
+    md = AffineMatrix(coeffs.shape[1:], keys=theta.keys, coeffs=coeffs)
+    cons = membership_constraints(structure)
+    rows = np.array([con.coeffs for con in cons]) @ theta
+    for r, con in enumerate(cons):
+        prob.add_linear(rows.entry(r, 0), con.sense, con.rhs, name=f"{name}:{con.label}")
+    return theta, md
+
+
+def reference_add_box_rows(prob, Ae, Be):
+    N, p = Be.shape
+    for i in range(N):
+        for j in range(N):
+            prob.add_linear(Ae.entry(i, j), "<=", 10.0)
+            prob.add_linear(Ae.entry(i, j), ">=", -10.0)
+        for j in range(p):
+            prob.add_linear(Be.entry(i, j), "<=", 10.0)
+            prob.add_linear(Be.entry(i, j), ">=", -10.0)
+
+
+def use_reference_lmi(monkeypatch):
+    """Store every LMI block symmetrized, as add_lmi did."""
+    monkeypatch.setattr(SdpProblem, "add_lmi", reference_add_lmi)
+
+
+def use_reference_rows(monkeypatch):
+    """Add every linear row by its own 1x1 call."""
+    monkeypatch.setattr(SdpProblem, "add_linear", reference_add_linear)
+    monkeypatch.setattr(SdpProblem, "add_matrix_equality", reference_add_matrix_equality)
+    monkeypatch.setattr(lmi, "_add_multiplier", reference_add_multiplier)
+    monkeypatch.setattr(lmi, "_add_box_rows", reference_add_box_rows)

@@ -10,10 +10,11 @@ from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
                         assemble_rate_reduced, assemble_rate_slack,
                         assemble_structured_h2, assemble_structured_rate, kyp_block)
 from iqcopt.multipliers import ZamesFalbStructure
+from iqcopt.native import _sym_stack
 from iqcopt.plantbuild import build_rate_plant
 from iqcopt.sdp import solve
 from iqcopt.statespace import StateSpace
-from reference_builders import use_reference_builders
+from reference_builders import use_reference_builders, use_reference_lmi, use_reference_rows
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
 ST10 = ZamesFalbStructure(1, 0, 1, "unstructured", 1.0)
@@ -258,11 +259,11 @@ def test_perf_synth_gamma_weakly_decreasing_in_rho():
     assert gammas[1] >= gammas[2] * (1 - 1e-6)
 
 
-def _direct_and_reference(monkeypatch, build):
+def _direct_and_reference(monkeypatch, build, use_reference=use_reference_builders):
     """build() under the library's builders, then under the reference ones."""
     got = build()
     with monkeypatch.context() as m:
-        use_reference_builders(m)
+        use_reference(m)
         ref = build()
     return got, ref
 
@@ -334,3 +335,85 @@ class TestDirectBuildersMatchReference:
         ]
         for build in builds:
             _assert_same_problem(*_direct_and_reference(monkeypatch, build))
+
+
+def _synthesis_builds(n, p, klass):
+    """Convex, convex-perf and BMI fixed-P problems (with and without slack and P_p)."""
+    st = ZamesFalbStructure(2, 1, p, klass, 0.9)
+    nc = 3 * p + n * p
+    X = np.random.default_rng(nc).normal(size=(nc, nc))
+    P = X @ X.T + nc * np.eye(nc)
+    return [
+        lambda: assemble_convex_synth(n, p, BOUNDS10, st, 0.9).problem,
+        lambda: assemble_convex_synth_perf(n, p, BOUNDS10, st, 0.9).problem,
+    ] + [
+        lambda slack=slack, P_p=P_p: assemble_bmi_fixed_P(n, p, BOUNDS10, st, 0.9, P,
+                                                          P_p=P_p, slack=slack).problem
+        for slack in (False, True) for P_p in (None, P)
+    ]
+
+
+class TestSolverInputIdentity:
+    """Blocks are stored as built; the symmetric part the solver forms from
+    them is, byte for byte, the stack the symmetrizing add_lmi stored."""
+
+    ALGOS = [("gd", 1), ("nm", 2), ("tmm", 3), ("hb", 4), ("nm", 4)]
+
+    @staticmethod
+    def _assert_same_solver_input(got, ref):
+        assert len(got.blocks) == len(ref.blocks)
+        for a, b in zip(got.blocks, ref.blocks):
+            assert (a.name, a.sense, a.eps) == (b.name, b.sense, b.eps)
+            assert a.expr.keys.tobytes() == b.expr.keys.tobytes()
+            assert a.expr.const.tobytes() == b.expr.const.tobytes()
+            assert _sym_stack(a.expr.coeffs).tobytes() == b.expr.coeffs.tobytes()
+        rng = np.random.default_rng(got.nvars)
+        for _ in range(3):
+            x = rng.standard_normal(got.nvars)
+            (ok, worst), (ok_ref, worst_ref) = got.verify(x), ref.verify(x)
+            assert ok == ok_ref
+            assert abs(worst - worst_ref) <= 1e-12 * (1.0 + abs(worst_ref))
+
+    @pytest.mark.parametrize("kind,p", ALGOS, ids=lambda a: str(a))
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    def test_analysis_problems(self, monkeypatch, kind, p, klass):
+        algo = make_named(kind, BOUNDS10, p)
+        radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS10.m))))
+        rho = 0.5 * (1.0 + radius)
+        for lc, la in ((1, 0), (2, 1), (6, 0)):
+            st = ZamesFalbStructure(lc, la, p, klass, 1.0)
+            for build in (lambda: assemble_rate_for(algo, BOUNDS10, st, rho).problem,
+                          lambda: assemble_h2_for(algo, BOUNDS10, st).problem,
+                          lambda: assemble_rate_slack(algo, BOUNDS10, st, rho).problem):
+                self._assert_same_solver_input(
+                    *_direct_and_reference(monkeypatch, build, use_reference_lmi))
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    def test_synthesis_problems(self, monkeypatch, n, p, klass):
+        for build in _synthesis_builds(n, p, klass):
+            self._assert_same_solver_input(
+                *_direct_and_reference(monkeypatch, build, use_reference_lmi))
+
+
+class TestBulkRowsMatchPerRowCalls:
+    """Membership rows, matrix equalities and the BMI box rows, added in
+    bulk, give the interchange rows of one add_linear call per row."""
+
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    @pytest.mark.parametrize("lc,la,p", [(1, 0, 1), (2, 1, 2), (0, 2, 3), (6, 1, 4)])
+    def test_membership_rows(self, monkeypatch, klass, lc, la, p):
+        algo = make_named("nm", BOUNDS10, p)
+        st = ZamesFalbStructure(lc, la, p, klass, 1.0)
+        for build in (lambda: assemble_rate_for(algo, BOUNDS10, st, 0.9).problem,
+                      lambda: assemble_h2_for(algo, BOUNDS10, st).problem):
+            got, ref = _direct_and_reference(monkeypatch, build, use_reference_rows)
+            assert got.to_json_dict()["linear"] == ref.to_json_dict()["linear"]
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 4)])
+    @pytest.mark.parametrize("klass", ["unstructured", "nonrepeated"])
+    def test_equalities_and_box_rows(self, monkeypatch, n, p, klass):
+        # BMI half-steps with slack carry the box rows; all carry equalities
+        for build in _synthesis_builds(n, p, klass):
+            got, ref = _direct_and_reference(monkeypatch, build, use_reference_rows)
+            assert got.to_json_dict()["linear"] == ref.to_json_dict()["linear"]

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import iqcopt
 from iqcopt.algorithms import SectorBounds, make_named
+from iqcopt.errors import ArgumentError, DimensionError
 from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.problem import AffineMatrix, SdpProblem, blkdiag, congruence
 from iqcopt.sdp import MAX_ITERS, SolverOptions, solve
+from reference_builders import reference_add_linear
 
 
 def _random_expr(rng, shape, nvars):
@@ -104,7 +106,7 @@ class TestAffineMatrix:
         cases = [
             (A + B, a + b), (A - B, a - b), (A + b, a + b), (b - A, b - a),
             (k * A, k * a), (A * k, a * k), (-A, -a),
-            (L @ A, L @ a), (A @ R, a @ R), (A.T, a.T), (S.sym(), 0.5 * (s + s.T)),
+            (L @ A, L @ a), (A @ R, a @ R), (A.T, a.T), (A.ravel(), a.reshape(-1, 1)),
             (AffineMatrix.block([[A, B], [A, np.ones((r, c))]]),
              np.block([[a, b], [a, np.ones((r, c))]])),
             (blkdiag(A, S), np.block([[a, np.zeros((r, c))], [np.zeros((c, c)), s]])),
@@ -116,6 +118,106 @@ class TestAffineMatrix:
             assert list(expr.keys) == sorted(set(expr.keys))
             np.testing.assert_allclose(expr.value(x), want, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(_dense(expr, x), want, rtol=1e-12, atol=1e-12)
+
+
+class TestAsymmetricBlock:
+    """A block means the symmetric part of its stack: verify and the solver
+    treat a deliberately asymmetric block like its symmetrized twin."""
+
+    @staticmethod
+    def _pair(const, coeffs):
+        def build(const, coeffs):
+            prob = SdpProblem()
+            keys = [prob.declare(f"x{k}", "scalar", (1, 1)).offset for k in range(len(coeffs))]
+            prob.add_lmi(AffineMatrix(const.shape, const, keys, coeffs), "pos")
+            return prob
+
+        sym = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
+        return build(const, coeffs), build(0.5 * (const + const.T), sym)
+
+    @staticmethod
+    def _skewed(rng, sym):
+        """sym plus a skew part of the same size."""
+        W = rng.standard_normal(sym.shape)
+        return sym + (W - np.swapaxes(W, -1, -2))
+
+    def test_verify_and_solve_agree_with_the_twin(self):
+        rng = np.random.default_rng(11)
+        m = 4
+        S = rng.standard_normal((3, m, m))
+        S = S + S.transpose(0, 2, 1)
+        S[0] = 10.0 * np.eye(m)          # x0 large makes the block positive
+        C = -np.eye(m)
+        prob, twin = self._pair(self._skewed(rng, C), self._skewed(rng, S))
+        assert not np.array_equal(prob.blocks[0].expr.coeffs, twin.blocks[0].expr.coeffs)
+        assert prob.blocks[0].eps == twin.blocks[0].eps
+        for _ in range(20):
+            x = rng.standard_normal(3)
+            (ok, worst), (ok_twin, worst_twin) = prob.verify(x), twin.verify(x)
+            assert ok == ok_twin
+            assert abs(worst - worst_twin) <= 1e-12 * (1.0 + abs(worst_twin))
+        a, b = solve(prob), solve(twin)
+        assert a.certified and a.status == b.status
+        np.testing.assert_array_equal(a.x, b.x)
+
+    def test_a_skew_part_adds_nothing(self):
+        # -I + x (skew): its symmetric part is -I, so no x makes it positive
+        rng = np.random.default_rng(12)
+        W = rng.standard_normal((1, 3, 3))
+        prob, twin = self._pair(-np.eye(3), W - W.transpose(0, 2, 1))
+        assert not np.any(twin.blocks[0].expr.coeffs)
+        for x in (np.array([0.0]), np.array([100.0]), np.array([-1e3])):
+            assert prob.verify(x) == twin.verify(x)
+        assert solve(prob).status == solve(twin).status
+        assert not solve(prob).certified
+
+
+class TestLinearRows:
+    @staticmethod
+    def _column():
+        prob = SdpProblem()
+        x = prob.add_matrix("x", 3, 1)
+        y = prob.add_scalar("y")
+        T = np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0], [0.5, 3.0, 1e-300]])
+        col = T @ x + AffineMatrix.constant([[1.0], [0.0], [-2.5]])
+        return prob, col + AffineMatrix.block([[y], [0.0 * y], [-1.0 * y]])
+
+    @pytest.mark.parametrize("sense,rhs,name", [
+        ("<=", 1.5, "row"),
+        (["<=", ">=", "=="], [1.0, -2.0, 0.25], ["a", "b", "c"]),
+        ([">=", "<=", ">="], 0.0, ""),
+        ("==", np.array([3.0, 4.0, 5.0]), ["", "mid", ""]),
+    ])
+    def test_bulk_matches_per_row_calls(self, sense, rhs, name):
+        bulk, col = self._column()
+        bulk.add_linear(col, sense, rhs, name)
+        rows, col = self._column()
+        per = lambda v, i: v if isinstance(v, str) else v[i]
+        for i in range(3):
+            reference_add_linear(rows, col.entry(i, 0), per(sense, i),
+                                 rhs if np.ndim(rhs) == 0 else rhs[i], per(name, i))
+        assert bulk.to_json_dict()["linear"] == rows.to_json_dict()["linear"]
+        assert [list(r.coeffs) for r in bulk.linear] == [list(r.coeffs) for r in rows.linear]
+
+    def test_slack_scales_with_the_largest_magnitude(self):
+        # row a <= 0 may be violated by lin_tol (1 + |rhs| + max|x|)
+        prob = SdpProblem()
+        a = prob.add_scalar("a")
+        prob.add_scalar("b")
+        prob.add_linear(a, "<=", 0.0)
+        assert prob.verify(np.array([0.9e-2, -1e6]))[0]
+        assert not prob.verify(np.array([1.1e-2, -1e6]))[0]
+        ok, worst = prob.verify(np.array([1e-2, -1e6]))
+        assert worst == 1e-2 - 1e-8 * (1.0 + 0.0 + 1e6)
+
+    def test_rejects_bad_rows(self):
+        prob, col = self._column()
+        with pytest.raises(DimensionError):
+            prob.add_linear(AffineMatrix.block([[col, col]]), "<=")
+        with pytest.raises(DimensionError):
+            prob.add_linear(col, ["<=", ">="])
+        with pytest.raises(ArgumentError):
+            prob.add_linear(col, ["<=", ">=", "<"])
 
 
 class TestSolve:
