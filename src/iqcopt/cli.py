@@ -92,9 +92,9 @@ def _load_algo(spec: str, bounds: SectorBounds, p: int):
     return make_named(spec, bounds, p)
 
 
-def _structure(args, rho=1.0) -> ZamesFalbStructure:
+def _structure(args) -> ZamesFalbStructure:
     return ZamesFalbStructure(args.lc, args.la, getattr(args, "p", 1),
-                              getattr(args, "klass", "unstructured"), rho)
+                              getattr(args, "klass", "unstructured"))
 
 
 # ---------------------------------------------------------------------------

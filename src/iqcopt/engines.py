@@ -23,7 +23,7 @@ from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
                          build_perf_plant, build_rate_plant,
                          default_noise_channel)
 from .sdp import SolverOptions, solve
-from .statespace import eval_frequency
+from .statespace import StateSpace, eval_frequency
 
 
 @dataclass
@@ -82,29 +82,22 @@ def verify_fdi(certificate, plant, n_samples: int = 64) -> FdiReport:
     ok iff the largest Hermitian-part eigenvalue over all samples is
     strictly negative.
     """
-    worst = -np.inf
     if isinstance(certificate, RateCertificate) and isinstance(plant, AugmentedPlant):
-        MD = m_delta_matrix(certificate.zf, certificate.structure)
         ss = plant.as_statespace()
-        for z in _unit_circle(n_samples):
-            Phi = eval_frequency(ss, z)
-            F = Phi.conj().T @ MD @ Phi
-            worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().T)))))
+        mid = m_delta_matrix(certificate.zf, certificate.structure)
     elif isinstance(certificate, H2Certificate) and isinstance(plant, PerformanceAugmentedPlant):
+        ss = StateSpace(plant.boldA, plant.boldB1, np.vstack([plant.boldC1, plant.boldC2]),
+                        np.vstack([plant.boldD11, np.zeros((plant.n_yp, plant.p_c))]))
         MD = m_delta_matrix(certificate.zf, certificate.structure)
         mid = np.block([[MD, np.zeros((MD.shape[0], plant.n_yp))],
                         [np.zeros((plant.n_yp, MD.shape[0])), np.eye(plant.n_yp)]])
-        Cfull = np.vstack([plant.boldC1, plant.boldC2])
-        Dfull = np.vstack([plant.boldD11, np.zeros((plant.n_yp, plant.p_c))])
-        from .statespace import StateSpace
-
-        ss = StateSpace(plant.boldA, plant.boldB1, Cfull, Dfull)
-        for z in _unit_circle(n_samples):
-            Phi = eval_frequency(ss, z)
-            F = Phi.conj().T @ mid @ Phi
-            worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().T)))))
     else:
         raise PreconditionError("certificate type does not match the plant type")
+    worst = -np.inf
+    for z in _unit_circle(n_samples):
+        Phi = eval_frequency(ss, z)
+        F = Phi.conj().T @ mid @ Phi
+        worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().T)))))
     return FdiReport(ok=worst < 0.0, worst_eig=worst)
 
 

@@ -192,13 +192,9 @@ class RateAssembly:
                                rho=self.plant.rho, structure=self.structure)
 
 
-def assemble_rate(plant: AugmentedPlant, structure: ZamesFalbStructure = None,
-                  rho: float = None) -> RateAssembly:
-    """Feasibility SDP certifying robust exponential rate rho for the plant."""
-    structure = structure or plant.structure
-    rho = plant.rho if rho is None else rho
-    if abs(rho - plant.rho) > 1e-12:
-        raise DimensionError("plant was built for a different rho")
+def assemble_rate(plant: AugmentedPlant) -> RateAssembly:
+    """Feasibility SDP certifying robust exponential rate plant.rho."""
+    structure, rho = plant.structure, plant.rho
     if abs(structure.rho - rho) > 1e-12:
         structure = structure.with_rho(rho)
     Anom = plant.Ac[plant.n_mult:, plant.n_mult:] * rho
@@ -249,10 +245,9 @@ class H2Assembly:
         )
 
 
-def assemble_h2(perf_plant: PerformanceAugmentedPlant,
-                structure: ZamesFalbStructure = None) -> H2Assembly:
+def assemble_h2(perf_plant: PerformanceAugmentedPlant) -> H2Assembly:
     """Minimization SDP for the asymptotic noise-amplification level gamma."""
-    structure = (structure or perf_plant.structure).with_rho(1.0)
+    structure = perf_plant.structure.with_rho(1.0)
     Anom = perf_plant.boldA[perf_plant.n_mult:, perf_plant.n_mult:]
     if _spectral_radius(Anom) >= 1.0:
         raise InfeasiblePrecondition("nominal loop is not Schur stable")
@@ -439,13 +434,15 @@ def _add_box_rows(prob: SdpProblem, Ae: AffineMatrix, Be: AffineMatrix) -> None:
 
     Keeps candidate algorithms well-scaled for the next half-step. The
     entries come row by row, A's entries (i, :) before B's; the solver's
-    SVD sees the rows in this order, so it is kept.
+    SVD sees the rows in this order, so it is kept. A declared matrix
+    variable's keys are its entries in row-major order, so each row is a
+    unit coefficient on the key of its entry.
     """
-    AB = AffineMatrix.block([[Ae, Be]]).ravel()
-    k = AB.shape[0]
-    twice = np.repeat(np.arange(k), 2)
-    prob.add_linear(AffineMatrix((2 * k, 1), AB.const[twice], AB.keys, AB.coeffs[:, twice]),
-                    ["<=", ">="] * k, [10.0, -10.0] * k)
+    entries = np.hstack([Ae.keys.reshape(Ae.shape), Be.keys.reshape(Be.shape)]).ravel()
+    keys = np.sort(entries)
+    unit = keys[:, None] == entries.repeat(2)
+    prob.add_linear(AffineMatrix(unit.shape[1:] + (1,), keys=keys, coeffs=unit[:, :, None] * 1.0),
+                    ["<=", ">="] * entries.size, [10.0, -10.0] * entries.size)
 
 
 def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,

@@ -112,28 +112,23 @@ class _Reduced:
             keys, Fsub = blk.expr.keys, sgn * _sym_stack(blk.expr.coeffs)
             F0 = sgn * _sym(blk.expr.const) - blk.eps * np.eye(d)
             blocks.append((keys, F0, Fsub))
-        ineq = [r for r in problem.linear if r.sense != "=="]
-        eq = [r for r in problem.linear if r.sense == "=="]
-        A = np.zeros((len(ineq), n))
-        g0 = np.zeros(len(ineq))
-        for i, r in enumerate(ineq):
-            sgn = -1.0 if r.sense == "<=" else 1.0   # rhs - a x >= 0 / a x - rhs >= 0
-            for k, v in r.coeffs.items():
-                A[i, k] = sgn * v
-            g0[i] = -sgn * r.rhs
-        self.blocks, self.A_x, self.g0_x = blocks, A, g0
+        rows = problem.linear
+        R = np.zeros((len(rows), n))
+        R[:, rows.expr.keys] = rows.expr.coeffs[:, :, 0].T
+        sign, rhs = np.array(rows.sign), np.array(rows.rhs)
+        eq = sign == 0.0
+        sign = sign[~eq]          # rhs - a x >= 0 for '<=', a x - rhs >= 0 for '>='
+        self.blocks, self.A_x, self.g0_x = blocks, -sign[:, None] * R[~eq], sign * rhs[~eq]
         self.c_x = np.zeros(n)
         if problem.objective is not None:
             self.c_x[problem.objective.keys] = problem.objective.coeffs[:, 0, 0]
         self.message = ""
         self.inconsistent = False
-        self._eliminate(eq)
+        self._eliminate(R[eq], rhs[eq])
 
-    def _eliminate(self, eq):
+    def _eliminate(self, E, b):
         n = self.n
-        if eq:
-            E = np.array([r.dense(n) for r in eq])
-            b = np.array([r.rhs for r in eq])
+        if b.size:
             U, sv, Vt = np.linalg.svd(E)
             rank = int(np.sum(sv > 1e-12 * max(sv[0], 1.0))) if sv.size else 0
             self.x0 = Vt[:rank].T @ ((U[:, :rank].T @ b) / sv[:rank])

@@ -172,30 +172,19 @@ class PerformanceAugmentedPlant:
 
 def build_perf_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
                           B_perf, C_perf) -> PerformanceAugmentedPlant:
-    q = loop.channel_dim
-    if structure.p != q:
-        raise DimensionError("multiplier dimension must match channel dim")
+    """The rate plant at rho = 1 with the noise channel (B_perf, C_perf) added."""
+    plant = build_rate_plant_loop(loop, structure, 1.0)
     B_perf = np.atleast_2d(np.asarray(B_perf, dtype=float))
     C_perf = np.atleast_2d(np.asarray(C_perf, dtype=float))
-    N = loop.nstates
+    N, nd = loop.nstates, plant.n_mult
     if B_perf.shape[0] != N or C_perf.shape[1] != N:
         raise DimensionError("performance channel dimensions do not match the loop")
     nwp, nyp = B_perf.shape[1], C_perf.shape[0]
-    psi = _psi_pieces(structure, loop.width)
-    nd = psi.nx
-    boldA = np.zeros((nd + N, nd + N))
-    boldA[:nd, :nd] = psi.A
-    boldA[:nd, nd:] = psi.B[:, :q] @ loop.Ceff
-    boldA[nd:, nd:] = loop.Anom
-    boldB1 = np.vstack([psi.B[:, q:], loop.Beff])
-    boldB2 = np.vstack([np.zeros((nd, nwp)), B_perf])
-    boldC1 = np.hstack([psi.C, psi.D[:, :q] @ loop.Ceff])
-    boldC2 = np.hstack([np.zeros((nyp, nd)), C_perf])
-    boldD11 = psi.D[:, q:].copy()
-    Nsel = np.vstack([np.zeros((nd, N)), np.eye(N)])
     return PerformanceAugmentedPlant(
-        boldA, boldB1, boldB2, boldC1, boldC2, boldD11, Nsel,
-        n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny, n_wp=nwp, n_yp=nyp,
+        plant.Ac, plant.Bc, np.vstack([np.zeros((nd, nwp)), B_perf]), plant.Cc,
+        np.hstack([np.zeros((nyp, nd)), C_perf]), plant.Dc,
+        np.vstack([np.zeros((nd, N)), np.eye(N)]),
+        n_mult=nd, n_loop=N, p_c=plant.p_c, q_c=plant.q_c, n_wp=nwp, n_yp=nyp,
         structure=structure,
     )
 

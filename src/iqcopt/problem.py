@@ -8,10 +8,18 @@ batched matmul for products with constants, slices for blocks and
 entries, and one tensordot for evaluation.
 
 An SdpProblem collects scalar/matrix decision variables, affine
-matrix-inequality blocks, scalar linear constraints and an optional
-linear objective. It is solver-agnostic; see :mod:`iqcopt.sdp` for the
-conic backend. Problems serialize to a JSON interchange with one dense
+matrix-inequality blocks, scalar linear rows and an optional linear
+objective. It is solver-agnostic; see :mod:`iqcopt.sdp` for the conic
+backend. Problems serialize to a JSON interchange with one dense
 coefficient matrix per variable a block holds.
+
+All scalar rows live in one r x 1 AffineMatrix that holds only the
+variables some row uses, beside a per-row sign (+1 for '<=', -1 for '>=',
+0 for '=='), rhs and name, so ``verify`` checks them with one mat-vec and
+the native backend scatters them in one step. The JSON interchange lists
+each row's nonzero coefficients in key order; ``from_json_dict`` rebuilds
+the rows through ``add_linear``, so a round trip gives the same rows
+and the same ``verify`` results bit for bit.
 
 A block means the symmetric part of its expression: v^T F v = v^T sym(F) v,
 so F(x) <= 0 and sym(F(x)) <= 0 are the same constraint. ``add_lmi`` keeps
@@ -207,21 +215,26 @@ class LmiBlock:
     eps: float
 
 
+# the sign s of a row s (expr - rhs) <= 0, with 0 for an equality row
+_SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}
+_SENSE = {s: sense for sense, s in _SIGN.items()}
+
+
 @dataclass
-class LinearConstraintRow:
-    coeffs: dict         # sparse {flat variable index: coefficient}
-    sense: str           # '<=' | '>=' | '=='
-    rhs: float
-    name: str = ""
+class LinearRows:
+    """Scalar rows expr[i, 0] (sense i) rhs[i], the sense kept as its sign.
 
-    def dense(self, nvars: int) -> np.ndarray:
-        row = np.zeros(nvars)
-        for k, v in self.coeffs.items():
-            row[k] = v
-        return row
+    expr is one r x 1 expression with a zero constant that holds only
+    the variables some row uses.
+    """
 
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(sum(v * x[k] for k, v in self.coeffs.items()))
+    expr: AffineMatrix
+    sign: list
+    rhs: list
+    name: list
+
+    def __len__(self) -> int:
+        return self.expr.shape[0]
 
 
 class SdpProblem:
@@ -233,7 +246,7 @@ class SdpProblem:
         self._by_name: dict[str, VariableInfo] = {}
         self.nvars = 0
         self.blocks: list[LmiBlock] = []
-        self.linear: list[LinearConstraintRow] = []
+        self.linear = LinearRows(AffineMatrix((0, 1)), [], [], [])
         self.objective: AffineMatrix | None = None  # 1x1, minimized
 
     # -- variables ----------------------------------------------------------
@@ -322,8 +335,8 @@ class SdpProblem:
         """Scalar rows expr[i, 0] (sense) rhs for an r x 1 expression.
 
         sense, rhs and name are each one value for every row or a sequence
-        of one value per row. Rows are appended in order and keep only
-        their nonzero coefficients, with the constant moved to the rhs.
+        of one value per row. The rows are appended in order to the one
+        column of ``self.linear``, with the constant moved to the rhs.
         """
         r = expr.shape[0]
         if expr.shape[1] != 1:
@@ -332,15 +345,22 @@ class SdpProblem:
         names = [name] * r if isinstance(name, str) else list(name)
         if len(senses) != r or len(names) != r:
             raise DimensionError(f"expected {r} senses and names")
-        if not set(senses) <= {"<=", ">=", "=="}:
+        if not set(senses) <= _SIGN.keys():
             raise ArgumentError("sense must be one of <=, >=, ==")
-        rhs = (np.asarray(rhs, dtype=float) - expr.const[:, 0]).tolist()
-        C = expr.coeffs[:, :, 0].T
-        rows, cols = np.nonzero(C)   # row by row, keys ascending within a row
-        coeffs = [{} for _ in range(r)]
-        for i, k, v in zip(rows.tolist(), expr.keys[cols].tolist(), C[rows, cols].tolist()):
-            coeffs[i][k] = v
-        self.linear += map(LinearConstraintRow, coeffs, senses, rhs, names)
+        old, n = self.linear, len(self.linear)
+        used = expr.coeffs.any(axis=(1, 2))
+        keys, coeffs = expr.keys[used], expr.coeffs[used]
+        if n:
+            new_keys, new = keys, coeffs
+            keys = np.union1d(old.expr.keys, new_keys)
+            coeffs = np.zeros((keys.size, n + r, 1))
+            coeffs[np.searchsorted(keys, old.expr.keys), :n] = old.expr.coeffs
+            coeffs[np.searchsorted(keys, new_keys), n:] = new
+        self.linear = LinearRows(
+            AffineMatrix((n + r, 1), keys=keys, coeffs=coeffs),
+            old.sign + [_SIGN[s] for s in senses],
+            old.rhs + (np.asarray(rhs, dtype=float) - expr.const[:, 0]).tolist(),
+            old.name + names)
 
     def add_matrix_equality(self, expr: AffineMatrix, name: str = "") -> None:
         """Entrywise expr == 0 as scalar equalities, row by row."""
@@ -381,18 +401,14 @@ class SdpProblem:
             worst = max(worst, viol)
             if viol > 0:
                 ok = False
-        for row in self.linear:
-            v = row.evaluate(x)
-            scale = 1.0 + abs(row.rhs) + xmax if x.size else 1.0
-            if row.sense == "<=":
-                viol = v - row.rhs
-            elif row.sense == ">=":
-                viol = row.rhs - v
-            else:
-                viol = abs(v - row.rhs)
-            if viol > lin_tol * scale:
-                ok = False
-            worst = max(worst, viol - lin_tol * scale)
+        rows = self.linear
+        if len(rows):
+            sign, rhs = np.array(rows.sign), np.array(rows.rhs)
+            d = x[rows.expr.keys] @ rows.expr.coeffs[:, :, 0] - rhs
+            viol = np.where(sign, sign * d, np.abs(d))
+            tol = lin_tol * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
+            ok = ok and not np.any(viol > tol)
+            worst = max(worst, float(np.max(viol - tol)))
         return ok, worst
 
     # -- JSON interchange ---------------------------------------------------
@@ -401,6 +417,12 @@ class SdpProblem:
             return [{"var": int(k), "matrix": v.tolist()}
                     for k, v in zip(expr.keys, expr.coeffs)]
 
+        rows = self.linear
+        C = rows.expr.coeffs[:, :, 0].T
+        r, c = np.nonzero(C)   # row by row, keys ascending within a row
+        coeffs = [[] for _ in range(len(rows))]
+        for i, k, v in zip(r.tolist(), rows.expr.keys[c].tolist(), C[r, c].tolist()):
+            coeffs[i].append([k, v])
         return {
             "name": self.name,
             "variables": [
@@ -414,9 +436,8 @@ class SdpProblem:
                 for b in self.blocks
             ],
             "linear": [
-                {"name": r.name, "sense": r.sense, "rhs": r.rhs,
-                 "coeffs": [[int(k), float(v)] for k, v in sorted(r.coeffs.items())]}
-                for r in self.linear
+                {"name": n, "sense": _SENSE[s], "rhs": r, "coeffs": c}
+                for n, s, r, c in zip(rows.name, rows.sign, rows.rhs, coeffs)
             ],
             "objective": None if self.objective is None else {
                 "const": self.objective.const.tolist(),
@@ -440,10 +461,14 @@ class SdpProblem:
         for b in d["blocks"]:
             expr = expr_from(b["const"], b["coeffs"])
             prob.blocks.append(LmiBlock(b["name"], expr, b["sense"], float(b["eps"])))
-        for r in d["linear"]:
-            prob.linear.append(LinearConstraintRow(
-                {int(k): float(v) for k, v in r["coeffs"]}, r["sense"],
-                float(r["rhs"]), r.get("name", "")))
+        rows = d["linear"]
+        C = np.zeros((prob.nvars, len(rows), 1))
+        for i, r in enumerate(rows):
+            for k, v in r["coeffs"]:
+                C[int(k), i, 0] = v
+        prob.add_linear(AffineMatrix((len(rows), 1), keys=np.arange(prob.nvars), coeffs=C),
+                        [r["sense"] for r in rows], [r["rhs"] for r in rows],
+                        [r.get("name", "") for r in rows])
         if d.get("objective"):
             o = d["objective"]
             prob.objective = expr_from(o["const"], o["coeffs"])

@@ -47,7 +47,7 @@ class RandomFunctionSpec:
             return Z @ self.Q.T
         return self.c1 * Z + (self.c2 / self.omega) * np.sin(self.omega * Z)
 
-    def hessian_range(self, grid=None):
+    def hessian_range(self):
         if self.kind == "quadratic":
             eigs = np.linalg.eigvalsh(self.Q)
             return float(eigs[0]), float(eigs[-1])

@@ -20,8 +20,7 @@ from iqcopt.algorithms import SectorBounds, canonical_output
 from iqcopt.errors import DimensionError
 from iqcopt.multipliers import m_delta_coefficients, membership_constraints, sector_transform
 from iqcopt.plantbuild import AugmentedPlant, PerformanceAugmentedPlant
-from iqcopt.problem import (EPS_REL, AffineMatrix, LinearConstraintRow, LmiBlock,
-                            SdpProblem, congruence)
+from iqcopt.problem import EPS_REL, AffineMatrix, LmiBlock, SdpProblem, congruence
 from iqcopt.statespace import StateSpace
 
 
@@ -163,14 +162,23 @@ def reference_add_lmi(self, expr, sense="neg", eps=None, name=""):
     return block
 
 
+# the library's add_linear, kept before use_reference_rows patches it
+_append_rows = SdpProblem.add_linear
+
+
 def reference_add_linear(self, expr, sense, rhs=0.0, name=""):
-    """One row from a 1x1 expression: its nonzero coefficients, rhs - const."""
+    """One row from a 1x1 expression: its nonzero coefficients, rhs - const.
+
+    The row is derived here and handed to the library as a constant-free
+    expression over just those coefficients, so storing it is all the
+    library adds.
+    """
     if expr.shape != (1, 1):
         raise DimensionError("expected a 1x1 expression")
     c = expr.coeffs[:, 0, 0]
     nz = c != 0.0
-    self.linear.append(LinearConstraintRow(dict(zip(expr.keys[nz].tolist(), c[nz].tolist())),
-                                           sense, float(rhs) - float(expr.const[0, 0]), name))
+    row = AffineMatrix((1, 1), keys=expr.keys[nz], coeffs=c[nz, None, None])
+    _append_rows(self, row, sense, float(rhs) - float(expr.const[0, 0]), name)
 
 
 def reference_add_matrix_equality(self, expr, name=""):

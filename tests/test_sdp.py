@@ -197,7 +197,11 @@ class TestLinearRows:
             reference_add_linear(rows, col.entry(i, 0), per(sense, i),
                                  rhs if np.ndim(rhs) == 0 else rhs[i], per(name, i))
         assert bulk.to_json_dict()["linear"] == rows.to_json_dict()["linear"]
-        assert [list(r.coeffs) for r in bulk.linear] == [list(r.coeffs) for r in rows.linear]
+        a, b = bulk.linear, rows.linear
+        assert len(a) == len(b) == 3 and a.name == b.name
+        for got, want in ((a.expr.keys, b.expr.keys), (a.expr.coeffs, b.expr.coeffs),
+                          (a.sign, b.sign), (a.rhs, b.rhs)):
+            np.testing.assert_array_equal(got, want)
 
     def test_slack_scales_with_the_largest_magnitude(self):
         # row a <= 0 may be violated by lin_tol (1 + |rhs| + max|x|)
@@ -218,6 +222,85 @@ class TestLinearRows:
             prob.add_linear(col, ["<=", ">="])
         with pytest.raises(ArgumentError):
             prob.add_linear(col, ["<=", ">=", "<"])
+
+
+class TestRowColumn:
+    """Rows from several add_linear calls, against a per-row derivation."""
+
+    @staticmethod
+    def _calls(rng, plan):
+        """Declare variables and add rows as the plan says.
+
+        Each call's rows use a random subset of the variables declared so
+        far (some are declared after earlier rows), carry random zero and
+        -0.0 coefficients, and take one sense or one sense per row.
+        """
+        prob, calls = SdpProblem(), []
+        for declare, r, per_row in plan:
+            for _ in range(declare):
+                prob.add_matrix(f"v{len(prob.variables)}", int(rng.integers(1, 3)), 1)
+            keys = np.sort(rng.choice(prob.nvars, size=int(rng.integers(0, prob.nvars + 1)),
+                                      replace=False))
+            C = rng.standard_normal((keys.size, r, 1))
+            C[rng.random(C.shape) < 0.4] = 0.0
+            C[rng.random(C.shape) < 0.1] = -0.0
+            const = rng.standard_normal((r, 1))
+            senses = list(rng.choice(["<=", ">=", "=="], size=r))
+            rhs = rng.standard_normal(r)
+            names = [f"c{len(calls)}r{i}" for i in range(r)]
+            if per_row:
+                prob.add_linear(AffineMatrix((r, 1), const, keys, C), senses, rhs, names)
+            else:
+                senses, rhs, names = [senses[0]] * r, np.full(r, rhs[0]), [names[0]] * r
+                prob.add_linear(AffineMatrix((r, 1), const, keys, C), senses[0], rhs[0], names[0])
+            calls.append((keys, C[:, :, 0], const[:, 0], senses, rhs, names))
+        prob.add_scalar("late")   # held by no row
+        return prob, calls
+
+    @staticmethod
+    def _rows(calls):
+        """(name, sense, rhs - const, [[key, coeff], ..]) per row, keys ascending."""
+        rows = []
+        for keys, C, const, senses, rhs, names in calls:
+            for i in range(C.shape[1]):
+                coeffs = [[int(k), float(c)] for k, c in zip(keys, C[:, i]) if c != 0.0]
+                rows.append((names[i], senses[i], float(rhs[i]) - float(const[i]), coeffs))
+        return rows
+
+    @staticmethod
+    def _verify(rows, x, lin_tol=1e-8):
+        ok, worst = True, -np.inf
+        xmax = float(np.max(np.abs(x)))
+        for _, sense, rhs, coeffs in rows:
+            v = sum(c * x[k] for k, c in coeffs)
+            viol = {"<=": v - rhs, ">=": rhs - v, "==": abs(v - rhs)}[sense]
+            tol = lin_tol * (1.0 + abs(rhs) + xmax)
+            ok, worst = ok and viol <= tol, max(worst, viol - tol)
+        return ok, worst
+
+    @settings(max_examples=80, deadline=None)
+    @given(plan=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4), st.booleans()),
+                         min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_per_row_derivation(self, plan, seed):
+        rng = np.random.default_rng(seed)
+        if plan[0][0] == 0:      # the first rows need a variable to choose from
+            plan[0] = (1,) + plan[0][1:]
+        prob, calls = self._calls(rng, plan)
+        rows = self._rows(calls)
+        assert len(prob.linear) == len(rows) == sum(r for _, r, _ in plan)
+        # the column holds exactly the variables some row uses
+        assert prob.linear.expr.keys.tolist() == sorted({k for *_, c in rows for k, _ in c})
+        assert prob.to_json_dict()["linear"] == [
+            {"name": n, "sense": s, "rhs": r, "coeffs": c} for n, s, r, c in rows]
+        clone = SdpProblem.from_json_dict(prob.to_json_dict())
+        for scale in (1e-3, 1.0, 10.0):
+            x = scale * rng.standard_normal(prob.nvars)
+            got = prob.verify(x)
+            assert clone.verify(x) == got
+            ok, worst = self._verify(rows, x)
+            assert got[0] == ok
+            assert abs(got[1] - worst) <= 1e-12 * (1.0 + abs(worst))
 
 
 class TestSolve:
