@@ -13,7 +13,8 @@ import numpy as np
 
 from . import lmi
 from .algorithms import AlgorithmRealization, SectorBounds, nominal_closed_loop
-from .errors import InfeasiblePrecondition, NotCertifiable, PreconditionError, SolverError
+from .errors import (DomainError, InfeasiblePrecondition, NotCertifiable,
+                     PreconditionError, SolverError)
 from .lmi import (H2Certificate, RateCertificate, SynthesisResult,
                   assemble_bmi_fixed_P, assemble_convex_synth,
                   assemble_convex_synth_perf, assemble_h2_for,
@@ -79,9 +80,15 @@ def _unit_circle(n_samples: int) -> np.ndarray:
 def verify_fdi(certificate, plant, n_samples: int = 64) -> FdiReport:
     """Evaluate the multiplier-weighted FDI of a certificate on the circle.
 
-    ok iff the largest Hermitian-part eigenvalue over all samples is
-    strictly negative.
+    ok iff the largest Hermitian-part eigenvalue over all n_samples
+    points z_k = exp(2 pi i k / n_samples) is strictly negative; a NaN
+    eigenvalue fails the check. The plant is evaluated on the whole grid
+    in one eval_frequency call, which still checks each point for a pole;
+    Phi^H mid Phi and its eigenvalues are then one stacked product and
+    one batched eigvalsh.
     """
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be a positive integer, got {n_samples}")
     if isinstance(certificate, RateCertificate) and isinstance(plant, AugmentedPlant):
         ss = plant.as_statespace()
         mid = m_delta_matrix(certificate.zf, certificate.structure)
@@ -93,11 +100,9 @@ def verify_fdi(certificate, plant, n_samples: int = 64) -> FdiReport:
                         [np.zeros((plant.n_yp, MD.shape[0])), np.eye(plant.n_yp)]])
     else:
         raise PreconditionError("certificate type does not match the plant type")
-    worst = -np.inf
-    for z in _unit_circle(n_samples):
-        Phi = eval_frequency(ss, z)
-        F = Phi.conj().T @ mid @ Phi
-        worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().T)))))
+    Phi = eval_frequency(ss, _unit_circle(n_samples))
+    F = Phi.conj().transpose(0, 2, 1) @ mid @ Phi
+    worst = float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().transpose(0, 2, 1)))))
     return FdiReport(ok=worst < 0.0, worst_eig=worst)
 
 

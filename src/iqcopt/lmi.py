@@ -25,7 +25,7 @@ from .algorithms import (AlgorithmRealization, SectorBounds, canonical_output,
 from .errors import (DimensionError, DomainError, InfeasiblePrecondition,
                      PreconditionError, StructureError)
 from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
-                          m_delta_coefficients, membership_constraints)
+                          m_delta_coefficients, membership_rows)
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
                          UncertainLoop, build_perf_plant_loop,
                          build_rate_plant_loop, sector_loop, structured_loop,
@@ -90,10 +90,8 @@ def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
     theta = prob.add_matrix(name, structure.parameter_count(), 1)
     coeffs = m_delta_coefficients(structure)
     md = AffineMatrix(coeffs.shape[1:], keys=theta.keys, coeffs=coeffs)
-    cons = membership_constraints(structure)
-    prob.add_linear(np.array([con.coeffs for con in cons]) @ theta,
-                    [con.sense for con in cons], [con.rhs for con in cons],
-                    [f"{name}:{con.label}" for con in cons])
+    rows, senses, labels = membership_rows(structure)
+    prob.add_linear(rows @ theta, senses, 0.0, [f"{name}:{label}" for label in labels])
     return theta, md
 
 

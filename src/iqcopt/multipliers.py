@@ -20,6 +20,7 @@ transform folded into B and D); no kron or block_diag is composed.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,25 +75,27 @@ class ZamesFalbStructure:
         per = {"unstructured": 1, "nonrepeated": self.p, "repeated": self.p * self.p}
         return self.taps * per[self.klass]
 
-    def tap_basis(self) -> list:
-        """Per theta component: (kernel index i, p x p basis matrix dM_i/dtheta)."""
-        out = []
-        Ip = np.eye(self.p)
-        for i in self.indices():
-            if self.klass == "unstructured":
-                out.append((i, Ip.copy()))
-            elif self.klass == "nonrepeated":
-                for d in range(self.p):
-                    E = np.zeros((self.p, self.p))
-                    E[d, d] = 1.0
-                    out.append((i, E))
-            else:
-                for r in range(self.p):
-                    for c in range(self.p):
-                        E = np.zeros((self.p, self.p))
-                        E[r, c] = 1.0
-                        out.append((i, E))
-        return out
+    def tap_basis(self):
+        """(kernel index i, dM_i/dtheta) per theta component, as two arrays.
+
+        The indices are a length-nvar int array and the basis matrices one
+        nvar x p x p stack of 0/1 entries.
+        """
+        p = self.p
+        d = np.arange(p)
+        # within one kernel index: component j of per has the unit entries (a, b)
+        if self.klass == "unstructured":
+            per, j, a, b = 1, 0, d, d
+        elif self.klass == "nonrepeated":
+            per, j, a, b = p, d, d, d
+        else:
+            per = p * p
+            j = np.arange(per)
+            a, b = np.divmod(j, p)
+        E = np.zeros((self.taps, per, p, p))
+        E[:, j, a, b] = 1.0
+        taps = np.arange(-self.ell_causal, self.ell_anticausal + 1).repeat(per)
+        return taps, E.reshape(-1, p, p)
 
     def matrices_from_theta(self, theta) -> list:
         theta = np.asarray(theta, dtype=float).ravel()
@@ -100,32 +103,29 @@ class ZamesFalbStructure:
             raise DimensionError(
                 f"theta has {theta.size} entries, expected {self.parameter_count()}"
             )
-        Ms = {i: np.zeros((self.p, self.p)) for i in self.indices()}
-        for t, (i, E) in zip(theta, self.tap_basis()):
-            Ms[i] += t * E
-        return [Ms[i] for i in self.indices()]
+        _, E = self.tap_basis()
+        terms = (theta[:, None, None] * E).reshape(self.taps, -1, self.p, self.p)
+        # each entry has at most one nonzero term; 0.0 + turns a -0.0 sum into +0.0
+        return list(0.0 + terms.sum(axis=1))
 
     def theta_from_matrices(self, Ms, tol=MEMBER_TOL) -> np.ndarray:
         """Inverse of matrices_from_theta; checks class shape conformity."""
         Ms = [np.atleast_2d(np.asarray(M, dtype=float)) for M in Ms]
         if len(Ms) != self.taps:
             raise DimensionError(f"expected {self.taps} kernel matrices, got {len(Ms)}")
-        theta = []
-        for M in Ms:
-            if M.shape != (self.p, self.p):
-                raise DimensionError(f"kernel matrices must be {self.p}x{self.p}")
-            scale = 1.0 + np.max(np.abs(M))
-            if self.klass == "unstructured":
-                if np.max(np.abs(M - M[0, 0] * np.eye(self.p))) > tol * scale:
-                    raise DimensionError("unstructured kernel requires M_i = m_i I")
-                theta.append(M[0, 0])
-            elif self.klass == "nonrepeated":
-                if np.max(np.abs(M - np.diag(np.diag(M)))) > tol * scale:
-                    raise DimensionError("nonrepeated kernel requires diagonal M_i")
-                theta.extend(np.diag(M))
-            else:
-                theta.extend(M.ravel())
-        return np.asarray(theta)
+        if any(M.shape != (self.p, self.p) for M in Ms):
+            raise DimensionError(f"kernel matrices must be {self.p}x{self.p}")
+        M = np.array(Ms)
+        bound = tol * (1.0 + np.abs(M).max(axis=(1, 2)))
+        if self.klass == "unstructured":
+            if np.any(np.abs(M - M[:, :1, :1] * np.eye(self.p)).max(axis=(1, 2)) > bound):
+                raise DimensionError("unstructured kernel requires M_i = m_i I")
+            return M[:, 0, 0]
+        if self.klass == "nonrepeated":
+            if np.any(np.abs(M - M * np.eye(self.p)).max(axis=(1, 2)) > bound):
+                raise DimensionError("nonrepeated kernel requires diagonal M_i")
+            return np.diagonal(M, axis1=1, axis2=2).ravel()
+        return M.ravel()
 
 
 @dataclass(frozen=True)
@@ -164,28 +164,41 @@ class LinearConstraint:
         return v >= self.rhs - tol * scale
 
 
+def membership_rows(structure: ZamesFalbStructure):
+    """The admissible kernel set as rows @ theta (sense) 0.
+
+    Returns an r x nvar coefficient array and, per row, its sense ('<=' or
+    '>=') and label.
+    """
+    p = structure.p
+    taps, E = structure.tap_basis()
+    nvar = taps.size
+    r, c = np.divmod(E.reshape(nvar, -1).argmax(axis=1), p)
+    # sign constraints, one per basis matrix at its (first) nonzero entry
+    sign = taps != 0
+    if structure.klass == "repeated":
+        sign |= r != c
+    pos = taps + structure.ell_causal        # position of each kernel index in -lc..la
+    down = np.array([structure.rho ** (-i) for i in structure.indices()])[pos]
+    up = np.array([structure.rho ** i for i in structure.indices()])[pos]
+    rows = np.concatenate([
+        np.eye(nvar)[sign],
+        # rho-weighted row sums: (sum_i M_i rho^{-i}) 1 >= 0  (p rows)
+        (down[:, None] * E.sum(axis=2)).T,
+        # rho-weighted column sums: 1^T (sum_i M_i rho^{i}) >= 0
+        (up[:, None] * E.sum(axis=1)).T,
+    ])
+    senses = ["<="] * (len(rows) - 2 * p) + [">="] * (2 * p)
+    labels = ([f"sign[{i}]({a},{b})" for i, a, b in
+               zip(taps[sign].tolist(), r[sign].tolist(), c[sign].tolist())]
+              + [f"rowsum[{a}]" for a in range(p)] + [f"colsum[{b}]" for b in range(p)])
+    return rows, senses, labels
+
+
 def membership_constraints(structure: ZamesFalbStructure) -> list:
     """Linear constraints over theta defining the admissible kernel set."""
-    rho, p = structure.rho, structure.p
-    basis = structure.tap_basis()
-    nvar = len(basis)
-    taps = [i for i, _ in basis]
-    E = np.array([Eb for _, Eb in basis])        # (nvar, p, p), 0/1 entries
-    cons = []
-    # sign constraints, one per basis matrix at its (first) nonzero entry
-    for k, (i, f) in enumerate(zip(taps, E.reshape(nvar, -1).argmax(axis=1))):
-        r, c = divmod(int(f), p)
-        if i != 0 or (r != c and structure.klass == "repeated"):
-            e = np.zeros(nvar)
-            e[k] = 1.0
-            cons.append(LinearConstraint(e, "<=", 0.0, label=f"sign[{i}]({r},{c})"))
-    # rho-weighted row sums: (sum_i M_i rho^{-i}) 1 >= 0  (p rows)
-    rows = (np.array([rho ** (-i) for i in taps])[:, None] * E.sum(axis=2)).T.copy()
-    cons += [LinearConstraint(e, ">=", 0.0, label=f"rowsum[{r}]") for r, e in enumerate(rows)]
-    # rho-weighted column sums: 1^T (sum_i M_i rho^{i}) >= 0
-    cols = (np.array([rho ** i for i in taps])[:, None] * E.sum(axis=1)).T.copy()
-    cons += [LinearConstraint(e, ">=", 0.0, label=f"colsum[{c}]") for c, e in enumerate(cols)]
-    return cons
+    return [LinearConstraint(e, sense, 0.0, label=label)
+            for e, sense, label in zip(*membership_rows(structure))]
 
 
 def verify_membership(params: ZamesFalbParameters, structure: ZamesFalbStructure,
@@ -214,8 +227,7 @@ def block_layout(structure: ZamesFalbStructure):
     """Row/column sizes of the six M_Delta blocks and their offsets."""
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
     sizes = [p, p, lc * p, p, p, la * p]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return sizes, offsets
+    return sizes, list(accumulate(sizes, initial=0))
 
 
 def m_delta_coefficients(structure: ZamesFalbStructure) -> np.ndarray:
@@ -223,23 +235,30 @@ def m_delta_coefficients(structure: ZamesFalbStructure) -> np.ndarray:
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
     q = p * (4 + lc + la)
     _, off = block_layout(structure)
-    basis = structure.tap_basis()
-    coeffs = np.zeros((len(basis), q, q))
-    for k, (i, Eb) in enumerate(basis):
-        if i == 0:
-            r, c, B = off[1], off[0], Eb
-        elif i < 0:  # M_{i} sits in column slot lc + i of M_- = [M_{-lc} .. M_{-1}]
-            r, c, B = off[3], off[2] + (lc + i) * p, Eb
-        else:  # M_i^T sits in slot i - 1 of M_+ = [M_1^T .. M_la^T]
-            r, c, B = off[4], off[5] + (i - 1) * p, Eb.T
-        coeffs[k, r:r + p, c:c + p] = B
-        coeffs[k, c:c + p, r:r + p] = B.T
+    # the slot of each kernel index: M_i, i < 0, in column slot lc + i of
+    # M_- = [M_{-lc} .. M_{-1}], M_0 in block (1, 0), and M_i^T, i > 0, in
+    # slot i - 1 of M_+ = [M_1^T .. M_la^T]
+    slot_row = np.array([off[3]] * lc + [off[1]] + [off[4]] * la)
+    slot_col = np.array([off[2] + s * p for s in range(lc)] + [off[0]]
+                        + [off[5] + s * p for s in range(la)])
+    taps, E = structure.tap_basis()
+    k, a, b = np.nonzero(E)                  # the unit entries of every basis matrix
+    i = taps[k]
+    a, b = np.where(i > 0, b, a), np.where(i > 0, a, b)
+    row = slot_row[i + lc] + a
+    col = slot_col[i + lc] + b
+    coeffs = np.zeros((taps.size, q, q))
+    coeffs[k, row, col] = 1.0
+    coeffs[k, col, row] = 1.0
     return coeffs
 
 
 def m_delta_matrix(params: ZamesFalbParameters, structure: ZamesFalbStructure) -> np.ndarray:
     theta = structure.theta_from_matrices(params.M)
-    return sum(t * E for t, E in zip(theta, m_delta_coefficients(structure)))
+    coeffs = m_delta_coefficients(structure)
+    # every entry has at most one nonzero term, so the product is exact;
+    # 0.0 + turns a -0.0 entry into +0.0
+    return 0.0 + (theta @ coeffs.reshape(theta.size, -1)).reshape(coeffs.shape[1:])
 
 
 def _set_diagonal(X: np.ndarray, row: int, col: int, length: int, value: float) -> None:

@@ -116,28 +116,39 @@ def _lu_routines(M):
     return _LAPACK[key]
 
 
-def eval_frequency(sys: StateSpace, z: complex) -> np.ndarray:
-    """Evaluate C (zI - A)^{-1} B + D at a complex point z.
+def eval_frequency(sys: StateSpace, z) -> np.ndarray:
+    """Evaluate C (zI - A)^{-1} B + D at a complex point or an array of points.
 
-    Raises SingularityError when z is a pole to working precision: the
-    LU factorization of zI - A has a zero pivot, or its reciprocal
+    A scalar z gives the ny x nu value and a 1-D array of k points the
+    k x ny x nu stack of values, in the order of z; a scalar runs as a
+    one-point array. The zI - A stack is built once and the outputs are one
+    stacked product C X + D; only the LU factorization, the condition
+    estimate and the solve run per point.
+
+    Raises SingularityError when a point is a pole to working precision:
+    the LU factorization of zI - A has a zero pivot, or its reciprocal
     condition number (LAPACK's 1-norm estimate) is below POLE_RCOND * nx,
     so that the solve would return no correct digits. Points close to a
     pole but clear of that bound are evaluated: a large answer is the
     correct value of an ill-conditioned but nonsingular resolvent.
     """
-    if sys.nx == 0:
-        return sys.D.astype(complex)
-    M = z * np.eye(sys.nx) - sys.A
-    getrf, getrs, gecon = _lu_routines(M)
-    anorm = float(np.abs(M).sum(axis=0).max())
-    lu, piv, info = getrf(M)
-    rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
-    if not rcond >= POLE_RCOND * sys.nx:      # also catches NaN
-        raise SingularityError(f"z={z} is numerically a pole "
-                               f"(reciprocal condition number {rcond:.2e})")
-    X, _ = getrs(lu, piv, sys.B)
-    return sys.C @ X + sys.D
+    z = np.asarray(z, dtype=complex)
+    points = z.reshape(-1)
+    nx = sys.nx
+    M = np.multiply.outer(points, np.eye(nx))
+    M -= sys.A
+    X = np.empty((points.size, nx, sys.nu), dtype=complex)
+    if nx:
+        getrf, getrs, gecon = _lu_routines(M)
+        anorms = np.abs(M).sum(axis=1).max(axis=1)
+        for Mk, zk, anorm, Xk in zip(M, points, anorms, X):
+            lu, piv, info = getrf(Mk)
+            rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
+            if not rcond >= POLE_RCOND * nx:      # also catches NaN
+                raise SingularityError(f"z={zk} is numerically a pole "
+                                       f"(reciprocal condition number {rcond:.2e})")
+            Xk[...] = getrs(lu, piv, sys.B)[0]
+    return (sys.C @ X + sys.D).reshape(z.shape + sys.D.shape)
 
 
 def stack_outputs(top: StateSpace, bottom: StateSpace) -> StateSpace:

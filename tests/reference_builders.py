@@ -17,11 +17,11 @@ import scipy.linalg as sla
 
 from iqcopt import lmi, plantbuild
 from iqcopt.algorithms import SectorBounds, canonical_output
-from iqcopt.errors import DimensionError
+from iqcopt.errors import DimensionError, SingularityError
 from iqcopt.multipliers import m_delta_coefficients, membership_constraints, sector_transform
 from iqcopt.plantbuild import AugmentedPlant, PerformanceAugmentedPlant
 from iqcopt.problem import EPS_REL, AffineMatrix, LmiBlock, SdpProblem, congruence
-from iqcopt.statespace import StateSpace
+from iqcopt.statespace import POLE_RCOND, StateSpace
 
 
 def _shift_chain(ell):
@@ -221,3 +221,133 @@ def use_reference_rows(monkeypatch):
     monkeypatch.setattr(SdpProblem, "add_matrix_equality", reference_add_matrix_equality)
     monkeypatch.setattr(lmi, "_add_multiplier", reference_add_multiplier)
     monkeypatch.setattr(lmi, "_add_box_rows", reference_add_box_rows)
+
+
+def reference_eval_frequency(sys, z):
+    """C (zI - A)^{-1} B + D at one point, with its own zI - A and LU."""
+    if sys.nx == 0:
+        return sys.D.astype(complex)
+    M = z * np.eye(sys.nx) - sys.A
+    getrf, getrs, gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), (M,))
+    anorm = float(np.abs(M).sum(axis=0).max())
+    lu, piv, info = getrf(M)
+    rcond = gecon(lu, anorm)[0] if info == 0 else 0.0
+    if not rcond >= POLE_RCOND * sys.nx:
+        raise SingularityError(f"z={z} is numerically a pole "
+                               f"(reciprocal condition number {rcond:.2e})")
+    X, _ = getrs(lu, piv, sys.B)
+    return sys.C @ X + sys.D
+
+
+def reference_verify_fdi(certificate, plant, n_samples=64):
+    """(ok, worst_eig) of verify_fdi, one grid point at a time."""
+    if isinstance(plant, PerformanceAugmentedPlant):
+        ss = StateSpace(plant.boldA, plant.boldB1, np.vstack([plant.boldC1, plant.boldC2]),
+                        np.vstack([plant.boldD11, np.zeros((plant.n_yp, plant.p_c))]))
+        MD = reference_m_delta_matrix(certificate.zf, certificate.structure)
+        mid = sla.block_diag(MD, np.eye(plant.n_yp))
+    else:
+        ss = plant.as_statespace()
+        mid = reference_m_delta_matrix(certificate.zf, certificate.structure)
+    worst = -np.inf
+    for z in np.exp(1j * 2.0 * np.pi * np.arange(n_samples) / n_samples):
+        Phi = reference_eval_frequency(ss, z)
+        F = Phi.conj().T @ mid @ Phi
+        worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().T)))))
+    return worst < 0.0, worst
+
+
+def reference_tap_basis(structure):
+    """Per theta component: (kernel index i, p x p basis matrix dM_i/dtheta)."""
+    out = []
+    p = structure.p
+    for i in structure.indices():
+        if structure.klass == "unstructured":
+            out.append((i, np.eye(p)))
+        elif structure.klass == "nonrepeated":
+            for d in range(p):
+                E = np.zeros((p, p))
+                E[d, d] = 1.0
+                out.append((i, E))
+        else:
+            for r in range(p):
+                for c in range(p):
+                    E = np.zeros((p, p))
+                    E[r, c] = 1.0
+                    out.append((i, E))
+    return out
+
+
+def reference_matrices_from_theta(structure, theta):
+    Ms = {i: np.zeros((structure.p, structure.p)) for i in structure.indices()}
+    for t, (i, E) in zip(np.ravel(theta), reference_tap_basis(structure)):
+        Ms[i] += t * E
+    return [Ms[i] for i in structure.indices()]
+
+
+def reference_membership_constraints(structure):
+    """(coeffs, sense, rhs, label) per row, one object per tap and row."""
+    rho, p = structure.rho, structure.p
+    basis = reference_tap_basis(structure)
+    nvar = len(basis)
+    taps = [i for i, _ in basis]
+    E = np.array([Eb for _, Eb in basis])
+    cons = []
+    for k, (i, f) in enumerate(zip(taps, E.reshape(nvar, -1).argmax(axis=1))):
+        r, c = divmod(int(f), p)
+        if i != 0 or (r != c and structure.klass == "repeated"):
+            e = np.zeros(nvar)
+            e[k] = 1.0
+            cons.append((e, "<=", 0.0, f"sign[{i}]({r},{c})"))
+    rows = (np.array([rho ** (-i) for i in taps])[:, None] * E.sum(axis=2)).T.copy()
+    cons += [(e, ">=", 0.0, f"rowsum[{r}]") for r, e in enumerate(rows)]
+    cols = (np.array([rho ** i for i in taps])[:, None] * E.sum(axis=1)).T.copy()
+    cons += [(e, ">=", 0.0, f"colsum[{c}]") for c, e in enumerate(cols)]
+    return cons
+
+
+def reference_m_delta_coefficients(structure):
+    """dM_Delta/dtheta_k written tap by tap into its block slot."""
+    lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
+    q = p * (4 + lc + la)
+    off = np.concatenate([[0], np.cumsum([p, p, lc * p, p, p, la * p])])
+    basis = reference_tap_basis(structure)
+    coeffs = np.zeros((len(basis), q, q))
+    for k, (i, Eb) in enumerate(basis):
+        if i == 0:
+            r, c, B = off[1], off[0], Eb
+        elif i < 0:
+            r, c, B = off[3], off[2] + (lc + i) * p, Eb
+        else:
+            r, c, B = off[4], off[5] + (i - 1) * p, Eb.T
+        coeffs[k, r:r + p, c:c + p] = B
+        coeffs[k, c:c + p, r:r + p] = B.T
+    return coeffs
+
+
+def reference_theta_from_matrices(structure, Ms, tol=1e-10):
+    """theta from kernel matrices, checked and read one matrix at a time."""
+    p = structure.p
+    theta = []
+    for M in Ms:
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        if M.shape != (p, p):
+            raise DimensionError(f"kernel matrices must be {p}x{p}")
+        scale = 1.0 + np.max(np.abs(M))
+        if structure.klass == "unstructured":
+            if np.max(np.abs(M - M[0, 0] * np.eye(p))) > tol * scale:
+                raise DimensionError("unstructured kernel requires M_i = m_i I")
+            theta.append(M[0, 0])
+        elif structure.klass == "nonrepeated":
+            if np.max(np.abs(M - np.diag(np.diag(M)))) > tol * scale:
+                raise DimensionError("nonrepeated kernel requires diagonal M_i")
+            theta.extend(np.diag(M))
+        else:
+            theta.extend(M.ravel())
+    return np.asarray(theta)
+
+
+def reference_m_delta_matrix(params, structure):
+    """M_Delta as a sum over theta of theta_k dM_Delta/dtheta_k."""
+    theta = reference_theta_from_matrices(structure, params.M)
+    return sum(t * E for t, E in zip(theta, reference_m_delta_coefficients(structure)))

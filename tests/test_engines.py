@@ -5,11 +5,12 @@ from iqcopt.algorithms import SectorBounds, make_named
 from iqcopt.engines import (BisectionConfig, certify_h2, certify_rate,
                             certify_structured_rate, fundamental_lower_bound,
                             h2_norm_linear, synthesize_convex, verify_fdi)
-from iqcopt.errors import NotCertifiable
-from iqcopt.lmi import RateCertificate, assemble_rate_for
-from iqcopt.multipliers import ZamesFalbStructure
-from iqcopt.plantbuild import build_rate_plant
+from iqcopt.errors import DomainError, NotCertifiable
+from iqcopt.lmi import H2Certificate, RateCertificate, assemble_rate_for
+from iqcopt.multipliers import ZamesFalbParameters, ZamesFalbStructure
+from iqcopt.plantbuild import build_perf_plant, build_rate_plant, default_noise_channel
 from iqcopt.sdp import solve
+from reference_builders import reference_verify_fdi
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
 ST = ZamesFalbStructure(1, 0, 1, "unstructured", 1.0)
@@ -121,6 +122,92 @@ class TestVerifyFdi:
         sol = solve(asm.problem)
         assert sol.certified
         assert verify_fdi(asm.decode(sol), asm.plant).ok
+
+
+def _lifted(cert, p):
+    """A p = 1 certificate's multiplier at p: M_i = m_i I_p, structure lifted."""
+    st = cert.structure
+    st_p = ZamesFalbStructure(st.ell_causal, st.ell_anticausal, p, st.klass, st.rho)
+    return st_p, ZamesFalbParameters(tuple(M[0, 0] * np.eye(p) for M in cert.zf.M))
+
+
+@pytest.fixture(scope="module")
+def rate_cert():
+    return certify_rate(make_named("tmm", BOUNDS10), BOUNDS10, ST).certificate
+
+
+@pytest.fixture(scope="module")
+def rate_plant(rate_cert):
+    return build_rate_plant(make_named("tmm", BOUNDS10), BOUNDS10,
+                            rate_cert.structure, rate_cert.rho)
+
+
+@pytest.fixture(scope="module")
+def h2_cert():
+    return certify_h2(make_named("gd", BOUNDS10), BOUNDS10, ST).certificate
+
+
+class TestVerifyFdiMatchesPointLoop:
+    """The batched grid gives the (ok, worst_eig) of one evaluation per point."""
+
+    @staticmethod
+    def _assert_same(cert, plant, n_samples=64):
+        rep = verify_fdi(cert, plant, n_samples)
+        ok, worst = reference_verify_fdi(cert, plant, n_samples)
+        assert rep.ok == ok and rep.worst_eig == worst
+        return rep
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_rate(self, rate_cert, p):
+        st, zf = _lifted(rate_cert, p)
+        cert = RateCertificate(P=None, zf=zf, rho=rate_cert.rho, structure=st)
+        plant = build_rate_plant(make_named("tmm", BOUNDS10, p), BOUNDS10, st, cert.rho)
+        assert self._assert_same(cert, plant).ok
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_h2(self, h2_cert, p):
+        st, zf = _lifted(h2_cert, p)
+        cert = H2Certificate(P_p=None, zf=zf, gamma=h2_cert.gamma, structure=st)
+        algo = make_named("gd", BOUNDS10, p)
+        plant = build_perf_plant(algo, BOUNDS10, st, default_noise_channel(algo))
+        assert self._assert_same(cert, plant).ok
+
+    def test_failing_certificate(self, rate_cert, rate_plant):
+        flipped = ZamesFalbParameters(tuple(-M for M in rate_cert.zf.M))
+        cert = RateCertificate(P=None, zf=flipped, rho=rate_cert.rho,
+                               structure=rate_cert.structure)
+        assert not self._assert_same(cert, rate_plant).ok
+
+    @pytest.mark.parametrize("n_samples", [1, 7])
+    def test_other_grid_sizes(self, rate_cert, rate_plant, n_samples):
+        self._assert_same(rate_cert, rate_plant, n_samples)
+
+    def test_near_rate_plant_at_kappa_1000(self):
+        # the plant of TestVerifyFdi.test_near_rate_plant_at_kappa_1000
+        bounds = SectorBounds(1.0, 1000.0)
+        algo = make_named("tmm", bounds)
+        cert = certify_rate(algo, bounds, ST).certificate
+        radius = np.max(np.abs(np.linalg.eigvals(algo.nominal_matrix(1.0))))
+        rho = float(radius) + 1e-5
+        st = cert.structure.with_rho(rho)
+        moved = RateCertificate(P=cert.P, zf=cert.zf, rho=rho, structure=st)
+        self._assert_same(moved, build_rate_plant(algo, bounds, st, rho))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_multiplier_fails(self, rate_cert, rate_plant, bad):
+        # the per-point loop's max(worst, nan) kept -inf and reported ok=True
+        M = [M.copy() for M in rate_cert.zf.M]
+        M[0][0, 0] = bad
+        cert = RateCertificate(P=None, zf=ZamesFalbParameters(tuple(M)), rho=rate_cert.rho,
+                               structure=rate_cert.structure)
+        with np.errstate(invalid="ignore"):
+            assert not verify_fdi(cert, rate_plant).ok
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_empty_grid_rejected(self, rate_cert, rate_plant, n_samples):
+        # an empty grid would report ok=True for any certificate
+        with pytest.raises(DomainError):
+            verify_fdi(rate_cert, rate_plant, n_samples)
 
 
 class TestSynthesizeConvex:

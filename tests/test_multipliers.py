@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from iqcopt.algorithms import SectorBounds
+from iqcopt.errors import DimensionError
 from iqcopt.multipliers import (ZamesFalbParameters, ZamesFalbStructure,
-                                factorize, kernel_transfer, m_delta_matrix,
-                                membership_constraints, multiplier_value,
-                                psi_delta_realization, verify_membership)
+                                factorize, kernel_transfer, m_delta_coefficients,
+                                m_delta_matrix, membership_constraints,
+                                multiplier_value, psi_delta_realization,
+                                verify_membership)
 from iqcopt.statespace import eval_frequency
-from reference_builders import reference_psi_delta_realization
+from reference_builders import (reference_m_delta_coefficients,
+                                reference_m_delta_matrix,
+                                reference_matrices_from_theta,
+                                reference_membership_constraints,
+                                reference_psi_delta_realization,
+                                reference_theta_from_matrices)
 
 
 def params_from_scalars(values, p=1):
@@ -159,3 +166,64 @@ class TestFactorization:
         psi = psi_delta_realization(st, SectorBounds(1.0, 4.0))
         assert psi.nx == (3 + 2) * 2
         assert psi.ny == 2 * (4 + 3 + 2)
+
+
+class TestArraysMatchTapByTap:
+    """The parameter layout built as arrays gives, byte for byte, the rows,
+    coefficient stacks and kernel matrices built one tap at a time."""
+
+    CASES = [(lc, la, p, klass) for klass in ("unstructured", "repeated", "nonrepeated")
+             for lc, la, p in ((0, 0, 1), (1, 0, 1), (2, 1, 2), (0, 2, 3), (6, 1, 4))]
+
+    @pytest.mark.parametrize("lc,la,p,klass", CASES)
+    @pytest.mark.parametrize("rho", [1.0, 0.9, 0.37])
+    def test_membership_rows(self, lc, la, p, klass, rho):
+        st = ZamesFalbStructure(lc, la, p, klass, rho)
+        got = membership_constraints(st)
+        ref = reference_membership_constraints(st)
+        assert len(got) == len(ref)
+        for con, (coeffs, sense, rhs, label) in zip(got, ref):
+            assert con.coeffs.tobytes() == coeffs.tobytes()
+            assert (con.sense, con.rhs, con.label) == (sense, rhs, label)
+
+    @pytest.mark.parametrize("lc,la,p,klass", CASES)
+    def test_m_delta_coefficients(self, lc, la, p, klass):
+        st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+        assert m_delta_coefficients(st).tobytes() == reference_m_delta_coefficients(st).tobytes()
+
+    @pytest.mark.parametrize("lc,la,p,klass", CASES)
+    def test_matrices_from_theta(self, lc, la, p, klass):
+        st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+        theta = np.random.default_rng(st.parameter_count()).standard_normal(
+            st.parameter_count())
+        theta[::3] = 0.0
+        for got, ref in zip(st.matrices_from_theta(theta),
+                            reference_matrices_from_theta(st, theta)):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("lc,la,p,klass", CASES)
+    def test_theta_and_m_delta_matrix(self, lc, la, p, klass):
+        st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+        theta = np.random.default_rng(st.parameter_count()).standard_normal(
+            st.parameter_count())
+        theta[::2] = -0.0
+        params = ZamesFalbParameters(tuple(st.matrices_from_theta(theta)))
+        got = st.theta_from_matrices(params.M)
+        assert got.tobytes() == reference_theta_from_matrices(st, params.M).tobytes()
+        assert (m_delta_matrix(params, st).tobytes()
+                == reference_m_delta_matrix(params, st).tobytes())
+
+    @pytest.mark.parametrize("klass", ["unstructured", "nonrepeated"])
+    def test_theta_rejects_what_the_reference_rejects(self, klass):
+        st = ZamesFalbStructure(1, 1, 2, klass, 0.9)
+        good = [np.diag([1.0, 1.0])] * 3
+        for bad in (np.array([[1.0, 1e-3], [0.0, 1.0]]), np.diag([1.0, 2.0]), np.eye(3)):
+            Ms = good[:1] + [bad] + good[2:]
+            fails = []
+            for read in (st.theta_from_matrices, lambda M: reference_theta_from_matrices(st, M)):
+                try:
+                    read(Ms)
+                    fails.append(None)
+                except DimensionError as e:
+                    fails.append(str(e))
+            assert fails[0] == fails[1]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.linalg
 from iqcopt.errors import DimensionError, DomainError, SingularityError
 from iqcopt.statespace import (StateSpace, eval_frequency, kronecker_lift,
                                rho_scale, series, stack_outputs)
+from reference_builders import reference_eval_frequency
 
 
 def rand_system(rng, nx, nu, ny, radius=0.8):
@@ -154,6 +157,35 @@ class TestEvalFrequency:
             assert np.all(np.diag(U) != 0.0)
             with pytest.raises(SingularityError):
                 eval_frequency(sys, complex(z))
+
+
+class TestEvalFrequencyOnArrays:
+    """An array of points gives the stack of the scalar calls, bit for bit."""
+
+    POINTS = np.exp(2j * np.pi * np.arange(16) / 16) * np.linspace(0.9, 1.3, 16)
+
+    @pytest.mark.parametrize("nx,nu,ny", [(0, 2, 3), (1, 1, 1), (4, 2, 3), (9, 1, 11)])
+    def test_matches_scalar_calls(self, nx, nu, ny):
+        sys = rand_system(np.random.default_rng(nx), nx, nu, ny)
+        stack = eval_frequency(sys, self.POINTS)
+        assert stack.shape == (self.POINTS.size, ny, nu)
+        for z, value in zip(self.POINTS, stack):
+            assert value.tobytes() == eval_frequency(sys, z).tobytes()
+            assert np.array_equal(value, reference_eval_frequency(sys, z))
+
+    def test_scalar_keeps_its_shape(self):
+        sys = rand_system(np.random.default_rng(3), 3, 2, 4)
+        assert eval_frequency(sys, 0.5j).shape == (4, 2)
+        assert eval_frequency(sys, np.array([0.5j])).shape == (1, 4, 2)
+
+    def test_pole_in_array_raises(self):
+        # the eigenvalues of test_rounding_pole_rejected, among regular points
+        A = np.array([[0.0, 1.0], [0.3, 0.4]])
+        sys = StateSpace(A, [[0.0], [1.0]], [[1.0, 0.0]], 0.0)
+        for pole in np.linalg.eigvals(A):
+            zs = np.concatenate([self.POINTS[:5], [pole], self.POINTS[5:]])
+            with pytest.raises(SingularityError, match=re.escape(f"z={zs[5]} ")):
+                eval_frequency(sys, zs)
 
 
 def test_stack_outputs_vertical():
