@@ -9,10 +9,15 @@ is written into one coefficient stack: P's first factor [A B]^T
 (E_ij + E_ji) is scattered from columns of [A B]^T and one batched
 product by [A B] gives P's terms, so P's unit basis is never built (see
 ``_kyp``). Synthesis variants reshuffle the same blocks by Schur
-complement so the algorithm matrices appear linearly. Strict inequalities carry a relative margin
-eps = 1e-7 (1 + ||const||_F); certificates are rechecked by eigenvalue
-computation in the solver layer, so a reported certificate always holds
-numerically.
+complement so the algorithm matrices appear linearly. Each synthesis
+block is a list of (row offset, column offset, term) that ``place``
+sums into one coefficient stack, so no partial sum of a block is
+allocated; the terms of an entry are listed in the order the entry is
+summed in, and the BMI cross term stays top^T (P12 bot), so every block
+holds the numbers of the term-by-term sum. Strict inequalities carry a
+relative margin eps = 1e-7 (1 + ||const||_F); certificates are
+rechecked by eigenvalue computation in the solver layer, so a reported
+certificate always holds numerically.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +35,7 @@ from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
                          UncertainLoop, build_perf_plant_loop,
                          build_rate_plant_loop, sector_loop, structured_loop,
                          _psi_pieces)
-from .problem import AffineMatrix, SdpProblem, VariableInfo, blkdiag, congruence
+from .problem import AffineMatrix, SdpProblem, VariableInfo, congruence, place
 from .sdp import SdpSolution
 from .statespace import StateSpace
 
@@ -79,11 +84,6 @@ class SynthesisResult:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _smul(scalar: AffineMatrix, M: np.ndarray) -> AffineMatrix:
-    """scalar (1x1 expression) times a constant matrix."""
-    return AffineMatrix(M.shape, scalar.const[0, 0] * M, scalar.keys, scalar.coeffs * M)
-
-
 def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
                     name: str = "zf_theta"):
     """Kernel variables, their M_Delta expression, and membership rows."""
@@ -98,11 +98,6 @@ def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
 def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameters:
     return ZamesFalbParameters(tuple(structure.matrices_from_theta(
         np.asarray(theta_value).ravel())))
-
-
-def _embed_state_block(expr: AffineMatrix, p: int) -> AffineMatrix:
-    """Pad an nc x nc expression with p zero rows/cols (the input block)."""
-    return blkdiag(expr, np.zeros((p, p)))
 
 
 def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
@@ -137,6 +132,11 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
         const += term.const
         coeffs[np.searchsorted(keys, term.keys)] += term.coeffs
     return AffineMatrix((m, m), const, keys, coeffs)
+
+
+def _minus_identity(s: AffineMatrix, dim: int) -> AffineMatrix:
+    """-s I for a scalar variable s, as a dim x dim expression."""
+    return AffineMatrix((dim, dim), keys=s.keys, coeffs=-np.eye(dim)[None])
 
 
 def _spectral_radius(A) -> float:
@@ -329,34 +329,43 @@ class ConvexSynthAssembly:
                                rho=self.rho, gamma=gamma)
 
 
+def _convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md):
+    """Terms of [[-P22, TR], [TR^T, U]] for the convex synthesis blocks.
+
+    TR = [0  scale (QA + m QB C)  QB] and, with P = blkdiag(P11, P22),
+    U = top^T P11 top - blkdiag(P, 0) + CcDc^T M CcDc: the A,B-dependent
+    rows of [Ac Bc] are annihilated by P - N P22 N^T = blkdiag(P11, 0).
+    The terms of each entry come in the order the entry is summed in.
+    """
+    A = scale * QA
+    B = scale * (sector_m * (QB @ C))
+    nc = nd + N
+    terms = [(0, 0, -P22),
+             (0, N + nd, A), (0, N + nd, B), (0, N + nc, QB),
+             (N + nd, 0, A.T), (N + nd, 0, B.T), (N + nc, 0, QB.T)]
+    if nd:
+        terms += [(N, N, congruence(top, P11)), (N, N, -P11)]
+    return terms + [(N + nd, N + nd, -P22), (N, N, congruence(CcDc, md))]
+
+
 def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
-                          structure: ZamesFalbStructure, rho: float,
-                          _prob: SdpProblem = None) -> ConvexSynthAssembly:
+                          structure: ZamesFalbStructure, rho: float) -> ConvexSynthAssembly:
     """Convex rate synthesis with block-diagonal P (conservative)."""
     if not (0 < rho < 1):
         raise DomainError("synthesis requires rho in (0, 1)")
     structure = ZamesFalbStructure(structure.ell_causal, structure.ell_anticausal,
                                    p, structure.klass, rho)
     C, D, Dd, nd, N, nc, top, CcDc = _synth_constants(n, p, bounds, structure, rho)
-    prob = _prob or SdpProblem(f"synth[rho={rho:.6g}]")
+    prob = SdpProblem(f"synth[rho={rho:.6g}]")
     P22 = prob.add_symmetric("P22", N)
-    P11 = prob.add_symmetric("P11", nd) if nd else AffineMatrix((0, 0))
+    P11 = prob.add_symmetric("P11", nd) if nd else None
     QA = prob.add_matrix("QA", N, N)
     QB = prob.add_matrix("QB", N, p)
     theta, md = _add_multiplier(prob, structure)
-
-    # U(P, M_Delta) with P = blkdiag(P11, P22): the A,B-dependent rows of
-    # [Ac Bc] are annihilated by P - N P22 N^T = blkdiag(P11, 0).
-    U = congruence(top, P11) if nd else AffineMatrix((nc + p, nc + p))
-    P_full = blkdiag(P11, P22) if nd else P22
-    U = U - _embed_state_block(P_full, p)
-    U = U + congruence(CcDc, md)
-
-    TR = AffineMatrix.block([[np.zeros((N, nd)),
-                              (1.0 / rho) * (QA + bounds.m * (QB @ C)),
-                              QB]])
-    big = AffineMatrix.block([[-P22, TR], [TR.T, U]])
-    prob.add_lmi(big, "neg", name="synth-rate")
+    dim = N + nc + p
+    prob.add_lmi(place((dim, dim), _convex_synth_terms(
+        N, nd, bounds.m, C, 1.0 / rho, P22, P11, QA, QB, top, CcDc, md)),
+        "neg", name="synth-rate")
     prob.add_matrix_equality((QA - P22) @ Dd, name="eq-fixedpoint")
     return ConvexSynthAssembly(prob, n, p, bounds, structure, rho)
 
@@ -368,28 +377,22 @@ def assemble_convex_synth_perf(n: int, p: int, bounds: SectorBounds,
     asm = assemble_convex_synth(n, p, bounds, structure, rho)
     prob = asm.problem
     structure = asm.structure
-    C, D, Dd, nd, N, nc, _, _ = _synth_constants(n, p, bounds, structure, rho)
     # performance plant pieces live at rho = 1
-    _, _, _, _, _, _, top1, CcDc1 = _synth_constants(n, p, bounds, structure, 1.0)
+    C, _, _, nd, N, nc, top1, CcDc1 = _synth_constants(n, p, bounds, structure, 1.0)
     P22 = prob.variable_expr("P22")
     QA = prob.variable_expr("QA")
     QB = prob.variable_expr("QB")
-    Pp11 = prob.add_symmetric("Pp11", nd) if nd else AffineMatrix((0, 0))
+    Pp11 = prob.add_symmetric("Pp11", nd) if nd else None
     theta_p, md_p = _add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
     Z = prob.add_symmetric("Z", p)
     t = prob.add_scalar("t")
 
-    Up = congruence(top1, Pp11) if nd else AffineMatrix((nc + p, nc + p))
-    Pp_full = blkdiag(Pp11, P22) if nd else P22
-    Up = Up - _embed_state_block(Pp_full, p)
-    Up = Up + congruence(CcDc1, md_p)
     # performance rows: C_perf = C on the algorithm states, zero elsewhere
     C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
-    Up = Up + AffineMatrix.constant(C2.T @ C2)
-
-    TRp = AffineMatrix.block([[np.zeros((N, nd)), QA + bounds.m * (QB @ C), QB]])
-    big = AffineMatrix.block([[-P22, TRp], [TRp.T, Up]])
-    prob.add_lmi(big, "neg", name="synth-h2")
+    dim = N + nc + p
+    prob.add_lmi(place((dim, dim), _convex_synth_terms(
+        N, nd, bounds.m, C, 1.0, P22, Pp11, QA, QB, top1, CcDc1, md_p) + [(N, N, C2.T @ C2)]),
+        "neg", name="synth-h2")
     trace_blk = AffineMatrix.block([[P22, QB], [QB.T, Z]])
     prob.add_lmi(trace_blk, "pos", name="synth-h2-trace")
     prob.add_linear(Z.trace() - t, "<=", 0.0, name="trZ<=t")
@@ -427,6 +430,17 @@ class BmiFixedPAssembly:
         return SynthesisResult(algo=algo, rho=self.rho, gamma=gamma)
 
 
+def _fixed_certificate(P, name: str, nc: int, nd: int) -> np.ndarray:
+    """A fixed nc x nc certificate whose algorithm block P[nd:, nd:] is PD."""
+    P = np.asarray(P, dtype=float)
+    if P.shape != (nc, nc):
+        raise DimensionError(f"{name} must be {nc}x{nc}")
+    P22 = P[nd:, nd:]
+    if np.min(np.linalg.eigvalsh(0.5 * (P22 + P22.T))) <= 0:
+        raise PreconditionError(f"{name}22 must be positive definite when fixing {name}")
+    return P
+
+
 def _add_box_rows(prob: SdpProblem, Ae: AffineMatrix, Be: AffineMatrix) -> None:
     """|entry| <= 10 for every entry of [A B]: a '<=' row, then a '>=' row.
 
@@ -457,46 +471,37 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     structure = ZamesFalbStructure(structure.ell_causal, structure.ell_anticausal,
                                    p, structure.klass, rho)
     C, D, Dd, nd, N, nc, top, CcDc = _synth_constants(n, p, bounds, structure, rho)
-    P = np.asarray(P, dtype=float)
-    if P.shape != (nc, nc):
-        raise DimensionError(f"P must be {nc}x{nc}")
-    P22c = P[nd:, nd:]
-    if np.min(np.linalg.eigvalsh(0.5 * (P22c + P22c.T))) <= 0:
-        raise PreconditionError("P22 must be positive definite when fixing P")
+    P = _fixed_certificate(P, "P", nc, nd)
     with_perf = P_p is not None
+    if with_perf:
+        P_p = _fixed_certificate(P_p, "P_p", nc, nd)
     prob = SdpProblem(f"bmi-fixedP[rho={rho:.6g}]")
     Ae = prob.add_matrix("A", N, N)
     Be = prob.add_matrix("B", N, p)
     theta, md = _add_multiplier(prob, structure)
+    dim = N + nc + p
 
-    def bottom_rows(rho_):
-        """[0  rho^-1 (A + m B C)  B] as an affine N x (nc+p) expression."""
-        return AffineMatrix.block([[np.zeros((N, nd)),
-                                    (1.0 / rho_) * (Ae + bounds.m * (Be @ C)),
-                                    Be]])
-
-    def rate_block(P_, rho_, md_, top_, CcDc_, extra_const=None):
-        nd_ = nd
-        P11c = P_[:nd_, :nd_]
-        P12c = P_[:nd_, nd_:]
-        P22_ = P_[nd_:, nd_:]
-        bot = bottom_rows(rho_)
-        U = AffineMatrix.constant(top_.T @ P11c @ top_)
-        cross = (bot.__rmatmul__(P12c)).__rmatmul__(top_.T)  # top^T P12 bot
-        U = U + cross + cross.T
-        U = U - _embed_state_block(AffineMatrix.constant(P_), p)
-        U = U + congruence(CcDc_, md_)
-        if extra_const is not None:
-            U = U + AffineMatrix.constant(extra_const)
+    def rate_terms(P_, rho_, md_, top_, CcDc_):
+        """Terms of [[-P22, TR], [TR^T, U]] with TR = P22 bot and U =
+        top^T P11 top + sym2(top^T (P12 bot)) - blkdiag(P, 0) + CcDc^T M CcDc,
+        where bot = [0  rho^-1 (A + m B C)  B] holds the algorithm rows."""
+        P11c = P_[:nd, :nd]
+        P12c = P_[:nd, nd:]
+        P22_ = P_[nd:, nd:]
+        bot = AffineMatrix.block([[np.zeros((N, nd)),
+                                   (1.0 / rho_) * (Ae + bounds.m * (Be @ C)),
+                                   Be]])
         TR = P22_ @ bot
-        return AffineMatrix.block([[AffineMatrix.constant(-P22_), TR],
-                                   [TR.T, U]])
+        cross = top_.T @ (P12c @ bot)
+        return [(0, 0, -P22_), (0, N, TR), (N, 0, TR.T),
+                (N, N, top_.T @ P11c @ top_), (N, N, cross), (N, N, cross.T),
+                (N, N, -P_), (N, N, congruence(CcDc_, md_))]
 
-    big = rate_block(P, rho, md, top, CcDc)
     if slack:
         s = prob.add_scalar("s")
-        dim = big.shape[0]
-        prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="bmi-rate-slack")
+        prob.add_lmi(place((dim, dim), rate_terms(P, rho, md, top, CcDc)
+                           + [(0, 0, _minus_identity(s, dim))]),
+                     "neg", eps=0.0, name="bmi-rate-slack")
         s_max = 10.0 * (1.0 + float(np.max(np.abs(P))))
         prob.add_linear(s, ">=", -s_max)
         prob.add_linear(s, "<=", s_max)
@@ -505,19 +510,18 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     else:
         # absolute margin: the block constant carries P, so the default
         # relative eps would exceed the warm start's analysis margin
-        prob.add_lmi(big, "neg", eps=1e-9, name="bmi-rate")
+        prob.add_lmi(place((dim, dim), rate_terms(P, rho, md, top, CcDc)), "neg",
+                     eps=1e-9, name="bmi-rate")
 
     if with_perf:
-        P_p = np.asarray(P_p, dtype=float)
         Pp22c = P_p[nd:, nd:]
-        if np.min(np.linalg.eigvalsh(0.5 * (Pp22c + Pp22c.T))) <= 0:
-            raise PreconditionError("P_p22 must be positive definite when fixing P_p")
         theta_p, md_p = _add_multiplier(prob, structure.with_rho(1.0),
                                         name="zf_theta_p")
         _, _, _, _, _, _, top1, CcDc1 = _synth_constants(n, p, bounds, structure, 1.0)
         C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
-        bigp = rate_block(P_p, 1.0, md_p, top1, CcDc1, extra_const=C2.T @ C2)
-        prob.add_lmi(bigp, "neg", eps=1e-9, name="bmi-h2")
+        prob.add_lmi(place((dim, dim), rate_terms(P_p, 1.0, md_p, top1, CcDc1)
+                           + [(N, N, C2.T @ C2)]),
+                     "neg", eps=1e-9, name="bmi-h2")
         Z = prob.add_symmetric("Z", p)
         t = prob.add_scalar("t")
         trace_blk = AffineMatrix.block([
@@ -560,15 +564,15 @@ def assemble_rate_slack(algo: AlgorithmRealization, bounds: SectorBounds,
     P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
     theta, md = _add_multiplier(prob, structure.with_rho(rho))
     s = prob.add_scalar("s")
-    big = _kyp(np.hstack([plant.Ac, plant.Bc]), P_info,
-               (np.hstack([plant.Cc, plant.Dc]), md))
-    dim = big.shape[0]
-    prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="rate-slack")
+    AB = np.hstack([plant.Ac, plant.Bc])
+    dim = AB.shape[1]
+    prob.add_lmi(_kyp(AB, P_info, (np.hstack([plant.Cc, plant.Dc]), md),
+                      (np.eye(dim), _minus_identity(s, dim))),
+                 "neg", eps=0.0, name="rate-slack")
     P = prob.variable_expr("P")
-    nd = plant.n_mult
-    sel = np.vstack([np.zeros((nd, plant.n_loop)), np.eye(plant.n_loop)])
-    P22 = congruence(sel, P)
-    prob.add_lmi(P22 - AffineMatrix.constant(np.eye(plant.n_loop)), "pos",
+    nd, nl = plant.n_mult, plant.n_loop
+    P22 = AffineMatrix((nl, nl), P.const[nd:, nd:], P.keys, P.coeffs[:, nd:, nd:])
+    prob.add_lmi(P22 - AffineMatrix.constant(np.eye(nl)), "pos",
                  eps=0.0, name="p22-normalized")
     prob.add_lmi(AffineMatrix.constant(radius * np.eye(plant.n_c)) - P, "pos",
                  eps=0.0, name="p-box-hi")

@@ -4,8 +4,12 @@ An AffineMatrix is const + sum_k x[keys[k]] * coeffs[k]: a constant
 term, the sorted indices of the scalar variables it holds, and one
 K x r x c stack of their coefficient matrices. Every operation is one
 numpy call on that stack: a key union and an aligned add for +/-, a
-batched matmul for products with constants, slices for blocks and
-entries, and one tensordot for evaluation.
+batched matmul for products with constants, slices for entries, and one
+tensordot for evaluation. ``place`` writes a sum of expressions at
+offsets into one stack over their key union, term by term in order;
+``AffineMatrix.block`` is ``place`` with non-overlapping offsets, and the
+synthesis builders write each of their blocks with one call, so no
+intermediate sum of a block is ever allocated.
 
 An SdpProblem collects scalar/matrix decision variables, affine
 matrix-inequality blocks, scalar linear rows and an optional linear
@@ -85,6 +89,8 @@ class AffineMatrix:
         const = op(self.const, other.const)
         if not other.keys.size:
             return AffineMatrix(self.shape, const, self.keys, self.coeffs)
+        if not self.keys.size:
+            return AffineMatrix(self.shape, const, other.keys, op(0.0, other.coeffs))
         if np.array_equal(self.keys, other.keys):
             return AffineMatrix(self.shape, const, self.keys, op(self.coeffs, other.coeffs))
         keys = np.union1d(self.keys, other.keys)
@@ -157,7 +163,11 @@ class AffineMatrix:
 
     @staticmethod
     def block(rows) -> "AffineMatrix":
-        """Assemble a block matrix from a 2-D nested list of expressions."""
+        """Assemble a block matrix from a 2-D nested list of expressions.
+
+        The blocks are placed at their offsets by ``place``; they do not
+        overlap, so each entry holds its block's value.
+        """
         rows = [[AffineMatrix.lift(b) for b in r] for r in rows]
         heights = [r[0].shape[0] for r in rows]
         widths = [b.shape[1] for b in rows[0]]
@@ -166,36 +176,48 @@ class AffineMatrix:
                 raise DimensionError("block: inconsistent column widths")
             if len({b.shape[0] for b in r}) != 1:
                 raise DimensionError("block: inconsistent row heights")
-        total = (sum(heights), sum(widths))
-        ro = np.concatenate([[0], np.cumsum(heights)])
-        co = np.concatenate([[0], np.cumsum(widths)])
-        keys = np.unique(np.concatenate([_NO_KEYS] + [b.keys for r in rows for b in r]))
-        const = np.zeros(total)
-        coeffs = np.zeros((keys.size,) + total)
-        for i, r in enumerate(rows):
-            for j, b in enumerate(r):
-                const[ro[i]:ro[i + 1], co[j]:co[j + 1]] = b.const
-                if b.keys.size:
-                    coeffs[np.searchsorted(keys, b.keys), ro[i]:ro[i + 1],
-                           co[j]:co[j + 1]] = b.coeffs
-        return AffineMatrix(total, const, keys, coeffs)
+        ro = np.concatenate([[0], np.cumsum(heights)]).tolist()
+        co = np.concatenate([[0], np.cumsum(widths)]).tolist()
+        return place((ro[-1], co[-1]), [(ro[i], co[j], b) for i, r in enumerate(rows)
+                                        for j, b in enumerate(r)])
+
+
+def place(shape, terms) -> AffineMatrix:
+    """The sum of expressions placed at offsets in a zero matrix of ``shape``.
+
+    ``terms`` is a sequence of (row offset, column offset, expression); an
+    expression may be a constant array. The key union is built once, one
+    constant and one K x r x c stack are allocated, and each term is added
+    into its slice in order, so an entry that several terms cover is their
+    sum taken left to right. A term whose keys are consecutive, as every
+    declared variable's are, is added through a slice of the stack, others
+    through an index array. A sign is the caller's: pass the negated
+    expression.
+    """
+    shape = tuple(shape)
+    terms = [(i, j, AffineMatrix.lift(e)) for i, j, e in terms]
+    keys = np.unique(np.concatenate([_NO_KEYS] + [e.keys for _, _, e in terms]))
+    const = np.zeros(shape)
+    coeffs = np.zeros((keys.size,) + shape)
+    for i, j, e in terms:
+        r, c = e.shape
+        if i < 0 or j < 0 or i + r > shape[0] or j + c > shape[1]:
+            raise DimensionError(f"place: {e.shape} at ({i}, {j}) exceeds {shape}")
+        const[i:i + r, j:j + c] += e.const
+        if not e.keys.size:
+            continue
+        if e.keys[-1] - e.keys[0] == e.keys.size - 1:
+            lo = int(np.searchsorted(keys, e.keys[0]))
+            coeffs[lo:lo + e.keys.size, i:i + r, j:j + c] += e.coeffs
+        else:
+            coeffs[np.searchsorted(keys, e.keys), i:i + r, j:j + c] += e.coeffs
+    return AffineMatrix(shape, const, keys, coeffs)
 
 
 def congruence(T, X: AffineMatrix) -> AffineMatrix:
     """T^T X T for a constant outer factor T."""
     T = np.asarray(T, dtype=float)
     return X.__rmatmul__(T.T) @ T
-
-
-def blkdiag(*exprs) -> AffineMatrix:
-    exprs = [AffineMatrix.lift(e) for e in exprs]
-    rows = []
-    for i, e in enumerate(exprs):
-        row = []
-        for j, f in enumerate(exprs):
-            row.append(e if i == j else np.zeros((e.shape[0], f.shape[1])))
-        rows.append(row)
-    return AffineMatrix.block(rows)
 
 
 @dataclass

@@ -10,6 +10,11 @@ The problem container's former forms are kept here as well: an
 1x1 expression per call (membership rows, matrix equalities and the BMI
 box rows). The tests check that the solver receives the same blocks and
 the same rows from the library's forms.
+
+The four synthesis builders are kept as they were composed from the
+expression algebra: every sum, difference and block allocates a new
+stack, and ``AffineMatrix.block`` copied each block into its slot. The
+tests check that the library's placed blocks hold the same numbers.
 """
 
 import numpy as np
@@ -17,10 +22,11 @@ import scipy.linalg as sla
 
 from iqcopt import lmi, plantbuild
 from iqcopt.algorithms import SectorBounds, canonical_output
-from iqcopt.errors import DimensionError, SingularityError
-from iqcopt.multipliers import m_delta_coefficients, membership_constraints, sector_transform
+from iqcopt.errors import DimensionError, DomainError, PreconditionError, SingularityError
+from iqcopt.multipliers import (ZamesFalbStructure, m_delta_coefficients,
+                                membership_constraints, sector_transform)
 from iqcopt.plantbuild import AugmentedPlant, PerformanceAugmentedPlant
-from iqcopt.problem import EPS_REL, AffineMatrix, LmiBlock, SdpProblem, congruence
+from iqcopt.problem import EPS_REL, _NO_KEYS, AffineMatrix, LmiBlock, SdpProblem, congruence
 from iqcopt.statespace import POLE_RCOND, StateSpace
 
 
@@ -351,3 +357,190 @@ def reference_m_delta_matrix(params, structure):
     """M_Delta as a sum over theta of theta_k dM_Delta/dtheta_k."""
     theta = reference_theta_from_matrices(structure, params.M)
     return sum(t * E for t, E in zip(theta, reference_m_delta_coefficients(structure)))
+
+
+def reference_block(rows):
+    """A block matrix with each block copied into its slot of a zero stack."""
+    rows = [[AffineMatrix.lift(b) for b in r] for r in rows]
+    heights = [r[0].shape[0] for r in rows]
+    widths = [b.shape[1] for b in rows[0]]
+    total = (sum(heights), sum(widths))
+    ro = np.concatenate([[0], np.cumsum(heights)])
+    co = np.concatenate([[0], np.cumsum(widths)])
+    keys = np.unique(np.concatenate([_NO_KEYS] + [b.keys for r in rows for b in r]))
+    const = np.zeros(total)
+    coeffs = np.zeros((keys.size,) + total)
+    for i, r in enumerate(rows):
+        for j, b in enumerate(r):
+            const[ro[i]:ro[i + 1], co[j]:co[j + 1]] = b.const
+            if b.keys.size:
+                coeffs[np.searchsorted(keys, b.keys), ro[i]:ro[i + 1],
+                       co[j]:co[j + 1]] = b.coeffs
+    return AffineMatrix(total, const, keys, coeffs)
+
+
+def reference_blkdiag(*exprs):
+    exprs = [AffineMatrix.lift(e) for e in exprs]
+    return reference_block([[e if i == j else np.zeros((e.shape[0], f.shape[1]))
+                             for j, f in enumerate(exprs)] for i, e in enumerate(exprs)])
+
+
+def _smul(scalar, M):
+    return AffineMatrix(M.shape, scalar.const[0, 0] * M, scalar.keys, scalar.coeffs * M)
+
+
+def _embed_state_block(expr, p):
+    return reference_blkdiag(expr, np.zeros((p, p)))
+
+
+def reference_assemble_convex_synth(n, p, bounds, structure, rho):
+    """Convex rate synthesis, U built as congruence - embedded P + congruence."""
+    if not (0 < rho < 1):
+        raise DomainError("synthesis requires rho in (0, 1)")
+    structure = ZamesFalbStructure(structure.ell_causal, structure.ell_anticausal,
+                                   p, structure.klass, rho)
+    C, D, Dd, nd, N, nc, top, CcDc = lmi._synth_constants(n, p, bounds, structure, rho)
+    prob = SdpProblem(f"synth[rho={rho:.6g}]")
+    P22 = prob.add_symmetric("P22", N)
+    P11 = prob.add_symmetric("P11", nd) if nd else AffineMatrix((0, 0))
+    QA = prob.add_matrix("QA", N, N)
+    QB = prob.add_matrix("QB", N, p)
+    theta, md = lmi._add_multiplier(prob, structure)
+    U = congruence(top, P11) if nd else AffineMatrix((nc + p, nc + p))
+    P_full = reference_blkdiag(P11, P22) if nd else P22
+    U = U - _embed_state_block(P_full, p)
+    U = U + congruence(CcDc, md)
+    TR = reference_block([[np.zeros((N, nd)),
+                           (1.0 / rho) * (QA + bounds.m * (QB @ C)),
+                           QB]])
+    big = reference_block([[-P22, TR], [TR.T, U]])
+    prob.add_lmi(big, "neg", name="synth-rate")
+    prob.add_matrix_equality((QA - P22) @ Dd, name="eq-fixedpoint")
+    return lmi.ConvexSynthAssembly(prob, n, p, bounds, structure, rho)
+
+
+def reference_assemble_convex_synth_perf(n, p, bounds, structure, rho):
+    asm = reference_assemble_convex_synth(n, p, bounds, structure, rho)
+    prob = asm.problem
+    structure = asm.structure
+    C, D, Dd, nd, N, nc, _, _ = lmi._synth_constants(n, p, bounds, structure, rho)
+    _, _, _, _, _, _, top1, CcDc1 = lmi._synth_constants(n, p, bounds, structure, 1.0)
+    P22 = prob.variable_expr("P22")
+    QA = prob.variable_expr("QA")
+    QB = prob.variable_expr("QB")
+    Pp11 = prob.add_symmetric("Pp11", nd) if nd else AffineMatrix((0, 0))
+    theta_p, md_p = lmi._add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
+    Z = prob.add_symmetric("Z", p)
+    t = prob.add_scalar("t")
+    Up = congruence(top1, Pp11) if nd else AffineMatrix((nc + p, nc + p))
+    Pp_full = reference_blkdiag(Pp11, P22) if nd else P22
+    Up = Up - _embed_state_block(Pp_full, p)
+    Up = Up + congruence(CcDc1, md_p)
+    C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
+    Up = Up + AffineMatrix.constant(C2.T @ C2)
+    TRp = reference_block([[np.zeros((N, nd)), QA + bounds.m * (QB @ C), QB]])
+    big = reference_block([[-P22, TRp], [TRp.T, Up]])
+    prob.add_lmi(big, "neg", name="synth-h2")
+    trace_blk = reference_block([[P22, QB], [QB.T, Z]])
+    prob.add_lmi(trace_blk, "pos", name="synth-h2-trace")
+    prob.add_linear(Z.trace() - t, "<=", 0.0, name="trZ<=t")
+    prob.minimize(t)
+    asm.with_perf = True
+    return asm
+
+
+def reference_assemble_bmi_fixed_P(n, p, bounds, structure, rho, P, P_p=None, slack=False):
+    """Fixed-certificate half-step, the rate block summed term by term."""
+    structure = ZamesFalbStructure(structure.ell_causal, structure.ell_anticausal,
+                                   p, structure.klass, rho)
+    C, D, Dd, nd, N, nc, top, CcDc = lmi._synth_constants(n, p, bounds, structure, rho)
+    P = np.asarray(P, dtype=float)
+    if P.shape != (nc, nc):
+        raise DimensionError(f"P must be {nc}x{nc}")
+    P22c = P[nd:, nd:]
+    if np.min(np.linalg.eigvalsh(0.5 * (P22c + P22c.T))) <= 0:
+        raise PreconditionError("P22 must be positive definite when fixing P")
+    with_perf = P_p is not None
+    prob = SdpProblem(f"bmi-fixedP[rho={rho:.6g}]")
+    Ae = prob.add_matrix("A", N, N)
+    Be = prob.add_matrix("B", N, p)
+    theta, md = lmi._add_multiplier(prob, structure)
+
+    def bottom_rows(rho_):
+        return reference_block([[np.zeros((N, nd)),
+                                 (1.0 / rho_) * (Ae + bounds.m * (Be @ C)),
+                                 Be]])
+
+    def rate_block(P_, rho_, md_, top_, CcDc_, extra_const=None):
+        P11c = P_[:nd, :nd]
+        P12c = P_[:nd, nd:]
+        P22_ = P_[nd:, nd:]
+        bot = bottom_rows(rho_)
+        U = AffineMatrix.constant(top_.T @ P11c @ top_)
+        cross = (bot.__rmatmul__(P12c)).__rmatmul__(top_.T)  # top^T (P12 bot)
+        U = U + cross + cross.T
+        U = U - _embed_state_block(AffineMatrix.constant(P_), p)
+        U = U + congruence(CcDc_, md_)
+        if extra_const is not None:
+            U = U + AffineMatrix.constant(extra_const)
+        TR = P22_ @ bot
+        return reference_block([[AffineMatrix.constant(-P22_), TR], [TR.T, U]])
+
+    big = rate_block(P, rho, md, top, CcDc)
+    if slack:
+        s = prob.add_scalar("s")
+        dim = big.shape[0]
+        prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="bmi-rate-slack")
+        s_max = 10.0 * (1.0 + float(np.max(np.abs(P))))
+        prob.add_linear(s, ">=", -s_max)
+        prob.add_linear(s, "<=", s_max)
+        lmi._add_box_rows(prob, Ae, Be)
+        prob.minimize(s)
+    else:
+        prob.add_lmi(big, "neg", eps=1e-9, name="bmi-rate")
+    if with_perf:
+        P_p = np.asarray(P_p, dtype=float)
+        Pp22c = P_p[nd:, nd:]
+        if np.min(np.linalg.eigvalsh(0.5 * (Pp22c + Pp22c.T))) <= 0:
+            raise PreconditionError("P_p22 must be positive definite when fixing P_p")
+        theta_p, md_p = lmi._add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
+        _, _, _, _, _, _, top1, CcDc1 = lmi._synth_constants(n, p, bounds, structure, 1.0)
+        C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
+        bigp = rate_block(P_p, 1.0, md_p, top1, CcDc1, extra_const=C2.T @ C2)
+        prob.add_lmi(bigp, "neg", eps=1e-9, name="bmi-h2")
+        Z = prob.add_symmetric("Z", p)
+        t = prob.add_scalar("t")
+        trace_blk = reference_block([[AffineMatrix.constant(Pp22c), Pp22c @ Be],
+                                     [(Pp22c @ Be).T, Z]])
+        prob.add_lmi(trace_blk, "pos", eps=1e-9, name="bmi-h2-trace")
+        prob.add_linear(Z.trace() - t, "<=", 0.0)
+        if not slack:
+            prob.minimize(t)
+    prob.add_matrix_equality(Ae @ Dd - AffineMatrix.constant(Dd), name="eq-fixedpoint")
+    return lmi.BmiFixedPAssembly(prob, n, p, bounds, structure, rho, with_perf, slack)
+
+
+def reference_assemble_rate_slack(algo, bounds, structure, rho, radius=1e6):
+    """Slack rate LMI: the KYP block minus s I, P22 as a congruence of P."""
+    plant = plantbuild.build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
+    prob = SdpProblem(f"rate-slack[rho={rho:.6g}]")
+    P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
+    theta, md = lmi._add_multiplier(prob, structure.with_rho(rho))
+    s = prob.add_scalar("s")
+    big = lmi._kyp(np.hstack([plant.Ac, plant.Bc]), P_info,
+                   (np.hstack([plant.Cc, plant.Dc]), md))
+    dim = big.shape[0]
+    prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="rate-slack")
+    P = prob.variable_expr("P")
+    nd = plant.n_mult
+    sel = np.vstack([np.zeros((nd, plant.n_loop)), np.eye(plant.n_loop)])
+    prob.add_lmi(congruence(sel, P) - AffineMatrix.constant(np.eye(plant.n_loop)), "pos",
+                 eps=0.0, name="p22-normalized")
+    prob.add_lmi(AffineMatrix.constant(radius * np.eye(plant.n_c)) - P, "pos",
+                 eps=0.0, name="p-box-hi")
+    prob.add_lmi(P + AffineMatrix.constant(radius * np.eye(plant.n_c)), "pos",
+                 eps=0.0, name="p-box-lo")
+    prob.add_linear(s, ">=", -radius)
+    prob.add_linear(s, "<=", radius)
+    prob.minimize(s)
+    return lmi.RateSlackAssembly(prob, plant, structure.with_rho(rho))

@@ -4,7 +4,7 @@ import pytest
 from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_structured,
                                lift, make_named)
 from iqcopt.engines import h2_norm_linear
-from iqcopt.errors import InfeasiblePrecondition, PreconditionError
+from iqcopt.errors import DimensionError, InfeasiblePrecondition, PreconditionError
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
                         assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for,
                         assemble_rate_reduced, assemble_rate_slack,
@@ -14,6 +14,7 @@ from iqcopt.native import _sym_stack
 from iqcopt.plantbuild import build_rate_plant
 from iqcopt.sdp import solve
 from iqcopt.statespace import StateSpace
+import reference_builders as ref_builders
 from reference_builders import use_reference_builders, use_reference_lmi, use_reference_rows
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
@@ -214,6 +215,18 @@ class TestBmiSteps:
         st = ZamesFalbStructure(1, 0, 1, "unstructured", 0.9)
         with pytest.raises(PreconditionError):
             assemble_bmi_fixed_P(2, 1, BOUNDS10, st, 0.9, -np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 2)])
+    def test_fixed_p_p_shape_is_checked(self, shape):
+        # nc = 3 here; a wrong P_p is named as such, not met in a matmul
+        st = ZamesFalbStructure(1, 0, 1, "unstructured", 0.9)
+        with pytest.raises(DimensionError, match="P_p must be 3x3"):
+            assemble_bmi_fixed_P(2, 1, BOUNDS10, st, 0.9, np.eye(3), P_p=np.eye(*shape))
+
+    def test_fixed_p_p_requires_positive_p22(self):
+        st = ZamesFalbStructure(1, 0, 1, "unstructured", 0.9)
+        with pytest.raises(PreconditionError, match="P_p22"):
+            assemble_bmi_fixed_P(2, 1, BOUNDS10, st, 0.9, np.eye(3), P_p=-np.eye(3))
 
 
 class TestStructuredRate:
@@ -417,3 +430,62 @@ class TestBulkRowsMatchPerRowCalls:
         for build in _synthesis_builds(n, p, klass):
             got, ref = _direct_and_reference(monkeypatch, build, use_reference_rows)
             assert got.to_json_dict()["linear"] == ref.to_json_dict()["linear"]
+
+
+def _placed_and_reference_builds(klass, n, p, lc, la):
+    """(library build, reference build) pairs of every synthesis builder."""
+    st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+    nc = (lc + la) * p + n * p
+    rng = np.random.default_rng([n, p, lc, la])
+    P, P_p = (X @ X.T + nc * np.eye(nc) for X in rng.normal(size=(2, nc, nc)))
+    gains = tuple(0.1 * rng.standard_normal((p, p)) for _ in range(n))
+    algo = from_structured(StructuredControllerForm(gains))
+    pairs = [
+        (lambda: assemble_convex_synth(n, p, BOUNDS10, st, 0.9),
+         lambda: ref_builders.reference_assemble_convex_synth(n, p, BOUNDS10, st, 0.9)),
+        (lambda: assemble_convex_synth_perf(n, p, BOUNDS10, st, 0.9),
+         lambda: ref_builders.reference_assemble_convex_synth_perf(n, p, BOUNDS10, st, 0.9)),
+        (lambda: assemble_rate_slack(algo, BOUNDS10, st, 0.9),
+         lambda: ref_builders.reference_assemble_rate_slack(algo, BOUNDS10, st, 0.9)),
+    ]
+    for slack in (False, True):
+        for Pp in (None, P_p):
+            args = (n, p, BOUNDS10, st, 0.9, P)
+            kwargs = {"P_p": Pp, "slack": slack}
+            pairs.append((lambda a=args, k=kwargs: assemble_bmi_fixed_P(*a, **k),
+                          lambda a=args, k=kwargs: ref_builders.reference_assemble_bmi_fixed_P(*a, **k)))
+    return pairs
+
+
+def _assert_same_values(got, ref):
+    """Equal keys, const and coeffs in every block (signed zeros may differ),
+    equal block names, senses and eps, and identical interchange rows."""
+    assert [(b.name, b.sense, b.eps) for b in got.blocks] == \
+        [(b.name, b.sense, b.eps) for b in ref.blocks]
+    for a, b in zip(got.blocks, ref.blocks):
+        for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
+                     (a.expr.coeffs, b.expr.coeffs)):
+            assert x.shape == y.shape and np.array_equal(x, y)
+    assert got.nvars == ref.nvars
+    assert got.to_json_dict()["linear"] == ref.to_json_dict()["linear"]
+
+
+class TestPlacedSynthesisBlocks:
+    """Every synthesis block, written term by term into one stack, holds the
+    numbers of the reference builders, which sum each block through the
+    expression algebra."""
+
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (1, 2, 4)])
+    def test_same_values_as_reference(self, klass, n, p):
+        # (0, 0) has no multiplier states: nd = 0 and P11 is absent
+        for lc, la in ((0, 1), (1, 0), (2, 0), (4, 0), (0, 0)):
+            for build, reference in _placed_and_reference_builds(klass, n, p, lc, la):
+                _assert_same_values(build().problem, reference().problem)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_same_solver_iterate(self, which):
+        build, reference = _placed_and_reference_builds("unstructured", 2, 1, 1, 0)[which]
+        got, ref = solve(build().problem), solve(reference().problem)
+        assert got.status == ref.status
+        assert got.x.tobytes() == ref.x.tobytes()

@@ -14,7 +14,7 @@ from iqcopt.algorithms import SectorBounds, make_named
 from iqcopt.errors import ArgumentError, DimensionError
 from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbStructure
-from iqcopt.problem import AffineMatrix, SdpProblem, blkdiag, congruence
+from iqcopt.problem import AffineMatrix, SdpProblem, congruence, place
 from iqcopt.sdp import MAX_ITERS, SolverOptions, solve
 from reference_builders import reference_add_linear
 
@@ -85,11 +85,49 @@ class TestAffineMatrix:
                 np.testing.assert_array_equal(got, want)
                 assert not np.shares_memory(got, x)
 
-    def test_blkdiag(self):
+    def test_block_diagonal(self):
         a = AffineMatrix.constant([[1.0]])
         b = AffineMatrix.constant([[2.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(blkdiag(a, b).value(np.zeros(0)),
-                                   np.diag([1.0, 2.0, 2.0]))
+        expr = AffineMatrix.block([[a, np.zeros((1, 2))], [np.zeros((2, 1)), b]])
+        np.testing.assert_allclose(expr.value(np.zeros(0)), np.diag([1.0, 2.0, 2.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(0, 5), cols=st.integers(0, 5), nterms=st.integers(0, 6),
+           nvars=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_place_matches_dense_sum(self, rows, cols, nterms, nvars, seed):
+        """Overlapping terms of every kind sum entry by entry like numpy."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(nvars)
+        want = np.zeros((rows, cols))
+        terms = []
+        for _ in range(nterms):
+            r, c = int(rng.integers(rows + 1)), int(rng.integers(cols + 1))
+            i, j = int(rng.integers(rows - r + 1)), int(rng.integers(cols - c + 1))
+            kind = rng.integers(4)
+            if kind == 0:      # any key subset, usually not consecutive
+                e = _random_expr(rng, (r, c), nvars)
+            elif kind == 1:    # consecutive keys, as a declared variable has
+                lo = int(rng.integers(nvars))
+                hi = int(rng.integers(lo, nvars)) + 1
+                e = AffineMatrix((r, c), rng.standard_normal((r, c)), np.arange(lo, hi),
+                                 rng.standard_normal((hi - lo, r, c)))
+            elif kind == 2:    # a transposed view
+                e = _random_expr(rng, (c, r), nvars).T
+            else:              # a constant without keys
+                e = rng.standard_normal((r, c))
+            terms.append((i, j, e))
+            want[i:i + r, j:j + c] += _dense(AffineMatrix.lift(e), x)
+        got = place((rows, cols), terms)
+        used = [AffineMatrix.lift(e).keys for _, _, e in terms]
+        assert list(got.keys) == sorted(set(np.concatenate([[]] + used).astype(int)))
+        assert got.shape == (rows, cols) and got.coeffs.shape == (got.keys.size, rows, cols)
+        np.testing.assert_allclose(got.value(x), want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_dense(got, x), want, rtol=1e-12, atol=1e-12)
+
+    def test_place_rejects_a_term_outside(self):
+        for i, j in ((1, 0), (0, 2), (-1, 0)):
+            with pytest.raises(DimensionError):
+                place((2, 3), [(i, j, np.ones((2, 2)))])
 
     @settings(max_examples=60, deadline=None)
     @given(r=st.integers(1, 4), c=st.integers(1, 4), nvars=st.integers(1, 6),
@@ -109,7 +147,8 @@ class TestAffineMatrix:
             (L @ A, L @ a), (A @ R, a @ R), (A.T, a.T), (A.ravel(), a.reshape(-1, 1)),
             (AffineMatrix.block([[A, B], [A, np.ones((r, c))]]),
              np.block([[a, b], [a, np.ones((r, c))]])),
-            (blkdiag(A, S), np.block([[a, np.zeros((r, c))], [np.zeros((c, c)), s]])),
+            (AffineMatrix.block([[A, np.zeros((r, c))], [np.zeros((c, c)), S]]),
+             np.block([[a, np.zeros((r, c))], [np.zeros((c, c)), s]])),
             (congruence(T, S), T.T @ s @ T),
             (A.entry(i, j), a[i:i + 1, j:j + 1]),
             (S.trace(), np.array([[np.trace(s)]])),
