@@ -27,7 +27,6 @@ from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
 from .problem import SdpProblem
 from .sampling import RandomFunctionSpec, sample_function, simulate_h2
 from .sdp import SdpSolution, SolverOptions, solve
-from .statespace import (StateSpace, eval_frequency, kronecker_lift,
-                         rho_scale, series)
+from .statespace import StateSpace, eval_frequency, rho_scale, series
 
 __version__ = "0.1.0"

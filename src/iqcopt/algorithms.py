@@ -7,14 +7,29 @@ An algorithm of order n over decision variables of dimension p iterates
 with x in R^{np}. Fixed-point correctness for every strongly convex
 objective requires a right inverse Ddagger with D Ddagger = C Ddagger = I
 and (A - I) Ddagger = 0; all constructors here enforce that.
+
+A realization is stored as its Kronecker core: five matrices Abar, Bbar,
+Cbar, Dbar, Ddbar of the algorithm over dimension p / q and a lift factor
+q, with A = kron(Abar, I_q) and likewise for B, C, D and Ddagger. The
+named algorithms and `lift` store their p=1 core with q = p; a
+realization given by its dense matrices is its own core with q = 1. The
+dense A..Ddagger are read-only attributes built by `np.kron(core, I_q)`
+on first read, so they hold the bytes of a lift built up front, signed
+zeros included, and no (np x np) matrix exists until one is read:
+`reduce_to_scalar_block` returns the stored core, and `simulate_h2` steps
+it. The equilibrium conditions are checked on the core. Since
+kron(M, I_q) kron(X, I_q) = kron(M X, I_q), its residuals are the dense
+ones, and the tolerance is the dense one, EQ_TOL (1 + ||A||_F) with
+||A||_F = sqrt(q) ||Abar||_F.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, DomainError
+from .errors import ArgumentError, DimensionError, DomainError, StructureError
 
 EQ_TOL = 1e-10
 
@@ -35,34 +50,65 @@ class SectorBounds:
         return self.L / self.m
 
 
-@dataclass(frozen=True)
-class AlgorithmRealization:
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    Ddagger: np.ndarray
-    n: int
-    p: int
+_MATRICES = ("A", "B", "C", "D", "Ddagger")
 
-    def __post_init__(self):
-        n, p = self.n, self.p
-        for name, M, shape in (
-            ("A", self.A, (n * p, n * p)),
-            ("B", self.B, (n * p, p)),
-            ("C", self.C, (p, n * p)),
-            ("D", self.D, (p, n * p)),
-            ("Ddagger", self.Ddagger, (n * p, p)),
-        ):
+
+def _lifted(i: int) -> cached_property:
+    """Dense matrix i of a lifted realization: kron(core[i], I_q), built once."""
+
+    def dense(self) -> np.ndarray:
+        M = np.kron(self._core[i], np.eye(self.q))
+        M.flags.writeable = False
+        return M
+
+    return cached_property(dense)
+
+
+class AlgorithmRealization:
+    """An order-n algorithm over R^p, stored as its Kronecker core.
+
+    AlgorithmRealization(A, B, C, D, Ddagger, n, p) takes the dense
+    matrices. With q > 1 the five matrices are instead the core, an
+    algorithm over dimension p // q, and the realization is its lift
+    A = kron(A_core, I_q) and so on. The constructor stores read-only
+    copies and checks the equilibrium conditions; instances are immutable.
+    """
+
+    A = _lifted(0)
+    B = _lifted(1)
+    C = _lifted(2)
+    D = _lifted(3)
+    Ddagger = _lifted(4)
+
+    def __init__(self, A, B, C, D, Ddagger, n: int, p: int, q: int = 1):
+        for name, v in (("n", n), ("p", p), ("q", q)):
+            if v < 1:
+                raise DomainError(f"{name} must be a positive integer, got {v}")
+        if p % q:
+            raise DimensionError(f"the lift factor q={q} does not divide p={p}")
+        k = p // q
+        core = []
+        shapes = ((n * k, n * k), (n * k, k), (k, n * k), (k, n * k), (n * k, k))
+        for name, M, shape in zip(_MATRICES, (A, B, C, D, Ddagger), shapes):
             # a read-only copy, so the equilibrium check below keeps holding
             M = np.array(M, dtype=float)
             if M.shape != shape:
                 raise DimensionError(f"{name} must have shape {shape}, got {M.shape}")
             M.flags.writeable = False
-            object.__setattr__(self, name, M)
-        ok, _ = check_equilibrium_conditions(self.A, self.B, self.C, self.D, self.Ddagger)
-        if not ok:
+            core.append(M)
+        Abar, _, Cbar, Dbar, Ddbar = core
+        tol = EQ_TOL * (1.0 + np.sqrt(q) * np.linalg.norm(Abar))
+        if not _equilibrium_residual(Abar, Cbar, Dbar, Ddbar) <= tol:
             raise DimensionError("equilibrium conditions violated by (A, C, D, Ddagger)")
+        vars(self).update(n=n, p=p, q=q, _core=tuple(core))
+        if q == 1:      # its own core: the dense matrices are stored
+            vars(self).update(zip(_MATRICES, core))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlgorithmRealization is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"AlgorithmRealization(n={self.n}, p={self.p}, q={self.q})"
 
     def nominal_matrix(self, m: float) -> np.ndarray:
         return self.A + m * self.B @ self.C
@@ -125,18 +171,18 @@ def known_rate(kind: str, bounds: SectorBounds) -> float | None:
 
 
 def make_named(kind: str, bounds: SectorBounds, p: int = 1) -> AlgorithmRealization:
-    """Two-state realization of a named algorithm, Kronecker-lifted to dimension p."""
+    """Two-state realization of a named algorithm, Kronecker-lifted to dimension p.
+
+    The realization stores the p=1 core with lift factor q = p.
+    """
     kind = _KIND_ALIASES.get(kind.lower())
     if kind is None:
         raise ArgumentError(f"unknown algorithm kind; expected one of {KINDS}")
     nu1, nu2, nu3 = table_parameters(kind, bounds)
-    Ip = np.eye(p)
-    A = np.kron(np.array([[1 + nu2, -nu2], [1.0, 0.0]]), Ip)
-    B = np.kron(np.array([[-nu1], [0.0]]), Ip)
-    C = np.kron(np.array([[1 + nu3, -nu3]]), Ip)
-    D = np.kron(np.array([[1.0, 0.0]]), Ip)
-    Dd = np.kron(np.array([[1.0], [1.0]]), Ip)
-    return AlgorithmRealization(A, B, C, D, Dd, n=2, p=p)
+    return AlgorithmRealization(
+        [[1 + nu2, -nu2], [1.0, 0.0]], [[-nu1], [0.0]], [[1 + nu3, -nu3]],
+        [[1.0, 0.0]], [[1.0], [1.0]], n=2, p=p, q=p,
+    )
 
 
 def check_equilibrium_conditions(A, B, C, D, Ddagger=None):
@@ -154,12 +200,7 @@ def check_equilibrium_conditions(A, B, C, D, Ddagger=None):
     np_, p = A.shape[0], D.shape[0]
     if Ddagger is not None:
         X = np.asarray(Ddagger, dtype=float).reshape(np_, p)
-        res = max(
-            np.max(np.abs(D @ X - np.eye(p))),
-            np.max(np.abs(C @ X - np.eye(p))),
-            np.max(np.abs((A - np.eye(np_)) @ X)),
-        )
-        return res <= EQ_TOL * (1.0 + np.linalg.norm(A)), X
+        return _equilibrium_residual(A, C, D, X) <= EQ_TOL * (1.0 + np.linalg.norm(A)), X
     lhs = np.vstack([A - np.eye(np_), D, C])
     rhs = np.vstack([np.zeros((np_, p)), np.eye(p), np.eye(p)])
     X, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
@@ -167,6 +208,16 @@ def check_equilibrium_conditions(A, B, C, D, Ddagger=None):
     if res < 1e-8 * (1.0 + np.linalg.norm(A)):
         return True, X
     return False, None
+
+
+def _equilibrium_residual(A, C, D, X) -> float:
+    """Largest entry of |D X - I|, |C X - I| and |(A - I) X|."""
+    np_, p = X.shape
+    return max(
+        np.max(np.abs(D @ X - np.eye(p))),
+        np.max(np.abs(C @ X - np.eye(p))),
+        np.max(np.abs((A - np.eye(np_)) @ X)),
+    )
 
 
 def nominal_closed_loop(algo: AlgorithmRealization, bounds: SectorBounds):
@@ -232,47 +283,44 @@ def from_structured(form: StructuredControllerForm, p=None, n=None) -> Algorithm
 
 
 def kronecker_factor(M: np.ndarray, p: int) -> np.ndarray:
-    """Extract Mbar from M = kron(Mbar, I_p); StructureError if no such factor."""
-    from .errors import StructureError
+    """Extract Mbar from M = kron(Mbar, I_p); StructureError if no such factor.
 
+    Each p x p block must be Mbar_ij I_p to 1e-12 (1 + |Mbar_ij|).
+    """
     M = np.atleast_2d(M)
     r, c = M.shape
     if r % p or c % p:
         raise StructureError(f"shape {M.shape} not divisible by p={p}")
-    rb, cb = r // p, c // p
-    Mbar = np.empty((rb, cb))
-    for i in range(rb):
-        for j in range(cb):
-            blk = M[i * p:(i + 1) * p, j * p:(j + 1) * p]
-            Mbar[i, j] = blk[0, 0]
-            if np.max(np.abs(blk - blk[0, 0] * np.eye(p))) > 1e-12 * (1 + abs(blk[0, 0])):
-                raise StructureError("matrix is not of Kronecker form Mbar (x) I_p")
+    blocks = M.reshape(r // p, p, c // p, p)
+    Mbar = np.array(blocks[:, 0, :, 0], dtype=float)
+    err = np.max(np.abs(blocks - Mbar[:, None, :, None] * np.eye(p)[:, None, :]), axis=(1, 3))
+    if np.any(err > 1e-12 * (1 + np.abs(Mbar))):
+        raise StructureError("matrix is not of Kronecker form Mbar (x) I_p")
     return Mbar
 
 
 def reduce_to_scalar_block(algo: AlgorithmRealization) -> AlgorithmRealization:
-    """Collapse a Kronecker algorithm to its p=1 core."""
+    """The p=1 Kronecker core of an algorithm.
+
+    A realization stored with q = p gives its stored core. A dense one
+    (q = 1, such as a loaded file or a `from_structured` realization) is
+    factored by `kronecker_factor`, which raises StructureError when it is
+    not of that form.
+    """
+    if algo.q == algo.p:
+        return algo if algo.p == 1 else AlgorithmRealization(*algo._core, n=algo.n, p=1)
     p = algo.p
     return AlgorithmRealization(
-        kronecker_factor(algo.A, p),
-        kronecker_factor(algo.B, p),
-        kronecker_factor(algo.C, p),
-        kronecker_factor(algo.D, p),
-        kronecker_factor(algo.Ddagger, p),
-        n=algo.n,
-        p=1,
+        *(kronecker_factor(M, p) for M in (algo.A, algo.B, algo.C, algo.D, algo.Ddagger)),
+        n=algo.n, p=1,
     )
 
 
 def lift(algo: AlgorithmRealization, p: int) -> AlgorithmRealization:
-    """Kronecker-lift a p=1 algorithm to decision dimension p."""
+    """Kronecker-lift a p=1 algorithm to decision dimension p, stored as its core with q = p."""
     if algo.p != 1:
         raise DimensionError("lift expects a p=1 algorithm")
-    Ip = np.eye(p)
-    return AlgorithmRealization(
-        np.kron(algo.A, Ip), np.kron(algo.B, Ip), np.kron(algo.C, Ip),
-        np.kron(algo.D, Ip), np.kron(algo.Ddagger, Ip), n=algo.n, p=p,
-    )
+    return AlgorithmRealization(*algo._core, n=algo.n, p=p, q=p)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ have their minimizer at the origin by construction, so simulated state
 deviations are measured directly against zero.
 
 `simulate_h2` runs on the algorithm's Kronecker core (the p=1 core of
-A = kron(Abar, I_p) and so on; an algorithm without that form is its
-own core). Noise is drawn in blocks of BLOCK steps from the same PCG64
+A = kron(Abar, I_p) and so on, which named and lifted algorithms store;
+an algorithm without that form is its own core), so it never reads the
+dense matrices. Noise is drawn in blocks of BLOCK steps from the same PCG64
 stream as per-step draws, which gives the same numbers, and every step
 is still checked for divergence, one block at a time.
 """

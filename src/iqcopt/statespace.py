@@ -96,16 +96,6 @@ def rho_scale(sys: StateSpace, rho: float) -> StateSpace:
     return StateSpace(sys.A / rho, sys.B / rho, sys.C, sys.D)
 
 
-def kronecker_lift(sys: StateSpace, p: int) -> StateSpace:
-    """Replace every realization matrix M by kron(M, I_p)."""
-    if p < 1:
-        raise DomainError(f"p must be a positive integer, got {p}")
-    Ip = np.eye(p)
-    return StateSpace(
-        np.kron(sys.A, Ip), np.kron(sys.B, Ip), np.kron(sys.C, Ip), np.kron(sys.D, Ip)
-    )
-
-
 def _lu_routines(M):
     """(getrf, getrs, gecon) for the dtype of M, looked up once."""
     key = M.dtype.char

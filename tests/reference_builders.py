@@ -15,13 +15,18 @@ The four synthesis builders are kept as they were composed from the
 expression algebra: every sum, difference and block allocates a new
 stack, and ``AffineMatrix.block`` copied each block into its slot. The
 tests check that the library's placed blocks hold the same numbers.
+
+The named algorithms are kept as dense Kronecker lifts built up front,
+and ``kronecker_lift`` lifts a state-space system the same way. The tests
+check that the realizations, which store the p=1 core, read the same
+dense matrices.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
 from iqcopt import lmi, plantbuild
-from iqcopt.algorithms import SectorBounds, canonical_output
+from iqcopt.algorithms import SectorBounds, canonical_output, table_parameters
 from iqcopt.errors import DimensionError, DomainError, PreconditionError, SingularityError
 from iqcopt.multipliers import (ZamesFalbStructure, m_delta_coefficients,
                                 membership_constraints, sector_transform)
@@ -544,3 +549,30 @@ def reference_assemble_rate_slack(algo, bounds, structure, rho, radius=1e6):
     prob.add_linear(s, "<=", radius)
     prob.minimize(s)
     return lmi.RateSlackAssembly(prob, plant, structure.with_rho(rho))
+
+
+def kronecker_lift(sys: StateSpace, p: int) -> StateSpace:
+    """Replace every realization matrix M by kron(M, I_p)."""
+    if p < 1:
+        raise DomainError(f"p must be a positive integer, got {p}")
+    Ip = np.eye(p)
+    return StateSpace(
+        np.kron(sys.A, Ip), np.kron(sys.B, Ip), np.kron(sys.C, Ip), np.kron(sys.D, Ip)
+    )
+
+
+def reference_named_matrices(kind, bounds, p=1):
+    """(A, B, C, D, Ddagger) of a named algorithm, lifted by np.kron up front."""
+    nu1, nu2, nu3 = table_parameters(kind, bounds)
+    Ip = np.eye(p)
+    return (np.kron(np.array([[1 + nu2, -nu2], [1.0, 0.0]]), Ip),
+            np.kron(np.array([[-nu1], [0.0]]), Ip),
+            np.kron(np.array([[1 + nu3, -nu3]]), Ip),
+            np.kron(np.array([[1.0, 0.0]]), Ip),
+            np.kron(np.array([[1.0], [1.0]]), Ip))
+
+
+def reference_lift_matrices(algo, p):
+    """The dense matrices of lift(algo, p), lifted by np.kron up front."""
+    Ip = np.eye(p)
+    return tuple(np.kron(M, Ip) for M in (algo.A, algo.B, algo.C, algo.D, algo.Ddagger))

@@ -1,16 +1,23 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iqcopt.algorithms import (AlgorithmRealization, SectorBounds,
+from iqcopt import algorithms
+from iqcopt.algorithms import (KINDS, AlgorithmRealization, SectorBounds,
                                StructuredControllerForm, canonical_output,
                                check_equilibrium_conditions, from_structured,
-                               from_json_dict, lift, make_named, known_rate,
-                               nominal_closed_loop, reduce_to_scalar_block,
-                               to_json_dict)
-from iqcopt.errors import ArgumentError, DomainError, StructureError
+                               from_json_dict, kronecker_factor, lift, make_named,
+                               known_rate, nominal_closed_loop,
+                               reduce_to_scalar_block, to_json_dict)
+from iqcopt.errors import ArgumentError, DimensionError, DomainError, StructureError
+from iqcopt.sampling import sample_function, simulate_h2
+from reference_builders import reference_lift_matrices, reference_named_matrices
+
+MATRICES = ("A", "B", "C", "D", "Ddagger")
+
 
 
 class TestSectorBounds:
@@ -159,6 +166,133 @@ class TestKroneckerHelpers:
         with pytest.raises(StructureError):
             from iqcopt.algorithms import kronecker_factor
             kronecker_factor(A, 2)
+
+
+class TestKroneckerCore:
+    """Named and lifted realizations store the p=1 core and lift on read."""
+
+    BOUNDS = SectorBounds(1.0, 37.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 32])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_matrices_are_the_kron_lift(self, kind, p):
+        algo = make_named(kind, self.BOUNDS, p)
+        assert algo.q == p
+        for name, want in zip(MATRICES, reference_named_matrices(kind, self.BOUNDS, p)):
+            got = getattr(algo, name)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable
+            assert getattr(algo, name) is got     # built once
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 32])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lift_is_the_kron_lift(self, kind, p):
+        core = make_named(kind, self.BOUNDS)
+        lifted = lift(core, p)
+        assert (lifted.n, lifted.p, lifted.q) == (2, p, p)
+        for name, want in zip(MATRICES, reference_lift_matrices(core, p)):
+            assert getattr(lifted, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 32])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reduce_returns_the_stored_core(self, kind, p, monkeypatch):
+        def no_search(M, p):
+            raise AssertionError("kronecker_factor searched a stored core")
+
+        monkeypatch.setattr(algorithms, "kronecker_factor", no_search)
+        core = reduce_to_scalar_block(make_named(kind, self.BOUNDS, p))
+        want = make_named(kind, self.BOUNDS)
+        assert (core.n, core.p, core.q) == (2, 1, 1)
+        for name in MATRICES:
+            assert getattr(core, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_dense_input_is_factored(self):
+        dense = AlgorithmRealization(*reference_named_matrices("nm", self.BOUNDS, 3),
+                                     n=2, p=3)
+        assert dense.q == 1
+        core = reduce_to_scalar_block(dense)
+        for name in MATRICES:
+            assert (getattr(core, name).tobytes()
+                    == getattr(make_named("nm", self.BOUNDS), name).tobytes())
+
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_json_unchanged(self, kind, p):
+        want = dict(zip(MATRICES, (M.tolist() for M in
+                                   reference_named_matrices(kind, self.BOUNDS, p))))
+        want = {"n": 2, "p": p, **want}
+        assert (json.dumps(to_json_dict(make_named(kind, self.BOUNDS, p)), indent=1)
+                == json.dumps(want, indent=1))
+
+    def test_large_p_builds_no_dense_matrix(self):
+        tracemalloc.start()
+        try:
+            algo = make_named("nm", self.BOUNDS, 4096)
+            spec = sample_function(self.BOUNDS, 4096, "cosine", np.random.default_rng(3))
+            run = simulate_h2(algo, spec, 20, 2, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(run.estimate)
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_equilibrium_tolerance_is_the_dense_one(self):
+        # a core residual r passes at q when r <= EQ_TOL (1 + sqrt(q) ||Abar||_F),
+        # the bound the dense check puts on kron(Abar, I_q)
+        Abar = np.array([[1.0, 0.0], [1.0, 0.0]])
+        B, C = np.zeros((2, 1)), np.array([[1.0, 0.0]])
+        for q in (1, 4, 16):
+            for scale, ok in ((0.9, True), (1.1, False)):
+                eps = scale * algorithms.EQ_TOL * (1.0 + np.sqrt(q) * np.linalg.norm(Abar))
+                core = (Abar, B, C, C, np.array([[1.0], [1.0 + eps]]))
+                dense = [np.kron(M, np.eye(q)) for M in core]
+                assert check_equilibrium_conditions(*dense)[0] == ok
+                if ok:
+                    AlgorithmRealization(*core, n=2, p=q, q=q)
+                else:
+                    with pytest.raises(DimensionError):
+                        AlgorithmRealization(*core, n=2, p=q, q=q)
+
+    def test_immutable(self):
+        algo = make_named("gd", self.BOUNDS, 3)
+        with pytest.raises(AttributeError):
+            algo.A = np.eye(6)
+        with pytest.raises(AttributeError):
+            algo.q = 1
+
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_nonpositive_p_is_a_domain_error(self, p):
+        with pytest.raises(DomainError, match="p must be a positive integer"):
+            make_named("nm", self.BOUNDS, p)
+        with pytest.raises(DomainError, match="p must be a positive integer"):
+            lift(make_named("nm", self.BOUNDS), p)
+
+    def test_lift_factor_must_divide_p(self):
+        with pytest.raises(DimensionError):
+            AlgorithmRealization([[1.0]], [[-0.1]], [[1.0]], [[1.0]], [[1.0]], n=1, p=3, q=2)
+
+
+class TestKroneckerFactor:
+    def test_per_block_tolerance(self):
+        # block (i, j) may deviate from Mbar_ij I_p by 1e-12 (1 + |Mbar_ij|)
+        Mbar = np.array([[3.0, 0.0], [-1.0, 2.0]])
+        for i, j in np.ndindex(2, 2):
+            for scale, ok in ((0.5, True), (2.0, False)):
+                M = np.kron(Mbar, np.eye(3))
+                M[3 * i + 1, 3 * j + 2] += scale * 1e-12 * (1 + abs(Mbar[i, j]))
+                if ok:
+                    assert kronecker_factor(M, 3).tobytes() == Mbar.tobytes()
+                else:
+                    with pytest.raises(StructureError,
+                                       match=r"not of Kronecker form Mbar \(x\) I_p"):
+                        kronecker_factor(M, 3)
+
+    def test_rectangular_and_shape_errors(self):
+        Mbar = np.array([[1.5], [-2.0]])
+        np.testing.assert_array_equal(kronecker_factor(np.kron(Mbar, np.eye(4)), 4), Mbar)
+        with pytest.raises(StructureError, match="not divisible by p=3"):
+            kronecker_factor(np.eye(4), 3)
 
 
 class TestJson:

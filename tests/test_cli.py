@@ -134,6 +134,18 @@ class TestSampleH2:
         assert header == "algo,kind,m,L,seed,k_max,N,estimate"
 
 
+class TestNonpositiveP:
+    @pytest.mark.parametrize("argv", [
+        ("sample-h2", "--algo", "nm", "--m", "1", "--L", "10", "--p", "0",
+         "--steps", "10", "--realizations", "2"),
+        ("analyze-rate", "--algo", "gd", "--m", "1", "--L", "10", "--p", "-3"),
+    ])
+    def test_exits_usage_with_a_message(self, argv, capsys):
+        assert RUN(*argv) == 2
+        err = capsys.readouterr().err
+        assert "p must be a positive integer" in err and "Traceback" not in err
+
+
 class TestSweep:
     def test_small_rate_sweep_matches_analytic(self, tmp_path):
         path = tmp_path / "sweep.csv"

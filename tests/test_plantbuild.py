@@ -7,8 +7,9 @@ from iqcopt.multipliers import ZamesFalbStructure, psi_delta_realization
 from iqcopt.plantbuild import (build_perf_plant, build_rate_plant,
                                default_noise_channel, sector_loop,
                                structured_loop)
-from iqcopt.statespace import (StateSpace, eval_frequency, kronecker_lift,
-                               rho_scale, series, stack_outputs)
+from iqcopt.statespace import (StateSpace, eval_frequency, rho_scale, series,
+                               stack_outputs)
+from reference_builders import kronecker_lift
 
 BOUNDS = SectorBounds(1.0, 10.0)
 GD = make_named("gd", BOUNDS)

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 from iqcopt.errors import DimensionError, DomainError, SingularityError
-from iqcopt.statespace import (StateSpace, eval_frequency, kronecker_lift,
-                               rho_scale, series, stack_outputs)
-from reference_builders import reference_eval_frequency
+from iqcopt.statespace import (StateSpace, eval_frequency, rho_scale, series,
+                               stack_outputs)
+from reference_builders import kronecker_lift, reference_eval_frequency
 
 
 def rand_system(rng, nx, nu, ny, radius=0.8):
