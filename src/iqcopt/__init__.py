@@ -16,17 +16,15 @@ from .errors import (ArgumentError, DimensionError, DivergenceError,
 from .lmi import (H2Certificate, RateCertificate, SynthesisResult,
                   assemble_convex_synth, assemble_convex_synth_perf,
                   assemble_h2, assemble_rate, assemble_rate_reduced,
-                  assemble_structured_rate, assemble_structured_synth,
-                  kyp_block)
-from .multipliers import (MultiplierFactorization, ZamesFalbParameters,
-                          ZamesFalbStructure, factorize,
-                          membership_constraints, verify_membership)
+                  assemble_structured_rate, assemble_structured_synth)
+from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
+                          verify_membership)
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
                          build_perf_plant, build_rate_plant,
                          default_noise_channel)
 from .problem import SdpProblem
 from .sampling import RandomFunctionSpec, sample_function, simulate_h2
 from .sdp import SdpSolution, SolverOptions, solve
-from .statespace import StateSpace, eval_frequency, rho_scale, series
+from .statespace import StateSpace, eval_frequency
 
 __version__ = "0.1.0"

@@ -267,12 +267,9 @@ def canonical_output(n: int, p: int):
     return C, C.copy(), C.T.copy()
 
 
-def from_structured(form: StructuredControllerForm, p=None, n=None) -> AlgorithmRealization:
+def from_structured(form: StructuredControllerForm) -> AlgorithmRealization:
     """Realize the integrator-chain algorithm A = A1 + I + B1 [0 K2 .. Kn], B = B1 K1."""
-    n = form.n if n is None else n
-    p = form.p if p is None else p
-    if (n, p) != (form.n, form.p):
-        raise DimensionError(f"form has (n={form.n}, p={form.p}), requested ({n}, {p})")
+    n, p = form.n, form.p
     A1, B1 = chain_matrices(n, p)
     Krow = np.hstack([np.zeros((p, p))] + [form.K[i] for i in range(1, n)]) if n > 1 \
         else np.zeros((p, p))

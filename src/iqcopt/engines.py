@@ -3,7 +3,9 @@
 Bisection over the decay rate, H2 bound minimization, convex synthesis
 with mandatory round-trip re-certification, BMI alternation with a
 structured state-feedback initializer, and independent frequency-domain
-verification of every certificate this package returns.
+verification of every certificate this package returns. The rate
+certificate, the structured design and the BMI initializer run the same
+halving loop, ``_bisect``, each on its own bracket.
 """
 
 import time
@@ -20,19 +22,29 @@ from .lmi import (H2Certificate, RateCertificate, SynthesisResult,
                   assemble_convex_synth_perf, assemble_h2_for,
                   assemble_rate_for, assemble_structured_synth)
 from .multipliers import ZamesFalbStructure, m_delta_matrix
-from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
-                         build_perf_plant, build_rate_plant,
-                         default_noise_channel)
+from .plantbuild import AugmentedPlant, PerformanceAugmentedPlant
 from .sdp import SolverOptions, solve
 from .statespace import StateSpace, eval_frequency
 
 
+# every bisection stops after this many halvings; at the tolerances the
+# drivers and the CLI default to (1e-4 and wider) none reaches it
+MAX_BISECTION_STEPS = 60
+# bracket and tolerance of the structured design bisection
+STRUCTURED_RHO_HI = 1.0 - 1e-6
+STRUCTURED_TOL = 1e-3
+# the H2 alternation of synthesize_bmi: at most this many steps, each
+# accepted only if it lowers gamma by more than this relative amount
+BMI_H2_STEPS = 30
+BMI_H2_REL_TOL = 1e-3
+
+
 @dataclass
 class BisectionConfig:
-    rho_lo: float | None = None     # default: nominal spectral radius + 1e-6
+    """Rate bisection on [nominal spectral radius + 1e-6, rho_hi]."""
+
     rho_hi: float = 1.0
     tol: float = 1e-4
-    max_iters: int = 60
 
 
 @dataclass
@@ -110,6 +122,32 @@ def verify_fdi(certificate, plant, n_samples: int = 64) -> FdiReport:
 # rate certification
 # ---------------------------------------------------------------------------
 
+def _bisect(probe, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] down to the smallest rho that probe accepts.
+
+    probe(rho) returns a witness, or None when rho is infeasible. hi is
+    probed first; when it fails, the search stops with witness None.
+    Otherwise each midpoint replaces hi when it is accepted and lo when
+    not, while hi - lo > tol, for at most MAX_BISECTION_STEPS halvings.
+    Returns (lo, hi, the witness at hi, the (rho, feasible) log).
+    """
+    best = probe(hi)
+    log = [(hi, best is not None)]
+    if best is None:
+        return lo, hi, None, log
+    steps = 0
+    while hi - lo > tol and steps < MAX_BISECTION_STEPS:
+        mid = 0.5 * (lo + hi)
+        got = probe(mid)
+        log.append((mid, got is not None))
+        if got is None:
+            lo = mid
+        else:
+            hi, best = mid, got
+        steps += 1
+    return lo, hi, best, log
+
+
 def _rate_feasible(algo, bounds, structure, rho, options, counter):
     try:
         asm = assemble_rate_for(algo, bounds, structure, rho)
@@ -131,30 +169,21 @@ def certify_rate(algo: AlgorithmRealization, bounds: SectorBounds,
     config = config or BisectionConfig()
     options = options or SolverOptions()
     _, radius = nominal_closed_loop(algo, bounds)
-    lo = config.rho_lo if config.rho_lo is not None else radius + 1e-6
+    lo = radius + 1e-6
     hi = config.rho_hi
     if lo >= hi:
         lo = max(min(hi - config.tol, lo), 1e-6)
     counter = [0]
-    log = []
-    feas, asm, sol = _rate_feasible(algo, bounds, structure, hi, options, counter)
-    log.append((hi, feas))
-    if not feas:
+
+    def probe(rho):
+        feas, asm, sol = _rate_feasible(algo, bounds, structure, rho, options, counter)
+        return (asm, sol) if feas else None
+
+    lo, rho_star, best, log = _bisect(probe, lo, hi, config.tol)
+    if best is None:
         raise NotCertifiable(
             f"rate LMI infeasible at rho_hi={hi} (nominal radius {radius:.4f})")
-    best = (hi, asm, sol)
-    it = 0
-    while hi - lo > config.tol and it < config.max_iters:
-        mid = 0.5 * (lo + hi)
-        feas, asm_m, sol_m = _rate_feasible(algo, bounds, structure, mid, options, counter)
-        log.append((mid, feas))
-        if feas:
-            hi = mid
-            best = (mid, asm_m, sol_m)
-        else:
-            lo = mid
-        it += 1
-    rho_star, asm, sol = best
+    asm, sol = best
     cert = asm.decode(sol)
     report = verify_fdi(cert, asm.plant)
     if not report.ok:
@@ -163,7 +192,7 @@ def certify_rate(algo: AlgorithmRealization, bounds: SectorBounds,
             f"(worst eig {report.worst_eig:.3e})")
     return CertificationResult(
         value=rho_star, kind="rate", certificate=cert, solves=counter[0],
-        seconds=time.time() - t0, log=log, bracket=(lo, hi))
+        seconds=time.time() - t0, log=log, bracket=(lo, rho_star))
 
 
 def certify_h2(algo: AlgorithmRealization, bounds: SectorBounds,
@@ -235,33 +264,24 @@ def synthesize_convex(n: int, p: int, bounds: SectorBounds, rho: float,
                            QB=result.QB, rho=rho, gamma=gamma)
 
 
-def _structured_initializer(n: int, p: int, bounds: SectorBounds,
-                            options: SolverOptions, tol: float = 1e-3):
-    """Bisect the state-feedback design over rho; plain sector instance."""
-    H1 = bounds.m * np.eye(p)
-    T = np.eye(p)
-    m2, L2 = 0.0, bounds.L - bounds.m
-
-    def try_rho(r):
-        asm = assemble_structured_synth(H1, T, m2, L2, n, r)
+def _structured_probe(H1, T, m2: float, L2: float, n: int, options: SolverOptions):
+    """probe(rho) for _bisect: the decoded structured design, or None."""
+    def probe(rho):
+        asm = assemble_structured_synth(H1, T, m2, L2, n, rho)
         sol = solve(asm.problem, options)
-        return (asm, sol) if sol.certified else None
+        return asm.decode(sol) if sol.certified else None
+    return probe
 
-    lo, hi = 1e-3, 1.0 - 1e-6
-    got = try_rho(hi)
-    if got is None:
+
+def _structured_initializer(n: int, p: int, bounds: SectorBounds,
+                            options: SolverOptions):
+    """Bisect the state-feedback design over rho; plain sector instance."""
+    probe = _structured_probe(bounds.m * np.eye(p), np.eye(p), 0.0,
+                              bounds.L - bounds.m, n, options)
+    _, hi, best, _ = _bisect(probe, 1e-3, STRUCTURED_RHO_HI, STRUCTURED_TOL)
+    if best is None:
         raise NotCertifiable("structured initializer infeasible even near rho = 1")
-    best = got
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        got = try_rho(mid)
-        if got is not None:
-            hi = mid
-            best = got
-        else:
-            lo = mid
-    asm, sol = best
-    return asm.decode(sol).algo, hi
+    return best.algo, hi
 
 
 @dataclass
@@ -279,8 +299,7 @@ class BmiResult:
 
 def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
                    optimize: str = "h2", structure: ZamesFalbStructure = None,
-                   options: SolverOptions = None, max_outer: int = 30,
-                   rel_tol: float = 1e-3) -> BmiResult:
+                   options: SolverOptions = None) -> BmiResult:
     """Alternating LMI synthesis at a fixed target rate.
 
     The initializer is the structured state-feedback design for the widest
@@ -305,8 +324,9 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
     # small enough that the structured initializer is certified at the
     # target rate, then grow L back to its true value, restoring
     # feasibility at each step by alternating the two LMI half-steps.
-    def alternate_margin(algo0, bnds, rho, inner=20):
-        """Alternate the two half-steps, tracking the best slack margin.
+    def alternate_margin(algo0, bnds, rho):
+        """Alternate the two half-steps, at most 20 rounds, tracking the
+        best slack margin.
 
         Returns (best_feasible_algo_or_None, best_slack). Keeps iterating
         past first feasibility so the accepted design carries margin into
@@ -316,7 +336,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
         best = None
         s_best = np.inf
         s_prev = np.inf
-        for _ in range(inner):
+        for _ in range(20):
             asm_p = lmi.assemble_rate_slack(cur, bnds, structure, rho, radius=100.0)
             sol_p = solve(asm_p.problem, options)
             solves[0] += 1
@@ -399,7 +419,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
         gamma_best = h2.value
         h2_cert = h2.certificate
         iters.append(("h2-analysis", target_rho, gamma_best))
-        for _ in range(max_outer):
+        for _ in range(BMI_H2_STEPS):
             ok, asm_r, sol_r = _rate_feasible(algo, bounds, structure, target_rho,
                                               options, solves)
             if not ok:
@@ -423,7 +443,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
                 break
             solves[0] += h2_cand.solves
             iters.append(("h2-step", target_rho, h2_cand.value))
-            if h2_cand.value < gamma_best * (1.0 - rel_tol):
+            if h2_cand.value < gamma_best * (1.0 - BMI_H2_REL_TOL):
                 algo = cand.algo
                 gamma_best = h2_cand.value
                 h2_cert = h2_cand.certificate
@@ -443,32 +463,11 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
                      initializer_rho=rho0)
 
 
-def synthesize_structured(H1, T, m2: float, L2: float, n: int, rho: float,
-                          options: SolverOptions = None):
-    """One-shot structured design at a fixed rho; None when infeasible."""
-    options = options or SolverOptions()
-    asm = assemble_structured_synth(H1, T, m2, L2, n, rho)
-    sol = solve(asm.problem, options)
-    if not sol.certified:
-        return None
-    return asm.decode(sol)
-
-
 def certify_structured_rate(H1, T, m2: float, L2: float, n: int,
-                            options: SolverOptions = None, tol: float = 1e-3,
-                            rho_hi: float = 1.0 - 1e-6) -> tuple:
+                            options: SolverOptions = None) -> tuple:
     """Bisect the structured design LMI over rho; (best_rho, result)."""
-    options = options or SolverOptions()
-    lo, hi = 1e-4, rho_hi
-    best = synthesize_structured(H1, T, m2, L2, n, hi, options)
+    probe = _structured_probe(H1, T, m2, L2, n, options or SolverOptions())
+    _, hi, best, _ = _bisect(probe, 1e-4, STRUCTURED_RHO_HI, STRUCTURED_TOL)
     if best is None:
         raise NotCertifiable("structured design infeasible near rho = 1")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        got = synthesize_structured(H1, T, m2, L2, n, mid, options)
-        if got is not None:
-            hi = mid
-            best = got
-        else:
-            lo = mid
     return hi, best

@@ -30,23 +30,12 @@ from .algorithms import (AlgorithmRealization, SectorBounds, canonical_output,
 from .errors import (DimensionError, DomainError, InfeasiblePrecondition,
                      PreconditionError, StructureError)
 from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
-                          m_delta_coefficients, membership_rows)
+                          m_delta_coefficients, membership_rows,
+                          psi_delta_realization)
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
-                         UncertainLoop, build_perf_plant_loop,
-                         build_rate_plant_loop, sector_loop, structured_loop,
-                         _psi_pieces)
+                         build_rate_plant_loop, structured_loop)
 from .problem import AffineMatrix, SdpProblem, VariableInfo, congruence, place
 from .sdp import SdpSolution
-from .statespace import StateSpace
-
-__all__ = [
-    "SdpProblem", "RateCertificate", "H2Certificate", "SynthesisResult",
-    "kyp_block", "assemble_rate", "assemble_rate_reduced", "assemble_h2",
-    "assemble_convex_synth", "assemble_convex_synth_perf",
-    "assemble_bmi_fixed_P",
-    "assemble_structured_synth", "assemble_structured_rate",
-    "assemble_structured_h2",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -141,31 +130,6 @@ def _minus_identity(s: AffineMatrix, dim: int) -> AffineMatrix:
 
 def _spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
-
-
-def kyp_block(G: StateSpace, M, name: str = "kyp") -> SdpProblem:
-    """Generic KYP feasibility problem for G(z)^* M G(z) < 0 on the circle.
-
-    When M covers outputs and inputs jointly (shape ny+nu), the inequality
-    is posed for the stacked transfer function [G; I] instead, which is
-    the form every multiplier-weighted FDI in this package takes.
-    """
-    M = np.asarray(M, dtype=float)
-    if G.nx and np.any(np.abs(np.abs(np.linalg.eigvals(G.A)) - 1.0) < 1e-9):
-        raise PreconditionError("A has an eigenvalue on the unit circle")
-    if M.shape[0] == G.ny + G.nu:
-        C = np.vstack([G.C, np.zeros((G.nu, G.nx))])
-        D = np.vstack([G.D, np.eye(G.nu)])
-    elif M.shape[0] == G.ny:
-        C, D = G.C, G.D
-    else:
-        raise DimensionError(f"M has size {M.shape[0]}, expected "
-                             f"{G.ny} or {G.ny + G.nu}")
-    prob = SdpProblem(name)
-    P = prob.declare("P", "symmetric", (G.nx, G.nx))
-    prob.add_lmi(_kyp(np.hstack([G.A, G.B]), P,
-                      (np.hstack([C, D]), AffineMatrix.constant(M))), "neg", name=name)
-    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +255,7 @@ def _synth_constants(n: int, p: int, bounds: SectorBounds,
                      structure: ZamesFalbStructure, rho: float):
     """Constant plant pieces for synthesis with canonical C, D, Ddagger."""
     C, D, Dd = canonical_output(n, p)
-    psi = _psi_pieces(structure, bounds.L - bounds.m)
+    psi = psi_delta_realization(structure, bounds.L - bounds.m)
     nd = psi.nx
     N = n * p
     nc = nd + N
@@ -677,17 +641,3 @@ def assemble_structured_rate(algo: AlgorithmRealization, H1, T, m2: float,
                             structure.klass, rho)
     plant = build_rate_plant_loop(loop, st, rho)
     return assemble_rate(plant)
-
-
-def assemble_structured_h2(algo: AlgorithmRealization, H1, T, m2: float,
-                           L2: float, structure: ZamesFalbStructure,
-                           channel=None) -> H2Assembly:
-    from .plantbuild import default_noise_channel
-
-    loop = structured_loop(algo, H1, T, m2, L2)
-    channel = channel or default_noise_channel(algo)
-    q = loop.channel_dim
-    st = ZamesFalbStructure(structure.ell_causal, structure.ell_anticausal, q,
-                            structure.klass, 1.0)
-    plant = build_perf_plant_loop(loop, st, channel[0], channel[1])
-    return assemble_h2(plant)

@@ -1,4 +1,4 @@
-"""Zames-Falb multiplier classes, membership constraints and factorization.
+"""Zames-Falb multiplier classes, membership rows and the filter psi_Delta.
 
 A multiplier is parametrized by matrices M_{-lc}, ..., M_0, ..., M_{la}
 subject to a rho-weighted double-hyperdominance condition. Three
@@ -14,17 +14,19 @@ entries nonpositive, rho-weighted row and column sums nonnegative. For
 the repeated class, this includes the off-diagonal entries of M_0: the
 underlying Toeplitz operator must be doubly hyperdominant as a whole.
 
-The filter psi_Delta of the factorization Pi = psi^* M_Delta psi is
-written by index into zeroed arrays (two shift chains, the sector
-transform folded into B and D); no kron or block_diag is composed.
+The admissible set is one array of rows over theta (``membership_rows``),
+which the problem builder adds as linear rows and ``verify_membership``
+evaluates with one mat-vec. The filter psi_Delta of the factorization
+Pi = psi^* M_Delta psi is written by index into zeroed arrays (two shift
+chains, the sector transform folded into B and D); no kron or
+block_diag is composed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .algorithms import SectorBounds
 from .errors import ArgumentError, DimensionError, DomainError
 from .statespace import StateSpace
 
@@ -108,7 +110,7 @@ class ZamesFalbStructure:
         # each entry has at most one nonzero term; 0.0 + turns a -0.0 sum into +0.0
         return list(0.0 + terms.sum(axis=1))
 
-    def theta_from_matrices(self, Ms, tol=MEMBER_TOL) -> np.ndarray:
+    def theta_from_matrices(self, Ms) -> np.ndarray:
         """Inverse of matrices_from_theta; checks class shape conformity."""
         Ms = [np.atleast_2d(np.asarray(M, dtype=float)) for M in Ms]
         if len(Ms) != self.taps:
@@ -116,7 +118,7 @@ class ZamesFalbStructure:
         if any(M.shape != (self.p, self.p) for M in Ms):
             raise DimensionError(f"kernel matrices must be {self.p}x{self.p}")
         M = np.array(Ms)
-        bound = tol * (1.0 + np.abs(M).max(axis=(1, 2)))
+        bound = MEMBER_TOL * (1.0 + np.abs(M).max(axis=(1, 2)))
         if self.klass == "unstructured":
             if np.any(np.abs(M - M[:, :1, :1] * np.eye(self.p)).max(axis=(1, 2)) > bound):
                 raise DimensionError("unstructured kernel requires M_i = m_i I")
@@ -147,6 +149,9 @@ class ZamesFalbParameters:
         return self.M[0].shape[0]
 
 
+# LinearConstraint and membership_constraints are kept only for
+# perfbench/gates.py, which reads each row's .coeffs, .sense and .rhs; the
+# library itself works on membership_rows
 @dataclass(frozen=True)
 class LinearConstraint:
     """coeffs . theta  (sense)  rhs, with sense one of '<=' or '>='."""
@@ -155,13 +160,6 @@ class LinearConstraint:
     sense: str
     rhs: float = 0.0
     label: str = ""
-
-    def satisfied(self, theta, tol=MEMBER_TOL) -> bool:
-        v = float(np.dot(self.coeffs, theta))
-        scale = 1.0 + np.max(np.abs(theta)) if len(theta) else 1.0
-        if self.sense == "<=":
-            return v <= self.rhs + tol * scale
-        return v >= self.rhs - tol * scale
 
 
 def membership_rows(structure: ZamesFalbStructure):
@@ -201,27 +199,25 @@ def membership_constraints(structure: ZamesFalbStructure) -> list:
             for e, sense, label in zip(*membership_rows(structure))]
 
 
-def verify_membership(params: ZamesFalbParameters, structure: ZamesFalbStructure,
-                      tol=MEMBER_TOL) -> bool:
-    """Evaluate the membership constraints on concrete kernel matrices."""
+def verify_membership(params: ZamesFalbParameters, structure: ZamesFalbStructure) -> bool:
+    """Evaluate the membership rows on concrete kernel matrices.
+
+    Every row must hold to MEMBER_TOL (1 + max |theta|): rows @ theta <=
+    that slack for a '<=' row and >= minus it for a '>=' row.
+    """
     try:
-        theta = structure.theta_from_matrices(params.M, tol=tol)
+        theta = structure.theta_from_matrices(params.M)
     except DimensionError:
         return False
-    return all(c.satisfied(theta, tol=tol) for c in membership_constraints(structure))
+    rows, senses, _ = membership_rows(structure)
+    v = rows @ theta
+    slack = MEMBER_TOL * (1.0 + np.max(np.abs(theta)))
+    return bool(np.all(np.where(np.array(senses) == "<=", v <= slack, v >= -slack)))
 
 
 # ---------------------------------------------------------------------------
 # Factorization Pi = psi_Delta^* M_Delta psi_Delta
 # ---------------------------------------------------------------------------
-
-def sector_transform(bounds: SectorBounds, p: int) -> np.ndarray:
-    """What = [[(L-m) I, -I], [0, I]]."""
-    return np.block([
-        [(bounds.L - bounds.m) * np.eye(p), -np.eye(p)],
-        [np.zeros((p, p)), np.eye(p)],
-    ])
-
 
 def block_layout(structure: ZamesFalbStructure):
     """Row/column sizes of the six M_Delta blocks and their offsets."""
@@ -268,23 +264,23 @@ def _set_diagonal(X: np.ndarray, row: int, col: int, length: int, value: float) 
     X.reshape(-1)[start:start + max(length, 0) * (n + 1):n + 1] = value
 
 
-def psi_delta_realization(structure: ZamesFalbStructure, bounds: SectorBounds) -> StateSpace:
+def psi_delta_realization(structure: ZamesFalbStructure, width: float) -> StateSpace:
     """State-space realization of the multiplier filter psi_Delta.
 
-    psi_Delta = [I 0; 0 I; psi_c (x) I 0; 0 I; I 0; 0 psi_a (x) I] @ What,
-    with p(lc+la) states, 2p inputs (u_1, u_2) and p(4+lc+la) outputs.
+    psi_Delta = [I 0; 0 I; psi_c (x) I 0; 0 I; I 0; 0 psi_a (x) I] @ What
+    for the sector width w = L - m, with What = [[w I, -I], [0, I]],
+    p(lc+la) states, 2p inputs (u_1, u_2) and p(4+lc+la) outputs.
     psi_c = [z^-lc .. z^-1]^T and psi_a = [z^-1 .. z^-la]^T are shift
-    chains. Every entry is 0, 1, -1 or L - m, so A, B, C and D are written
+    chains. Every entry is 0, 1, -1 or w, so A, B, C and D are written
     by index into zeroed arrays: the causal chain stores the last lc
-    values of v = (L-m) u_1 - u_2 and the anticausal chain the last la
+    values of v = w u_1 - u_2 and the anticausal chain the last la
     values of u_2 (What folded into B and D), and C reads the anticausal
     chain in reverse.
     """
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
-    w = bounds.L - bounds.m
     nc, na = lc * p, la * p
     nx, ny = nc + na, 4 * p + nc + na
-    # output blocks (see block_layout), with v = (L-m) u_1 - u_2:
+    # output blocks (see block_layout), with v = w u_1 - u_2:
     # v, u_2, the causal taps of v, u_2, v, the anticausal taps of u_2
     o3, o4, o5 = 2 * p + nc, 3 * p + nc, 4 * p + nc
     A = np.zeros((nx, nx))
@@ -292,7 +288,7 @@ def psi_delta_realization(structure: ZamesFalbStructure, bounds: SectorBounds) -
     _set_diagonal(A, nc, nc + p, na - p, 1.0)
     B = np.zeros((nx, 2 * p))
     if lc:
-        _set_diagonal(B, nc - p, 0, p, w)
+        _set_diagonal(B, nc - p, 0, p, width)
         _set_diagonal(B, nc - p, p, p, -1.0)
     if la:
         _set_diagonal(B, nx - p, p, p, 1.0)
@@ -302,48 +298,8 @@ def psi_delta_realization(structure: ZamesFalbStructure, bounds: SectorBounds) -
         _set_diagonal(C, o5 + a * p, nc + (la - 1 - a) * p, p, 1.0)
     D = np.zeros((ny, 2 * p))
     for r in (0, o4):
-        _set_diagonal(D, r, 0, p, w)
+        _set_diagonal(D, r, 0, p, width)
         _set_diagonal(D, r, p, p, -1.0)
     for r in (p, o3):
         _set_diagonal(D, r, p, p, 1.0)
     return StateSpace(A, B, C, D)
-
-
-@dataclass(frozen=True)
-class MultiplierFactorization:
-    M_Delta: np.ndarray = field(repr=False)
-    psi_Delta: StateSpace = field(repr=False)
-    W_hat: np.ndarray = field(repr=False)
-    structure: ZamesFalbStructure = None
-
-
-def factorize(params: ZamesFalbParameters, structure: ZamesFalbStructure,
-              bounds: SectorBounds) -> MultiplierFactorization:
-    """Assemble (M_Delta, psi_Delta) so psi^* M_Delta psi equals the multiplier."""
-    return MultiplierFactorization(
-        M_Delta=m_delta_matrix(params, structure),
-        psi_Delta=psi_delta_realization(structure, bounds),
-        W_hat=sector_transform(bounds, structure.p),
-        structure=structure,
-    )
-
-
-def kernel_transfer(params: ZamesFalbParameters, structure: ZamesFalbStructure, z) -> np.ndarray:
-    """E(z) = sum_j M_j z^j."""
-    out = np.zeros((structure.p, structure.p), dtype=complex)
-    for j, Mj in zip(structure.indices(), params.M):
-        out += Mj * (z ** j)
-    return out
-
-
-def multiplier_value(params: ZamesFalbParameters, structure: ZamesFalbStructure,
-                     bounds: SectorBounds, z) -> np.ndarray:
-    """Pi(z) = What^T [[0, E(z)^*], [E(z), 0]] What on the unit circle."""
-    E = kernel_transfer(params, structure, z)
-    W = sector_transform(bounds, structure.p)
-    p = structure.p
-    mid = np.block([
-        [np.zeros((p, p)), E.conj().T],
-        [E, np.zeros((p, p))],
-    ])
-    return W.T @ mid @ W

@@ -99,12 +99,6 @@ class AugmentedPlant:
         return StateSpace(self.Ac, self.Bc, self.Cc, self.Dc)
 
 
-def _psi_pieces(structure: ZamesFalbStructure, width: float) -> StateSpace:
-    """psi_Delta realization for a given sector width."""
-    # reuse the bounds-based builder through a synthetic (m, L) pair
-    return psi_delta_realization(structure, SectorBounds(1.0, 1.0 + width))
-
-
 def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
                           rho: float) -> AugmentedPlant:
     """Block assembly of the augmented plant for an explicit uncertain loop.
@@ -119,7 +113,7 @@ def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
         raise DimensionError(
             f"multiplier dimension p={structure.p} must match channel dim {q}"
         )
-    psi = _psi_pieces(structure, loop.width)
+    psi = psi_delta_realization(structure, loop.width)
     N = loop.nstates
     nd = psi.nx
     Ac = np.zeros((nd + N, nd + N))

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import AlgorithmRealization, SectorBounds, reduce_to_scalar_block
-from .errors import ArgumentError, DivergenceError, DomainError, StructureError
+from .errors import (ArgumentError, DimensionError, DivergenceError, DomainError,
+                     StructureError)
 
 DIVERGENCE_LIMIT = 1e12
 # steps per noise draw and per divergence check; 16 keeps the block
@@ -107,11 +108,15 @@ def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
 
     On the core of A = kron(Abar, I_q) the state is an (n, realizations * q)
     array whose column j q + i is coordinate i of realization j. A
-    DivergenceError names the first step whose state left the limit. The
+    DivergenceError names the first step whose state left the limit, and a
+    DimensionError an objective whose p differs from the algorithm's. The
     noise comes from PCG64(seed), seed an int or a SeedSequence.
     """
     if k_max < 1 or realizations < 1:
         raise DomainError("k_max and realizations must be positive")
+    if spec.p != algo.p:
+        raise DimensionError(f"objective dimension p={spec.p} must equal "
+                             f"the algorithm dimension p={algo.p}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     try:
         core, q = reduce_to_scalar_block(algo), algo.p

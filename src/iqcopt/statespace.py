@@ -1,4 +1,4 @@
-"""Minimal discrete-time state-space algebra.
+"""Discrete-time state-space realizations and their frequency response.
 
 Everything here operates on plain dense numpy arrays; systems are small
 (tens of states), so no sparsity or balancing is attempted.
@@ -8,19 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError
+from .errors import DimensionError, SingularityError
 
 # zI - A counts as singular to working precision, and z as a pole, when
 # its reciprocal 1-norm condition number is below this many times n
 POLE_RCOND = 10.0 * np.finfo(float).eps
 _LAPACK = {}
-
-
-def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
-    A = np.atleast_2d(np.asarray(M, dtype=float))
-    if rows is not None and A.shape == (0,) * A.ndim:
-        A = A.reshape(rows, cols)
-    return A
 
 
 @dataclass(frozen=True)
@@ -37,8 +30,8 @@ class StateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A)
-        D = _as_matrix(self.D)
+        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        D = np.atleast_2d(np.asarray(self.D, dtype=float))
         nx = A.shape[0]
         ny, nu = D.shape
         B = np.asarray(self.B, dtype=float).reshape(nx, nu)
@@ -61,39 +54,6 @@ class StateSpace:
     @property
     def ny(self) -> int:
         return self.D.shape[0]
-
-    @staticmethod
-    def static_gain(D) -> "StateSpace":
-        D = _as_matrix(D)
-        ny, nu = D.shape
-        return StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((ny, 0)), D)
-
-
-def series(first: StateSpace, second: StateSpace) -> StateSpace:
-    """Series interconnection: output of `first` feeds `second`.
-
-    The returned realization has transfer function second(z) @ first(z)
-    and stacks the second system's states first.
-    """
-    if first.ny != second.nu:
-        raise DimensionError(
-            f"series: first.ny={first.ny} does not match second.nu={second.nu}"
-        )
-    A1, B1, C1, D1 = first.A, first.B, first.C, first.D
-    A2, B2, C2, D2 = second.A, second.B, second.C, second.D
-    n1, n2 = first.nx, second.nx
-    A = np.block([[A2, B2 @ C1], [np.zeros((n1, n2)), A1]])
-    B = np.vstack([B2 @ D1, B1])
-    C = np.hstack([C2, D2 @ C1])
-    D = D2 @ D1
-    return StateSpace(A, B, C, D)
-
-
-def rho_scale(sys: StateSpace, rho: float) -> StateSpace:
-    """Frequency substitution z -> rho*z: result(z) == sys(rho*z)."""
-    if rho <= 0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    return StateSpace(sys.A / rho, sys.B / rho, sys.C, sys.D)
 
 
 def _lu_routines(M):
@@ -139,17 +99,3 @@ def eval_frequency(sys: StateSpace, z) -> np.ndarray:
                                        f"(reciprocal condition number {rcond:.2e})")
             Xk[...] = getrs(lu, piv, sys.B)[0]
     return (sys.C @ X + sys.D).reshape(z.shape + sys.D.shape)
-
-
-def stack_outputs(top: StateSpace, bottom: StateSpace) -> StateSpace:
-    """[top; bottom] sharing one input: output is the vertical stack."""
-    if top.nu != bottom.nu:
-        raise DimensionError("stack_outputs: input dimensions differ")
-    import scipy.linalg as sla
-
-    A = sla.block_diag(top.A, bottom.A)
-    B = np.vstack([top.B, bottom.B])
-    C = sla.block_diag(top.C, bottom.C)
-    D = np.vstack([top.D, bottom.D])
-    return StateSpace(A, B, C, D)
-

@@ -20,7 +20,15 @@ The named algorithms are kept as dense Kronecker lifts built up front,
 and ``kronecker_lift`` lifts a state-space system the same way. The tests
 check that the realizations, which store the p=1 core, read the same
 dense matrices.
+
+The composition oracles (series, rho-scaling and output stacking of
+realizations, the factored multiplier and the generic KYP problem) live
+here too: the library has no use for them, and the tests check the direct
+builders against them. So do the bisection loops each driver once ran on
+its own, which the tests run beside the library's one loop.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,8 +36,8 @@ import scipy.linalg as sla
 from iqcopt import lmi, plantbuild
 from iqcopt.algorithms import SectorBounds, canonical_output, table_parameters
 from iqcopt.errors import DimensionError, DomainError, PreconditionError, SingularityError
-from iqcopt.multipliers import (ZamesFalbStructure, m_delta_coefficients,
-                                membership_constraints, sector_transform)
+from iqcopt.multipliers import (ZamesFalbStructure, m_delta_coefficients, m_delta_matrix,
+                                membership_constraints, psi_delta_realization)
 from iqcopt.plantbuild import AugmentedPlant, PerformanceAugmentedPlant
 from iqcopt.problem import EPS_REL, _NO_KEYS, AffineMatrix, LmiBlock, SdpProblem, congruence
 from iqcopt.statespace import POLE_RCOND, StateSpace
@@ -154,9 +162,9 @@ def reference_kyp(AB, P_info, *rows):
 
 def use_reference_builders(monkeypatch):
     """Route the library's plant, synthesis-constant and KYP builders here."""
-    for module in (plantbuild, lmi):
-        monkeypatch.setattr(module, "build_rate_plant_loop", reference_build_rate_plant_loop)
-        monkeypatch.setattr(module, "build_perf_plant_loop", reference_build_perf_plant_loop)
+    monkeypatch.setattr(plantbuild, "build_rate_plant_loop", reference_build_rate_plant_loop)
+    monkeypatch.setattr(plantbuild, "build_perf_plant_loop", reference_build_perf_plant_loop)
+    monkeypatch.setattr(lmi, "build_rate_plant_loop", reference_build_rate_plant_loop)
     monkeypatch.setattr(lmi, "_synth_constants", reference_synth_constants)
     monkeypatch.setattr(lmi, "_kyp", reference_kyp)
 
@@ -315,6 +323,24 @@ def reference_membership_constraints(structure):
     cols = (np.array([rho ** i for i in taps])[:, None] * E.sum(axis=1)).T.copy()
     cons += [(e, ">=", 0.0, f"colsum[{c}]") for c, e in enumerate(cols)]
     return cons
+
+
+def reference_verify_membership(params, structure, tol=1e-10):
+    """verify_membership as it was: one constraint object and one dot at a time."""
+    try:
+        theta = structure.theta_from_matrices(params.M)
+    except DimensionError:
+        return False
+    scale = 1.0 + np.max(np.abs(theta)) if len(theta) else 1.0
+    for con in membership_constraints(structure):
+        v = float(np.dot(con.coeffs, theta))
+        if con.sense == "<=":
+            ok = v <= con.rhs + tol * scale
+        else:
+            ok = v >= con.rhs - tol * scale
+        if not ok:
+            return False
+    return True
 
 
 def reference_m_delta_coefficients(structure):
@@ -576,3 +602,195 @@ def reference_lift_matrices(algo, p):
     """The dense matrices of lift(algo, p), lifted by np.kron up front."""
     Ip = np.eye(p)
     return tuple(np.kron(M, Ip) for M in (algo.A, algo.B, algo.C, algo.D, algo.Ddagger))
+
+
+# ---------------------------------------------------------------------------
+# composition oracles: series and rho-scaling of realizations, the factored
+# multiplier Pi = psi^* M_Delta psi and the generic KYP problem. The
+# library builds the plants and problems directly; the tests check them
+# against these compositions.
+# ---------------------------------------------------------------------------
+
+def static_gain(D) -> StateSpace:
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    ny, nu = D.shape
+    return StateSpace(np.zeros((0, 0)), np.zeros((0, nu)), np.zeros((ny, 0)), D)
+
+
+def series(first: StateSpace, second: StateSpace) -> StateSpace:
+    """Series interconnection: output of `first` feeds `second`.
+
+    The returned realization has transfer function second(z) @ first(z)
+    and stacks the second system's states first.
+    """
+    if first.ny != second.nu:
+        raise DimensionError(
+            f"series: first.ny={first.ny} does not match second.nu={second.nu}"
+        )
+    A1, B1, C1, D1 = first.A, first.B, first.C, first.D
+    A2, B2, C2, D2 = second.A, second.B, second.C, second.D
+    n1, n2 = first.nx, second.nx
+    A = np.block([[A2, B2 @ C1], [np.zeros((n1, n2)), A1]])
+    B = np.vstack([B2 @ D1, B1])
+    C = np.hstack([C2, D2 @ C1])
+    D = D2 @ D1
+    return StateSpace(A, B, C, D)
+
+
+def rho_scale(sys: StateSpace, rho: float) -> StateSpace:
+    """Frequency substitution z -> rho*z: result(z) == sys(rho*z)."""
+    if rho <= 0:
+        raise DomainError(f"rho must be positive, got {rho}")
+    return StateSpace(sys.A / rho, sys.B / rho, sys.C, sys.D)
+
+
+def stack_outputs(top: StateSpace, bottom: StateSpace) -> StateSpace:
+    """[top; bottom] sharing one input: output is the vertical stack."""
+    if top.nu != bottom.nu:
+        raise DimensionError("stack_outputs: input dimensions differ")
+    A = sla.block_diag(top.A, bottom.A)
+    B = np.vstack([top.B, bottom.B])
+    C = sla.block_diag(top.C, bottom.C)
+    D = np.vstack([top.D, bottom.D])
+    return StateSpace(A, B, C, D)
+
+
+def sector_transform(bounds, p):
+    """What = [[(L-m) I, -I], [0, I]]."""
+    return np.block([
+        [(bounds.L - bounds.m) * np.eye(p), -np.eye(p)],
+        [np.zeros((p, p)), np.eye(p)],
+    ])
+
+
+@dataclass(frozen=True)
+class MultiplierFactorization:
+    M_Delta: np.ndarray = field(repr=False)
+    psi_Delta: StateSpace = field(repr=False)
+    W_hat: np.ndarray = field(repr=False)
+    structure: ZamesFalbStructure = None
+
+
+def factorize(params, structure, bounds) -> MultiplierFactorization:
+    """Assemble (M_Delta, psi_Delta) so psi^* M_Delta psi equals the multiplier."""
+    return MultiplierFactorization(
+        M_Delta=m_delta_matrix(params, structure),
+        psi_Delta=psi_delta_realization(structure, bounds.L - bounds.m),
+        W_hat=sector_transform(bounds, structure.p),
+        structure=structure,
+    )
+
+
+def kernel_transfer(params, structure, z) -> np.ndarray:
+    """E(z) = sum_j M_j z^j."""
+    out = np.zeros((structure.p, structure.p), dtype=complex)
+    for j, Mj in zip(structure.indices(), params.M):
+        out += Mj * (z ** j)
+    return out
+
+
+def multiplier_value(params, structure, bounds, z) -> np.ndarray:
+    """Pi(z) = What^T [[0, E(z)^*], [E(z), 0]] What on the unit circle."""
+    E = kernel_transfer(params, structure, z)
+    W = sector_transform(bounds, structure.p)
+    p = structure.p
+    mid = np.block([
+        [np.zeros((p, p)), E.conj().T],
+        [E, np.zeros((p, p))],
+    ])
+    return W.T @ mid @ W
+
+
+def kyp_block(G: StateSpace, M, name: str = "kyp") -> SdpProblem:
+    """Generic KYP feasibility problem for G(z)^* M G(z) < 0 on the circle.
+
+    When M covers outputs and inputs jointly (shape ny+nu), the inequality
+    is posed for the stacked transfer function [G; I] instead, which is
+    the form every multiplier-weighted FDI in the library takes. The
+    block is the library's ``lmi._kyp``, looked up at call time so that
+    ``use_reference_builders`` reaches it.
+    """
+    M = np.asarray(M, dtype=float)
+    if G.nx and np.any(np.abs(np.abs(np.linalg.eigvals(G.A)) - 1.0) < 1e-9):
+        raise PreconditionError("A has an eigenvalue on the unit circle")
+    if M.shape[0] == G.ny + G.nu:
+        C = np.vstack([G.C, np.zeros((G.nu, G.nx))])
+        D = np.vstack([G.D, np.eye(G.nu)])
+    elif M.shape[0] == G.ny:
+        C, D = G.C, G.D
+    else:
+        raise DimensionError(f"M has size {M.shape[0]}, expected "
+                             f"{G.ny} or {G.ny + G.nu}")
+    prob = SdpProblem(name)
+    P = prob.declare("P", "symmetric", (G.nx, G.nx))
+    prob.add_lmi(lmi._kyp(np.hstack([G.A, G.B]), P,
+                          (np.hstack([C, D]), AffineMatrix.constant(M))), "neg", name=name)
+    return prob
+
+
+# ---------------------------------------------------------------------------
+# the three bisection loops as each driver ran its own, on a probe
+# ---------------------------------------------------------------------------
+
+def reference_rate_bisection(probe, lo, hi, tol, max_iters=60):
+    """certify_rate's loop; probe(rho) -> witness or None.
+
+    Returns (rho_star, bracket, witness, log), or None where certify_rate
+    raised NotCertifiable.
+    """
+    if lo >= hi:
+        lo = max(min(hi - tol, lo), 1e-6)
+    log = []
+    got = probe(hi)
+    log.append((hi, got is not None))
+    if got is None:
+        return None
+    best = (hi, got)
+    it = 0
+    while hi - lo > tol and it < max_iters:
+        mid = 0.5 * (lo + hi)
+        got = probe(mid)
+        log.append((mid, got is not None))
+        if got is not None:
+            hi = mid
+            best = (mid, got)
+        else:
+            lo = mid
+        it += 1
+    rho_star, witness = best
+    return rho_star, (lo, hi), witness, log
+
+
+def reference_initializer_bisection(probe, tol=1e-3):
+    """_structured_initializer's loop: (hi, witness), None where it raised."""
+    lo, hi = 1e-3, 1.0 - 1e-6
+    got = probe(hi)
+    if got is None:
+        return None
+    best = got
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        got = probe(mid)
+        if got is not None:
+            hi = mid
+            best = got
+        else:
+            lo = mid
+    return hi, best
+
+
+def reference_structured_bisection(probe, tol=1e-3, rho_hi=1.0 - 1e-6):
+    """certify_structured_rate's loop: (hi, witness), None where it raised."""
+    lo, hi = 1e-4, rho_hi
+    best = probe(hi)
+    if best is None:
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        got = probe(mid)
+        if got is not None:
+            hi = mid
+            best = got
+        else:
+            lo = mid
+    return hi, best

@@ -90,6 +90,17 @@ class TestSynthConvex:
 
 
 class TestSampleH2:
+    def test_file_algo_of_other_p_exits_usage(self, tmp_path, capsys):
+        from iqcopt.algorithms import SectorBounds, make_named, save_algorithm
+
+        path = tmp_path / "nm.json"
+        save_algorithm(make_named("nm", SectorBounds(1.0, 10.0)), path)
+        code = RUN("sample-h2", "--algo", f"file:{path}", "--m", "1", "--L", "10",
+                   "--p", "2", "--steps", "20", "--realizations", "2", "--runs", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must equal the algorithm dimension" in err and "Traceback" not in err
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -160,6 +171,30 @@ class TestSweep:
             want = (kappa - 1) / (kappa + 1)
             assert float(value_s) == pytest.approx(want, abs=1e-2)
             assert float(value_s) >= float(lb_s) - 1e-3
+
+
+    def test_default_sweep_matches_recorded(self, tmp_path):
+        """The default rate sweep (75 certifications) reads the values in
+        data/sweep_rate_default.csv to within the sweep's --tol, NaN where
+        that file has NaN; its parameters, solver options and other
+        columns are equal."""
+        path = tmp_path / "sweep.csv"
+        assert RUN("sweep", "-o", str(path)) == 0
+        got = path.read_text().splitlines()
+        want = (Path(__file__).parent / "data" / "sweep_rate_default.csv").read_text().splitlines()
+        manifest = [l for l in want if l.startswith(("# parameters=", "# solver_options="))]
+        assert [l for l in got if l.startswith(("# parameters=", "# solver_options="))] == manifest
+        tol = json.loads(next(l for l in manifest if l.startswith("# parameters="))
+                         .split("=", 1)[1])["tol"]
+        got = [l.split(",") for l in got if not l.startswith("#")]
+        want = [l.split(",") for l in want if not l.startswith("#")]
+        assert got[0] == want[0] and len(got) == len(want) == 1 + 75
+        for g, w in zip(got[1:], want[1:]):
+            assert g[:3] + g[4:] == w[:3] + w[4:]
+            if np.isnan(float(w[3])):
+                assert np.isnan(float(g[3]))
+            else:
+                assert abs(float(g[3]) - float(w[3])) <= tol, (g, w)
 
 
 def _child_env():

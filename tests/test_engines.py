@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from iqcopt.algorithms import SectorBounds, make_named
+from iqcopt import engines
+from iqcopt.algorithms import SectorBounds, make_named, nominal_closed_loop
 from iqcopt.engines import (BisectionConfig, certify_h2, certify_rate,
                             certify_structured_rate, fundamental_lower_bound,
                             h2_norm_linear, synthesize_convex, verify_fdi)
@@ -10,7 +13,8 @@ from iqcopt.lmi import H2Certificate, RateCertificate, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbParameters, ZamesFalbStructure
 from iqcopt.plantbuild import build_perf_plant, build_rate_plant, default_noise_channel
 from iqcopt.sdp import solve
-from reference_builders import reference_verify_fdi
+from reference_builders import (reference_initializer_bisection, reference_rate_bisection,
+                                reference_structured_bisection, reference_verify_fdi)
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
 ST = ZamesFalbStructure(1, 0, 1, "unstructured", 1.0)
@@ -92,8 +96,7 @@ class TestVerifyFdi:
         bounds = SectorBounds(1.0, 1.0)
         gd = make_named("gd", bounds)
         st0 = ZamesFalbStructure(0, 0, 1, "unstructured", 1.0)
-        res = certify_rate(gd, bounds, st0,
-                           BisectionConfig(rho_lo=0.3, tol=1e-2))
+        res = certify_rate(gd, bounds, st0, BisectionConfig(tol=1e-2))
         plant = build_rate_plant(gd, bounds, res.certificate.structure,
                                  res.certificate.rho)
         assert verify_fdi(res.certificate, plant).ok
@@ -269,3 +272,102 @@ def test_h2_not_certifiable_for_heavy_ball():
     bounds = SectorBounds(1.0, 100.0)
     with pytest.raises(NotCertifiable):
         certify_h2(make_named("hb", bounds), bounds, ZamesFalbStructure(4, 0, 1))
+
+
+class TestOneBisectionLoop:
+    """The drivers' shared _bisect probes the same points, logs the same
+    steps and returns the same bracket and answer as the loop each driver
+    used to run on its own. The probe is a stub, feasible iff rho >= a
+    threshold, so no solver runs."""
+
+    GD = make_named("gd", BOUNDS10)
+    RADIUS = nominal_closed_loop(GD, BOUNDS10)[1]
+
+    @staticmethod
+    def _threshold_probe(threshold, seen):
+        def probe(rho):
+            seen.append(rho)
+            return SimpleNamespace(rho=rho, algo=("algo", rho)) if rho >= threshold else None
+        return probe
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, RADIUS, RADIUS + 1e-6, 0.83,
+                                           0.9999, 1.0, 1.5])
+    @pytest.mark.parametrize("rho_hi", [1.0, 0.95, RADIUS + 1e-6, RADIUS, 0.5])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-2, 1.0, 0.0])
+    def test_certify_rate(self, monkeypatch, threshold, rho_hi, tol):
+        seen, ref_seen = [], []
+        probe = self._threshold_probe(threshold, seen)
+
+        class Assembly:
+            plant = None
+
+            def __init__(self, rho):
+                self.rho = rho
+
+            def decode(self, sol):
+                return ("certificate", self.rho)
+
+        def rate_feasible(algo, bounds, structure, rho, options, counter):
+            counter[0] += 1
+            got = probe(rho)
+            return (True, Assembly(got.rho), None) if got else (False, None, None)
+
+        monkeypatch.setattr(engines, "_rate_feasible", rate_feasible)
+        monkeypatch.setattr(engines, "verify_fdi",
+                            lambda cert, plant: engines.FdiReport(True, -1.0))
+        ref = reference_rate_bisection(self._threshold_probe(threshold, ref_seen),
+                                       self.RADIUS + 1e-6, rho_hi, tol)
+        config = BisectionConfig(rho_hi=rho_hi, tol=tol)
+        if ref is None:
+            with pytest.raises(NotCertifiable):
+                certify_rate(self.GD, BOUNDS10, ST, config)
+        else:
+            res = certify_rate(self.GD, BOUNDS10, ST, config)
+            rho_star, bracket, witness, log = ref
+            assert res.value == rho_star
+            assert res.bracket == bracket
+            assert res.log == log
+            assert res.certificate == ("certificate", witness.rho)
+            assert res.solves == len(ref_seen)
+        assert seen == ref_seen
+
+    @pytest.mark.parametrize("threshold", [0.0, 5e-4, 1e-3, 0.3, 0.905367, 1.0 - 1e-6, 1.0])
+    def test_structured_bisections(self, monkeypatch, threshold):
+        seen = []
+        monkeypatch.setattr(engines, "_structured_probe",
+                            lambda *args: self._threshold_probe(threshold, seen))
+        runs = [
+            # the initializer returns (algorithm, rho), the structured design (rho, result)
+            (lambda: engines._structured_initializer(2, 1, BOUNDS10, None)[::-1],
+             reference_initializer_bisection, lambda w: w.algo),
+            (lambda: certify_structured_rate(np.eye(1), np.eye(1), 0.0, 9.0, n=2),
+             reference_structured_bisection, lambda w: w)]
+        for run, reference, result in runs:
+            ref_seen = []
+            ref = reference(self._threshold_probe(threshold, ref_seen))
+            seen.clear()
+            if ref is None:
+                with pytest.raises(NotCertifiable):
+                    run()
+            else:
+                hi, witness = ref
+                assert run() == (hi, result(witness))
+            assert seen == ref_seen
+
+    @pytest.mark.parametrize("lo,hi", [(0.2, 1.0), (0.9, 0.9), (0.95, 0.9), (0.0, 1e-12)])
+    @pytest.mark.parametrize("tol", [1e-4, 0.0])
+    def test_bisect_bracket(self, lo, hi, tol):
+        seen = []
+        got_lo, got_hi, witness, log = engines._bisect(
+            self._threshold_probe(0.5, seen), lo, hi, tol)
+        assert [r for r, _ in log] == seen
+        assert len(log) <= 1 + engines.MAX_BISECTION_STEPS
+        if hi < 0.5:
+            assert witness is None and log == [(hi, False)] and (got_lo, got_hi) == (lo, hi)
+            return
+        assert witness.rho == got_hi
+        if hi - lo > tol:
+            assert got_lo < 0.5 <= got_hi
+            assert got_hi - got_lo <= tol or len(log) == 1 + engines.MAX_BISECTION_STEPS
+        else:           # lo >= hi or already within tol: only hi is probed
+            assert (got_lo, got_hi, log) == (lo, hi, [(hi, True)])

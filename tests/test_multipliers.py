@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iqcopt.algorithms import SectorBounds
 from iqcopt.errors import DimensionError
-from iqcopt.multipliers import (ZamesFalbParameters, ZamesFalbStructure,
-                                factorize, kernel_transfer, m_delta_coefficients,
-                                m_delta_matrix, membership_constraints,
-                                multiplier_value, psi_delta_realization,
-                                verify_membership)
+from iqcopt.multipliers import (CLASSES, MEMBER_TOL, ZamesFalbParameters,
+                                ZamesFalbStructure, m_delta_coefficients, m_delta_matrix,
+                                membership_constraints, membership_rows,
+                                psi_delta_realization, verify_membership)
 from iqcopt.statespace import eval_frequency
-from reference_builders import (reference_m_delta_coefficients,
+from reference_builders import (factorize, kernel_transfer, multiplier_value,
+                                reference_m_delta_coefficients,
                                 reference_m_delta_matrix,
                                 reference_matrices_from_theta,
                                 reference_membership_constraints,
                                 reference_psi_delta_realization,
-                                reference_theta_from_matrices)
+                                reference_theta_from_matrices,
+                                reference_verify_membership)
 
 
 def params_from_scalars(values, p=1):
@@ -89,6 +91,41 @@ class TestMembership:
         assert not verify_membership(ZamesFalbParameters((M1, M0)), st)
 
 
+class TestVerifyMembershipMatchesPerConstraint:
+    """The one mat-vec over membership_rows gives the verdict the per-object
+    constraint loop gave, also a few tolerances either side of a row's bound."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(klass=st.sampled_from(CLASSES), p=st.integers(1, 3), lc=st.integers(0, 3),
+           la=st.integers(0, 3), rho=st.sampled_from([1.0, 0.9, 0.37]),
+           seed=st.integers(0, 2 ** 32 - 1), offset=st.floats(-3.0, 3.0),
+           break_shape=st.booleans())
+    def test_same_verdict(self, klass, p, lc, la, rho, seed, offset, break_shape):
+        structure = ZamesFalbStructure(lc, la, p, klass, rho)
+        rows, senses, _ = membership_rows(structure)
+        rng = np.random.default_rng(seed)
+        # an admissible kernel: nonpositive sign-constrained entries and a
+        # dominant diagonal of M_0 (the entries no sign row constrains)
+        signed = rows[[s == "<=" for s in senses]].argmax(axis=1)
+        theta = -0.1 * np.abs(rng.standard_normal(structure.parameter_count()))
+        free = np.setdiff1d(np.arange(theta.size), signed)
+        theta[free] = 1.0 + 30.0 * np.abs(theta).sum()
+        # then move one entry of a random row so that the row sits `offset`
+        # tolerances from its bound (inside for offset < 1)
+        r = rng.integers(len(rows))
+        k = rng.choice(np.flatnonzero(rows[r]))
+        direction = 1.0 if senses[r] == "<=" else -1.0
+        for _ in range(2):          # the tolerance scales with max |theta|
+            slack = MEMBER_TOL * (1.0 + np.max(np.abs(theta)))
+            theta[k] += (direction * offset * slack - rows[r] @ theta) / rows[r, k]
+        Ms = structure.matrices_from_theta(theta)
+        if break_shape and p > 1 and klass != "repeated":
+            Ms[0][0, p - 1] += 1e-3
+        params = ZamesFalbParameters(tuple(Ms))
+        assert verify_membership(params, structure) == \
+            reference_verify_membership(params, structure)
+
+
 class TestFactorization:
     def test_dimensions(self):
         st = ZamesFalbStructure(1, 0, 1, "unstructured", 0.9)
@@ -154,7 +191,7 @@ class TestFactorization:
         st = ZamesFalbStructure(lc, la, p, klass, 0.9)
         # a width L - m other than 1, so that w and the unit entries differ
         bounds = SectorBounds(1.0, 1.0 + 0.1 * (7 + lc + 3 * la))
-        got = psi_delta_realization(st, bounds)
+        got = psi_delta_realization(st, bounds.L - bounds.m)
         ref = reference_psi_delta_realization(st, bounds)
         for name in "ABCD":
             assert getattr(got, name).shape == getattr(ref, name).shape
@@ -163,7 +200,7 @@ class TestFactorization:
 
     def test_psi_state_count(self):
         st = ZamesFalbStructure(3, 2, 2, "unstructured", 1.0)
-        psi = psi_delta_realization(st, SectorBounds(1.0, 4.0))
+        psi = psi_delta_realization(st, 3.0)
         assert psi.nx == (3 + 2) * 2
         assert psi.ny == 2 * (4 + 3 + 2)
 

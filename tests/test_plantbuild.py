@@ -7,9 +7,8 @@ from iqcopt.multipliers import ZamesFalbStructure, psi_delta_realization
 from iqcopt.plantbuild import (build_perf_plant, build_rate_plant,
                                default_noise_channel, sector_loop,
                                structured_loop)
-from iqcopt.statespace import (StateSpace, eval_frequency, rho_scale, series,
-                               stack_outputs)
-from reference_builders import kronecker_lift
+from iqcopt.statespace import StateSpace, eval_frequency
+from reference_builders import kronecker_lift, rho_scale, series, stack_outputs, static_gain
 
 BOUNDS = SectorBounds(1.0, 10.0)
 GD = make_named("gd", BOUNDS)
@@ -47,8 +46,8 @@ class TestRatePlant:
         Anom = GD.nominal_matrix(BOUNDS.m)
         G = StateSpace(Anom, GD.B, GD.C, np.zeros((1, 1)))
         G_stack = stack_outputs(rho_scale(G, rho),
-                                StateSpace.static_gain(np.eye(1)))
-        psi = psi_delta_realization(st, BOUNDS)
+                                static_gain(np.eye(1)))
+        psi = psi_delta_realization(st, BOUNDS.L - BOUNDS.m)
         ref = series(G_stack, psi)
         got = plant.as_statespace()
         for z in np.exp(1j * np.linspace(0, np.pi, 16)):

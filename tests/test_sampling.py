@@ -5,7 +5,7 @@ from iqcopt import sampling
 from iqcopt.algorithms import (AlgorithmRealization, SectorBounds, StructuredControllerForm,
                                from_structured, lift, make_named)
 from iqcopt.engines import h2_norm_linear
-from iqcopt.errors import DivergenceError
+from iqcopt.errors import DimensionError, DivergenceError
 from iqcopt.sampling import RandomFunctionSpec, sample_function, simulate_h2
 
 BOUNDS = SectorBounds(1.0, 10.0)
@@ -95,6 +95,12 @@ class TestSimulateH2:
         run = simulate_h2(gd, spec, k_max=5000, realizations=2000, seed=11)
         oracle = h2_norm_linear(gd.nominal_matrix(1.0), gd.B, gd.D)
         assert run.estimate == pytest.approx(oracle, rel=0.05)
+
+    def test_objective_of_other_dimension_rejected(self):
+        # a p=1 algorithm cannot step a p=2 objective
+        spec = sample_function(BOUNDS, 2, "cosine", np.random.default_rng(0))
+        with pytest.raises(DimensionError, match="p=2 must equal the algorithm dimension p=1"):
+            simulate_h2(make_named("nm", BOUNDS), spec, k_max=10, realizations=2, seed=0)
 
     def test_zero_noise_gives_zero(self):
         gd = make_named("gd", BOUNDS)

