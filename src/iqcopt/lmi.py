@@ -34,7 +34,8 @@ from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
                           psi_delta_realization)
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
                          build_rate_plant_loop, structured_loop)
-from .problem import AffineMatrix, SdpProblem, VariableInfo, congruence, place
+from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, place,
+                      upper_triangle)
 from .sdp import SdpSolution
 
 
@@ -102,7 +103,7 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     entries in place.
     """
     n, m = AB.shape
-    i, j = np.triu_indices(n)
+    i, j = upper_triangle(n)
     k = np.arange(P.size)
     keys = np.unique(np.concatenate([P.offset + k] + [X.keys for _, X in rows]))
     coeffs = np.zeros((keys.size, m, m))

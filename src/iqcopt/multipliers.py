@@ -20,8 +20,22 @@ evaluates with one mat-vec. The filter psi_Delta of the factorization
 Pi = psi^* M_Delta psi is written by index into zeroed arrays (two shift
 chains, the sector transform folded into B and D); no kron or
 block_diag is composed.
+
+Everything about a multiplier except rho depends only on its shape
+(lc, la, p, class): the tap indices and basis stack (``tap_basis``), the
+M_Delta coefficient stack (``m_delta_coefficients``), and the membership
+pattern (the sign rows, the row- and column-sum patterns, each
+component's tap position, the senses and labels). These tables are built
+once into a read-only layout that every live structure of that shape
+shares: a structure fetches it on first use, ``with_rho`` hands it on,
+and a weak registry keyed by shape lets structures built separately
+find it. It is freed when the last structure holding it goes. What
+stays per structure is rho: ``membership_rows`` applies the rho^(-i)
+and rho^i weights of the row- and column-sum rows on each call.
 """
 
+import operator
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -46,6 +60,12 @@ class ZamesFalbStructure:
     rho: float = 1.0
 
     def __post_init__(self):
+        for name in ("ell_causal", "ell_anticausal", "p"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.ell_causal < 0 or self.ell_anticausal < 0:
             raise DomainError("ell_causal and ell_anticausal must be nonnegative")
         if self.p < 1:
@@ -64,8 +84,22 @@ class ZamesFalbStructure:
         return range(-self.ell_causal, self.ell_anticausal + 1)
 
     def with_rho(self, rho: float) -> "ZamesFalbStructure":
-        return ZamesFalbStructure(self.ell_causal, self.ell_anticausal, self.p,
-                                  self.klass, rho)
+        """The same shape at another rho, sharing this structure's layout."""
+        out = ZamesFalbStructure(self.ell_causal, self.ell_anticausal, self.p,
+                                 self.klass, rho)
+        object.__setattr__(out, "_shared", self._layout())
+        return out
+
+    def _layout(self) -> "_Layout":
+        """The shape's shared layout: this structure's, a live one, or a new one."""
+        layout = self.__dict__.get("_shared")
+        if layout is None:
+            key = (self.ell_causal, self.ell_anticausal, self.p, self.klass)
+            layout = _LAYOUTS.get(key)
+            if layout is None:
+                layout = _LAYOUTS[key] = _Layout(*key)
+            object.__setattr__(self, "_shared", layout)
+        return layout
 
     # -- scalar parameter layout ------------------------------------------
     #
@@ -81,23 +115,11 @@ class ZamesFalbStructure:
         """(kernel index i, dM_i/dtheta) per theta component, as two arrays.
 
         The indices are a length-nvar int array and the basis matrices one
-        nvar x p x p stack of 0/1 entries.
+        nvar x p x p stack of 0/1 entries; both are the shared layout's
+        read-only arrays.
         """
-        p = self.p
-        d = np.arange(p)
-        # within one kernel index: component j of per has the unit entries (a, b)
-        if self.klass == "unstructured":
-            per, j, a, b = 1, 0, d, d
-        elif self.klass == "nonrepeated":
-            per, j, a, b = p, d, d, d
-        else:
-            per = p * p
-            j = np.arange(per)
-            a, b = np.divmod(j, p)
-        E = np.zeros((self.taps, per, p, p))
-        E[:, j, a, b] = 1.0
-        taps = np.arange(-self.ell_causal, self.ell_anticausal + 1).repeat(per)
-        return taps, E.reshape(-1, p, p)
+        layout = self._layout()
+        return layout.taps, layout.basis
 
     def matrices_from_theta(self, theta) -> list:
         theta = np.asarray(theta, dtype=float).ravel()
@@ -128,6 +150,74 @@ class ZamesFalbStructure:
                 raise DimensionError("nonrepeated kernel requires diagonal M_i")
             return np.diagonal(M, axis1=1, axis2=2).ravel()
         return M.ravel()
+
+
+class _Layout:
+    """The shape-only tables of a multiplier structure, as read-only arrays.
+
+    Built from (lc, la, p, class) alone, so one instance serves every
+    structure of that shape whatever its rho (see the module docstring).
+    """
+
+    def __init__(self, lc: int, la: int, p: int, klass: str):
+        # the tap basis: within one kernel index, component j of per has
+        # the unit entries (a, b)
+        d = np.arange(p)
+        if klass == "unstructured":
+            per, j, a, b = 1, 0, d, d
+        elif klass == "nonrepeated":
+            per, j, a, b = p, d, d, d
+        else:
+            per = p * p
+            j = np.arange(per)
+            a, b = np.divmod(j, p)
+        E = np.zeros((lc + 1 + la, per, p, p))
+        E[:, j, a, b] = 1.0
+        E = E.reshape(-1, p, p)
+        taps = np.arange(-lc, la + 1).repeat(per)
+        nvar = taps.size
+
+        # M_Delta: the slot of each kernel index: M_i, i < 0, in column slot
+        # lc + i of M_- = [M_{-lc} .. M_{-1}], M_0 in block (1, 0), and
+        # M_i^T, i > 0, in slot i - 1 of M_+ = [M_1^T .. M_la^T]
+        q = p * (4 + lc + la)
+        # offsets of the six M_Delta blocks, sized p, p, lc p, p, p, la p
+        off = list(accumulate([p, p, lc * p, p, p, la * p], initial=0))
+        slot_row = np.array([off[3]] * lc + [off[1]] + [off[4]] * la)
+        slot_col = np.array([off[2] + s * p for s in range(lc)] + [off[0]]
+                            + [off[5] + s * p for s in range(la)])
+        k, a, b = np.nonzero(E)              # the unit entries of every basis matrix
+        i = taps[k]
+        a, b = np.where(i > 0, b, a), np.where(i > 0, a, b)
+        row = slot_row[i + lc] + a
+        col = slot_col[i + lc] + b
+        coeffs = np.zeros((nvar, q, q))
+        coeffs[k, row, col] = 1.0
+        coeffs[k, col, row] = 1.0
+
+        # membership: sign constraints, one per basis matrix at its (first)
+        # nonzero entry, then p row sums and p column sums
+        r, c = np.divmod(E.reshape(nvar, -1).argmax(axis=1), p)
+        sign = taps != 0
+        if klass == "repeated":
+            sign |= r != c
+        self.taps, self.basis, self.coeffs = taps, E, coeffs
+        self.sign_rows = np.eye(nvar)[sign]
+        self.row_sums = E.sum(axis=2)
+        self.col_sums = E.sum(axis=1)
+        self.pos = taps + lc                 # position of each kernel index in -lc..la
+        for arr in (self.taps, self.basis, self.coeffs, self.sign_rows,
+                    self.row_sums, self.col_sums, self.pos):
+            arr.flags.writeable = False
+        self.senses = ("<=",) * len(self.sign_rows) + (">=",) * (2 * p)
+        self.labels = tuple(
+            [f"sign[{i}]({a},{b})" for i, a, b in
+             zip(taps[sign].tolist(), r[sign].tolist(), c[sign].tolist())]
+            + [f"rowsum[{a}]" for a in range(p)] + [f"colsum[{b}]" for b in range(p)])
+
+
+# the live layouts by shape; an entry goes when the last structure holding it does
+_LAYOUTS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -165,32 +255,23 @@ class LinearConstraint:
 def membership_rows(structure: ZamesFalbStructure):
     """The admissible kernel set as rows @ theta (sense) 0.
 
-    Returns an r x nvar coefficient array and, per row, its sense ('<=' or
-    '>=') and label.
+    Returns a read-only r x nvar coefficient array and, per row, its sense
+    ('<=' or '>=') and label. Only the rho weights of the row- and
+    column-sum rows are applied here; the rest is the shared layout's.
     """
-    p = structure.p
-    taps, E = structure.tap_basis()
-    nvar = taps.size
-    r, c = np.divmod(E.reshape(nvar, -1).argmax(axis=1), p)
-    # sign constraints, one per basis matrix at its (first) nonzero entry
-    sign = taps != 0
-    if structure.klass == "repeated":
-        sign |= r != c
-    pos = taps + structure.ell_causal        # position of each kernel index in -lc..la
-    down = np.array([structure.rho ** (-i) for i in structure.indices()])[pos]
-    up = np.array([structure.rho ** i for i in structure.indices()])[pos]
+    layout = structure._layout()
+    rho = structure.rho
+    down = np.array([rho ** (-i) for i in structure.indices()])[layout.pos]
+    up = np.array([rho ** i for i in structure.indices()])[layout.pos]
     rows = np.concatenate([
-        np.eye(nvar)[sign],
+        layout.sign_rows,
         # rho-weighted row sums: (sum_i M_i rho^{-i}) 1 >= 0  (p rows)
-        (down[:, None] * E.sum(axis=2)).T,
+        (down[:, None] * layout.row_sums).T,
         # rho-weighted column sums: 1^T (sum_i M_i rho^{i}) >= 0
-        (up[:, None] * E.sum(axis=1)).T,
+        (up[:, None] * layout.col_sums).T,
     ])
-    senses = ["<="] * (len(rows) - 2 * p) + [">="] * (2 * p)
-    labels = ([f"sign[{i}]({a},{b})" for i, a, b in
-               zip(taps[sign].tolist(), r[sign].tolist(), c[sign].tolist())]
-              + [f"rowsum[{a}]" for a in range(p)] + [f"colsum[{b}]" for b in range(p)])
-    return rows, senses, labels
+    rows.flags.writeable = False
+    return rows, layout.senses, layout.labels
 
 
 def membership_constraints(structure: ZamesFalbStructure) -> list:
@@ -219,34 +300,10 @@ def verify_membership(params: ZamesFalbParameters, structure: ZamesFalbStructure
 # Factorization Pi = psi_Delta^* M_Delta psi_Delta
 # ---------------------------------------------------------------------------
 
-def block_layout(structure: ZamesFalbStructure):
-    """Row/column sizes of the six M_Delta blocks and their offsets."""
-    lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
-    sizes = [p, p, lc * p, p, p, la * p]
-    return sizes, list(accumulate(sizes, initial=0))
-
-
 def m_delta_coefficients(structure: ZamesFalbStructure) -> np.ndarray:
-    """dM_Delta/dtheta_k as one stack of constant symmetric matrices, ordered like theta."""
-    lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
-    q = p * (4 + lc + la)
-    _, off = block_layout(structure)
-    # the slot of each kernel index: M_i, i < 0, in column slot lc + i of
-    # M_- = [M_{-lc} .. M_{-1}], M_0 in block (1, 0), and M_i^T, i > 0, in
-    # slot i - 1 of M_+ = [M_1^T .. M_la^T]
-    slot_row = np.array([off[3]] * lc + [off[1]] + [off[4]] * la)
-    slot_col = np.array([off[2] + s * p for s in range(lc)] + [off[0]]
-                        + [off[5] + s * p for s in range(la)])
-    taps, E = structure.tap_basis()
-    k, a, b = np.nonzero(E)                  # the unit entries of every basis matrix
-    i = taps[k]
-    a, b = np.where(i > 0, b, a), np.where(i > 0, a, b)
-    row = slot_row[i + lc] + a
-    col = slot_col[i + lc] + b
-    coeffs = np.zeros((taps.size, q, q))
-    coeffs[k, row, col] = 1.0
-    coeffs[k, col, row] = 1.0
-    return coeffs
+    """dM_Delta/dtheta_k as one read-only stack of constant symmetric
+    matrices, ordered like theta (the shared layout's)."""
+    return structure._layout().coeffs
 
 
 def m_delta_matrix(params: ZamesFalbParameters, structure: ZamesFalbStructure) -> np.ndarray:
@@ -280,7 +337,7 @@ def psi_delta_realization(structure: ZamesFalbStructure, width: float) -> StateS
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
     nc, na = lc * p, la * p
     nx, ny = nc + na, 4 * p + nc + na
-    # output blocks (see block_layout), with v = w u_1 - u_2:
+    # output blocks (the M_Delta blocks, see _Layout), with v = w u_1 - u_2:
     # v, u_2, the causal taps of v, u_2, v, the anticausal taps of u_2
     o3, o4, o5 = 2 * p + nc, 3 * p + nc, 4 * p + nc
     A = np.zeros((nx, nx))

@@ -45,6 +45,18 @@ EPS_REL = 1e-7
 _NO_KEYS = np.zeros(0, dtype=np.intp)
 
 
+def upper_triangle(n: int):
+    """Row and column indices of an n x n upper triangle, row by row.
+
+    The order of np.triu_indices(n), the order of a symmetric variable's
+    scalars, built from the n (n + 1) / 2 positions instead of an n x n mask.
+    """
+    i = np.repeat(np.arange(n), np.arange(n, 0, -1))
+    # row i starts at position i n - i (i - 1) / 2 and its columns at i
+    j = np.arange(i.size) - i * (2 * n + 1 - i) // 2 + i
+    return i, j
+
+
 class AffineMatrix:
     """Matrix-valued affine expression: const + sum_k x[keys[k]] * coeffs[k].
 
@@ -308,7 +320,7 @@ class SdpProblem:
         """
         info = self._by_name[name]
         r, c = info.shape
-        i, j = np.triu_indices(r) if info.kind == "symmetric" else np.divmod(np.arange(r * c), c)
+        i, j = upper_triangle(r) if info.kind == "symmetric" else np.divmod(np.arange(r * c), c)
         k = np.arange(info.size)
         basis = np.zeros((info.size, r, c))
         basis[k, i, j] = 1.0
@@ -325,7 +337,7 @@ class SdpProblem:
         if info.kind == "matrix":
             return v.reshape(info.shape)
         M = np.empty(info.shape)
-        i, j = np.triu_indices(info.shape[0])
+        i, j = upper_triangle(info.shape[0])
         M[i, j] = v
         M[j, i] = v
         return M

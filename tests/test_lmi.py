@@ -3,7 +3,8 @@ import pytest
 
 from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_structured,
                                lift, make_named)
-from iqcopt.engines import h2_norm_linear
+from iqcopt import multipliers
+from iqcopt.engines import h2_norm_linear, verify_fdi
 from iqcopt.errors import DimensionError, InfeasiblePrecondition, PreconditionError
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
                         assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for,
@@ -12,11 +13,11 @@ from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
 from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.native import _sym_stack
 from iqcopt.plantbuild import build_rate_plant
-from iqcopt.sdp import solve
+from iqcopt.sdp import SdpSolution, solve
 from iqcopt.statespace import StateSpace
 import reference_builders as ref_builders
-from reference_builders import (kyp_block, use_reference_builders, use_reference_lmi,
-                                use_reference_rows)
+from reference_builders import (kyp_block, uncached_layout, use_reference_builders,
+                                use_reference_lmi, use_reference_rows)
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
 ST10 = ZamesFalbStructure(1, 0, 1, "unstructured", 1.0)
@@ -257,11 +258,40 @@ def test_perf_synth_gamma_weakly_decreasing_in_rho():
     assert gammas[1] >= gammas[2] * (1 - 1e-6)
 
 
+class TestSharedLayout:
+    def test_built_once_for_a_certification(self, monkeypatch):
+        built = []
+
+        class Counted(multipliers._Layout):
+            def __init__(self, *shape):
+                built.append(shape)
+                super().__init__(*shape)
+
+        monkeypatch.setattr(multipliers, "_Layout", Counted)
+        algo = make_named("nm", BOUNDS10, 1)
+        # a shape no other test keeps alive, so its layout is built here
+        st = ZamesFalbStructure(5, 2, 1, "unstructured", 1.0)
+        radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS10.m))))
+        for rho in np.linspace(1.0, 0.5 * (1.0 + radius), 12):
+            asm = assemble_rate_for(algo, BOUNDS10, st, rho)
+        assemble_h2_for(algo, BOUNDS10, st)
+        x = np.random.default_rng(0).standard_normal(asm.problem.nvars)
+        sol = SdpSolution(status="optimal", x=x,
+                          values={n: asm.problem.extract(n, x) for n in ("P", "zf_theta")})
+        verify_fdi(asm.decode(sol), asm.plant)
+        assert built == [(5, 2, 1, "unstructured")]
+
+
 def _direct_and_reference(monkeypatch, build, use_reference=use_reference_builders):
-    """build() under the library's builders, then under the reference ones."""
+    """build() under the library's builders, then under the reference ones.
+
+    The reference side builds every multiplier layout afresh, so it is not
+    served the shared layout the library side built or found.
+    """
     got = build()
     with monkeypatch.context() as m:
         use_reference(m)
+        m.setattr(ZamesFalbStructure, "_layout", uncached_layout)
         ref = build()
     return got, ref
 

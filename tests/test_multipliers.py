@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iqcopt.algorithms import SectorBounds
-from iqcopt.errors import DimensionError
+from iqcopt.errors import DimensionError, DomainError
 from iqcopt.multipliers import (CLASSES, MEMBER_TOL, ZamesFalbParameters,
                                 ZamesFalbStructure, m_delta_coefficients, m_delta_matrix,
                                 membership_constraints, membership_rows,
@@ -15,12 +18,43 @@ from reference_builders import (factorize, kernel_transfer, multiplier_value,
                                 reference_matrices_from_theta,
                                 reference_membership_constraints,
                                 reference_psi_delta_realization,
+                                reference_tap_basis,
                                 reference_theta_from_matrices,
                                 reference_verify_membership)
 
 
 def params_from_scalars(values, p=1):
     return ZamesFalbParameters(tuple(np.eye(p) * v for v in values))
+
+
+class TestStructureFields:
+    @pytest.mark.parametrize("args,field", [((1.5, 0), "ell_causal"),
+                                            ((1, 0.5), "ell_anticausal"),
+                                            ((1, 0, 2.0), "p")])
+    def test_non_integer_shape_rejected(self, args, field):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            ZamesFalbStructure(*args)
+
+    def test_numpy_integers_accepted(self):
+        st = ZamesFalbStructure(np.int64(2), np.int64(1), np.int64(2), "repeated")
+        assert st == ZamesFalbStructure(2, 1, 2, "repeated")
+        assert st.parameter_count() == 16
+        assert membership_rows(st)[0].shape == (18, 16)
+        assert m_delta_coefficients(st).shape == (16, 14, 14)
+
+
+class TestSharedLayout:
+    def test_freed_with_its_last_structure(self):
+        st = ZamesFalbStructure(4, 3, 2, "nonrepeated", 0.8)
+        child = st.with_rho(0.6)
+        layout = weakref.ref(child._layout())
+        # with_rho hands the layout on, and the registry finds it by shape
+        assert st._layout() is layout()
+        assert ZamesFalbStructure(4, 3, 2, "nonrepeated")._layout() is layout()
+        assert ZamesFalbStructure(4, 3, 2, "repeated")._layout() is not layout()
+        del st, child
+        gc.collect()
+        assert layout() is None
 
 
 class TestMembership:
@@ -222,6 +256,37 @@ class TestArraysMatchTapByTap:
         for con, (coeffs, sense, rhs, label) in zip(got, ref):
             assert con.coeffs.tobytes() == coeffs.tobytes()
             assert (con.sense, con.rhs, con.label) == (sense, rhs, label)
+
+    @pytest.mark.parametrize("lc,la", [(0, 0), (1, 0), (2, 1), (0, 2), (6, 0)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_shared_layout_through_with_rho(self, lc, la, p):
+        def same(got, want):
+            want = np.asarray(want)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+        # every structure stays alive, so each class's layout is shared
+        # along its chain while the other classes' are live beside it
+        chains = {klass: ZamesFalbStructure(lc, la, p, klass) for klass in CLASSES}
+        alive = list(chains.values())
+        for rho in (1.0, 0.9, 0.5):
+            for klass in CLASSES:
+                st = chains[klass] = chains[klass].with_rho(rho)
+                alive.append(st)
+                taps, E = st.tap_basis()
+                basis = reference_tap_basis(st)
+                same(taps, [i for i, _ in basis])
+                same(E, [Eb for _, Eb in basis])
+                coeffs = m_delta_coefficients(st)
+                same(coeffs, reference_m_delta_coefficients(st))
+                rows, senses, labels = membership_rows(st)
+                cons = reference_membership_constraints(st)
+                same(rows, [e for e, *_ in cons])
+                assert list(senses) == [sense for _, sense, _, _ in cons]
+                assert list(labels) == [label for *_, label in cons]
+                for arr in (taps, E, coeffs, rows):
+                    with pytest.raises(ValueError):
+                        arr.flat[0] = 1.0
 
     @pytest.mark.parametrize("lc,la,p,klass", CASES)
     def test_m_delta_coefficients(self, lc, la, p, klass):

@@ -14,7 +14,7 @@ from iqcopt.algorithms import SectorBounds, make_named
 from iqcopt.errors import ArgumentError, DimensionError
 from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbStructure
-from iqcopt.problem import AffineMatrix, SdpProblem, congruence, place
+from iqcopt.problem import AffineMatrix, SdpProblem, congruence, place, upper_triangle
 from iqcopt.sdp import MAX_ITERS, SolverOptions, solve
 from reference_builders import reference_add_linear
 
@@ -84,6 +84,12 @@ class TestAffineMatrix:
                 assert got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
                 assert not np.shares_memory(got, x)
+
+    def test_upper_triangle_is_triu_order(self):
+        for n in range(1, 41):
+            for got, want in zip(upper_triangle(n), np.triu_indices(n)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_block_diagonal(self):
         a = AffineMatrix.constant([[1.0]])
