@@ -26,16 +26,16 @@ Everything about a multiplier except rho depends only on its shape
 M_Delta coefficient stack (``m_delta_coefficients``), and the membership
 pattern (the sign rows, the row- and column-sum patterns, each
 component's tap position, the senses and labels). These tables are built
-once into a read-only layout that every live structure of that shape
-shares: a structure fetches it on first use, ``with_rho`` hands it on,
-and a weak registry keyed by shape lets structures built separately
-find it. It is freed when the last structure holding it goes. What
-stays per structure is rho: ``membership_rows`` applies the rho^(-i)
-and rho^i weights of the row- and column-sum rows on each call.
+once per shape into a read-only layout, on first use, and every
+structure of that shape reads it whatever its rho. The layouts live in
+a cache of the LAYOUT_CACHE_SIZE most recently used shapes; an older
+one is dropped and rebuilt when next asked for. What stays per
+structure is rho: ``membership_rows`` applies the rho^(-i) and rho^i
+weights of the row- and column-sum rows on each call.
 """
 
+import functools
 import operator
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -47,6 +47,9 @@ from .statespace import StateSpace
 CLASSES = ("unstructured", "repeated", "nonrepeated")
 
 MEMBER_TOL = 1e-10
+
+# shapes whose multiplier layout is kept (see the module docstring)
+LAYOUT_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,8 @@ class ZamesFalbStructure:
         return range(-self.ell_causal, self.ell_anticausal + 1)
 
     def with_rho(self, rho: float) -> "ZamesFalbStructure":
-        """The same shape at another rho, sharing this structure's layout."""
-        out = ZamesFalbStructure(self.ell_causal, self.ell_anticausal, self.p,
-                                 self.klass, rho)
-        object.__setattr__(out, "_shared", self._layout())
-        return out
-
-    def _layout(self) -> "_Layout":
-        """The shape's shared layout: this structure's, a live one, or a new one."""
-        layout = self.__dict__.get("_shared")
-        if layout is None:
-            key = (self.ell_causal, self.ell_anticausal, self.p, self.klass)
-            layout = _LAYOUTS.get(key)
-            if layout is None:
-                layout = _LAYOUTS[key] = _Layout(*key)
-            object.__setattr__(self, "_shared", layout)
-        return layout
+        return ZamesFalbStructure(self.ell_causal, self.ell_anticausal, self.p,
+                                  self.klass, rho)
 
     # -- scalar parameter layout ------------------------------------------
     #
@@ -115,10 +104,10 @@ class ZamesFalbStructure:
         """(kernel index i, dM_i/dtheta) per theta component, as two arrays.
 
         The indices are a length-nvar int array and the basis matrices one
-        nvar x p x p stack of 0/1 entries; both are the shared layout's
-        read-only arrays.
+        nvar x p x p stack of 0/1 entries; both are the shape's read-only
+        layout arrays.
         """
-        layout = self._layout()
+        layout = _layout(self.ell_causal, self.ell_anticausal, self.p, self.klass)
         return layout.taps, layout.basis
 
     def matrices_from_theta(self, theta) -> list:
@@ -156,7 +145,8 @@ class _Layout:
     """The shape-only tables of a multiplier structure, as read-only arrays.
 
     Built from (lc, la, p, class) alone, so one instance serves every
-    structure of that shape whatever its rho (see the module docstring).
+    structure of that shape whatever its rho; ``_layout`` is the cached
+    constructor (see the module docstring).
     """
 
     def __init__(self, lc: int, la: int, p: int, klass: str):
@@ -216,8 +206,7 @@ class _Layout:
             + [f"rowsum[{a}]" for a in range(p)] + [f"colsum[{b}]" for b in range(p)])
 
 
-# the live layouts by shape; an entry goes when the last structure holding it does
-_LAYOUTS = weakref.WeakValueDictionary()
+_layout = functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)(_Layout)
 
 
 @dataclass(frozen=True)
@@ -257,9 +246,10 @@ def membership_rows(structure: ZamesFalbStructure):
 
     Returns a read-only r x nvar coefficient array and, per row, its sense
     ('<=' or '>=') and label. Only the rho weights of the row- and
-    column-sum rows are applied here; the rest is the shared layout's.
+    column-sum rows are applied here; the rest is the shape's layout.
     """
-    layout = structure._layout()
+    layout = _layout(structure.ell_causal, structure.ell_anticausal, structure.p,
+                     structure.klass)
     rho = structure.rho
     down = np.array([rho ** (-i) for i in structure.indices()])[layout.pos]
     up = np.array([rho ** i for i in structure.indices()])[layout.pos]
@@ -302,8 +292,9 @@ def verify_membership(params: ZamesFalbParameters, structure: ZamesFalbStructure
 
 def m_delta_coefficients(structure: ZamesFalbStructure) -> np.ndarray:
     """dM_Delta/dtheta_k as one read-only stack of constant symmetric
-    matrices, ordered like theta (the shared layout's)."""
-    return structure._layout().coeffs
+    matrices, ordered like theta (the shape's layout)."""
+    return _layout(structure.ell_causal, structure.ell_anticausal, structure.p,
+                   structure.klass).coeffs
 
 
 def m_delta_matrix(params: ZamesFalbParameters, structure: ZamesFalbStructure) -> np.ndarray:

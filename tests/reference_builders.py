@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from iqcopt import lmi, multipliers, plantbuild
+from iqcopt import lmi, plantbuild
 from iqcopt.algorithms import SectorBounds, canonical_output, table_parameters
 from iqcopt.errors import DimensionError, DomainError, PreconditionError, SingularityError
 from iqcopt.multipliers import (ZamesFalbStructure, m_delta_coefficients, m_delta_matrix,
@@ -158,12 +158,6 @@ def reference_kyp(AB, P_info, *rows):
     for out_b, X in rows:
         total = total + congruence(out_b, X)
     return total
-
-
-def uncached_layout(structure):
-    """The structure's multiplier layout built afresh, never a shared one."""
-    return multipliers._Layout(structure.ell_causal, structure.ell_anticausal,
-                               structure.p, structure.klass)
 
 
 def use_reference_builders(monkeypatch):

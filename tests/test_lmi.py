@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from iqcopt.plantbuild import build_rate_plant
 from iqcopt.sdp import SdpSolution, solve
 from iqcopt.statespace import StateSpace
 import reference_builders as ref_builders
-from reference_builders import (kyp_block, uncached_layout, use_reference_builders,
-                                use_reference_lmi, use_reference_rows)
+from reference_builders import (kyp_block, use_reference_builders, use_reference_lmi,
+                                use_reference_rows)
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
 ST10 = ZamesFalbStructure(1, 0, 1, "unstructured", 1.0)
@@ -262,14 +264,13 @@ class TestSharedLayout:
     def test_built_once_for_a_certification(self, monkeypatch):
         built = []
 
-        class Counted(multipliers._Layout):
-            def __init__(self, *shape):
-                built.append(shape)
-                super().__init__(*shape)
+        def build(*shape):
+            built.append(shape)
+            return multipliers._Layout(*shape)
 
-        monkeypatch.setattr(multipliers, "_Layout", Counted)
+        # an empty cache of its own, so what other tests cached does not count
+        monkeypatch.setattr(multipliers, "_layout", functools.lru_cache(build))
         algo = make_named("nm", BOUNDS10, 1)
-        # a shape no other test keeps alive, so its layout is built here
         st = ZamesFalbStructure(5, 2, 1, "unstructured", 1.0)
         radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS10.m))))
         for rho in np.linspace(1.0, 0.5 * (1.0 + radius), 12):
@@ -286,12 +287,12 @@ def _direct_and_reference(monkeypatch, build, use_reference=use_reference_builde
     """build() under the library's builders, then under the reference ones.
 
     The reference side builds every multiplier layout afresh, so it is not
-    served the shared layout the library side built or found.
+    served the cached layout the library side built or found.
     """
     got = build()
     with monkeypatch.context() as m:
         use_reference(m)
-        m.setattr(ZamesFalbStructure, "_layout", uncached_layout)
+        m.setattr(multipliers, "_layout", multipliers._Layout)
         ref = build()
     return got, ref
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iqcopt import multipliers
 from iqcopt.algorithms import SectorBounds
 from iqcopt.errors import DimensionError, DomainError
-from iqcopt.multipliers import (CLASSES, MEMBER_TOL, ZamesFalbParameters,
+from iqcopt.multipliers import (CLASSES, LAYOUT_CACHE_SIZE, MEMBER_TOL, ZamesFalbParameters,
                                 ZamesFalbStructure, m_delta_coefficients, m_delta_matrix,
                                 membership_constraints, membership_rows,
                                 psi_delta_realization, verify_membership)
@@ -43,18 +45,32 @@ class TestStructureFields:
         assert m_delta_coefficients(st).shape == (16, 14, 14)
 
 
-class TestSharedLayout:
-    def test_freed_with_its_last_structure(self):
+def _fresh_layout_cache(monkeypatch):
+    """An empty layout cache, so what other tests cached does not count."""
+    cache = functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)(multipliers._Layout)
+    monkeypatch.setattr(multipliers, "_layout", cache)
+    return cache
+
+
+class TestLayoutCache:
+    def test_one_layout_per_shape(self, monkeypatch):
+        _fresh_layout_cache(monkeypatch)
         st = ZamesFalbStructure(4, 3, 2, "nonrepeated", 0.8)
-        child = st.with_rho(0.6)
-        layout = weakref.ref(child._layout())
-        # with_rho hands the layout on, and the registry finds it by shape
-        assert st._layout() is layout()
-        assert ZamesFalbStructure(4, 3, 2, "nonrepeated")._layout() is layout()
-        assert ZamesFalbStructure(4, 3, 2, "repeated")._layout() is not layout()
-        del st, child
+        coeffs = m_delta_coefficients(st)
+        assert m_delta_coefficients(st.with_rho(0.6)) is coeffs
+        assert m_delta_coefficients(ZamesFalbStructure(4, 3, 2, "nonrepeated")) is coeffs
+        assert st.tap_basis()[1] is ZamesFalbStructure(4, 3, 2, "nonrepeated").tap_basis()[1]
+
+    def test_least_recently_used_shape_dropped(self, monkeypatch):
+        cache = _fresh_layout_cache(monkeypatch)
+        first = weakref.ref(cache(0, 0, 1, "unstructured"))
+        for lc in range(1, LAYOUT_CACHE_SIZE):
+            cache(lc, 0, 1, "unstructured")
         gc.collect()
-        assert layout() is None
+        assert first() is not None
+        cache(LAYOUT_CACHE_SIZE, 0, 1, "unstructured")
+        gc.collect()
+        assert first() is None
 
 
 class TestMembership:
@@ -259,20 +275,17 @@ class TestArraysMatchTapByTap:
 
     @pytest.mark.parametrize("lc,la", [(0, 0), (1, 0), (2, 1), (0, 2), (6, 0)])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_shared_layout_through_with_rho(self, lc, la, p):
+    def test_cached_layout_through_with_rho(self, lc, la, p):
         def same(got, want):
             want = np.asarray(want)
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
 
-        # every structure stays alive, so each class's layout is shared
-        # along its chain while the other classes' are live beside it
+        # all three classes' layouts of the shape are cached side by side
         chains = {klass: ZamesFalbStructure(lc, la, p, klass) for klass in CLASSES}
-        alive = list(chains.values())
         for rho in (1.0, 0.9, 0.5):
             for klass in CLASSES:
                 st = chains[klass] = chains[klass].with_rho(rho)
-                alive.append(st)
                 taps, E = st.tap_basis()
                 basis = reference_tap_basis(st)
                 same(taps, [i for i, _ in basis])
