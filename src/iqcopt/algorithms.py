@@ -113,6 +113,16 @@ class AlgorithmRealization:
     def nominal_matrix(self, m: float) -> np.ndarray:
         return self.A + m * self.B @ self.C
 
+    def nominal_radius(self, m: float) -> float:
+        """Spectral radius of nominal_matrix(m), kept for the last m asked for.
+
+        The rate probes of one certification share the algorithm and m, so
+        they share one eigenvalue computation.
+        """
+        if vars(self).get("_radius", (None,))[0] != m:
+            vars(self)["_radius"] = (m, spectral_radius(self.nominal_matrix(m)))
+        return self._radius[1]
+
 
 KINDS = ("gd", "nm", "nm_mod", "tmm", "hb")
 
@@ -220,10 +230,13 @@ def _equilibrium_residual(A, C, D, X) -> float:
     )
 
 
+def spectral_radius(A) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
+
+
 def nominal_closed_loop(algo: AlgorithmRealization, bounds: SectorBounds):
     """Closed loop A + m B C and its spectral radius."""
-    M = algo.nominal_matrix(bounds.m)
-    return M, float(np.max(np.abs(np.linalg.eigvals(M))))
+    return algo.nominal_matrix(bounds.m), algo.nominal_radius(bounds.m)
 
 
 @dataclass(frozen=True)

@@ -205,13 +205,27 @@ def cmd_sample_h2(args) -> int:
 
 
 def _parse_grid(spec: str):
-    kind, lo, hi, num = spec.split(":")
-    lo, hi, num = float(lo), float(hi), int(num)
-    if kind == "log":
-        return np.geomspace(lo, hi, num)
-    if kind == "lin":
-        return np.linspace(lo, hi, num)
-    raise argparse.ArgumentTypeError(f"unknown grid kind {kind!r}")
+    """The grid a KIND:LO:HI:NUM spec names; ArgumentTypeError if it names none.
+
+    KIND is log or lin, LO and HI finite numbers (positive for log) and NUM
+    a positive integer.
+    """
+    try:
+        kind, lo, hi, num = spec.split(":")
+        lo, hi, num = float(lo), float(hi), int(num)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not KIND:LO:HI:NUM") from None
+    if (kind not in ("log", "lin") or num < 1 or not np.isfinite([lo, hi]).all()
+            or (kind == "log" and min(lo, hi) <= 0)):
+        raise argparse.ArgumentTypeError(f"{spec!r}: KIND must be log or lin, LO and HI "
+                                         "finite (positive for log), NUM >= 1")
+    return (np.geomspace if kind == "log" else np.linspace)(lo, hi, num)
+
+
+def _grid_spec(spec: str) -> str:
+    """--kappa-grid's type: the spec itself, once it parses to a grid."""
+    _parse_grid(spec)
+    return spec
 
 
 def cmd_sweep(args) -> int:
@@ -308,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweeps over the condition ratio")
     p.add_argument("--mode", choices=["rate", "h2"], default="rate")
     p.add_argument("--algos", default="gd,nm,tmm")
-    p.add_argument("--kappa-grid", default="log:1.02:1000:25")
+    p.add_argument("--kappa-grid", type=_grid_spec, default="log:1.02:1000:25",
+                   help="KIND:LO:HI:NUM, KIND log or lin")
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--lc", type=int, default=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lmi
-from .algorithms import AlgorithmRealization, SectorBounds, nominal_closed_loop
+from .algorithms import AlgorithmRealization, SectorBounds
 from .errors import (DomainError, InfeasiblePrecondition, NotCertifiable,
                      PreconditionError, SolverError)
 from .lmi import (H2Certificate, RateCertificate, SynthesisResult,
@@ -168,7 +168,7 @@ def certify_rate(algo: AlgorithmRealization, bounds: SectorBounds,
     t0 = time.time()
     config = config or BisectionConfig()
     options = options or SolverOptions()
-    _, radius = nominal_closed_loop(algo, bounds)
+    radius = algo.nominal_radius(bounds.m)
     lo = radius + 1e-6
     hi = config.rho_hi
     if lo >= hi:

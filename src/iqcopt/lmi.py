@@ -32,8 +32,9 @@ from .errors import (DimensionError, DomainError, InfeasiblePrecondition,
 from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
                           m_delta_coefficients, membership_rows,
                           psi_delta_realization)
-from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant,
-                         build_rate_plant_loop, structured_loop)
+from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant, build_perf_plant,
+                         build_rate_plant, build_rate_plant_loop,
+                         default_noise_channel, structured_loop)
 from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, place,
                       upper_triangle)
 from .sdp import SdpSolution
@@ -75,14 +76,21 @@ class SynthesisResult:
 # ---------------------------------------------------------------------------
 
 def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
-                    name: str = "zf_theta"):
-    """Kernel variables, their M_Delta expression, and membership rows."""
-    theta = prob.add_matrix(name, structure.parameter_count(), 1)
+                    name: str = "zf_theta") -> AffineMatrix:
+    """Declare the kernel variables, add their membership rows, and return
+    their M_Delta expression.
+
+    Over theta's unit basis, rows @ theta is the transposed membership
+    array on theta's consecutive keys, so the rows are added from it
+    directly and no expression of theta is built.
+    """
+    info = prob.declare(name, "matrix", (structure.parameter_count(), 1))
+    keys = info.offset + np.arange(info.size)
     coeffs = m_delta_coefficients(structure)
-    md = AffineMatrix(coeffs.shape[1:], keys=theta.keys, coeffs=coeffs)
     rows, senses, labels = membership_rows(structure)
-    prob.add_linear(rows @ theta, senses, 0.0, [f"{name}:{label}" for label in labels])
-    return theta, md
+    prob.add_linear(AffineMatrix((len(rows), 1), keys=keys, coeffs=rows.T[:, :, None]),
+                    senses, 0.0, [f"{name}:{label}" for label in labels])
+    return AffineMatrix(coeffs.shape[1:], keys=keys, coeffs=coeffs)
 
 
 def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameters:
@@ -103,7 +111,7 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     entries in place.
     """
     n, m = AB.shape
-    i, j = upper_triangle(n)
+    i, j, off = upper_triangle(n)
     k = np.arange(P.size)
     keys = np.unique(np.concatenate([P.offset + k] + [X.keys for _, X in rows]))
     coeffs = np.zeros((keys.size, m, m))
@@ -113,9 +121,8 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     first[k, :, j] = AB[i]
     first[k, :, i] = AB[j]
     np.matmul(first, AB, out=slots)
-    off = i != j
     slots[k, i, j] -= 1.0
-    slots[k[off], j[off], i[off]] -= 1.0
+    slots[off, j[off], i[off]] -= 1.0
     const = np.zeros((m, m))
     for out_b, X in rows:
         term = congruence(out_b, X)
@@ -127,10 +134,6 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
 def _minus_identity(s: AffineMatrix, dim: int) -> AffineMatrix:
     """-s I for a scalar variable s, as a dim x dim expression."""
     return AffineMatrix((dim, dim), keys=s.keys, coeffs=-np.eye(dim)[None])
-
-
-def _spectral_radius(A) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,12 @@ def assemble_rate(plant: AugmentedPlant) -> RateAssembly:
     structure, rho = plant.structure, plant.rho
     if abs(structure.rho - rho) > 1e-12:
         structure = structure.with_rho(rho)
-    Anom = plant.Ac[plant.n_mult:, plant.n_mult:] * rho
-    if _spectral_radius(Anom) >= rho:
+    if plant.nominal_radius >= rho:
         raise InfeasiblePrecondition(
-            f"nominal spectral radius {_spectral_radius(Anom):.6f} >= rho={rho}")
+            f"nominal spectral radius {plant.nominal_radius:.6f} >= rho={rho}")
     prob = SdpProblem(f"rate[rho={rho:.6g}]")
     P = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
-    theta, md = _add_multiplier(prob, structure)
+    md = _add_multiplier(prob, structure)
     kyp = _kyp(np.hstack([plant.Ac, plant.Bc]), P, (np.hstack([plant.Cc, plant.Dc]), md))
     prob.add_lmi(kyp, "neg", name="rate")
     return RateAssembly(prob, plant, structure)
@@ -174,8 +176,6 @@ def assemble_rate(plant: AugmentedPlant) -> RateAssembly:
 
 def assemble_rate_for(algo: AlgorithmRealization, bounds: SectorBounds,
                       structure: ZamesFalbStructure, rho: float) -> RateAssembly:
-    from .plantbuild import build_rate_plant
-
     plant = build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
     return assemble_rate(plant)
 
@@ -211,13 +211,12 @@ class H2Assembly:
 def assemble_h2(perf_plant: PerformanceAugmentedPlant) -> H2Assembly:
     """Minimization SDP for the asymptotic noise-amplification level gamma."""
     structure = perf_plant.structure.with_rho(1.0)
-    Anom = perf_plant.boldA[perf_plant.n_mult:, perf_plant.n_mult:]
-    if _spectral_radius(Anom) >= 1.0:
+    if perf_plant.nominal_radius >= 1.0:
         raise InfeasiblePrecondition("nominal loop is not Schur stable")
     pl = perf_plant
     prob = SdpProblem("h2")
     P_info = prob.declare("P_p", "symmetric", (pl.n_c, pl.n_c))
-    theta, md = _add_multiplier(prob, structure)
+    md = _add_multiplier(prob, structure)
     Z = prob.add_symmetric("Z", pl.n_wp)
     t = prob.add_scalar("t")
 
@@ -241,8 +240,6 @@ def assemble_h2(perf_plant: PerformanceAugmentedPlant) -> H2Assembly:
 
 def assemble_h2_for(algo: AlgorithmRealization, bounds: SectorBounds,
                     structure: ZamesFalbStructure, channel=None) -> H2Assembly:
-    from .plantbuild import build_perf_plant, default_noise_channel
-
     channel = channel or default_noise_channel(algo)
     plant = build_perf_plant(algo, bounds, structure.with_rho(1.0), channel)
     return assemble_h2(plant)
@@ -326,7 +323,7 @@ def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
     P11 = prob.add_symmetric("P11", nd) if nd else None
     QA = prob.add_matrix("QA", N, N)
     QB = prob.add_matrix("QB", N, p)
-    theta, md = _add_multiplier(prob, structure)
+    md = _add_multiplier(prob, structure)
     dim = N + nc + p
     prob.add_lmi(place((dim, dim), _convex_synth_terms(
         N, nd, bounds.m, C, 1.0 / rho, P22, P11, QA, QB, top, CcDc, md)),
@@ -348,7 +345,7 @@ def assemble_convex_synth_perf(n: int, p: int, bounds: SectorBounds,
     QA = prob.variable_expr("QA")
     QB = prob.variable_expr("QB")
     Pp11 = prob.add_symmetric("Pp11", nd) if nd else None
-    theta_p, md_p = _add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
+    md_p = _add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
     Z = prob.add_symmetric("Z", p)
     t = prob.add_scalar("t")
 
@@ -443,7 +440,7 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     prob = SdpProblem(f"bmi-fixedP[rho={rho:.6g}]")
     Ae = prob.add_matrix("A", N, N)
     Be = prob.add_matrix("B", N, p)
-    theta, md = _add_multiplier(prob, structure)
+    md = _add_multiplier(prob, structure)
     dim = N + nc + p
 
     def rate_terms(P_, rho_, md_, top_, CcDc_):
@@ -480,8 +477,7 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
 
     if with_perf:
         Pp22c = P_p[nd:, nd:]
-        theta_p, md_p = _add_multiplier(prob, structure.with_rho(1.0),
-                                        name="zf_theta_p")
+        md_p = _add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
         _, _, _, _, _, _, top1, CcDc1 = _synth_constants(n, p, bounds, structure, 1.0)
         C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
         prob.add_lmi(place((dim, dim), rate_terms(P_p, 1.0, md_p, top1, CcDc1)
@@ -522,12 +518,10 @@ def assemble_rate_slack(algo: AlgorithmRealization, bounds: SectorBounds,
     iff the rate LMI is strictly feasible within the box radius). The
     optimal s measures how far the fixed algorithm is from certifiable.
     """
-    from .plantbuild import build_rate_plant
-
     plant = build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
     prob = SdpProblem(f"rate-slack[rho={rho:.6g}]")
     P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
-    theta, md = _add_multiplier(prob, structure.with_rho(rho))
+    md = _add_multiplier(prob, structure.with_rho(rho))
     s = prob.add_scalar("s")
     AB = np.hstack([plant.Ac, plant.Bc])
     dim = AB.shape[1]
@@ -635,7 +629,7 @@ def assemble_structured_rate(algo: AlgorithmRealization, H1, T, m2: float,
     to the plain sector analysis.
     """
     loop = structured_loop(algo, H1, T, m2, L2)
-    if _spectral_radius(loop.Anom) >= rho:
+    if loop.radius >= rho:
         raise InfeasiblePrecondition("structured nominal loop too slow for rho")
     q = loop.channel_dim
     st = ZamesFalbStructure(structure.ell_causal, structure.ell_anticausal, q,

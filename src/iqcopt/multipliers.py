@@ -23,15 +23,18 @@ block_diag is composed.
 
 Everything about a multiplier except rho depends only on its shape
 (lc, la, p, class): the tap indices and basis stack (``tap_basis``), the
-M_Delta coefficient stack (``m_delta_coefficients``), and the membership
+M_Delta coefficient stack (``m_delta_coefficients``), the membership
 pattern (the sign rows, the row- and column-sum patterns, each
-component's tap position, the senses and labels). These tables are built
-once per shape into a read-only layout, on first use, and every
-structure of that shape reads it whatever its rho. The layouts live in
-a cache of the LAYOUT_CACHE_SIZE most recently used shapes; an older
-one is dropped and rebuilt when next asked for. What stays per
-structure is rho: ``membership_rows`` applies the rho^(-i) and rho^i
-weights of the row- and column-sum rows on each call.
+component's tap position, the senses and labels) and the filter
+template (psi_Delta's A and C, and B and D with the sector width left
+out, beside the positions it goes to). These tables are built once per
+shape into a read-only layout, on first use, and every structure of that
+shape reads it whatever its rho. The layouts live in a cache of the
+LAYOUT_CACHE_SIZE most recently used shapes; an older one is dropped and
+rebuilt when next asked for. What stays per call is rho and the width:
+``membership_rows`` applies the rho^(-i) and rho^i weights of the row-
+and column-sum rows, and ``psi_delta_realization`` copies B and D and
+writes the width into them.
 """
 
 import functools
@@ -196,8 +199,11 @@ class _Layout:
         self.row_sums = E.sum(axis=2)
         self.col_sums = E.sum(axis=1)
         self.pos = taps + lc                 # position of each kernel index in -lc..la
+        (self.psi_A, self.psi_B, self.psi_C, self.psi_D,
+         self.width_B, self.width_D) = _psi_template(lc, la, p)
         for arr in (self.taps, self.basis, self.coeffs, self.sign_rows,
-                    self.row_sums, self.col_sums, self.pos):
+                    self.row_sums, self.col_sums, self.pos, self.psi_A, self.psi_B,
+                    self.psi_C, self.psi_D, self.width_B, self.width_D):
             arr.flags.writeable = False
         self.senses = ("<=",) * len(self.sign_rows) + (">=",) * (2 * p)
         self.labels = tuple(
@@ -305,11 +311,40 @@ def m_delta_matrix(params: ZamesFalbParameters, structure: ZamesFalbStructure) -
     return 0.0 + (theta @ coeffs.reshape(theta.size, -1)).reshape(coeffs.shape[1:])
 
 
-def _set_diagonal(X: np.ndarray, row: int, col: int, length: int, value: float) -> None:
-    """X[row + i, col + i] = value for i < length, as one strided slice."""
-    n = X.shape[1]
-    start = row * n + col
-    X.reshape(-1)[start:start + max(length, 0) * (n + 1):n + 1] = value
+def _diagonal(n_cols: int, row: int, col: int, length: int) -> np.ndarray:
+    """Flat positions of X[row + i, col + i], i < length, in an n_cols-column X."""
+    start = row * n_cols + col
+    return np.arange(start, start + max(length, 0) * (n_cols + 1), n_cols + 1)
+
+
+def _psi_template(lc: int, la: int, p: int):
+    """psi_Delta's A, B, C, D with the width left out, and its B and D positions.
+
+    Every entry but the width is 0, 1 or -1; B and D hold 0 where the
+    width goes (see ``psi_delta_realization``).
+    """
+    nc, na = lc * p, la * p
+    nx, ny = nc + na, 4 * p + nc + na
+    # output blocks (the M_Delta blocks, see _Layout), with v = w u_1 - u_2:
+    # v, u_2, the causal taps of v, u_2, v, the anticausal taps of u_2
+    o3, o4, o5 = 2 * p + nc, 3 * p + nc, 4 * p + nc
+    A = np.zeros((nx, nx))
+    np.put(A, _diagonal(nx, 0, p, nc - p), 1.0)
+    np.put(A, _diagonal(nx, nc, nc + p, na - p), 1.0)
+    # v = w u_1 - u_2: each w entry of B and D has a -1 p columns to its right
+    width_B = _diagonal(2 * p, nc - p, 0, min(nc, p))
+    width_D = np.concatenate([_diagonal(2 * p, r, 0, p) for r in (0, o4)])
+    B = np.zeros((nx, 2 * p))
+    np.put(B, width_B + p, -1.0)
+    np.put(B, _diagonal(2 * p, nx - p, p, min(na, p)), 1.0)
+    C = np.zeros((ny, nx))
+    np.put(C, _diagonal(nx, 2 * p, 0, nc), 1.0)
+    for a in range(la):                      # output tap a reads state la-1 - a
+        np.put(C, _diagonal(nx, o5 + a * p, nc + (la - 1 - a) * p, p), 1.0)
+    D = np.zeros((ny, 2 * p))
+    np.put(D, width_D + p, -1.0)
+    np.put(D, np.concatenate([_diagonal(2 * p, r, p, p) for r in (p, o3)]), 1.0)
+    return A, B, C, D, width_B, width_D
 
 
 def psi_delta_realization(structure: ZamesFalbStructure, width: float) -> StateSpace:
@@ -319,35 +354,15 @@ def psi_delta_realization(structure: ZamesFalbStructure, width: float) -> StateS
     for the sector width w = L - m, with What = [[w I, -I], [0, I]],
     p(lc+la) states, 2p inputs (u_1, u_2) and p(4+lc+la) outputs.
     psi_c = [z^-lc .. z^-1]^T and psi_a = [z^-1 .. z^-la]^T are shift
-    chains. Every entry is 0, 1, -1 or w, so A, B, C and D are written
-    by index into zeroed arrays: the causal chain stores the last lc
-    values of v = w u_1 - u_2 and the anticausal chain the last la
-    values of u_2 (What folded into B and D), and C reads the anticausal
-    chain in reverse.
+    chains. Every entry is 0, 1, -1 or w: the causal chain stores the
+    last lc values of v = w u_1 - u_2 and the anticausal chain the last
+    la values of u_2 (What folded into B and D), and C reads the
+    anticausal chain in reverse. A and C are the shape's read-only
+    layout arrays; B and D are copies of its templates with w written in.
     """
-    lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
-    nc, na = lc * p, la * p
-    nx, ny = nc + na, 4 * p + nc + na
-    # output blocks (the M_Delta blocks, see _Layout), with v = w u_1 - u_2:
-    # v, u_2, the causal taps of v, u_2, v, the anticausal taps of u_2
-    o3, o4, o5 = 2 * p + nc, 3 * p + nc, 4 * p + nc
-    A = np.zeros((nx, nx))
-    _set_diagonal(A, 0, p, nc - p, 1.0)
-    _set_diagonal(A, nc, nc + p, na - p, 1.0)
-    B = np.zeros((nx, 2 * p))
-    if lc:
-        _set_diagonal(B, nc - p, 0, p, width)
-        _set_diagonal(B, nc - p, p, p, -1.0)
-    if la:
-        _set_diagonal(B, nx - p, p, p, 1.0)
-    C = np.zeros((ny, nx))
-    _set_diagonal(C, 2 * p, 0, nc, 1.0)
-    for a in range(la):                      # output tap a reads state la-1 - a
-        _set_diagonal(C, o5 + a * p, nc + (la - 1 - a) * p, p, 1.0)
-    D = np.zeros((ny, 2 * p))
-    for r in (0, o4):
-        _set_diagonal(D, r, 0, p, width)
-        _set_diagonal(D, r, p, p, -1.0)
-    for r in (p, o3):
-        _set_diagonal(D, r, p, p, 1.0)
-    return StateSpace(A, B, C, D)
+    layout = _layout(structure.ell_causal, structure.ell_anticausal, structure.p,
+                     structure.klass)
+    B, D = layout.psi_B.copy(), layout.psi_D.copy()
+    np.put(B, layout.width_B, width)
+    np.put(D, layout.width_D, width)
+    return StateSpace(layout.psi_A, B, layout.psi_C, D)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import AlgorithmRealization, SectorBounds
+from .algorithms import AlgorithmRealization, SectorBounds, spectral_radius
 from .errors import DimensionError, DomainError, UnsupportedError
 from .multipliers import ZamesFalbStructure, psi_delta_realization
 from .statespace import StateSpace
@@ -23,12 +23,14 @@ class UncertainLoop:
 
     For the plain sector setup: Anom = A + m B C, Beff = B, Ceff = C and
     width = L - m. Structured variants substitute their own matrices.
+    radius is the spectral radius of Anom, computed from it unless given.
     """
 
     Anom: np.ndarray
     Beff: np.ndarray
     Ceff: np.ndarray
     width: float
+    radius: float = None
 
     def __post_init__(self):
         Anom = np.atleast_2d(np.asarray(self.Anom, dtype=float))
@@ -44,6 +46,8 @@ class UncertainLoop:
         object.__setattr__(self, "Anom", Anom)
         object.__setattr__(self, "Beff", Beff)
         object.__setattr__(self, "Ceff", Ceff)
+        object.__setattr__(self, "radius",
+                           spectral_radius(Anom) if self.radius is None else self.radius)
 
     @property
     def nstates(self) -> int:
@@ -56,7 +60,7 @@ class UncertainLoop:
 
 def sector_loop(algo: AlgorithmRealization, bounds: SectorBounds) -> UncertainLoop:
     return UncertainLoop(algo.nominal_matrix(bounds.m), algo.B, algo.C,
-                         bounds.L - bounds.m)
+                         bounds.L - bounds.m, algo.nominal_radius(bounds.m))
 
 
 def structured_loop(algo: AlgorithmRealization, H1, T, m2: float, L2: float) -> UncertainLoop:
@@ -78,7 +82,11 @@ def structured_loop(algo: AlgorithmRealization, H1, T, m2: float, L2: float) -> 
 
 @dataclass(frozen=True)
 class AugmentedPlant:
-    """Realization (Ac(rho), Bc, Cc(rho), Dc) of psi_Delta [G_tilde; I]."""
+    """Realization (Ac(rho), Bc, Cc(rho), Dc) of psi_Delta [G_tilde; I].
+
+    nominal_radius is the spectral radius of the loop's Anom, before the
+    rho scaling.
+    """
 
     Ac: np.ndarray = field(repr=False)
     Bc: np.ndarray = field(repr=False)
@@ -89,6 +97,7 @@ class AugmentedPlant:
     p_c: int
     q_c: int
     rho: float
+    nominal_radius: float
     structure: ZamesFalbStructure = None
 
     @property
@@ -123,8 +132,8 @@ def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
     Bc = np.vstack([psi.B[:, q:], loop.Beff])
     Cc = np.hstack([psi.C, psi.D[:, :q] @ loop.Ceff / rho])
     Dc = psi.D[:, q:].copy()
-    return AugmentedPlant(Ac, Bc, Cc, Dc, n_mult=nd, n_loop=N, p_c=q,
-                          q_c=psi.ny, rho=rho, structure=structure)
+    return AugmentedPlant(Ac, Bc, Cc, Dc, n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny,
+                          rho=rho, nominal_radius=loop.radius, structure=structure)
 
 
 def build_rate_plant(algo: AlgorithmRealization, bounds: SectorBounds,
@@ -141,7 +150,8 @@ class PerformanceAugmentedPlant:
     Outputs split into the multiplier rows (q_c) and the performance rows
     (n_yp); inputs into the uncertainty channel (p_c) and the noise
     channel (n_wp). The direct terms D12, D21, D22 vanish for the H2
-    setup with D_perf = 0.
+    setup with D_perf = 0. nominal_radius is the spectral radius of the
+    loop's Anom.
     """
 
     boldA: np.ndarray = field(repr=False)
@@ -157,6 +167,7 @@ class PerformanceAugmentedPlant:
     q_c: int
     n_wp: int
     n_yp: int
+    nominal_radius: float
     structure: ZamesFalbStructure = None
 
     @property
@@ -179,7 +190,7 @@ def build_perf_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
         np.hstack([np.zeros((nyp, nd)), C_perf]), plant.Dc,
         np.vstack([np.zeros((nd, N)), np.eye(N)]),
         n_mult=nd, n_loop=N, p_c=plant.p_c, q_c=plant.q_c, n_wp=nwp, n_yp=nyp,
-        structure=structure,
+        nominal_radius=loop.radius, structure=structure,
     )
 
 

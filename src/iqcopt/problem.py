@@ -33,6 +33,7 @@ JSON interchange can therefore be asymmetric at rounding level; only the
 constant term, which the eps margin is computed from, is stored symmetrized.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +45,26 @@ EPS_REL = 1e-7
 
 _NO_KEYS = np.zeros(0, dtype=np.intp)
 
+# sizes n whose upper-triangle index pattern is kept
+PATTERN_CACHE_SIZE = 32
 
+
+@functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
 def upper_triangle(n: int):
-    """Row and column indices of an n x n upper triangle, row by row.
+    """Row and column indices of an n x n upper triangle, row by row, and
+    the positions of its off-diagonal entries among them.
 
     The order of np.triu_indices(n), the order of a symmetric variable's
     scalars, built from the n (n + 1) / 2 positions instead of an n x n mask.
+    It is the index pattern of a symmetric variable's unit basis, so it is
+    built once per n into read-only arrays that every caller shares.
     """
     i = np.repeat(np.arange(n), np.arange(n, 0, -1))
     # row i starts at position i n - i (i - 1) / 2 and its columns at i
     j = np.arange(i.size) - i * (2 * n + 1 - i) // 2 + i
-    return i, j
+    off = np.flatnonzero(i != j)
+    i.flags.writeable = j.flags.writeable = off.flags.writeable = False
+    return i, j, off
 
 
 class AffineMatrix:
@@ -320,8 +330,8 @@ class SdpProblem:
         """
         info = self._by_name[name]
         r, c = info.shape
-        i, j = upper_triangle(r) if info.kind == "symmetric" else np.divmod(np.arange(r * c), c)
         k = np.arange(info.size)
+        i, j = upper_triangle(r)[:2] if info.kind == "symmetric" else np.divmod(k, c)
         basis = np.zeros((info.size, r, c))
         basis[k, i, j] = 1.0
         if info.kind == "symmetric":
@@ -337,7 +347,7 @@ class SdpProblem:
         if info.kind == "matrix":
             return v.reshape(info.shape)
         M = np.empty(info.shape)
-        i, j = upper_triangle(info.shape[0])
+        i, j, _ = upper_triangle(info.shape[0])
         M[i, j] = v
         M[j, i] = v
         return M

@@ -1,6 +1,7 @@
 """Reference builders: the plant and KYP assembly composed factor by factor.
 
-psi_Delta from kron, np.block and block_diag, the plants through the
+psi_Delta from kron, np.block and block_diag (and as the library once
+wrote it by index into fresh arrays on every call), the plants through the
 [C; 0] and [0; I] helpers, and the KYP block as a congruence of P's unit
 basis stack. The library builds the same objects by index; the tests
 compare the two entry for entry.
@@ -54,7 +55,7 @@ def _shift_chain(ell):
     return A, B
 
 
-def reference_psi_delta_realization(structure, bounds):
+def composed_psi_delta_realization(structure, bounds):
     """psi_Delta composed from kron, np.block and block_diag, factor by factor."""
     lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
     W = sector_transform(bounds, p)
@@ -85,7 +86,47 @@ def reference_psi_delta_realization(structure, bounds):
 
 
 def _psi(structure, width):
-    return reference_psi_delta_realization(structure, SectorBounds(1.0, 1.0 + width))
+    return composed_psi_delta_realization(structure, SectorBounds(1.0, 1.0 + width))
+
+
+def _set_diagonal(X, row, col, length, value):
+    """X[row + i, col + i] = value for i < length, as one strided slice."""
+    n = X.shape[1]
+    start = row * n + col
+    X.reshape(-1)[start:start + max(length, 0) * (n + 1):n + 1] = value
+
+
+def reference_psi_delta_realization(structure, width):
+    """psi_Delta written by index into fresh zeroed arrays on every call.
+
+    The causal chain stores the last lc values of v = w u_1 - u_2 and the
+    anticausal chain the last la values of u_2 (What folded into B and
+    D), and C reads the anticausal chain in reverse.
+    """
+    lc, la, p = structure.ell_causal, structure.ell_anticausal, structure.p
+    nc, na = lc * p, la * p
+    nx, ny = nc + na, 4 * p + nc + na
+    o3, o4, o5 = 2 * p + nc, 3 * p + nc, 4 * p + nc
+    A = np.zeros((nx, nx))
+    _set_diagonal(A, 0, p, nc - p, 1.0)
+    _set_diagonal(A, nc, nc + p, na - p, 1.0)
+    B = np.zeros((nx, 2 * p))
+    if lc:
+        _set_diagonal(B, nc - p, 0, p, width)
+        _set_diagonal(B, nc - p, p, p, -1.0)
+    if la:
+        _set_diagonal(B, nx - p, p, p, 1.0)
+    C = np.zeros((ny, nx))
+    _set_diagonal(C, 2 * p, 0, nc, 1.0)
+    for a in range(la):                      # output tap a reads state la-1 - a
+        _set_diagonal(C, o5 + a * p, nc + (la - 1 - a) * p, p, 1.0)
+    D = np.zeros((ny, 2 * p))
+    for r in (0, o4):
+        _set_diagonal(D, r, 0, p, width)
+        _set_diagonal(D, r, p, p, -1.0)
+    for r in (p, o3):
+        _set_diagonal(D, r, p, p, 1.0)
+    return StateSpace(A, B, C, D)
 
 
 def reference_build_rate_plant_loop(loop, structure, rho):
@@ -102,8 +143,8 @@ def reference_build_rate_plant_loop(loop, structure, rho):
     Bc = np.vstack([psi.B @ Din, loop.Beff])
     Cc = np.hstack([psi.C, psi.D @ Cext / rho])
     Dc = psi.D @ Din
-    return AugmentedPlant(Ac, Bc, Cc, Dc, n_mult=nd, n_loop=N, p_c=q,
-                          q_c=psi.ny, rho=rho, structure=structure)
+    return AugmentedPlant(Ac, Bc, Cc, Dc, n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny,
+                          rho=rho, nominal_radius=loop.radius, structure=structure)
 
 
 def reference_build_perf_plant_loop(loop, structure, B_perf, C_perf):
@@ -126,7 +167,7 @@ def reference_build_perf_plant_loop(loop, structure, B_perf, C_perf):
         np.hstack([psi.C, psi.D @ Cext]), np.hstack([np.zeros((nyp, nd)), C_perf]),
         psi.D @ Din, np.vstack([np.zeros((nd, N)), np.eye(N)]),
         n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny, n_wp=nwp, n_yp=nyp,
-        structure=structure,
+        nominal_radius=loop.radius, structure=structure,
     )
 
 
@@ -215,7 +256,7 @@ def reference_add_multiplier(prob, structure, name="zf_theta"):
     rows = np.array([con.coeffs for con in cons]) @ theta
     for r, con in enumerate(cons):
         prob.add_linear(rows.entry(r, 0), con.sense, con.rhs, name=f"{name}:{con.label}")
-    return theta, md
+    return md
 
 
 def reference_add_box_rows(prob, Ae, Be):
@@ -436,7 +477,7 @@ def reference_assemble_convex_synth(n, p, bounds, structure, rho):
     P11 = prob.add_symmetric("P11", nd) if nd else AffineMatrix((0, 0))
     QA = prob.add_matrix("QA", N, N)
     QB = prob.add_matrix("QB", N, p)
-    theta, md = lmi._add_multiplier(prob, structure)
+    md = lmi._add_multiplier(prob, structure)
     U = congruence(top, P11) if nd else AffineMatrix((nc + p, nc + p))
     P_full = reference_blkdiag(P11, P22) if nd else P22
     U = U - _embed_state_block(P_full, p)
@@ -460,7 +501,7 @@ def reference_assemble_convex_synth_perf(n, p, bounds, structure, rho):
     QA = prob.variable_expr("QA")
     QB = prob.variable_expr("QB")
     Pp11 = prob.add_symmetric("Pp11", nd) if nd else AffineMatrix((0, 0))
-    theta_p, md_p = lmi._add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
+    md_p = lmi._add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
     Z = prob.add_symmetric("Z", p)
     t = prob.add_scalar("t")
     Up = congruence(top1, Pp11) if nd else AffineMatrix((nc + p, nc + p))
@@ -495,7 +536,7 @@ def reference_assemble_bmi_fixed_P(n, p, bounds, structure, rho, P, P_p=None, sl
     prob = SdpProblem(f"bmi-fixedP[rho={rho:.6g}]")
     Ae = prob.add_matrix("A", N, N)
     Be = prob.add_matrix("B", N, p)
-    theta, md = lmi._add_multiplier(prob, structure)
+    md = lmi._add_multiplier(prob, structure)
 
     def bottom_rows(rho_):
         return reference_block([[np.zeros((N, nd)),
@@ -534,7 +575,7 @@ def reference_assemble_bmi_fixed_P(n, p, bounds, structure, rho, P, P_p=None, sl
         Pp22c = P_p[nd:, nd:]
         if np.min(np.linalg.eigvalsh(0.5 * (Pp22c + Pp22c.T))) <= 0:
             raise PreconditionError("P_p22 must be positive definite when fixing P_p")
-        theta_p, md_p = lmi._add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
+        md_p = lmi._add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
         _, _, _, _, _, _, top1, CcDc1 = lmi._synth_constants(n, p, bounds, structure, 1.0)
         C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
         bigp = rate_block(P_p, 1.0, md_p, top1, CcDc1, extra_const=C2.T @ C2)
@@ -556,7 +597,7 @@ def reference_assemble_rate_slack(algo, bounds, structure, rho, radius=1e6):
     plant = plantbuild.build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
     prob = SdpProblem(f"rate-slack[rho={rho:.6g}]")
     P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
-    theta, md = lmi._add_multiplier(prob, structure.with_rho(rho))
+    md = lmi._add_multiplier(prob, structure.with_rho(rho))
     s = prob.add_scalar("s")
     big = lmi._kyp(np.hstack([plant.Ac, plant.Bc]), P_info,
                    (np.hstack([plant.Cc, plant.Dc]), md))

@@ -172,6 +172,25 @@ class TestSweep:
             assert float(value_s) == pytest.approx(want, abs=1e-2)
             assert float(value_s) >= float(lb_s) - 1e-3
 
+    @pytest.mark.parametrize("grid", [
+        "foo", "bad:1:2:3", "log:a:10:3", "log:1:10", "log:1:10:3:4", "log:1:10:2.5",
+        "lin:1:10:0", "log:1:10:-3", "log:0:10:3", "log:-2:10:3", "log:2:0:3",
+        "lin:1:nan:3", "log:1:inf:3"])
+    def test_malformed_kappa_grid_exits_usage(self, grid, capsys):
+        assert RUN("sweep", "--algos", "gd", "--kappa-grid", grid) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: iqcopt sweep" in captured.err
+        assert f"argument --kappa-grid: {grid!r}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("grid,want", [("log:2:8:3", [2.0, 4.0, 8.0]),
+                                           ("lin:2:3:3", [2.0, 2.5, 3.0]),
+                                           ("lin:5:5:1", [5.0])])
+    def test_kappa_grid_spec_is_kept_and_parsed(self, grid, want):
+        args = cli.build_parser().parse_args(["sweep", "--kappa-grid", grid])
+        assert args.kappa_grid == grid
+        np.testing.assert_allclose(cli._parse_grid(grid), want, rtol=1e-15)
 
     def test_default_sweep_matches_recorded(self, tmp_path):
         """The default rate sweep (75 certifications) reads the values in

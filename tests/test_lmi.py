@@ -1,20 +1,23 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 
 from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_structured,
                                lift, make_named)
-from iqcopt import multipliers
+from iqcopt import algorithms, lmi, multipliers
 from iqcopt.engines import h2_norm_linear, verify_fdi
 from iqcopt.errors import DimensionError, InfeasiblePrecondition, PreconditionError
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
-                        assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for,
+                        assemble_bmi_fixed_P, assemble_h2, assemble_h2_for, assemble_rate_for,
                         assemble_rate_reduced, assemble_rate_slack,
                         assemble_structured_rate)
-from iqcopt.multipliers import ZamesFalbStructure
+from iqcopt.multipliers import (CLASSES, ZamesFalbStructure, m_delta_coefficients,
+                                membership_rows)
 from iqcopt.native import _sym_stack
-from iqcopt.plantbuild import build_rate_plant
+from iqcopt.plantbuild import UncertainLoop, build_perf_plant_loop, build_rate_plant
+from iqcopt.problem import SdpProblem, upper_triangle
 from iqcopt.sdp import SdpSolution, solve
 from iqcopt.statespace import StateSpace
 import reference_builders as ref_builders
@@ -262,25 +265,88 @@ def test_perf_synth_gamma_weakly_decreasing_in_rho():
 
 class TestSharedLayout:
     def test_built_once_for_a_certification(self, monkeypatch):
-        built = []
+        """The layout (filter template included), P's index pattern and the
+        nominal radius are each built once for a whole certification."""
+        built, radii = [], []
+        compute = algorithms.spectral_radius
 
         def build(*shape):
             built.append(shape)
             return multipliers._Layout(*shape)
 
+        def spectral_radius(A):
+            radii.append(A.shape)
+            return compute(A)
+
         # an empty cache of its own, so what other tests cached does not count
         monkeypatch.setattr(multipliers, "_layout", functools.lru_cache(build))
+        monkeypatch.setattr(algorithms, "spectral_radius", spectral_radius)
+        upper_triangle.cache_clear()
         algo = make_named("nm", BOUNDS10, 1)
         st = ZamesFalbStructure(5, 2, 1, "unstructured", 1.0)
-        radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS10.m))))
+        radius = algo.nominal_radius(BOUNDS10.m)
         for rho in np.linspace(1.0, 0.5 * (1.0 + radius), 12):
             asm = assemble_rate_for(algo, BOUNDS10, st, rho)
+        assert upper_triangle.cache_info()[:2] == (11, 1)     # hits, misses
         assemble_h2_for(algo, BOUNDS10, st)
         x = np.random.default_rng(0).standard_normal(asm.problem.nvars)
         sol = SdpSolution(status="optimal", x=x,
                           values={n: asm.problem.extract(n, x) for n in ("P", "zf_theta")})
         verify_fdi(asm.decode(sol), asm.plant)
         assert built == [(5, 2, 1, "unstructured")]
+        assert radii == [(2, 2)]
+        assert upper_triangle.cache_info().misses == 2         # P's n and H2's 1 x 1 Z
+        assert asm.plant.nominal_radius == radius
+
+
+class TestRhoFreeParts:
+    """A rate probe builds only what depends on rho: the filter template,
+    P's index pattern and the nominal radius are each built once."""
+
+    @pytest.mark.parametrize("kind,p", [("gd", 1), ("nm", 2), ("tmm", 3)])
+    def test_radius_boundary(self, kind, p):
+        algo = make_named(kind, BOUNDS10, p)
+        st = ZamesFalbStructure(1, 0, p, "unstructured", 1.0)
+        radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS10.m))))
+        assert algo.nominal_radius(BOUNDS10.m) == radius
+        for rho in (np.nextafter(radius, 0.0), radius):
+            message = f"nominal spectral radius {radius:.6f} >= rho={rho}"
+            with pytest.raises(InfeasiblePrecondition, match=re.escape(message)):
+                assemble_rate_for(algo, BOUNDS10, st, rho)
+        assert assemble_rate_for(algo, BOUNDS10, st, np.nextafter(radius, 1.0)).plant.rho > radius
+
+    def test_unstable_loop_rejected_for_h2(self):
+        bounds = SectorBounds(1.0, 100.0)
+        hb = make_named("hb", bounds)
+        loop = UncertainLoop(2.0 * hb.nominal_matrix(1.0), hb.B, hb.C, 99.0)
+        assert loop.radius == max(abs(np.linalg.eigvals(loop.Anom))) >= 1.0
+        plant = build_perf_plant_loop(loop, ST10, hb.B, hb.D)
+        assert plant.nominal_radius == loop.radius
+        with pytest.raises(InfeasiblePrecondition, match="not Schur stable"):
+            assemble_h2(plant)
+
+    @pytest.mark.parametrize("klass", CLASSES)
+    @pytest.mark.parametrize("lc,la,p", [(0, 0, 1), (1, 0, 1), (6, 1, 1), (2, 1, 2), (0, 2, 3)])
+    def test_membership_rows_are_rows_at_theta(self, klass, lc, la, p):
+        """The rows _add_multiplier adds are those of rows @ theta, byte for byte."""
+        for rho in (1.0, 0.9, 0.37):
+            st = ZamesFalbStructure(lc, la, p, klass, rho)
+            got = SdpProblem()
+            got.add_scalar("s")
+            md = lmi._add_multiplier(got, st, "zf")
+            ref = SdpProblem()
+            ref.add_scalar("s")
+            theta = ref.add_matrix("zf", st.parameter_count(), 1)
+            rows, senses, labels = membership_rows(st)
+            ref.add_linear(rows @ theta, senses, 0.0, [f"zf:{label}" for label in labels])
+            assert got.variables == ref.variables
+            a, b = got.linear, ref.linear
+            assert (a.sign, a.rhs, a.name) == (b.sign, b.rhs, b.name)
+            for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
+                         (a.expr.coeffs, b.expr.coeffs)):
+                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
+            assert md.keys.tobytes() == theta.keys.tobytes()
+            assert md.coeffs is m_delta_coefficients(st)
 
 
 def _direct_and_reference(monkeypatch, build, use_reference=use_reference_builders):

@@ -14,12 +14,13 @@ from iqcopt.multipliers import (CLASSES, LAYOUT_CACHE_SIZE, MEMBER_TOL, ZamesFal
                                 membership_constraints, membership_rows,
                                 psi_delta_realization, verify_membership)
 from iqcopt.statespace import eval_frequency
-from reference_builders import (factorize, kernel_transfer, multiplier_value,
+from reference_builders import (composed_psi_delta_realization, factorize,
+                                kernel_transfer, multiplier_value,
+                                reference_psi_delta_realization,
                                 reference_m_delta_coefficients,
                                 reference_m_delta_matrix,
                                 reference_matrices_from_theta,
                                 reference_membership_constraints,
-                                reference_psi_delta_realization,
                                 reference_tap_basis,
                                 reference_theta_from_matrices,
                                 reference_verify_membership)
@@ -242,11 +243,43 @@ class TestFactorization:
         # a width L - m other than 1, so that w and the unit entries differ
         bounds = SectorBounds(1.0, 1.0 + 0.1 * (7 + lc + 3 * la))
         got = psi_delta_realization(st, bounds.L - bounds.m)
-        ref = reference_psi_delta_realization(st, bounds)
+        ref = composed_psi_delta_realization(st, bounds)
         for name in "ABCD":
             assert getattr(got, name).shape == getattr(ref, name).shape
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("width", [0.0, 1.0, 9.5, 999.0])
+    def test_psi_from_the_layout_matches_a_fresh_build(self, p, width):
+        for lc in range(4):
+            for la in range(4):
+                for klass in CLASSES:
+                    st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+                    got = psi_delta_realization(st, width)
+                    ref = reference_psi_delta_realization(st, width)
+                    for name in "ABCD":
+                        a, b = getattr(got, name), getattr(ref, name)
+                        assert (a.shape, a.dtype) == (b.shape, b.dtype), (st, name)
+                        assert a.tobytes() == b.tobytes(), (st, name)
+
+    @pytest.mark.parametrize("lc,la,p", [(1, 0, 1), (6, 1, 1), (2, 3, 2), (0, 2, 3)])
+    def test_psi_template_is_not_written_through(self, lc, la, p):
+        st = ZamesFalbStructure(lc, la, p, "unstructured", 1.0)
+        first = psi_delta_realization(st, 9.0)
+        first.B[...] = 7.0
+        first.D[...] = 7.0
+        for psi in (psi_delta_realization(st, 9.0), psi_delta_realization(st.with_rho(0.5), 9.0)):
+            ref = reference_psi_delta_realization(st, 9.0)
+            for name in "ABCD":
+                assert getattr(psi, name).tobytes() == getattr(ref, name).tobytes(), name
+        layout = multipliers._layout(lc, la, p, "unstructured")
+        for arr in (first.A, first.C, layout.psi_A, layout.psi_B, layout.psi_C, layout.psi_D,
+                    layout.width_B, layout.width_D):
+            assert not arr.flags.writeable
+            if arr.size:
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1
 
     def test_psi_state_count(self):
         st = ZamesFalbStructure(3, 2, 2, "unstructured", 1.0)

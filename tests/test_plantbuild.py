@@ -140,3 +140,23 @@ class TestLoops:
         loop = structured_loop(algo, H1, T, 1.0, 5.0)
         assert loop.channel_dim == 3
         assert loop.Beff.shape == (8, 3)
+
+    @pytest.mark.parametrize("kind,p", [("gd", 1), ("nm", 2), ("tmm", 3)])
+    def test_plants_carry_the_nominal_radius(self, kind, p):
+        algo = make_named(kind, BOUNDS, p)
+        radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS.m))))
+        st = ZamesFalbStructure(2, 1, p, "unstructured", 1.0)
+        assert sector_loop(algo, BOUNDS).radius == radius
+        assert build_rate_plant(algo, BOUNDS, st.with_rho(0.95), 0.95).nominal_radius == radius
+        perf = build_perf_plant(algo, BOUNDS, st, default_noise_channel(algo))
+        assert perf.nominal_radius == radius
+
+    def test_explicit_loop_computes_its_radius(self):
+        loop = structured_loop(GD, np.eye(1), np.eye(1), 0.5, 3.0)
+        assert loop.radius == max(abs(np.linalg.eigvals(loop.Anom)))
+
+    def test_radius_follows_m(self):
+        algo = make_named("nm", BOUNDS, 1)
+        for m in (1.0, 2.0, 1.0):
+            want = max(abs(np.linalg.eigvals(algo.nominal_matrix(m))))
+            assert algo.nominal_radius(m) == want

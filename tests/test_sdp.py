@@ -14,7 +14,8 @@ from iqcopt.algorithms import SectorBounds, make_named
 from iqcopt.errors import ArgumentError, DimensionError
 from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbStructure
-from iqcopt.problem import AffineMatrix, SdpProblem, congruence, place, upper_triangle
+from iqcopt.problem import (PATTERN_CACHE_SIZE, AffineMatrix, SdpProblem, congruence, place,
+                            upper_triangle)
 from iqcopt.sdp import MAX_ITERS, SolverOptions, solve
 from reference_builders import reference_add_linear
 
@@ -90,6 +91,15 @@ class TestAffineMatrix:
             for got, want in zip(upper_triangle(n), np.triu_indices(n)):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+    def test_upper_triangle_is_shared_and_read_only(self):
+        for n in range(0, 41):
+            i, j, off = upper_triangle(n)
+            np.testing.assert_array_equal(off, np.flatnonzero(i != j))
+            assert upper_triangle(n) is upper_triangle(n)
+            for arr in (i, j, off):
+                assert not arr.flags.writeable
+        assert upper_triangle.cache_info().maxsize == PATTERN_CACHE_SIZE
 
     def test_block_diagonal(self):
         a = AffineMatrix.constant([[1.0]])
