@@ -24,6 +24,7 @@ ones, and the tolerance is the dense one, EQ_TOL (1 + ||A||_F) with
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,8 @@ class SectorBounds:
     L: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.m) and math.isfinite(self.L)):
+            raise DomainError(f"m and L must be finite, got m={self.m}, L={self.L}")
         if not (0 < self.m <= self.L):
             raise DomainError(f"need 0 < m <= L, got m={self.m}, L={self.L}")
 

@@ -5,9 +5,32 @@ is the rho-scaled loop transfer function; the performance plant is the
 same object at rho = 1 extended by a noise channel (B_perf, C_perf, 0).
 State ordering is fixed as (causal basis, anticausal basis, algorithm
 states) so certificates are reproducible.
+
+A plant is built in two parts. The rho-free part (``_RhoFree``) is the
+loop and the filter psi_Delta for the sector width, the products
+psi.B[:, :q] Ceff and psi.D[:, :q] Ceff, the input and feedthrough
+columns Bc and Dc, and the dimensions. A probe then fills only what
+depends on rho: those two products and Anom, each divided by rho, in Ac
+and Cc. The performance plant is the same fill at rho = 1, where the
+division is exact.
+
+A certification bisects rho over one (algorithm, bounds, multiplier
+shape), and its H2 assembly follows its rate probes, so
+``build_rate_plant`` and ``build_perf_plant`` keep the rho-free part of
+the last configuration asked for, and only that one: the next
+configuration replaces it, algorithm included. Its arrays are read-only
+and shared by the plants built from it (Bc and Dc; psi's A and C are the
+multiplier layout's). ``build_rate_plant_loop`` and
+``build_perf_plant_loop`` take an explicit loop and run the same two
+steps without keeping anything.
+
+The loop's nominal spectral radius is computed on first read, which only
+the rate and H2 assemblies do; a sector loop reads the algorithm's own
+kept value.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -23,14 +46,15 @@ class UncertainLoop:
 
     For the plain sector setup: Anom = A + m B C, Beff = B, Ceff = C and
     width = L - m. Structured variants substitute their own matrices.
-    radius is the spectral radius of Anom, computed from it unless given.
+    radius is the spectral radius of Anom, computed on first read by
+    radius_of when given, else from Anom.
     """
 
     Anom: np.ndarray
     Beff: np.ndarray
     Ceff: np.ndarray
     width: float
-    radius: float = None
+    radius_of: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         Anom = np.atleast_2d(np.asarray(self.Anom, dtype=float))
@@ -46,8 +70,10 @@ class UncertainLoop:
         object.__setattr__(self, "Anom", Anom)
         object.__setattr__(self, "Beff", Beff)
         object.__setattr__(self, "Ceff", Ceff)
-        object.__setattr__(self, "radius",
-                           spectral_radius(Anom) if self.radius is None else self.radius)
+
+    @cached_property
+    def radius(self) -> float:
+        return self.radius_of() if self.radius_of else spectral_radius(self.Anom)
 
     @property
     def nstates(self) -> int:
@@ -59,8 +85,11 @@ class UncertainLoop:
 
 
 def sector_loop(algo: AlgorithmRealization, bounds: SectorBounds) -> UncertainLoop:
-    return UncertainLoop(algo.nominal_matrix(bounds.m), algo.B, algo.C,
-                         bounds.L - bounds.m, algo.nominal_radius(bounds.m))
+    """The plain sector loop; Anom is read-only, like the algorithm's B and C."""
+    Anom = algo.nominal_matrix(bounds.m)
+    Anom.flags.writeable = False
+    return UncertainLoop(Anom, algo.B, algo.C, bounds.L - bounds.m,
+                         partial(algo.nominal_radius, bounds.m))
 
 
 def structured_loop(algo: AlgorithmRealization, H1, T, m2: float, L2: float) -> UncertainLoop:
@@ -84,8 +113,9 @@ def structured_loop(algo: AlgorithmRealization, H1, T, m2: float, L2: float) -> 
 class AugmentedPlant:
     """Realization (Ac(rho), Bc, Cc(rho), Dc) of psi_Delta [G_tilde; I].
 
-    nominal_radius is the spectral radius of the loop's Anom, before the
-    rho scaling.
+    loop is the uncertain loop it realizes; nominal_radius is the
+    spectral radius of the loop's Anom, before the rho scaling. Bc and Dc
+    may be read-only arrays shared with other plants of the same loop.
     """
 
     Ac: np.ndarray = field(repr=False)
@@ -97,50 +127,94 @@ class AugmentedPlant:
     p_c: int
     q_c: int
     rho: float
-    nominal_radius: float
+    loop: UncertainLoop = field(repr=False)
     structure: ZamesFalbStructure = None
 
     @property
     def n_c(self) -> int:
         return self.n_mult + self.n_loop
 
+    @property
+    def nominal_radius(self) -> float:
+        return self.loop.radius
+
     def as_statespace(self) -> StateSpace:
         return StateSpace(self.Ac, self.Bc, self.Cc, self.Dc)
 
 
-def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
-                          rho: float) -> AugmentedPlant:
-    """Block assembly of the augmented plant for an explicit uncertain loop.
+class _RhoFree:
+    """The rho-free part of the plants of one loop and multiplier shape.
 
     psi_Delta acts on [y; u] with y = Ceff x / rho, so its two input
-    blocks enter through the column blocks of psi.B and psi.D.
+    blocks enter through the column blocks of psi.B and psi.D: the y block
+    as the products BC and DC, which a probe divides by rho, and the u
+    block as Bc and Dc. These four arrays are read-only, like psi's A and C.
     """
+
+    def __init__(self, loop: UncertainLoop, structure: ZamesFalbStructure):
+        q = loop.channel_dim
+        if structure.p != q:
+            raise DimensionError(
+                f"multiplier dimension p={structure.p} must match channel dim {q}"
+            )
+        psi = psi_delta_realization(structure, loop.width)
+        self.loop, self.n_mult, self.q_c = loop, psi.nx, psi.ny
+        self.psi_A, self.psi_C = psi.A, psi.C       # the layout's own arrays
+        self.BC = psi.B[:, :q] @ loop.Ceff
+        self.DC = psi.D[:, :q] @ loop.Ceff
+        self.Bc = np.vstack([psi.B[:, q:], loop.Beff])
+        self.Dc = psi.D[:, q:].copy()
+        for arr in (self.BC, self.DC, self.Bc, self.Dc):
+            arr.flags.writeable = False
+
+
+def _rate_plant(part: _RhoFree, structure: ZamesFalbStructure, rho: float) -> AugmentedPlant:
+    """Fill the rho-dependent blocks of Ac and Cc around the rho-free part."""
     if not (0 < rho <= 1):
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
-    q = loop.channel_dim
-    if structure.p != q:
-        raise DimensionError(
-            f"multiplier dimension p={structure.p} must match channel dim {q}"
-        )
-    psi = psi_delta_realization(structure, loop.width)
-    N = loop.nstates
-    nd = psi.nx
+    nd, N = part.n_mult, part.loop.nstates
     Ac = np.zeros((nd + N, nd + N))
-    Ac[:nd, :nd] = psi.A
-    Ac[:nd, nd:] = psi.B[:, :q] @ loop.Ceff / rho
-    Ac[nd:, nd:] = loop.Anom / rho
-    Bc = np.vstack([psi.B[:, q:], loop.Beff])
-    Cc = np.hstack([psi.C, psi.D[:, :q] @ loop.Ceff / rho])
-    Dc = psi.D[:, q:].copy()
-    return AugmentedPlant(Ac, Bc, Cc, Dc, n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny,
-                          rho=rho, nominal_radius=loop.radius, structure=structure)
+    Ac[:nd, :nd] = part.psi_A
+    np.divide(part.BC, rho, out=Ac[:nd, nd:])
+    np.divide(part.loop.Anom, rho, out=Ac[nd:, nd:])
+    Cc = np.empty((part.q_c, nd + N))
+    Cc[:, :nd] = part.psi_C
+    np.divide(part.DC, rho, out=Cc[:, nd:])
+    return AugmentedPlant(Ac, part.Bc, Cc, part.Dc, n_mult=nd, n_loop=N,
+                          p_c=part.loop.channel_dim, q_c=part.q_c, rho=rho,
+                          loop=part.loop, structure=structure)
+
+
+# the rho-free part kept for the last (algorithm, bounds, multiplier shape)
+# built through build_rate_plant or build_perf_plant, as (algorithm, key,
+# part); see the module docstring. It is read once and replaced whole, so
+# concurrent callers each get a matching part and at worst rebuild one.
+_kept = None
+
+
+def _sector_part(algo: AlgorithmRealization, bounds: SectorBounds,
+                 structure: ZamesFalbStructure) -> _RhoFree:
+    global _kept
+    if structure.p != algo.p:
+        raise DimensionError("structure.p must equal the algorithm dimension p")
+    key = (bounds, structure.ell_causal, structure.ell_anticausal, structure.p,
+           structure.klass)
+    kept = _kept
+    if kept is None or kept[0] is not algo or kept[1] != key:
+        kept = _kept = (algo, key, _RhoFree(sector_loop(algo, bounds), structure))
+    return kept[2]
+
+
+def build_rate_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
+                          rho: float) -> AugmentedPlant:
+    """The augmented plant of an explicit uncertain loop; nothing is kept."""
+    return _rate_plant(_RhoFree(loop, structure), structure, rho)
 
 
 def build_rate_plant(algo: AlgorithmRealization, bounds: SectorBounds,
                      structure: ZamesFalbStructure, rho: float) -> AugmentedPlant:
-    if structure.p != algo.p:
-        raise DimensionError("structure.p must equal the algorithm dimension p")
-    return build_rate_plant_loop(sector_loop(algo, bounds), structure, rho)
+    """The augmented plant of the sector loop, from the kept rho-free part."""
+    return _rate_plant(_sector_part(algo, bounds, structure), structure, rho)
 
 
 @dataclass(frozen=True)
@@ -167,21 +241,25 @@ class PerformanceAugmentedPlant:
     q_c: int
     n_wp: int
     n_yp: int
-    nominal_radius: float
+    loop: UncertainLoop = field(repr=False)
     structure: ZamesFalbStructure = None
 
     @property
     def n_c(self) -> int:
         return self.n_mult + self.n_loop
 
+    @property
+    def nominal_radius(self) -> float:
+        return self.loop.radius
 
-def build_perf_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
-                          B_perf, C_perf) -> PerformanceAugmentedPlant:
+
+def _perf_plant(part: _RhoFree, structure: ZamesFalbStructure,
+                B_perf, C_perf) -> PerformanceAugmentedPlant:
     """The rate plant at rho = 1 with the noise channel (B_perf, C_perf) added."""
-    plant = build_rate_plant_loop(loop, structure, 1.0)
+    plant = _rate_plant(part, structure, 1.0)
     B_perf = np.atleast_2d(np.asarray(B_perf, dtype=float))
     C_perf = np.atleast_2d(np.asarray(C_perf, dtype=float))
-    N, nd = loop.nstates, plant.n_mult
+    N, nd = plant.n_loop, plant.n_mult
     if B_perf.shape[0] != N or C_perf.shape[1] != N:
         raise DimensionError("performance channel dimensions do not match the loop")
     nwp, nyp = B_perf.shape[1], C_perf.shape[0]
@@ -190,8 +268,14 @@ def build_perf_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
         np.hstack([np.zeros((nyp, nd)), C_perf]), plant.Dc,
         np.vstack([np.zeros((nd, N)), np.eye(N)]),
         n_mult=nd, n_loop=N, p_c=plant.p_c, q_c=plant.q_c, n_wp=nwp, n_yp=nyp,
-        nominal_radius=loop.radius, structure=structure,
+        loop=part.loop, structure=structure,
     )
+
+
+def build_perf_plant_loop(loop: UncertainLoop, structure: ZamesFalbStructure,
+                          B_perf, C_perf) -> PerformanceAugmentedPlant:
+    """The performance plant of an explicit uncertain loop; nothing is kept."""
+    return _perf_plant(_RhoFree(loop, structure), structure, B_perf, C_perf)
 
 
 def build_perf_plant(algo: AlgorithmRealization, bounds: SectorBounds,
@@ -200,9 +284,7 @@ def build_perf_plant(algo: AlgorithmRealization, bounds: SectorBounds,
     B_perf, C_perf, D_perf = perf
     if D_perf is not None and np.any(np.abs(np.asarray(D_perf, dtype=float)) > 0):
         raise UnsupportedError("only D_perf = 0 is supported for the H2 setup")
-    if structure.p != algo.p:
-        raise DimensionError("structure.p must equal the algorithm dimension p")
-    return build_perf_plant_loop(sector_loop(algo, bounds), structure, B_perf, C_perf)
+    return _perf_plant(_sector_part(algo, bounds, structure), structure, B_perf, C_perf)
 
 
 def default_noise_channel(algo: AlgorithmRealization):

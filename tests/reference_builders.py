@@ -2,8 +2,9 @@
 
 psi_Delta from kron, np.block and block_diag (and as the library once
 wrote it by index into fresh arrays on every call), the plants through the
-[C; 0] and [0; I] helpers, and the KYP block as a congruence of P's unit
-basis stack. The library builds the same objects by index; the tests
+[C; 0] and [0; I] helpers, built whole on every call with nothing kept
+between probes, and the KYP block as a congruence of P's unit basis
+stack. The library builds the same objects by index; the tests
 compare the two entry for entry.
 
 The problem container's former forms are kept here as well: an
@@ -144,7 +145,7 @@ def reference_build_rate_plant_loop(loop, structure, rho):
     Cc = np.hstack([psi.C, psi.D @ Cext / rho])
     Dc = psi.D @ Din
     return AugmentedPlant(Ac, Bc, Cc, Dc, n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny,
-                          rho=rho, nominal_radius=loop.radius, structure=structure)
+                          rho=rho, loop=loop, structure=structure)
 
 
 def reference_build_perf_plant_loop(loop, structure, B_perf, C_perf):
@@ -167,8 +168,23 @@ def reference_build_perf_plant_loop(loop, structure, B_perf, C_perf):
         np.hstack([psi.C, psi.D @ Cext]), np.hstack([np.zeros((nyp, nd)), C_perf]),
         psi.D @ Din, np.vstack([np.zeros((nd, N)), np.eye(N)]),
         n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny, n_wp=nwp, n_yp=nyp,
-        nominal_radius=loop.radius, structure=structure,
+        loop=loop, structure=structure,
     )
+
+
+def reference_build_rate_plant(algo, bounds, structure, rho):
+    """The sector plant built afresh on every call, nothing kept."""
+    if structure.p != algo.p:
+        raise DimensionError("structure.p must equal the algorithm dimension p")
+    return reference_build_rate_plant_loop(plantbuild.sector_loop(algo, bounds), structure, rho)
+
+
+def reference_build_perf_plant(algo, bounds, structure, perf):
+    B_perf, C_perf, _ = perf
+    if structure.p != algo.p:
+        raise DimensionError("structure.p must equal the algorithm dimension p")
+    return reference_build_perf_plant_loop(plantbuild.sector_loop(algo, bounds), structure,
+                                           B_perf, C_perf)
 
 
 def reference_synth_constants(n, p, bounds, structure, rho):
@@ -206,6 +222,8 @@ def use_reference_builders(monkeypatch):
     monkeypatch.setattr(plantbuild, "build_rate_plant_loop", reference_build_rate_plant_loop)
     monkeypatch.setattr(plantbuild, "build_perf_plant_loop", reference_build_perf_plant_loop)
     monkeypatch.setattr(lmi, "build_rate_plant_loop", reference_build_rate_plant_loop)
+    monkeypatch.setattr(lmi, "build_rate_plant", reference_build_rate_plant)
+    monkeypatch.setattr(lmi, "build_perf_plant", reference_build_perf_plant)
     monkeypatch.setattr(lmi, "_synth_constants", reference_synth_constants)
     monkeypatch.setattr(lmi, "_kyp", reference_kyp)
 
@@ -594,7 +612,7 @@ def reference_assemble_bmi_fixed_P(n, p, bounds, structure, rho, P, P_p=None, sl
 
 def reference_assemble_rate_slack(algo, bounds, structure, rho, radius=1e6):
     """Slack rate LMI: the KYP block minus s I, P22 as a congruence of P."""
-    plant = plantbuild.build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
+    plant = reference_build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
     prob = SdpProblem(f"rate-slack[rho={rho:.6g}]")
     P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
     md = lmi._add_multiplier(prob, structure.with_rho(rho))

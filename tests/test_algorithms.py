@@ -29,6 +29,12 @@ class TestSectorBounds:
         with pytest.raises(DomainError):
             SectorBounds(m, L)
 
+    @pytest.mark.parametrize("m,L", [(1.0, np.inf), (np.inf, np.inf), (1.0, np.nan),
+                                     (np.nan, 1.0), (-np.inf, 1.0)])
+    def test_not_finite(self, m, L):
+        with pytest.raises(DomainError, match="m and L must be finite"):
+            SectorBounds(m, L)
+
 
 class TestNamed:
     def test_gd_table_values(self):

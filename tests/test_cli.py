@@ -157,6 +157,21 @@ class TestNonpositiveP:
         assert "p must be a positive integer" in err and "Traceback" not in err
 
 
+class TestNonFiniteBounds:
+    @pytest.mark.parametrize("argv", [
+        ("sample-h2", "--algo", "gd", "--m", "1", "--L", "inf",
+         "--steps", "10", "--realizations", "2"),
+        ("analyze-rate", "--algo", "gd", "--m", "1", "--L", "inf"),
+        ("analyze-h2", "--algo", "gd", "--m", "1", "--L", "inf"),
+        ("analyze-rate", "--algo", "nm", "--m", "inf", "--L", "inf"),
+    ])
+    def test_exits_usage_with_a_message(self, argv, capsys):
+        assert RUN(*argv) == 2
+        captured = capsys.readouterr()
+        assert "m and L must be finite" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestSweep:
     def test_small_rate_sweep_matches_analytic(self, tmp_path):
         path = tmp_path / "sweep.csv"

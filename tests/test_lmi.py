@@ -6,7 +6,7 @@ import pytest
 
 from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_structured,
                                lift, make_named)
-from iqcopt import algorithms, lmi, multipliers
+from iqcopt import algorithms, lmi, multipliers, plantbuild
 from iqcopt.engines import h2_norm_linear, verify_fdi
 from iqcopt.errors import DimensionError, InfeasiblePrecondition, PreconditionError
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
@@ -297,6 +297,34 @@ class TestSharedLayout:
         assert radii == [(2, 2)]
         assert upper_triangle.cache_info().misses == 2         # P's n and H2's 1 x 1 Z
         assert asm.plant.nominal_radius == radius
+
+
+    def test_rho_free_plant_part_built_once(self, monkeypatch):
+        """12 rate probes and the H2 assembly of one configuration build the
+        plant's rho-free part once; the slack LMI never reads the radius."""
+        built, radii = [], []
+        compute = algorithms.spectral_radius
+
+        class Counted(plantbuild._RhoFree):
+            def __init__(self, loop, structure):
+                built.append(structure.p)
+                super().__init__(loop, structure)
+
+        def spectral_radius(A):
+            radii.append(A.shape)
+            return compute(A)
+
+        monkeypatch.setattr(plantbuild, "_RhoFree", Counted)
+        monkeypatch.setattr(plantbuild, "_kept", None)
+        monkeypatch.setattr(algorithms, "spectral_radius", spectral_radius)
+        algo = make_named("tmm", BOUNDS10, 2)
+        st = ZamesFalbStructure(6, 1, 2, "unstructured", 1.0)
+        for rho in np.linspace(1.0, 0.97, 12):
+            assemble_rate_for(algo, BOUNDS10, st, rho)
+        assemble_h2_for(algo, BOUNDS10, st)
+        assert built == [2] and radii == [(4, 4)]
+        assemble_rate_slack(make_named("nm", BOUNDS10, 2), BOUNDS10, st, 0.9)
+        assert built == [2, 2] and radii == [(4, 4)]
 
 
 class TestRhoFreeParts:

@@ -1,14 +1,24 @@
+import dataclasses
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from iqcopt import plantbuild
 from iqcopt.algorithms import SectorBounds, lift, make_named
 from iqcopt.errors import DimensionError, UnsupportedError
-from iqcopt.multipliers import ZamesFalbStructure, psi_delta_realization
+from iqcopt.multipliers import CLASSES, ZamesFalbStructure, psi_delta_realization
 from iqcopt.plantbuild import (build_perf_plant, build_rate_plant,
                                default_noise_channel, sector_loop,
                                structured_loop)
 from iqcopt.statespace import StateSpace, eval_frequency
-from reference_builders import kronecker_lift, rho_scale, series, stack_outputs, static_gain
+from reference_builders import (kronecker_lift, reference_build_perf_plant,
+                                reference_build_rate_plant, rho_scale, series,
+                                stack_outputs, static_gain)
 
 BOUNDS = SectorBounds(1.0, 10.0)
 GD = make_named("gd", BOUNDS)
@@ -160,3 +170,132 @@ class TestLoops:
         for m in (1.0, 2.0, 1.0):
             want = max(abs(np.linalg.eigvals(algo.nominal_matrix(m))))
             assert algo.nominal_radius(m) == want
+
+
+def _assert_same_plant(got, ref):
+    """Every field equal; arrays in shape, dtype and bytes (signed zeros too)."""
+    assert type(got) is type(ref)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), f.name
+        elif f.name != "loop":
+            assert a == b, f.name
+    assert got.nominal_radius == ref.nominal_radius
+
+
+def _bisection_rhos(algo, bounds, probes=12):
+    """rho = 1, then the midpoints of a bisection on [radius, 1]."""
+    lo = algo.nominal_radius(bounds.m) + 1e-6
+    rho_star, hi, rhos = lo + 0.3 * (1.0 - lo), 1.0, [1.0]
+    for _ in range(probes - 1):
+        mid = 0.5 * (lo + hi)
+        rhos.append(mid)
+        hi, lo = (mid, lo) if mid >= rho_star else (hi, mid)
+    return rhos
+
+
+def _certification_plants(algo, bounds, st):
+    """The plants of one certification (12 rate probes, then H2), each paired
+    with the plant built afresh by the reference builder."""
+    pairs = []
+    for rho in _bisection_rhos(algo, bounds):
+        args = (algo, bounds, st.with_rho(rho), rho)
+        pairs.append((build_rate_plant(*args), reference_build_rate_plant(*args)))
+    args = (algo, bounds, st.with_rho(1.0), default_noise_channel(algo))
+    pairs.append((build_perf_plant(*args), reference_build_perf_plant(*args)))
+    return pairs
+
+
+class TestKeptRhoFreePart:
+    """build_rate_plant and build_perf_plant keep the rho-free part of the
+    last configuration; every plant is the one built afresh, byte for byte."""
+
+    @pytest.mark.parametrize("lc,la", [(0, 0), (1, 0), (6, 1), (2, 3)])
+    @pytest.mark.parametrize("klass", CLASSES)
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["gd", "nm", "tmm", "hb"])
+    def test_certification_plants_match_reference(self, kind, p, klass, lc, la):
+        bounds = SectorBounds(1.0, 25.0)
+        algo = make_named(kind, bounds, p)
+        for got, ref in _certification_plants(algo, bounds,
+                                              ZamesFalbStructure(lc, la, p, klass)):
+            _assert_same_plant(got, ref)
+
+    def test_no_stale_part(self):
+        """Interleaved algorithms, bounds and shapes: each plant is fresh."""
+        b1, b2 = SectorBounds(1.0, 10.0), SectorBounds(2.0, 10.0)
+        nm, gd = make_named("nm", b1, 2), make_named("gd", b1, 2)
+        st = ZamesFalbStructure(2, 1, 2)
+        steps = [(nm, b1, st), (gd, b1, st), (nm, b1, st),
+                 (nm, b2, st), (nm, SectorBounds(1.0, 40.0), st), (nm, b1, st),
+                 (nm, b1, ZamesFalbStructure(3, 1, 2)), (nm, b1, ZamesFalbStructure(2, 0, 2)),
+                 (nm, b1, ZamesFalbStructure(2, 1, 2, "repeated")),
+                 (gd, b2, ZamesFalbStructure(2, 1, 2, "nonrepeated")), (nm, b1, st)]
+        for algo, bounds, shape in steps:
+            for rho in (1.0, 0.97):
+                args = (algo, bounds, shape.with_rho(rho), rho)
+                _assert_same_plant(build_rate_plant(*args), reference_build_rate_plant(*args))
+            args = (algo, bounds, shape.with_rho(1.0), default_noise_channel(algo))
+            _assert_same_plant(build_perf_plant(*args), reference_build_perf_plant(*args))
+
+    def test_shared_arrays_are_read_only(self):
+        algo = make_named("nm", SectorBounds(1.0, 10.0), 2)
+        st = ZamesFalbStructure(2, 1, 2)
+        plant = build_rate_plant(algo, SectorBounds(1.0, 10.0), st.with_rho(0.9), 0.9)
+        perf = build_perf_plant(algo, SectorBounds(1.0, 10.0), st,
+                                default_noise_channel(algo))
+        part = plantbuild._kept[2]
+        assert perf.boldB1 is plant.Bc is part.Bc and perf.boldD11 is plant.Dc is part.Dc
+        shared = (part.BC, part.DC, part.Bc, part.Dc, part.psi_A, part.psi_C,
+                  part.loop.Anom, part.loop.Beff, part.loop.Ceff)
+        for arr in shared:
+            assert arr.size
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 7.0
+        # a probe's own blocks are fresh
+        again = build_rate_plant(algo, SectorBounds(1.0, 10.0), st.with_rho(0.9), 0.9)
+        assert again.Ac is not plant.Ac and again.Cc is not plant.Cc
+        _assert_same_plant(again, plant)
+
+    def test_only_the_last_configuration_is_kept(self):
+        bounds = SectorBounds(1.0, 10.0)
+        st = ZamesFalbStructure(1, 0, 1, rho=0.95)
+        algos = [make_named(kind, bounds) for kind in ("gd", "nm", "tmm", "hb", "gd")]
+        first = weakref.ref(algos[0])
+        for algo in algos:
+            plant = build_rate_plant(algo, bounds, st, 0.95)
+            assert plant.nominal_radius < 0.95
+        assert plantbuild._kept[0] is algos[-1]
+        del algo, algos, plant
+        gc.collect()
+        assert first() is None
+
+    def test_concurrent_callers_get_their_own_plants(self):
+        """Threads interleaving configurations never get another's part."""
+        bounds = SectorBounds(1.0, 10.0)
+        configs = [(make_named(kind, bounds, p), ZamesFalbStructure(lc, 0, p))
+                   for kind, p, lc in (("gd", 1, 1), ("nm", 2, 2), ("tmm", 1, 3),
+                                       ("hb", 2, 1), ("nm", 1, 6))]
+        want = {id(algo): [reference_build_rate_plant(algo, bounds, st.with_rho(rho), rho)
+                           for rho in (1.0, 0.99, 0.98)] for algo, st in configs}
+        workers = 6
+        start = threading.Barrier(workers)
+
+        def work(k):
+            start.wait(timeout=60)
+            for i in range(200):
+                algo, st = configs[(k + i) % len(configs)]
+                for ref in want[id(algo)]:
+                    _assert_same_plant(build_rate_plant(algo, bounds, ref.structure, ref.rho),
+                                       ref)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(work, k) for k in range(workers)]
+                for f in futures:
+                    f.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
