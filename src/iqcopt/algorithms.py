@@ -313,20 +313,22 @@ def kronecker_factor(M: np.ndarray, p: int) -> np.ndarray:
 
 
 def reduce_to_scalar_block(algo: AlgorithmRealization) -> AlgorithmRealization:
-    """The p=1 Kronecker core of an algorithm.
+    """The p=1 Kronecker core of an algorithm, built on first call and kept.
 
     A realization stored with q = p gives its stored core. A dense one
     (q = 1, such as a loaded file or a `from_structured` realization) is
     factored by `kronecker_factor`, which raises StructureError when it is
-    not of that form.
+    not of that form. Every later call returns the same core, so the plant
+    part and nominal radius kept on it are shared.
     """
-    if algo.q == algo.p:
-        return algo if algo.p == 1 else AlgorithmRealization(*algo._core, n=algo.n, p=1)
-    p = algo.p
-    return AlgorithmRealization(
-        *(kronecker_factor(M, p) for M in (algo.A, algo.B, algo.C, algo.D, algo.Ddagger)),
-        n=algo.n, p=1,
-    )
+    if algo.p == 1:
+        return algo
+    core = vars(algo).get("_scalar_core")
+    if core is None:
+        mats = algo._core if algo.q == algo.p else (
+            kronecker_factor(M, algo.p) for M in (algo.A, algo.B, algo.C, algo.D, algo.Ddagger))
+        core = vars(algo)["_scalar_core"] = AlgorithmRealization(*mats, n=algo.n, p=1)
+    return core
 
 
 def lift(algo: AlgorithmRealization, p: int) -> AlgorithmRealization:

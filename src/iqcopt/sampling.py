@@ -8,9 +8,13 @@ deviations are measured directly against zero.
 `simulate_h2` runs on the algorithm's Kronecker core (the p=1 core of
 A = kron(Abar, I_p) and so on, which named and lifted algorithms store;
 an algorithm without that form is its own core), so it never reads the
-dense matrices. Noise is drawn in blocks of BLOCK steps from the same PCG64
-stream as per-step draws, which gives the same numbers, and every step
-is still checked for divergence, one block at a time.
+dense matrices. Each step is one small matrix product,
+[A B; C A C B; D A D B] [x; u], which writes x+, C x+ and D x+ into the
+next step's slot; the input u = grad(C x) + W is formed in place over
+C x, and the second moments are read from the D x rows once per block.
+Noise is drawn in blocks of BLOCK steps from the same PCG64 stream as
+per-step draws, which gives the same numbers, and every step is still
+checked for divergence, one block at a time.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +27,8 @@ from .errors import (ArgumentError, DimensionError, DivergenceError, DomainError
 
 DIVERGENCE_LIMIT = 1e12
 # steps per noise draw and per divergence check; 16 keeps the block
-# buffers under 2 MB at p=32 with 100 realizations
+# buffers (slots of n + 2 rows for a named core, and the noise) under
+# 2.5 MB at p=32 with 100 realizations
 BLOCK = 16
 
 
@@ -56,6 +61,32 @@ class RandomFunctionSpec:
         lo = np.min(self.c1 - np.abs(self.c2))
         hi = np.max(self.c1 + np.abs(self.c2))
         return float(lo), float(hi)
+
+
+def _gradient_plus_noise(spec: RandomFunctionSpec, realizations: int):
+    """add(Z, W) overwrites Z, of shape (realizations, p), with spec.gradient(Z) + W.
+
+    The arithmetic is that of `gradient`, with buffers allocated once here.
+    """
+    t = np.empty((realizations, spec.p))
+    if spec.kind == "quadratic":
+        QT = np.ascontiguousarray(spec.Q.T)
+
+        def add(Z, W):
+            np.matmul(Z, QT, out=t)
+            np.add(t, W, out=Z)
+    else:
+        c1, omega, ratio = (np.tile(v, (realizations, 1))
+                            for v in (spec.c1, spec.omega, spec.c2 / spec.omega))
+
+        def add(Z, W):
+            np.multiply(omega, Z, out=t)
+            np.sin(t, out=t)
+            np.multiply(t, ratio, out=t)
+            Z *= c1
+            Z += t
+            Z += W
+    return add
 
 
 def sample_function(bounds: SectorBounds, p: int, kind: str,
@@ -123,18 +154,18 @@ def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
     except StructureError:   # not of Kronecker form: the algorithm is its own core
         core, q = algo, 1
     r, p = realizations, algo.p
-    n, m = core.B.shape          # m * q == p
-    AB = np.hstack([core.A, core.B])
-    C, D = core.C, core.D
-    # slot i holds the state of step k0 + i in rows :n and, once computed,
-    # that step's gradient-plus-noise input in rows n:
-    slots = np.zeros((BLOCK + 1, n + m, r * q))   # minimizer of every sampled spec is 0
-    states = slots[:, :n]
-    # (realizations, p) views, since m == 1 or q == 1: writes land in the slots
-    inputs = [slot[n:].T.reshape(r, p) for slot in slots]
-    y = np.empty((m, r * q))
-    z = y.T.reshape(r, p)
+    A, B, C, D = core.A, core.B, core.C, core.D
+    n, m = B.shape               # m * q == p
+    # one product per step: [x; u] -> [x+; C x+; D x+]
+    M = np.block([[A, B], [C @ A, C @ B], [D @ A, D @ B]])
+    # slot i holds step k0 + i: x in rows :n, D x in rows n + m:, and C x in
+    # rows n:n + m until it is overwritten by the step's input grad(C x) + W
+    slots = np.zeros((BLOCK + 1, n + 2 * m, r * q))   # minimizer of every sampled spec is 0
+    states, outputs = slots[:, :n], slots[:, n + m:]
+    steps = [(slot[n:n + m].T.reshape(r, p), slot[:n + m], nxt)
+             for slot, nxt in zip(slots, slots[1:])]
     noise = np.empty((BLOCK, r, p))
+    add_gradient = _gradient_plus_noise(spec, r)
     sums = np.empty(k_max + 1)
     # a diverging block runs on past its first bad step before the check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,18 +173,18 @@ def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
             kb = min(BLOCK, k_max + 1 - k0)
             W = noise[:kb]
             rng.standard_normal(out=W)
-            W *= noise_scale
-            for i in range(kb):
-                np.matmul(C, states[i], out=y)
-                np.add(spec.gradient(z), W[i], out=inputs[i])
-                np.matmul(AB, slots[i], out=states[i + 1])
-            Y = D @ states[:kb]
+            if noise_scale != 1.0:
+                W *= noise_scale
+            for (z, xu, nxt), w in zip(steps, W):
+                add_gradient(z, w)
+                np.dot(M, xu, out=nxt)   # less call overhead than np.matmul
+            Y = outputs[:kb]
             sums[k0:k0 + kb] = np.einsum("kij,kij->k", Y, Y) / r
             new = states[1:kb + 1]
             if not (new.max() <= DIVERGENCE_LIMIT and new.min() >= -DIVERGENCE_LIMIT):
                 bad = ~np.all(np.abs(new) <= DIVERGENCE_LIMIT, axis=(1, 2))
                 raise DivergenceError(f"trajectory diverged at step {k0 + int(np.argmax(bad))}")
-            states[0] = states[kb]
+            slots[0] = slots[kb]
     estimate = float(np.sqrt(np.sum(sums) / k_max))
     return SimulationRun(algo=algo, spec=spec, seed=seed, k_max=k_max,
                          realizations=realizations, estimate=estimate,

@@ -213,6 +213,14 @@ class TestKroneckerCore:
         for name in MATRICES:
             assert getattr(core, name).tobytes() == getattr(want, name).tobytes(), name
 
+    def test_reduce_returns_one_core_per_algorithm(self):
+        # rate probes on the core share its kept plant part and nominal radius
+        lifted = make_named("nm", self.BOUNDS, 2)
+        assert reduce_to_scalar_block(lifted) is reduce_to_scalar_block(lifted)
+        dense = AlgorithmRealization(*reference_named_matrices("nm", self.BOUNDS, 2),
+                                     n=2, p=2)
+        assert reduce_to_scalar_block(dense) is reduce_to_scalar_block(dense)
+
     def test_dense_input_is_factored(self):
         dense = AlgorithmRealization(*reference_named_matrices("nm", self.BOUNDS, 3),
                                      n=2, p=3)
