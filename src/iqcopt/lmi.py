@@ -8,13 +8,15 @@ with the multiplier matrix M affine in the kernel parameters. The block
 is written into one coefficient stack: P's first factor [A B]^T
 (E_ij + E_ji) is scattered from columns of [A B]^T and one batched
 product by [A B] gives P's terms, so P's unit basis is never built (see
-``_kyp``). Synthesis variants reshuffle the same blocks by Schur
-complement so the algorithm matrices appear linearly. Each synthesis
-block is a list of (row offset, column offset, term) that ``place``
-sums into one coefficient stack, so no partial sum of a block is
-allocated; the terms of an entry are listed in the order the entry is
-summed in, and the BMI cross term stays top^T (P12 bot), so every block
-holds the numbers of the term-by-term sum. Strict inequalities carry a
+``_kyp``). P is declared before the multiplier's variables, so the
+stack's keys are P's range followed by theirs, laid out without a sort.
+Synthesis variants reshuffle the same blocks by Schur complement so the
+algorithm matrices appear linearly. Each synthesis block is a list of
+(row offset, column offset, term) that ``place`` sums into one
+coefficient stack, so no partial sum of a block is allocated; the terms
+of an entry are listed in the order the entry is summed in, and the BMI
+cross term stays top^T (P12 bot), so every block holds the numbers of
+the term-by-term sum. Strict inequalities carry a
 relative margin eps = 1e-7 (1 + ||const||_F); certificates are
 rechecked by eigenvalue computation in the solver layer, so a reported
 certificate always holds numerically.
@@ -27,7 +29,7 @@ import numpy as np
 from .algorithms import (AlgorithmRealization, SectorBounds, canonical_output,
                          chain_matrices, reduce_to_scalar_block,
                          StructuredControllerForm, from_structured)
-from .errors import (DimensionError, DomainError, InfeasiblePrecondition,
+from .errors import (ArgumentError, DimensionError, DomainError, InfeasiblePrecondition,
                      PreconditionError, StructureError)
 from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
                           m_delta_coefficients, membership_rows,
@@ -109,14 +111,26 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     and j of AB^T, so it is scattered, and one batched product by AB
     writes P's terms into their slots; the I rows then subtract the basis
     entries in place.
+
+    Every caller declares P before the row variables, so the key union is
+    P's range followed by each X_b's keys in turn, and each row term is
+    added through its slice of the stack. Keys out of that order raise
+    ArgumentError.
     """
     n, m = AB.shape
     i, j, off = upper_triangle(n)
     k = np.arange(P.size)
-    keys = np.unique(np.concatenate([P.offset + k] + [X.keys for _, X in rows]))
+    last = P.offset + P.size - 1
+    for _, X in rows:
+        if X.keys.size:
+            if X.keys[0] <= last:
+                raise ArgumentError(
+                    f"_kyp: row key {int(X.keys[0])} does not follow key {int(last)}; "
+                    "declare P before the row variables, in order")
+            last = X.keys[-1]
+    keys = np.concatenate([P.offset + k] + [X.keys for _, X in rows])
     coeffs = np.zeros((keys.size, m, m))
-    # P's keys are consecutive, so their slots are one slice of the stack
-    slots = coeffs[np.searchsorted(keys, P.offset):][:P.size]
+    slots = coeffs[:P.size]
     first = np.zeros((P.size, m, n))
     first[k, :, j] = AB[i]
     first[k, :, i] = AB[j]
@@ -124,10 +138,12 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     slots[k, i, j] -= 1.0
     slots[off, j[off], i[off]] -= 1.0
     const = np.zeros((m, m))
+    lo = P.size
     for out_b, X in rows:
         term = congruence(out_b, X)
         const += term.const
-        coeffs[np.searchsorted(keys, term.keys)] += term.coeffs
+        coeffs[lo:lo + X.keys.size] += term.coeffs
+        lo += X.keys.size
     return AffineMatrix((m, m), const, keys, coeffs)
 
 

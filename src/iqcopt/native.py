@@ -115,7 +115,7 @@ class _Reduced:
         rows = problem.linear
         R = np.zeros((len(rows), n))
         R[:, rows.expr.keys] = rows.expr.coeffs[:, :, 0].T
-        sign, rhs = np.array(rows.sign), np.array(rows.rhs)
+        sign, rhs = rows.sign, rows.rhs
         eq = sign == 0.0
         sign = sign[~eq]          # rhs - a x >= 0 for '<=', a x - rhs >= 0 for '>='
         self.blocks, self.A_x, self.g0_x = blocks, -sign[:, None] * R[~eq], sign * rhs[~eq]

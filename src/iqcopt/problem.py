@@ -4,12 +4,13 @@ An AffineMatrix is const + sum_k x[keys[k]] * coeffs[k]: a constant
 term, the sorted indices of the scalar variables it holds, and one
 K x r x c stack of their coefficient matrices. Every operation is one
 numpy call on that stack: a key union and an aligned add for +/-, a
-batched matmul for products with constants, slices for entries, and one
-tensordot for evaluation. ``place`` writes a sum of expressions at
-offsets into one stack over their key union, term by term in order;
-``AffineMatrix.block`` is ``place`` with non-overlapping offsets, and the
-synthesis builders write each of their blocks with one call, so no
-intermediate sum of a block is ever allocated.
+batched matmul for products with constants, slices for entries, and for
+evaluation the one (1 x K) @ (K x rc) product that np.tensordot makes.
+``place`` writes a sum of expressions at offsets into one stack over
+their key union, term by term in order; ``AffineMatrix.block`` is
+``place`` with non-overlapping offsets, and the synthesis builders write
+each of their blocks with one call, so no intermediate sum of a block is
+ever allocated.
 
 An SdpProblem collects scalar/matrix decision variables, affine
 matrix-inequality blocks, scalar linear rows and an optional linear
@@ -19,22 +20,27 @@ coefficient matrix per variable a block holds.
 
 All scalar rows live in one r x 1 AffineMatrix that holds only the
 variables some row uses, beside a per-row sign (+1 for '<=', -1 for '>=',
-0 for '=='), rhs and name, so ``verify`` checks them with one mat-vec and
-the native backend scatters them in one step. The JSON interchange lists
-each row's nonzero coefficients in key order; ``from_json_dict`` rebuilds
-the rows through ``add_linear``, so a round trip gives the same rows
-and the same ``verify`` results bit for bit.
+0 for '==') and rhs, each one float array, and a list of names, so
+``verify`` checks them with one mat-vec and the native backend scatters
+them in one step. The JSON interchange lists each row's nonzero
+coefficients in key order; ``from_json_dict`` rebuilds the rows through
+``add_linear``, so a round trip gives the same rows and the same
+``verify`` results bit for bit.
 
 A block means the symmetric part of its expression: v^T F v = v^T sym(F) v,
 so F(x) <= 0 and sym(F(x)) <= 0 are the same constraint. ``add_lmi`` keeps
 the coefficient stack as it was built, and its two readers, ``verify`` and
 the native backend, symmetrize what they read. Coefficient matrices in the
 JSON interchange can therefore be asymmetric at rounding level; only the
-constant term, which the eps margin is computed from, is stored symmetrized.
+constant term is stored symmetrized. A block computes its scale
+1 + ||const||_F once, when it is made: the default eps margin is EPS_REL
+times it, and ``verify`` measures eigenvalue margins in units of it.
+``verify`` refuses a candidate with a non-finite entry before it reads a
+block, since NaN compares false with every tolerance.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,7 +187,11 @@ class AffineMatrix:
                             self.coeffs.reshape(self.keys.size, n, 1))
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return self.const + np.tensordot(x[self.keys], self.coeffs, 1)
+        """const + sum_k x[keys[k]] coeffs[k] by the product that
+        np.tensordot(x[keys], coeffs, 1) makes, without its reshaping."""
+        (r, c), K = self.shape, self.keys.size
+        return self.const + np.dot(x[self.keys].reshape(1, K),
+                                   self.coeffs.reshape(K, r * c)).reshape(r, c)
 
     @staticmethod
     def block(rows) -> "AffineMatrix":
@@ -253,10 +263,21 @@ class VariableInfo:
 
 @dataclass
 class LmiBlock:
+    """A block sym(expr) <= -eps I ('neg') or sym(expr) >= eps I ('pos').
+
+    ``scale`` is 1 + ||const||_F, computed once here; eps defaults to
+    EPS_REL times it, and ``verify`` measures margins in units of it.
+    """
+
     name: str
     expr: AffineMatrix
-    sense: str          # 'neg': sym(expr) <= -eps I ; 'pos': sym(expr) >= eps I
-    eps: float
+    sense: str
+    eps: float = None
+    scale: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scale = 1.0 + float(np.linalg.norm(self.expr.const, "fro"))
+        self.eps = EPS_REL * self.scale if self.eps is None else float(self.eps)
 
 
 # the sign s of a row s (expr - rhs) <= 0, with 0 for an equality row
@@ -269,12 +290,13 @@ class LinearRows:
     """Scalar rows expr[i, 0] (sense i) rhs[i], the sense kept as its sign.
 
     expr is one r x 1 expression with a zero constant that holds only
-    the variables some row uses.
+    the variables some row uses; sign and rhs are float arrays of length r,
+    so ``verify`` and the native backend read them without a conversion.
     """
 
     expr: AffineMatrix
-    sign: list
-    rhs: list
+    sign: np.ndarray
+    rhs: np.ndarray
     name: list
 
     def __len__(self) -> int:
@@ -290,7 +312,7 @@ class SdpProblem:
         self._by_name: dict[str, VariableInfo] = {}
         self.nvars = 0
         self.blocks: list[LmiBlock] = []
-        self.linear = LinearRows(AffineMatrix((0, 1)), [], [], [])
+        self.linear = LinearRows(AffineMatrix((0, 1)), np.zeros(0), np.zeros(0), [])
         self.objective: AffineMatrix | None = None  # 1x1, minimized
 
     # -- variables ----------------------------------------------------------
@@ -360,18 +382,16 @@ class SdpProblem:
         The coefficient stack is stored as built, not symmetrized: the
         block means its symmetric part, which ``verify`` and the solver
         form themselves. The constant term is stored symmetrized, and the
-        default eps is relative to its Frobenius norm.
+        default eps is EPS_REL times the block's scale 1 + ||const||_F.
         """
         if expr.shape[0] != expr.shape[1]:
             raise DimensionError("LMI block must be square")
         if sense not in ("neg", "pos"):
             raise ArgumentError("sense must be 'neg' or 'pos'")
         const = 0.5 * (expr.const + expr.const.T)
-        if eps is None:
-            eps = EPS_REL * (1.0 + np.linalg.norm(const, "fro"))
         block = LmiBlock(name or f"lmi{len(self.blocks)}",
                          AffineMatrix(expr.shape, const, expr.keys, expr.coeffs),
-                         sense, float(eps))
+                         sense, eps)
         self.blocks.append(block)
         return block
 
@@ -402,8 +422,8 @@ class SdpProblem:
             coeffs[np.searchsorted(keys, new_keys), n:] = new
         self.linear = LinearRows(
             AffineMatrix((n + r, 1), keys=keys, coeffs=coeffs),
-            old.sign + [_SIGN[s] for s in senses],
-            old.rhs + (np.asarray(rhs, dtype=float) - expr.const[:, 0]).tolist(),
+            np.concatenate([old.sign, [_SIGN[s] for s in senses]]),
+            np.concatenate([old.rhs, np.asarray(rhs, dtype=float) - expr.const[:, 0]]),
             old.name + names)
 
     def add_matrix_equality(self, expr: AffineMatrix, name: str = "") -> None:
@@ -423,21 +443,24 @@ class SdpProblem:
         """Strict numerical recheck of a candidate solution.
 
         Strict blocks (eps > 0) must hold with the correct sign: the
-        extremal eigenvalue must clear zero by eig_margin times the block
-        scale. Blocks posed with eps = 0 are closed inequalities and get a
-        small tolerance slack instead, since objective problems routinely
-        drive them onto the boundary. Linear rows are allowed lin_tol
-        slack. Returns (ok, worst violation).
+        extremal eigenvalue must clear zero by eig_margin times the block's
+        stored scale 1 + ||const||_F. Blocks posed with eps = 0 are closed
+        inequalities and get a slack of lin_tol times that scale instead,
+        since objective problems routinely drive them onto the boundary.
+        Linear rows are allowed lin_tol slack. Returns (ok, worst
+        violation); a candidate with a non-finite entry returns
+        (False, inf).
         """
+        xmax = float(np.max(np.abs(x))) if x.size else 0.0
+        if not np.isfinite(xmax):
+            return False, np.inf
         ok = True
         worst = -np.inf
-        xmax = float(np.max(np.abs(x))) if x.size else 0.0
         for blk in self.blocks:
             V = blk.expr.value(x)
             V = 0.5 * (V + V.T)
             eigs = np.linalg.eigvalsh(V)
-            scale = 1.0 + np.linalg.norm(blk.expr.const, "fro")
-            slack = eig_margin * scale if blk.eps > 0 else -lin_tol * scale
+            slack = eig_margin * blk.scale if blk.eps > 0 else -lin_tol * blk.scale
             if blk.sense == "neg":
                 viol = float(eigs[-1]) + slack
             else:
@@ -447,7 +470,7 @@ class SdpProblem:
                 ok = False
         rows = self.linear
         if len(rows):
-            sign, rhs = np.array(rows.sign), np.array(rows.rhs)
+            sign, rhs = rows.sign, rows.rhs
             d = x[rows.expr.keys] @ rows.expr.coeffs[:, :, 0] - rhs
             viol = np.where(sign, sign * d, np.abs(d))
             tol = lin_tol * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
@@ -481,7 +504,7 @@ class SdpProblem:
             ],
             "linear": [
                 {"name": n, "sense": _SENSE[s], "rhs": r, "coeffs": c}
-                for n, s, r, c in zip(rows.name, rows.sign, rows.rhs, coeffs)
+                for n, s, r, c in zip(rows.name, rows.sign.tolist(), rows.rhs.tolist(), coeffs)
             ],
             "objective": None if self.objective is None else {
                 "const": self.objective.const.tolist(),

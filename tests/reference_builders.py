@@ -11,7 +11,11 @@ The problem container's former forms are kept here as well: an
 ``add_lmi`` that stores every block symmetrized, and linear rows added one
 1x1 expression per call (membership rows, matrix equalities and the BMI
 box rows). The tests check that the solver receives the same blocks and
-the same rows from the library's forms.
+the same rows from the library's forms. ``reference_verify`` is the
+eigenvalue recheck as it was written first: tensordot evaluation, the
+block scale computed on every call and the rows converted from lists;
+the tests check that the library's ``verify`` returns the same bits on
+every finite candidate.
 
 The four synthesis builders are kept as they were composed from the
 expression algebra: every sum, difference and block allocates a new
@@ -291,6 +295,35 @@ def reference_add_box_rows(prob, Ae, Be):
 def use_reference_lmi(monkeypatch):
     """Store every LMI block symmetrized, as add_lmi did."""
     monkeypatch.setattr(SdpProblem, "add_lmi", reference_add_lmi)
+
+
+def reference_verify(prob, x, lin_tol=1e-8, eig_margin=1e-10):
+    """SdpProblem.verify by its first formula, for finite candidates."""
+    ok = True
+    worst = -np.inf
+    xmax = float(np.max(np.abs(x))) if x.size else 0.0
+    for blk in prob.blocks:
+        V = blk.expr.const + np.tensordot(x[blk.expr.keys], blk.expr.coeffs, 1)
+        V = 0.5 * (V + V.T)
+        eigs = np.linalg.eigvalsh(V)
+        scale = 1.0 + np.linalg.norm(blk.expr.const, "fro")
+        slack = eig_margin * scale if blk.eps > 0 else -lin_tol * scale
+        if blk.sense == "neg":
+            viol = float(eigs[-1]) + slack
+        else:
+            viol = -(float(eigs[0]) - slack)
+        worst = max(worst, viol)
+        if viol > 0:
+            ok = False
+    rows = prob.linear
+    if len(rows):
+        sign, rhs = np.array(rows.sign), np.array(rows.rhs)
+        d = x[rows.expr.keys] @ rows.expr.coeffs[:, :, 0] - rhs
+        viol = np.where(sign, sign * d, np.abs(d))
+        tol = lin_tol * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
+        ok = ok and not np.any(viol > tol)
+        worst = max(worst, float(np.max(viol - tol)))
+    return ok, worst
 
 
 def use_reference_rows(monkeypatch):

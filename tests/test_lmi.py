@@ -1,4 +1,5 @@
 import functools
+import json
 import re
 
 import numpy as np
@@ -8,7 +9,8 @@ from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_stru
                                lift, make_named)
 from iqcopt import algorithms, lmi, multipliers, plantbuild
 from iqcopt.engines import h2_norm_linear, verify_fdi
-from iqcopt.errors import DimensionError, InfeasiblePrecondition, PreconditionError
+from iqcopt.errors import (ArgumentError, DimensionError, InfeasiblePrecondition,
+                           PreconditionError)
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
                         assemble_bmi_fixed_P, assemble_h2, assemble_h2_for, assemble_rate_for,
                         assemble_rate_reduced, assemble_rate_slack,
@@ -369,9 +371,9 @@ class TestRhoFreeParts:
             ref.add_linear(rows @ theta, senses, 0.0, [f"zf:{label}" for label in labels])
             assert got.variables == ref.variables
             a, b = got.linear, ref.linear
-            assert (a.sign, a.rhs, a.name) == (b.sign, b.rhs, b.name)
-            for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
-                         (a.expr.coeffs, b.expr.coeffs)):
+            assert a.name == b.name
+            for x, y in ((a.sign, b.sign), (a.rhs, b.rhs), (a.expr.keys, b.expr.keys),
+                         (a.expr.const, b.expr.const), (a.expr.coeffs, b.expr.coeffs)):
                 assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
             assert md.keys.tobytes() == theta.keys.tobytes()
             assert md.coeffs is m_delta_coefficients(st)
@@ -474,6 +476,84 @@ def _synthesis_builds(n, p, klass):
                                                           P_p=P_p, slack=slack).problem
         for slack in (False, True) for P_p in (None, P)
     ]
+
+
+def _verify_bits(prob, x):
+    """verify's (ok, worst) as comparable bytes."""
+    ok, worst = prob.verify(x)
+    return ok, np.float64(worst).tobytes()
+
+
+def _reference_verify_bits(prob, x):
+    ok, worst = ref_builders.reference_verify(prob, x)
+    return ok, np.float64(worst).tobytes()
+
+
+class TestVerifyMatchesReference:
+    """verify returns the bits of its first formula (tensordot, the block
+    scale per call, rows from lists) on every finite candidate, also after
+    a JSON round trip."""
+
+    @staticmethod
+    def _assert_same_verify(prob):
+        clone = SdpProblem.from_json_dict(json.loads(json.dumps(prob.to_json_dict())))
+        rng = np.random.default_rng(prob.nvars)
+        x = rng.standard_normal(prob.nvars)
+        for cand in (x, 1e-3 * x, 1e3 * x, np.zeros(prob.nvars)):
+            for p in (prob, clone):
+                assert _verify_bits(p, cand) == _reference_verify_bits(p, cand)
+
+    @pytest.mark.parametrize("kind", ["gd", "nm", "tmm"])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_analysis_problems(self, kind, p):
+        algo = make_named(kind, BOUNDS10, p)
+        radius = max(abs(np.linalg.eigvals(algo.nominal_matrix(BOUNDS10.m))))
+        rho = 0.5 * (1.0 + radius)
+        for klass in ("unstructured", "repeated"):
+            for lc, la in ((1, 0), (6, 1)):
+                st = ZamesFalbStructure(lc, la, p, klass, 1.0)
+                for prob in (assemble_rate_for(algo, BOUNDS10, st, rho).problem,
+                             assemble_h2_for(algo, BOUNDS10, st).problem,
+                             assemble_rate_slack(algo, BOUNDS10, st, rho).problem):
+                    self._assert_same_verify(prob)
+
+    @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    def test_synthesis_problems(self, n, p, klass):
+        for build in _synthesis_builds(n, p, klass):
+            self._assert_same_verify(build())
+
+
+class TestKypKeyOrder:
+    """_kyp lays its keys out as P's range, then each row term's keys, and
+    refuses row keys out of that order. The callers' problems are compared
+    with the sorted layout in TestDirectBuildersMatchReference."""
+
+    @staticmethod
+    def _problem():
+        prob = SdpProblem()
+        s = prob.add_scalar("s")
+        P = prob.declare("P", "symmetric", (2, 2))
+        t = prob.add_scalar("t")
+        return prob, s, P, t
+
+    AB = np.array([[0.5, 0.0, 1.0], [0.0, 0.5, 0.0]])
+    OUT = np.ones((1, 3))
+
+    def test_row_key_at_or_below_P_refused(self):
+        prob, s, P, t = self._problem()
+        P_entry = prob.variable_expr("P").entry(1, 1)
+        for X in (s, P_entry, s + t):
+            with pytest.raises(ArgumentError, match="declare P before the row variables"):
+                lmi._kyp(self.AB, P, (self.OUT, X))
+
+    def test_row_terms_out_of_order_refused(self):
+        prob, _, P, t = self._problem()
+        u = prob.add_scalar("u")
+        with pytest.raises(ArgumentError, match="declare P before the row variables"):
+            lmi._kyp(self.AB, P, (self.OUT, u), (self.OUT, t))
+        with pytest.raises(ArgumentError, match="declare P before the row variables"):
+            lmi._kyp(self.AB, P, (self.OUT, t), (self.OUT, t))
 
 
 class TestSolverInputIdentity:

@@ -428,6 +428,55 @@ class TestSolve:
         assert sol.values["x"] == pytest.approx(2.0, abs=1e-6)
 
 
+class TestNonFiniteCandidates:
+    """A candidate with a NaN or inf entry is never verified, whichever
+    constraints read that entry."""
+
+    @staticmethod
+    def _rows_only():
+        prob = SdpProblem()
+        prob.add_linear(prob.add_scalar("t"), "<=", 1.0)
+        return prob
+
+    @staticmethod
+    def _h2_shaped():
+        """A PD block beside the row t <= 1; t is read only by the row and
+        the objective, as in the H2 problem."""
+        prob = SdpProblem()
+        prob.add_lmi(AffineMatrix.constant(np.eye(2)), "pos")
+        t = prob.add_scalar("t")
+        prob.add_linear(t, "<=", 1.0)
+        prob.minimize(t)
+        return prob
+
+    @staticmethod
+    def _block_reads_all():
+        prob = SdpProblem()
+        P = prob.add_symmetric("P", 3)
+        prob.add_lmi(P, "pos")
+        return prob
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_verify_refuses(self, bad):
+        for build in (self._rows_only, self._h2_shaped, self._block_reads_all):
+            prob = build()
+            x = np.zeros(prob.nvars)
+            x[-1] = bad
+            assert prob.verify(x) == (False, np.inf)
+
+    @pytest.mark.parametrize("build", ["_rows_only", "_h2_shaped", "_block_reads_all"])
+    def test_solve_downgrades_a_nan_candidate(self, monkeypatch, build):
+        import iqcopt.native as native
+
+        prob = getattr(self, build)()
+        x = np.full(prob.nvars, np.nan)
+        monkeypatch.setattr(native, "solve_native",
+                            lambda *args, **kwargs: native.NativeResult("optimal", x=x))
+        sol = solve(prob)
+        assert not sol.certified
+        assert (sol.status, sol.verified, sol.primal_residual) == ("inaccurate", False, np.inf)
+
+
 class TestNativeBackend:
     def test_minimizes(self):
         prob = SdpProblem()
