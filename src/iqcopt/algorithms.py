@@ -56,6 +56,18 @@ class SectorBounds:
 _MATRICES = ("A", "B", "C", "D", "Ddagger")
 
 
+def _finite(name: str, M: np.ndarray) -> np.ndarray:
+    """M, refused with DomainError if it holds an inf or a NaN.
+
+    An inf in A makes the equilibrium bound EQ_TOL (1 + ||A||) inf, so the
+    check passes, and a NaN fails no comparison, so the matrices are
+    checked before anything reads them.
+    """
+    if not np.isfinite(M).all():
+        raise DomainError(f"{name} has a non-finite entry")
+    return M
+
+
 def _lifted(i: int) -> cached_property:
     """Dense matrix i of a lifted realization: kron(core[i], I_q), built once."""
 
@@ -74,7 +86,8 @@ class AlgorithmRealization:
     matrices. With q > 1 the five matrices are instead the core, an
     algorithm over dimension p // q, and the realization is its lift
     A = kron(A_core, I_q) and so on. The constructor stores read-only
-    copies and checks the equilibrium conditions; instances are immutable.
+    copies, refuses a non-finite entry with DomainError and checks the
+    equilibrium conditions; instances are immutable.
     """
 
     A = _lifted(0)
@@ -97,6 +110,7 @@ class AlgorithmRealization:
             M = np.array(M, dtype=float)
             if M.shape != shape:
                 raise DimensionError(f"{name} must have shape {shape}, got {M.shape}")
+            _finite(name, M)
             M.flags.writeable = False
             core.append(M)
         Abar, _, Cbar, Dbar, Ddbar = core
@@ -359,10 +373,8 @@ def from_json_dict(d: dict) -> AlgorithmRealization:
         bounds = SectorBounds(float(d["m"]), float(d["L"]))
         return make_named(d["kind"], bounds, int(d.get("p", 1)))
     n, p = int(d["n"]), int(d["p"])
-    A = np.asarray(d["A"], dtype=float)
-    B = np.asarray(d["B"], dtype=float)
-    C = np.asarray(d["C"], dtype=float)
-    D = np.asarray(d["D"], dtype=float)
+    # checked here too, since solving for a missing Ddagger reads them first
+    A, B, C, D = (_finite(name, np.asarray(d[name], dtype=float)) for name in "ABCD")
     if "Ddagger" in d and d["Ddagger"] is not None:
         Dd = np.asarray(d["Ddagger"], dtype=float)
     else:

@@ -5,11 +5,14 @@ All analysis inequalities share one KYP-style congruence
     [A B; I 0; C D]^T blkdiag(P, -P, M) [A B; I 0; C D]  <=  -eps I,
 
 with the multiplier matrix M affine in the kernel parameters. The block
-is written into one coefficient stack: P's first factor [A B]^T
-(E_ij + E_ji) is scattered from columns of [A B]^T and one batched
-product by [A B] gives P's terms, so P's unit basis is never built (see
-``_kyp``). P is declared before the multiplier's variables, so the
-stack's keys are P's range followed by theirs, laid out without a sort.
+is written into one coefficient stack, and P's unit basis is never built
+(see ``_kyp``): in a large block the entries of P's terms that are one
+product of two nonzeros of [A B] are scattered, and only the rows with
+entries of two products take a batched product of a scattered first
+factor [A B]^T (E_ij + E_ji) by [A B], as every row of a small block
+does, so each block holds the same bits on any BLAS kernel. P is
+declared before the multiplier's variables, so the stack's keys are P's
+range followed by theirs, laid out without a sort.
 Synthesis variants reshuffle the same blocks by Schur complement so the
 algorithm matrices appear linearly. Each synthesis block is a list of
 (row offset, column offset, term) that ``place`` sums into one
@@ -40,6 +43,12 @@ from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant, build_perf_p
 from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, place,
                       upper_triangle)
 from .sdp import SdpSolution
+
+# the size P.size m n of the dense product from which _kyp scatters P's
+# terms instead: about where the two cost the same on a 2-core x86 host
+# with BLAS at one thread (a (p, lc, la) = (1, 6, 1) rate block is 4050,
+# a (2, 6, 1) one 61560)
+KYP_SCATTER_MIN = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +109,18 @@ def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameter
         np.asarray(theta_value).ravel())))
 
 
+def _first_factor(AB: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """AB^T (E_ij + E_ji) for each pair (i[t], j[t]): columns i and j of AB^T
+    placed in columns j and i, so that one batched product by AB gives
+    each basis element's term of AB^T P AB (AB^T E_ii for i = j)."""
+    n, m = AB.shape
+    t = np.arange(i.size)
+    first = np.zeros((i.size, m, n))
+    first[t, :, j] = AB[i]
+    first[t, :, i] = AB[j]
+    return first
+
+
 def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
 
@@ -107,10 +128,24 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     The block is the sum over the row blocks of out, AB^T P AB -
     blkdiag(P, 0) + sum_b out_b^T X_b out_b, written into one stack over
     the key union, so neither the zero-padded middle matrix nor P's unit
-    basis is built. The first factor AB^T (E_ij + E_ji) is just columns i
-    and j of AB^T, so it is scattered, and one batched product by AB
-    writes P's terms into their slots; the I rows then subtract the basis
-    entries in place.
+    basis is built; the I rows subtract the basis entries in place.
+
+    P's term for a basis element, E_ij + E_ji or E_ii, is a_i^T a_j +
+    a_j^T a_i or a_i^T a_i for the rows a_i of AB, so an entry sums at
+    most two products. [A B] is as sparse as Kronecker lifts and shift
+    chains make it, so from KYP_SCATTER_MIN up the product of each pair of
+    AB's nonzeros is scattered into the zeroed stack: an entry with one
+    nonzero product holds it rounded, and one without holds +0, as on any
+    BLAS kernel. Entries with two products, whose rounding depends on the
+    kernel, lie only in rows i, j whose rows of AB share a column; those
+    rows, and any row with a product that underflows to zero, take the
+    batched product. Below KYP_SCATTER_MIN every row takes it, since it
+    then costs less than the scatter's numpy calls. The batched product
+    scatters the first factor AB^T (E_ij + E_ji), columns i and j of AB^T,
+    and multiplies it by AB, each row as the same (m x n) @ (n x m)
+    product, so every block holds the bits of AB^T P AB on P's unit basis
+    on any kernel. AB must be finite: with an inf, BLAS writes 0 inf = NaN
+    down a whole column and the scatter does not.
 
     Every caller declares P before the row variables, so the key union is
     P's range followed by each X_b's keys in turn, and each row term is
@@ -131,10 +166,24 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     keys = np.concatenate([P.offset + k] + [X.keys for _, X in rows])
     coeffs = np.zeros((keys.size, m, m))
     slots = coeffs[:P.size]
-    first = np.zeros((P.size, m, n))
-    first[k, :, j] = AB[i]
-    first[k, :, i] = AB[j]
-    np.matmul(first, AB, out=slots)
+    if P.size * m * n < KYP_SCATTER_MIN:
+        np.matmul(_first_factor(AB, i, j), AB, out=slots)
+    else:
+        r, c = np.nonzero(AB)
+        v = AB[r, c]
+        # the basis row of {r1, r2}, r1 <= r2: row r1 of the triangle starts
+        # at r1 n - r1 (r1 - 1) / 2, and column r2 is r2 - r1 further on
+        r1 = np.minimum.outer(r, r)
+        basis = r1 * (2 * n + 1 - r1) // 2 + np.abs(r[:, None] - r)
+        vv = np.multiply.outer(v, v)
+        slots.reshape(-1)[(basis * m + c[:, None]) * m + c] = vv
+        nz = (AB != 0).astype(float)
+        shared = np.zeros(P.size, dtype=bool)
+        shared[off] = (nz @ nz.T)[i[off], j[off]] > 0
+        # a product that underflows may come out of BLAS as +0 or -0
+        shared[basis[vv == 0]] = True
+        batch = np.flatnonzero(shared)
+        slots[batch] = _first_factor(AB, i[batch], j[batch]) @ AB
     slots[k, i, j] -= 1.0
     slots[off, j[off], i[off]] -= 1.0
     const = np.zeros((m, m))

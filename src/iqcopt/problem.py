@@ -36,15 +36,18 @@ constant term is stored symmetrized. A block computes its scale
 1 + ||const||_F once, when it is made: the default eps margin is EPS_REL
 times it, and ``verify`` measures eigenvalue margins in units of it.
 ``verify`` refuses a candidate with a non-finite entry before it reads a
-block, since NaN compares false with every tolerance.
+block, since NaN compares false with every tolerance; for the same
+reason a block with a non-finite scale or eps and a row with a
+non-finite rhs are refused when they are made.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ArgumentError
+from .errors import ArgumentError, DimensionError, DomainError
 
 # strict LMIs are realized with this relative margin
 EPS_REL = 1e-7
@@ -247,9 +250,11 @@ def place(shape, terms) -> AffineMatrix:
 
 
 def congruence(T, X: AffineMatrix) -> AffineMatrix:
-    """T^T X T for a constant outer factor T."""
+    """T^T X T for a constant outer factor T: the products (T^T X_k) T
+    that ``(T.T @ X) @ T`` makes, without its intermediate expression."""
     T = np.asarray(T, dtype=float)
-    return X.__rmatmul__(T.T) @ T
+    c = T.shape[1]
+    return AffineMatrix((c, c), (T.T @ X.const) @ T, X.keys, (T.T @ X.coeffs) @ T)
 
 
 @dataclass
@@ -266,7 +271,9 @@ class LmiBlock:
     """A block sym(expr) <= -eps I ('neg') or sym(expr) >= eps I ('pos').
 
     ``scale`` is 1 + ||const||_F, computed once here; eps defaults to
-    EPS_REL times it, and ``verify`` measures margins in units of it.
+    EPS_REL times it, and ``verify`` measures margins in units of it. A
+    non-finite scale or eps raises DomainError, since a NaN margin fails
+    no comparison and would let ``verify`` pass any candidate.
     """
 
     name: str
@@ -278,6 +285,8 @@ class LmiBlock:
     def __post_init__(self):
         self.scale = 1.0 + float(np.linalg.norm(self.expr.const, "fro"))
         self.eps = EPS_REL * self.scale if self.eps is None else float(self.eps)
+        if not (math.isfinite(self.scale) and math.isfinite(self.eps)):
+            raise DomainError(f"block {self.name!r}: non-finite constant or eps")
 
 
 # the sign s of a row s (expr - rhs) <= 0, with 0 for an equality row
@@ -400,7 +409,9 @@ class SdpProblem:
 
         sense, rhs and name are each one value for every row or a sequence
         of one value per row. The rows are appended in order to the one
-        column of ``self.linear``, with the constant moved to the rhs.
+        column of ``self.linear``, with the constant moved to the rhs; a
+        non-finite rhs raises DomainError, since a NaN row passes every
+        ``verify``.
         """
         r = expr.shape[0]
         if expr.shape[1] != 1:
@@ -411,6 +422,9 @@ class SdpProblem:
             raise DimensionError(f"expected {r} senses and names")
         if not set(senses) <= _SIGN.keys():
             raise ArgumentError("sense must be one of <=, >=, ==")
+        rhs = np.asarray(rhs, dtype=float) - expr.const[:, 0]
+        if not np.isfinite(rhs).all():
+            raise DomainError("linear rows: non-finite rhs or constant")
         old, n = self.linear, len(self.linear)
         used = expr.coeffs.any(axis=(1, 2))
         keys, coeffs = expr.keys[used], expr.coeffs[used]
@@ -423,7 +437,7 @@ class SdpProblem:
         self.linear = LinearRows(
             AffineMatrix((n + r, 1), keys=keys, coeffs=coeffs),
             np.concatenate([old.sign, [_SIGN[s] for s in senses]]),
-            np.concatenate([old.rhs, np.asarray(rhs, dtype=float) - expr.const[:, 0]]),
+            np.concatenate([old.rhs, rhs]),
             old.name + names)
 
     def add_matrix_equality(self, expr: AffineMatrix, name: str = "") -> None:

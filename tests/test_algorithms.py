@@ -329,6 +329,23 @@ class TestJson:
         back = from_json_dict(d)
         np.testing.assert_allclose(back.Ddagger, algo.Ddagger, atol=1e-9)
 
+    @pytest.mark.parametrize("name,bad,with_ddagger", [
+        ("A", np.inf, True), ("A", np.inf, False), ("B", np.nan, True), ("B", np.nan, False),
+        ("Ddagger", -np.inf, True)])
+    def test_non_finite_entry_is_a_domain_error(self, name, bad, with_ddagger):
+        """An inf in A passes the equilibrium check with Ddagger given, and
+        without it the least-squares solve fails inside LAPACK."""
+        d = to_json_dict(make_named("gd", SectorBounds(1.0, 10.0)))
+        d[name][-1][-1] = bad
+        if not with_ddagger:
+            del d["Ddagger"]
+        with pytest.raises(DomainError, match=f"{name} has a non-finite entry"):
+            from_json_dict(json.loads(json.dumps(d)))
+
+    def test_constructor_refuses_non_finite_core(self):
+        with pytest.raises(DomainError, match="C has a non-finite entry"):
+            AlgorithmRealization([[1.0]], [[-0.1]], [[np.nan]], [[1.0]], [[1.0]], n=1, p=2, q=2)
+
 
 def test_known_rate_formulas():
     b = SectorBounds(1.0, 10.0)

@@ -172,6 +172,36 @@ class TestNonFiniteBounds:
         assert "Traceback" not in captured.err and captured.out == ""
 
 
+class TestNonFiniteAlgorithmFile:
+    """A file: algorithm with an inf or NaN entry (json reads Infinity and
+    NaN) is a usage error: exit 2 with the message on stderr, nothing on
+    stdout, LAPACK's included."""
+
+    @staticmethod
+    def _file(tmp_path, name, bad, with_ddagger):
+        from iqcopt.algorithms import SectorBounds, make_named, to_json_dict
+
+        d = to_json_dict(make_named("gd", SectorBounds(1.0, 10.0)))
+        d[name][-1][-1] = bad
+        if not with_ddagger:
+            del d["Ddagger"]
+        path = tmp_path / "algo.json"
+        path.write_text(json.dumps(d))
+        return path
+
+    @pytest.mark.parametrize("name,bad,with_ddagger", [
+        ("A", np.inf, True), ("A", np.inf, False), ("B", np.nan, True)])
+    @pytest.mark.parametrize("command", [
+        ["analyze-rate"], ["sample-h2", "--steps", "20", "--realizations", "2", "--runs", "1"]])
+    def test_exits_usage(self, tmp_path, capfd, name, bad, with_ddagger, command):
+        path = self._file(tmp_path, name, bad, with_ddagger)
+        code = RUN(command[0], "--algo", f"file:{path}", "--m", "1", "--L", "10", *command[1:])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"{name} has a non-finite entry" in err and "Traceback" not in err
+
+
 class TestSweep:
     def test_small_rate_sweep_matches_analytic(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -556,6 +556,87 @@ class TestKypKeyOrder:
             lmi._kyp(self.AB, P, (self.OUT, t), (self.OUT, t))
 
 
+def _stack_size(n, m):
+    """P.size m n for an n x m AB: the size _kyp compares with KYP_SCATTER_MIN."""
+    return n * (n + 1) // 2 * m * n
+
+
+class TestKypScatter:
+    """_kyp holds reference_kyp's bytes for ABs the named algorithms do not
+    reach: dense, with signed zeros, with one shared pair of rows, with
+    underflowing products, and on both sides of KYP_SCATTER_MIN."""
+
+    N = 16          # a 16 x 18 AB is above KYP_SCATTER_MIN
+
+    @staticmethod
+    def _assert_bytes(AB):
+        n, m = AB.shape
+        prob = SdpProblem()
+        P = prob.declare("P", "symmetric", (n, n))
+        X = prob.add_symmetric("X", 2)
+        out = np.random.default_rng(n).normal(size=(2, m))
+        got = lmi._kyp(AB, P, (out, X))
+        ref = ref_builders.reference_kyp(AB, P, (out, X))
+        for x, y in ((got.keys, ref.keys), (got.const, ref.const), (got.coeffs, ref.coeffs)):
+            assert x.tobytes() == y.tobytes()
+
+    @staticmethod
+    def _chain(n, m, seed):
+        """A shift chain: row r holds a random value in column r + 1 only."""
+        AB = np.zeros((n, m))
+        AB[np.arange(n), np.arange(n) + 1] = np.random.default_rng(seed).normal(size=n)
+        return AB
+
+    @staticmethod
+    def _shared_pairs(AB):
+        nz = (AB != 0).astype(float)
+        return int(np.count_nonzero(np.triu(nz @ nz.T, 1)))
+
+    def test_n_by_n_plus_2_is_scattered(self):
+        """The cases below that take N x (N + 2) ABs run the scatter."""
+        assert _stack_size(self.N, self.N + 2) >= lmi.KYP_SCATTER_MIN
+
+    def test_dense_every_row_shared(self):
+        AB = np.random.default_rng(1).normal(size=(self.N, self.N + 2))
+        assert self._shared_pairs(AB) == self.N * (self.N - 1) // 2
+        self._assert_bytes(AB)
+
+    def test_signed_zeros_and_a_zero_row(self):
+        AB = self._chain(self.N, self.N + 2, 2)
+        AB[3] = 0.0
+        AB[5, 9] = AB[7, 0] = -0.0
+        AB[9] = -0.0
+        AB[11, 2:6] = [-0.0, 1.5, -0.0, -2.0]
+        self._assert_bytes(AB)
+
+    def test_one_shared_pair(self):
+        AB = self._chain(self.N, self.N + 2, 3)
+        AB[2, 8] = 0.75       # row 2 meets row 7 in column 8
+        assert self._shared_pairs(AB) == 1
+        self._assert_bytes(AB)
+
+    def test_underflowing_products(self):
+        """A product that underflows to -0 may come out of BLAS as +0."""
+        AB = self._chain(self.N, self.N + 2, 4)
+        AB[1, 1] = -1e-170
+        AB[6, 3:5] = [1e-170, -2e-170]
+        AB[12, 0] = 3e-170
+        self._assert_bytes(AB)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_either_side_of_the_crossover(self, side):
+        """The largest n x (n + 2) AB below KYP_SCATTER_MIN and the next one."""
+        n = 1
+        while _stack_size(n + 1, n + 3) < lmi.KYP_SCATTER_MIN:
+            n += 1
+        n += side
+        assert (_stack_size(n, n + 2) >= lmi.KYP_SCATTER_MIN) == bool(side)
+        AB = self._chain(n, n + 2, 5)
+        AB[1, 2:4] = [0.5, -0.25]
+        AB[n - 1, 0] = 2.0
+        self._assert_bytes(AB)
+
+
 class TestSolverInputIdentity:
     """Blocks are stored as built; the symmetric part the solver forms from
     them is, byte for byte, the stack the symmetrizing add_lmi stored."""

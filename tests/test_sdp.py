@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import iqcopt
 from iqcopt.algorithms import SectorBounds, make_named
-from iqcopt.errors import ArgumentError, DimensionError
+from iqcopt.errors import ArgumentError, DimensionError, DomainError
 from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.problem import (PATTERN_CACHE_SIZE, AffineMatrix, SdpProblem, congruence, place,
@@ -52,6 +52,20 @@ class TestAffineMatrix:
         x = rng.normal(size=prob.nvars)
         np.testing.assert_allclose(congruence(T, P).value(x),
                                    T.T @ P.value(x) @ T, atol=1e-12)
+
+    def test_congruence_is_the_operator_product(self):
+        """congruence holds the bits of (T.T @ X) @ T, signed zeros too."""
+        rng = np.random.default_rng(3)
+        T = rng.normal(size=(4, 3))
+        T[1] = -0.0
+        for keys in (np.array([0, 2, 5]), np.zeros(0, dtype=np.intp)):
+            X = AffineMatrix((4, 4), rng.normal(size=(4, 4)), keys,
+                             rng.normal(size=(keys.size, 4, 4)))
+            got, want = congruence(T, X), (T.T @ X) @ T
+            assert got.shape == want.shape == (3, 3)
+            for a, b in ((got.keys, want.keys), (got.const, want.const),
+                         (got.coeffs, want.coeffs)):
+                assert a.tobytes() == b.tobytes()
 
     def test_matmul_both_sides(self):
         prob = SdpProblem()
@@ -475,6 +489,58 @@ class TestNonFiniteCandidates:
         sol = solve(prob)
         assert not sol.certified
         assert (sol.status, sol.verified, sol.primal_residual) == ("inaccurate", False, np.inf)
+
+
+class TestNonFiniteData:
+    """Problem data with a NaN or inf are refused when they are added: a
+    NaN block scale or row rhs fails every violation test, so ``verify``
+    would pass any candidate."""
+
+    def test_nan_block_constant_refused(self):
+        prob = SdpProblem()
+        t = prob.add_scalar("t")
+        const = np.zeros((3, 3))
+        const[0, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite constant or eps"):
+            prob.add_lmi(AffineMatrix((3, 3), const, t.keys, np.eye(3)[None]), "pos")
+        assert not prob.blocks
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_refused(self, eps):
+        prob = SdpProblem()
+        with pytest.raises(DomainError, match="non-finite constant or eps"):
+            prob.add_lmi(prob.add_symmetric("P", 2), "pos", eps=eps)
+
+    @pytest.mark.parametrize("rhs", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rhs_refused(self, rhs):
+        prob = SdpProblem()
+        t = prob.add_scalar("t")
+        with pytest.raises(DomainError, match="non-finite rhs"):
+            prob.add_linear(t, "<=", rhs)
+        with pytest.raises(DomainError, match="non-finite rhs"):
+            prob.add_linear(t - np.full((1, 1), rhs), "<=", 0.0)
+        assert len(prob.linear) == 0
+
+    @staticmethod
+    def _valid_dict():
+        prob = SdpProblem()
+        t = prob.add_scalar("t")
+        prob.add_lmi(AffineMatrix((3, 3), np.eye(3), t.keys, np.eye(3)[None]), "pos")
+        prob.add_linear(t, "<=", 1.0)
+        assert prob.verify(np.array([0.5]))[0]
+        return prob.to_json_dict()
+
+    def test_json_nan_block_constant_refused(self):
+        d = self._valid_dict()
+        d["blocks"][0]["const"][0][0] = np.nan
+        with pytest.raises(DomainError, match="non-finite constant or eps"):
+            SdpProblem.from_json_dict(d)
+
+    def test_json_nan_row_rhs_refused(self):
+        d = self._valid_dict()
+        d["linear"][0]["rhs"] = np.nan
+        with pytest.raises(DomainError, match="non-finite rhs"):
+            SdpProblem.from_json_dict(d)
 
 
 class TestNativeBackend:
