@@ -17,9 +17,14 @@ Synthesis variants reshuffle the same blocks by Schur complement so the
 algorithm matrices appear linearly. Each synthesis block is a list of
 (row offset, column offset, term) that ``place`` sums into one
 coefficient stack, so no partial sum of a block is allocated; the terms
-of an entry are listed in the order the entry is summed in, and the BMI
-cross term stays top^T (P12 bot), so every block holds the numbers of
-the term-by-term sum. Strict inequalities carry a
+of an entry are listed in the order the entry is summed in, so every
+block holds the numbers of the term-by-term sum. A BMI half-step places
+its constant and multiplier terms so, and writes the terms of A and B
+column by column from the nonzeros of the algorithm rows bot: TR's
+columns P22[:, a] v and the cross term's columns top^T (P12[:, a] v),
+all from one product, in the association of top^T (P12 bot), so its
+blocks hold the same bits as the dense per-key products. Strict
+inequalities carry a
 relative margin eps = 1e-7 (1 + ||const||_F); certificates are
 rechecked by eigenvalue computation in the solver layer, so a reported
 certificate always holds numerically.
@@ -458,10 +463,16 @@ class BmiFixedPAssembly:
 
 
 def _fixed_certificate(P, name: str, nc: int, nd: int) -> np.ndarray:
-    """A fixed nc x nc certificate whose algorithm block P[nd:, nd:] is PD."""
+    """A fixed nc x nc certificate whose algorithm block P[nd:, nd:] is PD.
+
+    A non-finite entry raises DomainError before any product is formed:
+    its products would put NaN in coefficients, which no block check reads.
+    """
     P = np.asarray(P, dtype=float)
     if P.shape != (nc, nc):
         raise DimensionError(f"{name} must be {nc}x{nc}")
+    if not np.isfinite(P).all():
+        raise DomainError(f"{name} must be finite")
     P22 = P[nd:, nd:]
     if np.min(np.linalg.eigvalsh(0.5 * (P22 + P22.T))) <= 0:
         raise PreconditionError(f"{name}22 must be positive definite when fixing {name}")
@@ -507,27 +518,51 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     Be = prob.add_matrix("B", N, p)
     md = _add_multiplier(prob, structure)
     dim = N + nc + p
+    AB_keys = np.concatenate([Ae.keys, Be.keys])
+    # the row of bot each key of A and B sits in: A[i, j] is A's (i N + j)-th
+    # key and B[i, l] B's (i p + l)-th, both in row i
+    row_of_key = np.concatenate([np.repeat(np.arange(N), N), np.repeat(np.arange(N), p)])
 
-    def rate_terms(P_, rho_, md_, top_, CcDc_):
-        """Terms of [[-P22, TR], [TR^T, U]] with TR = P22 bot and U =
-        top^T P11 top + sym2(top^T (P12 bot)) - blkdiag(P, 0) + CcDc^T M CcDc,
-        where bot = [0  rho^-1 (A + m B C)  B] holds the algorithm rows."""
-        P11c = P_[:nd, :nd]
-        P12c = P_[:nd, nd:]
-        P22_ = P_[nd:, nd:]
-        bot = AffineMatrix.block([[np.zeros((N, nd)),
-                                   (1.0 / rho_) * (Ae + bounds.m * (Be @ C)),
-                                   Be]])
-        TR = P22_ @ bot
-        cross = top_.T @ (P12c @ bot)
-        return [(0, 0, -P22_), (0, N, TR), (N, 0, TR.T),
-                (N, N, top_.T @ P11c @ top_), (N, N, cross), (N, N, cross.T),
-                (N, N, -P_), (N, N, congruence(CcDc_, md_))]
+    def rate_block(P_, rho_, md_, top_, CcDc_, extra):
+        """[[-P22, TR], [TR^T, U]] plus the ``extra`` terms, with TR =
+        P22 bot and U = top^T P11 top + sym2(top^T (P12 bot)) - blkdiag(P, 0)
+        + CcDc^T M CcDc, where bot = [0  rho^-1 (A + m B C)  B] holds the
+        algorithm rows.
+
+        ``place`` sums the terms free of A and B over a key union that holds
+        A's and B's keys too. A key of A has one nonzero in bot, rho^-1, and
+        a key of B two, rho^-1 (m C) and 1, both in the key's row a. Each
+        nonzero (key, a, column, v) past bot's nd zero columns then adds
+        TR's column P22[:, a] v and the cross term's column top^T
+        (P12[:, a] v), all taken in one product, each beside its transpose:
+        the entries of the dense per-key products, whose other rows and
+        columns are zero, added into the zeroed stack.
+        """
+        # each key's row of bot past the nd zero columns: rho^-1 e_j^T for
+        # A[i, j] and [rho^-1 (m C[l, :])  e_l^T] for B[i, l], both in row i
+        inv_rho = 1.0 / rho_
+        rows = np.vstack([np.tile(np.hstack([inv_rho * np.eye(N), np.zeros((N, p))]), (N, 1)),
+                          np.tile(np.hstack([inv_rho * (bounds.m * C), np.eye(p)]), (N, 1))])
+        k, c = np.nonzero(rows)
+        # [P12; P22][:, a] v for each nonzero: the P12 bot and TR columns
+        Pv = P_[:, nd + row_of_key[k]] * rows[k, c]
+        blk = place((dim, dim), [(0, 0, -P_[nd:, nd:]), (N, N, top_.T @ P_[:nd, :nd] @ top_),
+                                 (N, N, -P_), (N, N, congruence(CcDc_, md_))] + extra,
+                    keys=AB_keys)
+        k += np.searchsorted(blk.keys, AB_keys[0])
+        c += N + nd
+        TR = Pv[nd:].T
+        blk.coeffs[k, :N, c] += TR
+        blk.coeffs[k, c, :N] += TR
+        if nd:
+            cross = (top_.T @ Pv[:nd]).T
+            blk.coeffs[k, N:, c] += cross
+            blk.coeffs[k, c, N:] += cross
+        return blk
 
     if slack:
         s = prob.add_scalar("s")
-        prob.add_lmi(place((dim, dim), rate_terms(P, rho, md, top, CcDc)
-                           + [(0, 0, _minus_identity(s, dim))]),
+        prob.add_lmi(rate_block(P, rho, md, top, CcDc, [(0, 0, _minus_identity(s, dim))]),
                      "neg", eps=0.0, name="bmi-rate-slack")
         s_max = 10.0 * (1.0 + float(np.max(np.abs(P))))
         prob.add_linear(s, ">=", -s_max)
@@ -537,16 +572,14 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     else:
         # absolute margin: the block constant carries P, so the default
         # relative eps would exceed the warm start's analysis margin
-        prob.add_lmi(place((dim, dim), rate_terms(P, rho, md, top, CcDc)), "neg",
-                     eps=1e-9, name="bmi-rate")
+        prob.add_lmi(rate_block(P, rho, md, top, CcDc, []), "neg", eps=1e-9, name="bmi-rate")
 
     if with_perf:
         Pp22c = P_p[nd:, nd:]
         md_p = _add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
         _, _, _, _, _, _, top1, CcDc1 = _synth_constants(n, p, bounds, structure, 1.0)
         C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
-        prob.add_lmi(place((dim, dim), rate_terms(P_p, 1.0, md_p, top1, CcDc1)
-                           + [(N, N, C2.T @ C2)]),
+        prob.add_lmi(rate_block(P_p, 1.0, md_p, top1, CcDc1, [(N, N, C2.T @ C2)]),
                      "neg", eps=1e-9, name="bmi-h2")
         Z = prob.add_symmetric("Z", p)
         t = prob.add_scalar("t")

@@ -76,12 +76,28 @@ def upper_triangle(n: int):
     return i, j, off
 
 
+def _expr(shape, const, keys, coeffs) -> "AffineMatrix":
+    """An expression from float arrays whose shapes the caller has made
+    to fit ``shape``: the constructor without its conversions and checks,
+    for the results of the algebra below."""
+    e = object.__new__(AffineMatrix)
+    e.shape, e.const, e.keys, e.coeffs = shape, const, keys, coeffs
+    return e
+
+
+def _is_matrix(T) -> bool:
+    """T is a 2-D float64 ndarray, an operand products take as it is."""
+    return type(T) is np.ndarray and T.ndim == 2 and T.dtype == float
+
+
 class AffineMatrix:
     """Matrix-valued affine expression: const + sum_k x[keys[k]] * coeffs[k].
 
     keys is sorted and unique, coeffs is K x r x c. Results may share these
     arrays with their operands (views, unchanged stacks), so an expression's
-    arrays are not written once it has been passed on.
+    arrays are not written once it has been passed on. The constructor
+    converts and checks its arguments; the results of the algebra, whose
+    shapes are known, are made without either.
     """
 
     __slots__ = ("shape", "const", "keys", "coeffs")
@@ -119,17 +135,17 @@ class AffineMatrix:
             raise DimensionError(f"add: {self.shape} vs {other.shape}")
         const = op(self.const, other.const)
         if not other.keys.size:
-            return AffineMatrix(self.shape, const, self.keys, self.coeffs)
+            return _expr(self.shape, const, self.keys, self.coeffs)
         if not self.keys.size:
-            return AffineMatrix(self.shape, const, other.keys, op(0.0, other.coeffs))
+            return _expr(self.shape, const, other.keys, op(0.0, other.coeffs))
         if np.array_equal(self.keys, other.keys):
-            return AffineMatrix(self.shape, const, self.keys, op(self.coeffs, other.coeffs))
+            return _expr(self.shape, const, self.keys, op(self.coeffs, other.coeffs))
         keys = np.union1d(self.keys, other.keys)
         coeffs = np.zeros((keys.size,) + self.shape)
         coeffs[np.searchsorted(keys, self.keys)] = self.coeffs
         idx = np.searchsorted(keys, other.keys)
         coeffs[idx] = op(coeffs[idx], other.coeffs)
-        return AffineMatrix(self.shape, const, keys, coeffs)
+        return _expr(self.shape, const, keys, coeffs)
 
     def __add__(self, other):
         return self._combine(AffineMatrix.lift(other), np.add)
@@ -137,7 +153,7 @@ class AffineMatrix:
     __radd__ = __add__
 
     def __neg__(self):
-        return AffineMatrix(self.shape, -self.const, self.keys, -self.coeffs)
+        return _expr(self.shape, -self.const, self.keys, -self.coeffs)
 
     def __sub__(self, other):
         return self._combine(AffineMatrix.lift(other), np.subtract)
@@ -147,12 +163,15 @@ class AffineMatrix:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return AffineMatrix(self.shape, s * self.const, self.keys, s * self.coeffs)
+        return _expr(self.shape, s * self.const, self.keys, s * self.coeffs)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         """Affine @ constant (right multiplication)."""
+        if _is_matrix(other):
+            return _expr((self.shape[0], other.shape[1]), self.const @ other, self.keys,
+                         self.coeffs @ other)
         if isinstance(other, AffineMatrix):
             if not other.keys.size:
                 other = other.const
@@ -166,14 +185,16 @@ class AffineMatrix:
 
     def __rmatmul__(self, other):
         """constant @ Affine (left multiplication)."""
+        if _is_matrix(other):
+            return _expr((other.shape[0], self.shape[1]), other @ self.const, self.keys,
+                         other @ self.coeffs)
         T = np.atleast_2d(np.asarray(other, dtype=float))
         out_shape = (T.shape[0], self.shape[1])
         return AffineMatrix(out_shape, T @ self.const, self.keys, T @ self.coeffs)
 
     @property
     def T(self) -> "AffineMatrix":
-        return AffineMatrix(self.shape[::-1], self.const.T, self.keys,
-                            self.coeffs.transpose(0, 2, 1))
+        return _expr(self.shape[::-1], self.const.T, self.keys, self.coeffs.transpose(0, 2, 1))
 
     def trace(self) -> "AffineMatrix":
         return AffineMatrix((1, 1), [[np.trace(self.const)]], self.keys,
@@ -217,7 +238,7 @@ class AffineMatrix:
                                         for j, b in enumerate(r)])
 
 
-def place(shape, terms) -> AffineMatrix:
+def place(shape, terms, keys=_NO_KEYS) -> AffineMatrix:
     """The sum of expressions placed at offsets in a zero matrix of ``shape``.
 
     ``terms`` is a sequence of (row offset, column offset, expression); an
@@ -227,11 +248,12 @@ def place(shape, terms) -> AffineMatrix:
     sum taken left to right. A term whose keys are consecutive, as every
     declared variable's are, is added through a slice of the stack, others
     through an index array. A sign is the caller's: pass the negated
-    expression.
+    expression. ``keys`` joins the union with zero coefficients, for a
+    caller that writes those keys' entries into the new stack itself.
     """
     shape = tuple(shape)
     terms = [(i, j, AffineMatrix.lift(e)) for i, j, e in terms]
-    keys = np.unique(np.concatenate([_NO_KEYS] + [e.keys for _, _, e in terms]))
+    keys = np.unique(np.concatenate([keys] + [e.keys for _, _, e in terms]))
     const = np.zeros(shape)
     coeffs = np.zeros((keys.size,) + shape)
     for i, j, e in terms:
@@ -246,7 +268,7 @@ def place(shape, terms) -> AffineMatrix:
             coeffs[lo:lo + e.keys.size, i:i + r, j:j + c] += e.coeffs
         else:
             coeffs[np.searchsorted(keys, e.keys), i:i + r, j:j + c] += e.coeffs
-    return AffineMatrix(shape, const, keys, coeffs)
+    return _expr(shape, const, keys, coeffs)
 
 
 def congruence(T, X: AffineMatrix) -> AffineMatrix:
@@ -254,7 +276,7 @@ def congruence(T, X: AffineMatrix) -> AffineMatrix:
     that ``(T.T @ X) @ T`` makes, without its intermediate expression."""
     T = np.asarray(T, dtype=float)
     c = T.shape[1]
-    return AffineMatrix((c, c), (T.T @ X.const) @ T, X.keys, (T.T @ X.coeffs) @ T)
+    return _expr((c, c), (T.T @ X.const) @ T, X.keys, (T.T @ X.coeffs) @ T)
 
 
 @dataclass

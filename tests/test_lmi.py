@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_stru
                                lift, make_named)
 from iqcopt import algorithms, lmi, multipliers, plantbuild
 from iqcopt.engines import h2_norm_linear, verify_fdi
-from iqcopt.errors import (ArgumentError, DimensionError, InfeasiblePrecondition,
+from iqcopt.errors import (ArgumentError, DimensionError, DomainError, InfeasiblePrecondition,
                            PreconditionError)
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
                         assemble_bmi_fixed_P, assemble_h2, assemble_h2_for, assemble_rate_for,
@@ -236,6 +237,23 @@ class TestBmiSteps:
         st = ZamesFalbStructure(1, 0, 1, "unstructured", 0.9)
         with pytest.raises(PreconditionError, match="P_p22"):
             assemble_bmi_fixed_P(2, 1, BOUNDS10, st, 0.9, np.eye(3), P_p=-np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("part", ["P11", "P12", "P22"])
+    @pytest.mark.parametrize("which", ["P", "P_p"])
+    def test_fixed_p_non_finite_refused(self, which, part, bad):
+        # nd = 2 multiplier states and N = 2 algorithm states; the entry is
+        # named before a product could warn, or carry a NaN into the stack
+        st = ZamesFalbStructure(2, 0, 1, "unstructured", 0.9)
+        i, j = {"P11": (0, 1), "P12": (0, 3), "P22": (2, 3)}[part]
+        Q = np.eye(4)
+        Q[i, j] = Q[j, i] = bad
+        P, P_p = (Q, np.eye(4)) if which == "P" else (np.eye(4), Q)
+        for slack in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DomainError, match=f"^{which} must be finite"):
+                    assemble_bmi_fixed_P(2, 1, BOUNDS10, st, 0.9, P, P_p=P_p, slack=slack)
 
 
 class TestStructuredRate:
@@ -749,8 +767,10 @@ class TestPlacedSynthesisBlocks:
     @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
     @pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (1, 2, 4)])
     def test_same_values_as_reference(self, klass, n, p):
-        # (0, 0) has no multiplier states: nd = 0 and P11 is absent
-        for lc, la in ((0, 1), (1, 0), (2, 0), (4, 0), (0, 0)):
+        # (0, 0) has no multiplier states: nd = 0 and P11 is absent; with
+        # lc > 0 and la > 0 a column of top holds two nonzeros, so an entry
+        # of the BMI blocks' cross term sums two products
+        for lc, la in ((0, 1), (1, 0), (2, 0), (4, 0), (0, 0), (2, 1)):
             for build, reference in _placed_and_reference_builds(klass, n, p, lc, la):
                 _assert_same_values(build().problem, reference().problem)
 
