@@ -142,7 +142,7 @@ def cmd_synth_convex(args) -> int:
     opts = _solver_options()
     bounds = SectorBounds(args.m, args.L)
     t0 = time.time()
-    st = ZamesFalbStructure(args.lc, args.la, args.p, "unstructured", args.rho)
+    st = ZamesFalbStructure(args.lc, args.la, args.p, args.klass, args.rho)
     res = synthesize_convex(args.n, args.p, bounds, args.rho,
                             with_perf=args.perf, structure=st, options=opts)
     if args.out:
@@ -163,7 +163,7 @@ def cmd_synth_bmi(args) -> int:
     opts = _solver_options()
     bounds = SectorBounds(args.m, args.L)
     t0 = time.time()
-    st = ZamesFalbStructure(args.lc, args.la, args.p, "unstructured", args.target_rho)
+    st = ZamesFalbStructure(args.lc, args.la, args.p, args.klass, args.target_rho)
     res = synthesize_bmi(args.n, args.p, bounds, args.target_rho,
                          optimize=args.optimize, structure=st, options=opts)
     if args.out:

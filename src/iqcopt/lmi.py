@@ -6,25 +6,28 @@ All analysis inequalities share one KYP-style congruence
 
 with the multiplier matrix M affine in the kernel parameters. The block
 is written into one coefficient stack, and P's unit basis is never built
-(see ``_kyp``): in a large block the entries of P's terms that are one
-product of two nonzeros of [A B] are scattered, and only the rows with
-entries of two products take a batched product of a scattered first
-factor [A B]^T (E_ij + E_ji) by [A B], as every row of a small block
-does, so each block holds the same bits on any BLAS kernel. P is
+(see ``_write_p_terms``): in a large block the entries of P's terms that
+are one product of two nonzeros of [A B] are scattered, and only the
+rows with entries of two products take a batched product of a scattered
+first factor [A B]^T (E_ij + E_ji) by [A B], as every row of a small
+block does, so each block holds the same bits on any BLAS kernel. P is
 declared before the multiplier's variables, so the stack's keys are P's
 range followed by theirs, laid out without a sort.
 Synthesis variants reshuffle the same blocks by Schur complement so the
-algorithm matrices appear linearly. Each synthesis block is a list of
-(row offset, column offset, term) that ``place`` sums into one
-coefficient stack, so no partial sum of a block is allocated; the terms
-of an entry are listed in the order the entry is summed in, so every
-block holds the numbers of the term-by-term sum. A BMI half-step places
-its constant and multiplier terms so, and writes the terms of A and B
-column by column from the nonzeros of the algorithm rows bot: TR's
-columns P22[:, a] v and the cross term's columns top^T (P12[:, a] v),
-all from one product, in the association of top^T (P12 bot), so its
-blocks hold the same bits as the dense per-key products. Strict
-inequalities carry a
+algorithm matrices appear linearly. ``place`` sums a synthesis block's
+(row offset, column offset, term) list into one coefficient stack, so no
+partial sum of a block is allocated; the terms of an entry are listed in
+the order the entry is summed in, so every block holds the numbers of
+the term-by-term sum. The convex blocks place only their multiplier and
+constant terms so; every other term is a declared variable's unit basis
+times constants, so -1 at P22's entries, the algorithm rows of QA and QB
+in TR and P11's terms, through ``_write_p_terms``, are added entry by
+entry into the zeroed stack. A BMI half-step places its constant and
+multiplier terms so, and writes the terms of A and B column by column
+from the nonzeros of the algorithm rows bot: TR's columns P22[:, a] v
+and the cross term's columns top^T (P12[:, a] v), all from one product,
+in the association of top^T (P12 bot). Either way the blocks hold the
+same bits as the dense per-key terms. Strict inequalities carry a
 relative margin eps = 1e-7 (1 + ||const||_F); certificates are
 rechecked by eigenvalue computation in the solver layer, so a reported
 certificate always holds numerically.
@@ -43,7 +46,7 @@ from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
                           m_delta_coefficients, membership_rows,
                           psi_delta_realization)
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant, build_perf_plant,
-                         build_rate_plant, build_rate_plant_loop,
+                         build_rate_plant, build_rate_plant_loop, check_structured_data,
                          default_noise_channel, structured_loop)
 from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, place,
                       upper_triangle)
@@ -126,53 +129,42 @@ def _first_factor(AB: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return first
 
 
-def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
-    """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
-
-    P is a declared symmetric variable and ``rows`` the pairs (out_b, X_b).
-    The block is the sum over the row blocks of out, AB^T P AB -
-    blkdiag(P, 0) + sum_b out_b^T X_b out_b, written into one stack over
-    the key union, so neither the zero-padded middle matrix nor P's unit
-    basis is built; the I rows subtract the basis entries in place.
+def _write_p_terms(AB: np.ndarray, slots: np.ndarray) -> None:
+    """Write AB^T P AB - blkdiag(P, 0) on P's unit basis into the zeroed view
+    ``slots``, one row per basis element of the symmetric n x n P.
 
     P's term for a basis element, E_ij + E_ji or E_ii, is a_i^T a_j +
     a_j^T a_i or a_i^T a_i for the rows a_i of AB, so an entry sums at
     most two products. [A B] is as sparse as Kronecker lifts and shift
     chains make it, so from KYP_SCATTER_MIN up the product of each pair of
-    AB's nonzeros is scattered into the zeroed stack: an entry with one
-    nonzero product holds it rounded, and one without holds +0, as on any
-    BLAS kernel. Entries with two products, whose rounding depends on the
+    AB's nonzeros is scattered into the view: an entry with one nonzero
+    product holds it rounded, and one without holds +0, as on any BLAS
+    kernel. Entries with two products, whose rounding depends on the
     kernel, lie only in rows i, j whose rows of AB share a column; those
     rows, and any row with a product that underflows to zero, take the
-    batched product. Below KYP_SCATTER_MIN every row takes it, since it
-    then costs less than the scatter's numpy calls. The batched product
-    scatters the first factor AB^T (E_ij + E_ji), columns i and j of AB^T,
-    and multiplies it by AB, each row as the same (m x n) @ (n x m)
-    product, so every block holds the bits of AB^T P AB on P's unit basis
-    on any kernel. AB must be finite: with an inf, BLAS writes 0 inf = NaN
-    down a whole column and the scatter does not.
+    batched product instead. Below KYP_SCATTER_MIN every row takes it,
+    since it then costs less than the scatter's numpy calls. The batched
+    product scatters the first factor AB^T (E_ij + E_ji), columns i and j
+    of AB^T, and multiplies it by AB, each row as the same (m x n) @
+    (n x m) product, so every view holds the bits of AB^T P AB on P's
+    unit basis on any kernel; the basis is then subtracted in place.
 
-    Every caller declares P before the row variables, so the key union is
-    P's range followed by each X_b's keys in turn, and each row term is
-    added through its slice of the stack. Keys out of that order raise
-    ArgumentError.
+    A contiguous view, _kyp's, takes a small block's product as matmul's
+    out=; a strided one, a block of a larger stack, has it added, since
+    on a strided out= numpy leaves BLAS for its own loop, which rounds
+    differently. The scatter and the batched rows write each entry once,
+    into a zero, and BLAS writes a zero product as +0, so the view holds
+    what adding the terms into it would; the tests compare the two bit
+    for bit. AB must be finite: with an inf, BLAS writes 0 inf = NaN down
+    a whole column and the scatter does not.
     """
     n, m = AB.shape
     i, j, off = upper_triangle(n)
-    k = np.arange(P.size)
-    last = P.offset + P.size - 1
-    for _, X in rows:
-        if X.keys.size:
-            if X.keys[0] <= last:
-                raise ArgumentError(
-                    f"_kyp: row key {int(X.keys[0])} does not follow key {int(last)}; "
-                    "declare P before the row variables, in order")
-            last = X.keys[-1]
-    keys = np.concatenate([P.offset + k] + [X.keys for _, X in rows])
-    coeffs = np.zeros((keys.size, m, m))
-    slots = coeffs[:P.size]
-    if P.size * m * n < KYP_SCATTER_MIN:
-        np.matmul(_first_factor(AB, i, j), AB, out=slots)
+    if i.size * m * n < KYP_SCATTER_MIN:
+        if slots.flags.c_contiguous:
+            np.matmul(_first_factor(AB, i, j), AB, out=slots)
+        else:
+            slots += _first_factor(AB, i, j) @ AB
     else:
         r, c = np.nonzero(AB)
         v = AB[r, c]
@@ -181,16 +173,45 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
         r1 = np.minimum.outer(r, r)
         basis = r1 * (2 * n + 1 - r1) // 2 + np.abs(r[:, None] - r)
         vv = np.multiply.outer(v, v)
-        slots.reshape(-1)[(basis * m + c[:, None]) * m + c] = vv
+        slots[basis, c[:, None], c] = vv
         nz = (AB != 0).astype(float)
-        shared = np.zeros(P.size, dtype=bool)
+        shared = np.zeros(i.size, dtype=bool)
         shared[off] = (nz @ nz.T)[i[off], j[off]] > 0
         # a product that underflows may come out of BLAS as +0 or -0
         shared[basis[vv == 0]] = True
         batch = np.flatnonzero(shared)
         slots[batch] = _first_factor(AB, i[batch], j[batch]) @ AB
-    slots[k, i, j] -= 1.0
+    slots[np.arange(i.size), i, j] -= 1.0
     slots[off, j[off], i[off]] -= 1.0
+
+
+def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
+    """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
+
+    P is a declared symmetric variable and ``rows`` the pairs (out_b, X_b).
+    The block is the sum over the row blocks of out, AB^T P AB -
+    blkdiag(P, 0) + sum_b out_b^T X_b out_b, written into one stack over
+    the key union, so neither the zero-padded middle matrix nor P's unit
+    basis is built: ``_write_p_terms`` writes P's terms into the stack's
+    first, contiguous, P.size rows.
+
+    Every caller declares P before the row variables, so the key union is
+    P's range followed by each X_b's keys in turn, and each row term is
+    added through its slice of the stack. Keys out of that order raise
+    ArgumentError.
+    """
+    m = AB.shape[1]
+    last = P.offset + P.size - 1
+    for _, X in rows:
+        if X.keys.size:
+            if X.keys[0] <= last:
+                raise ArgumentError(
+                    f"_kyp: row key {int(X.keys[0])} does not follow key {int(last)}; "
+                    "declare P before the row variables, in order")
+            last = X.keys[-1]
+    keys = np.concatenate([P.offset + np.arange(P.size)] + [X.keys for _, X in rows])
+    coeffs = np.zeros((keys.size, m, m))
+    _write_p_terms(AB, coeffs[:P.size])
     const = np.zeros((m, m))
     lo = P.size
     for out_b, X in rows:
@@ -361,23 +382,56 @@ class ConvexSynthAssembly:
                                rho=self.rho, gamma=gamma)
 
 
-def _convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md):
-    """Terms of [[-P22, TR], [TR^T, U]] for the convex synthesis blocks.
+def _algorithm_rows(N: int, p: int, sector_m: float, C: np.ndarray, scale: float):
+    """The coefficient row each scalar of the N x N A, then of the N x p B,
+    puts in bot = [0  scale (A + m B C)  B] past its zero columns, and the
+    row of bot it lies in: scale e_j^T for A[i, j] and
+    [scale (m C[l, :])  e_l^T] for B[i, l], both in row i."""
+    rows = np.zeros((N * (N + p), N + p))
+    A, B = rows[:N * N].reshape(N, N, N + p), rows[N * N:].reshape(N, p, N + p)
+    A[:, :, :N] = scale * np.eye(N)
+    B[:, :, :N] = scale * (sector_m * C)
+    B[:, :, N:] = np.eye(p)
+    return rows, np.concatenate([np.arange(N * N) // N, np.arange(N * p) // p])
+
+
+def _convex_synth_block(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
+                        extra=()) -> AffineMatrix:
+    """[[-P22, TR], [TR^T, U]] for the convex synthesis blocks.
 
     TR = [0  scale (QA + m QB C)  QB] and, with P = blkdiag(P11, P22),
     U = top^T P11 top - blkdiag(P, 0) + CcDc^T M CcDc: the A,B-dependent
     rows of [Ac Bc] are annihilated by P - N P22 N^T = blkdiag(P11, 0).
-    The terms of each entry come in the order the entry is summed in.
+
+    ``place`` sums the multiplier term and the constant ``extra`` terms
+    over a key union that holds the keys of P22, P11, QA and QB too. Every
+    term of those four is a unit basis times constants, so their entries
+    are then added into the zeroed stack: -1 at P22's entries in both of
+    its blocks; the rows ``_algorithm_rows`` gives QA's and QB's scalars,
+    scale at QA[a, b]'s entry and scale (m C[l, :]) and 1 at QB[a, l]'s,
+    in row a of TR, each beside its transpose; and P11's terms, written
+    by ``_write_p_terms``. No entry of a key takes two of these terms, so
+    the stack holds the bits of the term-by-term sum.
     """
-    A = scale * QA
-    B = scale * (sector_m * (QB @ C))
+    p = C.shape[0]
     nc = nd + N
-    terms = [(0, 0, -P22),
-             (0, N + nd, A), (0, N + nd, B), (0, N + nc, QB),
-             (N + nd, 0, A.T), (N + nd, 0, B.T), (N + nc, 0, QB.T)]
+    dim = N + nc + p
+    blk = place((dim, dim), [(N, N, congruence(CcDc, md))] + list(extra),
+                keys=np.concatenate([X.keys for X in (P22, P11, QA, QB) if X is not None]))
+    F = blk.coeffs
+    i, j, off = upper_triangle(N)
+    k = np.searchsorted(blk.keys, P22.keys)
+    for o in (0, N + nd):
+        F[k, o + i, o + j] -= 1.0
+        F[k[off], o + j[off], o + i[off]] -= 1.0
+    rows, a = _algorithm_rows(N, p, sector_m, C, scale)
+    k = np.searchsorted(blk.keys, np.concatenate([QA.keys, QB.keys]))
+    F[k, a, N + nd:] += rows
+    F[k, N + nd:, a] += rows
     if nd:
-        terms += [(N, N, congruence(top, P11)), (N, N, -P11)]
-    return terms + [(N + nd, N + nd, -P22), (N, N, congruence(CcDc, md))]
+        lo = np.searchsorted(blk.keys, P11.keys[0])
+        _write_p_terms(top, F[lo:lo + P11.keys.size, N:, N:])
+    return blk
 
 
 def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
@@ -394,10 +448,8 @@ def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
     QA = prob.add_matrix("QA", N, N)
     QB = prob.add_matrix("QB", N, p)
     md = _add_multiplier(prob, structure)
-    dim = N + nc + p
-    prob.add_lmi(place((dim, dim), _convex_synth_terms(
-        N, nd, bounds.m, C, 1.0 / rho, P22, P11, QA, QB, top, CcDc, md)),
-        "neg", name="synth-rate")
+    prob.add_lmi(_convex_synth_block(N, nd, bounds.m, C, 1.0 / rho, P22, P11, QA, QB,
+                                     top, CcDc, md), "neg", name="synth-rate")
     prob.add_matrix_equality((QA - P22) @ Dd, name="eq-fixedpoint")
     return ConvexSynthAssembly(prob, n, p, bounds, structure, rho)
 
@@ -410,7 +462,7 @@ def assemble_convex_synth_perf(n: int, p: int, bounds: SectorBounds,
     prob = asm.problem
     structure = asm.structure
     # performance plant pieces live at rho = 1
-    C, _, _, nd, N, nc, top1, CcDc1 = _synth_constants(n, p, bounds, structure, 1.0)
+    C, _, _, nd, N, _, top1, CcDc1 = _synth_constants(n, p, bounds, structure, 1.0)
     P22 = prob.variable_expr("P22")
     QA = prob.variable_expr("QA")
     QB = prob.variable_expr("QB")
@@ -421,10 +473,8 @@ def assemble_convex_synth_perf(n: int, p: int, bounds: SectorBounds,
 
     # performance rows: C_perf = C on the algorithm states, zero elsewhere
     C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
-    dim = N + nc + p
-    prob.add_lmi(place((dim, dim), _convex_synth_terms(
-        N, nd, bounds.m, C, 1.0, P22, Pp11, QA, QB, top1, CcDc1, md_p) + [(N, N, C2.T @ C2)]),
-        "neg", name="synth-h2")
+    prob.add_lmi(_convex_synth_block(N, nd, bounds.m, C, 1.0, P22, Pp11, QA, QB, top1, CcDc1,
+                                     md_p, [(N, N, C2.T @ C2)]), "neg", name="synth-h2")
     trace_blk = AffineMatrix.block([[P22, QB], [QB.T, Z]])
     prob.add_lmi(trace_blk, "pos", name="synth-h2-trace")
     prob.add_linear(Z.trace() - t, "<=", 0.0, name="trZ<=t")
@@ -519,9 +569,6 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     md = _add_multiplier(prob, structure)
     dim = N + nc + p
     AB_keys = np.concatenate([Ae.keys, Be.keys])
-    # the row of bot each key of A and B sits in: A[i, j] is A's (i N + j)-th
-    # key and B[i, l] B's (i p + l)-th, both in row i
-    row_of_key = np.concatenate([np.repeat(np.arange(N), N), np.repeat(np.arange(N), p)])
 
     def rate_block(P_, rho_, md_, top_, CcDc_, extra):
         """[[-P22, TR], [TR^T, U]] plus the ``extra`` terms, with TR =
@@ -538,11 +585,7 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
         the entries of the dense per-key products, whose other rows and
         columns are zero, added into the zeroed stack.
         """
-        # each key's row of bot past the nd zero columns: rho^-1 e_j^T for
-        # A[i, j] and [rho^-1 (m C[l, :])  e_l^T] for B[i, l], both in row i
-        inv_rho = 1.0 / rho_
-        rows = np.vstack([np.tile(np.hstack([inv_rho * np.eye(N), np.zeros((N, p))]), (N, 1)),
-                          np.tile(np.hstack([inv_rho * (bounds.m * C), np.eye(p)]), (N, 1))])
+        rows, row_of_key = _algorithm_rows(N, p, bounds.m, C, 1.0 / rho_)
         k, c = np.nonzero(rows)
         # [P12; P22][:, a] v for each nonzero: the P12 bot and TR columns
         Pv = P_[:, nd + row_of_key[k]] * rows[k, c]
@@ -675,8 +718,7 @@ def assemble_structured_synth(H1, T, m2: float, L2: float, n: int,
     q = T.shape[0]
     if H1.shape != (p, p) or T.shape[1] != p:
         raise DimensionError("H1 must be p x p, T must be q x p")
-    if not (0 <= m2 <= L2):
-        raise DomainError("need 0 <= m2 <= L2")
+    check_structured_data(H1, T, m2, L2)
     if not (0 < rho < 1):
         raise DomainError("rho must lie in (0, 1)")
     N = n * p

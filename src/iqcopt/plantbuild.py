@@ -92,6 +92,20 @@ def sector_loop(algo: AlgorithmRealization, bounds: SectorBounds) -> UncertainLo
                          partial(algo.nominal_radius, bounds.m))
 
 
+def check_structured_data(H1: np.ndarray, T: np.ndarray, m2: float, L2: float) -> None:
+    """Refuse structured-design data that is not finite, naming the input,
+    or slope bounds outside 0 <= m2 <= L2.
+
+    Runs before any product of the data: an inf would make NaNs there,
+    which warn, or reach a block or a loop whose spectral radius is taken.
+    """
+    for name, x in (("H1", H1), ("T", T), ("m2", m2), ("L2", L2)):
+        if not np.isfinite(x).all():
+            raise DomainError(f"{name} must be finite")
+    if not (0 <= m2 <= L2):
+        raise DomainError("need 0 <= m2 <= L2")
+
+
 def structured_loop(algo: AlgorithmRealization, H1, T, m2: float, L2: float) -> UncertainLoop:
     """Loop after the parametrized-gradient substitutions.
 
@@ -103,8 +117,7 @@ def structured_loop(algo: AlgorithmRealization, H1, T, m2: float, L2: float) -> 
     T = np.atleast_2d(np.asarray(T, dtype=float))
     if H1.shape != (algo.p, algo.p) or T.shape[1] != algo.p:
         raise DimensionError("H1 must be p x p and T must have p columns")
-    if not (0 <= m2 <= L2):
-        raise DomainError("need 0 <= m2 <= L2")
+    check_structured_data(H1, T, m2, L2)
     Anom = algo.A + algo.B @ H1 @ algo.C + m2 * algo.B @ T.T @ T @ algo.C
     return UncertainLoop(Anom, algo.B @ T.T, T @ algo.C, L2 - m2)
 

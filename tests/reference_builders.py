@@ -20,7 +20,10 @@ every finite candidate.
 The four synthesis builders are kept as they were composed from the
 expression algebra: every sum, difference and block allocates a new
 stack, and ``AffineMatrix.block`` copied each block into its slot. The
-tests check that the library's placed blocks hold the same numbers.
+tests check that the library's placed blocks hold the same numbers. The
+convex synthesis blocks are also kept as ``place`` summed them, one dense
+per-key stack per term; the tests check that the library's blocks,
+written from their variables' entries, hold the same bits.
 
 The named algorithms are kept as dense Kronecker lifts built up front,
 and ``kronecker_lift`` lifts a state-space system the same way. The tests
@@ -45,7 +48,8 @@ from iqcopt.errors import DimensionError, DomainError, PreconditionError, Singul
 from iqcopt.multipliers import (ZamesFalbStructure, m_delta_coefficients, m_delta_matrix,
                                 membership_constraints, psi_delta_realization)
 from iqcopt.plantbuild import AugmentedPlant, PerformanceAugmentedPlant
-from iqcopt.problem import EPS_REL, _NO_KEYS, AffineMatrix, LmiBlock, SdpProblem, congruence
+from iqcopt.problem import (EPS_REL, _NO_KEYS, AffineMatrix, LmiBlock, SdpProblem, congruence,
+                            place)
 from iqcopt.statespace import POLE_RCOND, StateSpace
 
 
@@ -514,6 +518,33 @@ def _smul(scalar, M):
 
 def _embed_state_block(expr, p):
     return reference_blkdiag(expr, np.zeros((p, p)))
+
+
+def convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md):
+    """Terms of [[-P22, TR], [TR^T, U]] for the convex synthesis blocks.
+
+    TR = [0  scale (QA + m QB C)  QB] and, with P = blkdiag(P11, P22),
+    U = top^T P11 top - blkdiag(P, 0) + CcDc^T M CcDc: the A,B-dependent
+    rows of [Ac Bc] are annihilated by P - N P22 N^T = blkdiag(P11, 0).
+    The terms of each entry come in the order the entry is summed in.
+    """
+    A = scale * QA
+    B = scale * (sector_m * (QB @ C))
+    nc = nd + N
+    terms = [(0, 0, -P22),
+             (0, N + nd, A), (0, N + nd, B), (0, N + nc, QB),
+             (N + nd, 0, A.T), (N + nd, 0, B.T), (N + nc, 0, QB.T)]
+    if nd:
+        terms += [(N, N, congruence(top, P11)), (N, N, -P11)]
+    return terms + [(N + nd, N + nd, -P22), (N, N, congruence(CcDc, md))]
+
+
+def reference_convex_synth_block(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
+                                 extra=()):
+    """lmi._convex_synth_block as ``place``'s sum of the dense per-key terms."""
+    dim = 2 * N + nd + C.shape[0]
+    return place((dim, dim), convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB,
+                                                top, CcDc, md) + list(extra))
 
 
 def reference_assemble_convex_synth(n, p, bounds, structure, rho):

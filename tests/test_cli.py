@@ -89,6 +89,32 @@ class TestSynthConvex:
         assert code == 3
 
 
+@pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+@pytest.mark.parametrize("command", ["synth-convex", "synth-bmi"])
+def test_synthesis_commands_pass_the_class(monkeypatch, capsys, command, klass):
+    """--klass reaches synthesize_convex or synthesize_bmi, and the
+    manifest records it."""
+    from types import SimpleNamespace
+
+    from iqcopt.algorithms import SectorBounds, make_named
+
+    seen = []
+
+    def synthesize(n, p, bounds, rho, structure=None, **kw):
+        seen.append(structure.klass)
+        return SimpleNamespace(algo=make_named("gd", SectorBounds(1.0, 10.0), p), rho=rho,
+                               gamma=None, initializer_rho=None, iterations=[], solves=0)
+
+    monkeypatch.setattr(cli, "synthesize_convex", synthesize)
+    monkeypatch.setattr(cli, "synthesize_bmi", synthesize)
+    rho = "--rho" if command == "synth-convex" else "--target-rho"
+    code, out = run_capture(capsys, command, "--m", "1", "--L", "10", rho, "0.9",
+                            "--p", "2", "--klass", klass)
+    assert code == 0
+    assert seen == [klass]
+    assert json.loads(out)["manifest"]["parameters"]["klass"] == klass
+
+
 class TestSampleH2:
     def test_file_algo_of_other_p_exits_usage(self, tmp_path, capsys):
         from iqcopt.algorithms import SectorBounds, make_named, save_algorithm

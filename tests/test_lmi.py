@@ -270,6 +270,30 @@ class TestStructuredRate:
             np.testing.assert_allclose(ours.expr.coeffs, ref.expr.coeffs, atol=1e-13)
 
 
+class TestStructuredDataRefused:
+    """An inf or NaN in H1, T, m2 or L2 raises DomainError naming it before
+    any product could warn."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["H1", "T", "m2", "L2"])
+    def test_named_before_any_product(self, name, bad):
+        data = {"H1": np.eye(2), "T": np.eye(2), "m2": 0.0, "L2": 9.0}
+        if name in ("H1", "T"):
+            data[name][1, 0] = bad
+        else:
+            data[name] = bad
+        args = (data["H1"], data["T"], data["m2"], data["L2"])
+        st = ZamesFalbStructure(1, 0, 2, "unstructured", 0.9)
+        gd = make_named("gd", BOUNDS10, 2)
+        for build in (lambda: lmi.assemble_structured_synth(*args, 2, 0.9),
+                      lambda: plantbuild.structured_loop(gd, *args),
+                      lambda: assemble_structured_rate(gd, *args, st, 0.9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                    build()
+
+
 def test_perf_synth_gamma_weakly_decreasing_in_rho():
     bounds = SectorBounds(1.0, 50.0)
     gammas = []
@@ -760,9 +784,9 @@ def _assert_same_values(got, ref):
 
 
 class TestPlacedSynthesisBlocks:
-    """Every synthesis block, written term by term into one stack, holds the
-    numbers of the reference builders, which sum each block through the
-    expression algebra."""
+    """Every synthesis block, written into one stack, holds the numbers of
+    the reference builders, which sum each block through the expression
+    algebra; the convex blocks hold the bytes of their placed term sum."""
 
     @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
     @pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (1, 2, 4)])
@@ -773,6 +797,31 @@ class TestPlacedSynthesisBlocks:
         for lc, la in ((0, 1), (1, 0), (2, 0), (4, 0), (0, 0), (2, 1)):
             for build, reference in _placed_and_reference_builds(klass, n, p, lc, la):
                 _assert_same_values(build().problem, reference().problem)
+
+    @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (1, 2, 4)])
+    def test_convex_blocks_hold_the_term_sum_bits(self, monkeypatch, klass, n, p):
+        """synth-rate and synth-h2, written from their variables' entries,
+        hold the bytes of the term-by-term sum, signed zeros included."""
+        # (0, 0) has no multiplier states; with lc > 0 and la > 0 entries of
+        # U sum two products; at p = 4, P11's term of (1, 1) lies below
+        # KYP_SCATTER_MIN and that of (2, 1) and (3, 3) above it
+        sides = set()
+        for lc, la in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (3, 3)):
+            nd = (lc + la) * p     # P11's term has an nd x (nd + (n + 1) p) top
+            sides.add(_stack_size(nd, nd + (n + 1) * p) >= lmi.KYP_SCATTER_MIN)
+            st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+            for build in (assemble_convex_synth, assemble_convex_synth_perf):
+                got = build(n, p, BOUNDS10, st, 0.9).problem
+                with monkeypatch.context() as m:
+                    m.setattr(lmi, "_convex_synth_block", ref_builders.reference_convex_synth_block)
+                    ref = build(n, p, BOUNDS10, st, 0.9).problem
+                assert [b.name for b in got.blocks] == [b.name for b in ref.blocks]
+                for a, b in zip(got.blocks, ref.blocks):
+                    for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
+                                 (a.expr.coeffs, b.expr.coeffs)):
+                        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert sides == ({False, True} if p == 4 else {False})
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_same_solver_iterate(self, which):
