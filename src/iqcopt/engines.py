@@ -70,6 +70,14 @@ def fundamental_lower_bound(bounds: SectorBounds) -> float:
     return float((rk - 1) / (rk + 1))
 
 
+def _refuse_below_lower_bound(rho: float, bounds: SectorBounds, name: str) -> None:
+    """Refuse a target rate no first-order method reaches on this class."""
+    bound = fundamental_lower_bound(bounds)
+    if rho <= bound:
+        raise PreconditionError(
+            f"{name}={rho} is at or below the fundamental lower bound {bound:.4f}")
+
+
 def h2_norm_linear(A, B, C) -> float:
     """H2 norm of (A, B, C, 0) via the discrete Lyapunov equation."""
     A = np.atleast_2d(A)
@@ -236,6 +244,7 @@ def synthesize_convex(n: int, p: int, bounds: SectorBounds, rho: float,
                       structure: ZamesFalbStructure = None,
                       options: SolverOptions = None) -> SynthesisResult:
     """Convex synthesis; the result is re-certified before it is returned."""
+    _refuse_below_lower_bound(rho, bounds, "rho")
     structure = structure or ZamesFalbStructure(1, 0, p, "unstructured", rho)
     options = options or SolverOptions()
     if with_perf:
@@ -311,10 +320,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
     t0 = time.time()
     if optimize not in ("rate", "h2"):
         raise PreconditionError("optimize must be 'rate' or 'h2'")
-    if target_rho <= fundamental_lower_bound(bounds):
-        raise PreconditionError(
-            f"target_rho={target_rho} is below the fundamental lower bound "
-            f"{fundamental_lower_bound(bounds):.4f}")
+    _refuse_below_lower_bound(target_rho, bounds, "target_rho")
     structure = structure or ZamesFalbStructure(1, 0, p, "unstructured", target_rho)
     options = options or SolverOptions()
     solves = [0]

@@ -5,12 +5,10 @@ All analysis inequalities share one KYP-style congruence
     [A B; I 0; C D]^T blkdiag(P, -P, M) [A B; I 0; C D]  <=  -eps I,
 
 with the multiplier matrix M affine in the kernel parameters. The block
-is written into one coefficient stack, and P's unit basis is never built
-(see ``_write_p_terms``): in a large block the entries of P's terms that
-are one product of two nonzeros of [A B] are scattered, and only the
-rows with entries of two products take a batched product of a scattered
-first factor [A B]^T (E_ij + E_ji) by [A B], as every row of a small
-block does, so each block holds the same bits on any BLAS kernel. P is
+is written into one coefficient stack, and P's unit basis is never built:
+``_write_p_terms`` adds the product of each pair of nonzeros of [A B]
+into its entry of P's terms, so every entry is a fixed sum of rounded
+products and P's terms hold the same bits on any BLAS kernel. P is
 declared before the multiplier's variables, so the stack's keys are P's
 range followed by theirs, laid out without a sort.
 Synthesis variants reshuffle the same blocks by Schur complement so the
@@ -51,12 +49,6 @@ from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant, build_perf_p
 from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, place,
                       upper_triangle)
 from .sdp import SdpSolution
-
-# the size P.size m n of the dense product from which _kyp scatters P's
-# terms instead: about where the two cost the same on a 2-core x86 host
-# with BLAS at one thread (a (p, lc, la) = (1, 6, 1) rate block is 4050,
-# a (2, 6, 1) one 61560)
-KYP_SCATTER_MIN = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -117,70 +109,26 @@ def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameter
         np.asarray(theta_value).ravel())))
 
 
-def _first_factor(AB: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """AB^T (E_ij + E_ji) for each pair (i[t], j[t]): columns i and j of AB^T
-    placed in columns j and i, so that one batched product by AB gives
-    each basis element's term of AB^T P AB (AB^T E_ii for i = j)."""
-    n, m = AB.shape
-    t = np.arange(i.size)
-    first = np.zeros((i.size, m, n))
-    first[t, :, j] = AB[i]
-    first[t, :, i] = AB[j]
-    return first
-
-
 def _write_p_terms(AB: np.ndarray, slots: np.ndarray) -> None:
-    """Write AB^T P AB - blkdiag(P, 0) on P's unit basis into the zeroed view
+    """Add AB^T P AB - blkdiag(P, 0) on P's unit basis into the zeroed view
     ``slots``, one row per basis element of the symmetric n x n P.
 
-    P's term for a basis element, E_ij + E_ji or E_ii, is a_i^T a_j +
-    a_j^T a_i or a_i^T a_i for the rows a_i of AB, so an entry sums at
-    most two products. [A B] is as sparse as Kronecker lifts and shift
-    chains make it, so from KYP_SCATTER_MIN up the product of each pair of
-    AB's nonzeros is scattered into the view: an entry with one nonzero
-    product holds it rounded, and one without holds +0, as on any BLAS
-    kernel. Entries with two products, whose rounding depends on the
-    kernel, lie only in rows i, j whose rows of AB share a column; those
-    rows, and any row with a product that underflows to zero, take the
-    batched product instead. Below KYP_SCATTER_MIN every row takes it,
-    since it then costs less than the scatter's numpy calls. The batched
-    product scatters the first factor AB^T (E_ij + E_ji), columns i and j
-    of AB^T, and multiplies it by AB, each row as the same (m x n) @
-    (n x m) product, so every view holds the bits of AB^T P AB on P's
-    unit basis on any kernel; the basis is then subtracted in place.
-
-    A contiguous view, _kyp's, takes a small block's product as matmul's
-    out=; a strided one, a block of a larger stack, has it added, since
-    on a strided out= numpy leaves BLAS for its own loop, which rounds
-    differently. The scatter and the batched rows write each entry once,
-    into a zero, and BLAS writes a zero product as +0, so the view holds
-    what adding the terms into it would; the tests compare the two bit
-    for bit. AB must be finite: with an inf, BLAS writes 0 inf = NaN down
-    a whole column and the scatter does not.
+    For the rows a_i of AB, entry (c, d) of P's term is, for E_ij + E_ji
+    with i < j, 0 + a_i[c] a_j[d] + a_j[c] a_i[d], and for E_ii it is
+    0 + a_i[c] a_i[d]: each product rounded, then summed in that order,
+    so every entry holds the same bits on any BLAS kernel. [A B] is as
+    sparse as Kronecker lifts and shift chains make it, so one add.at
+    adds the product of each pair of AB's nonzeros into its basis row
+    and entry. add.at sums repeated indices in index order, and
+    np.nonzero lists the nonzeros row by row, so the lower row's product
+    is added first. The basis is then subtracted in place. The view may
+    be strided, a block of a larger stack, as in the convex synthesis
+    blocks.
     """
-    n, m = AB.shape
-    i, j, off = upper_triangle(n)
-    if i.size * m * n < KYP_SCATTER_MIN:
-        if slots.flags.c_contiguous:
-            np.matmul(_first_factor(AB, i, j), AB, out=slots)
-        else:
-            slots += _first_factor(AB, i, j) @ AB
-    else:
-        r, c = np.nonzero(AB)
-        v = AB[r, c]
-        # the basis row of {r1, r2}, r1 <= r2: row r1 of the triangle starts
-        # at r1 n - r1 (r1 - 1) / 2, and column r2 is r2 - r1 further on
-        r1 = np.minimum.outer(r, r)
-        basis = r1 * (2 * n + 1 - r1) // 2 + np.abs(r[:, None] - r)
-        vv = np.multiply.outer(v, v)
-        slots[basis, c[:, None], c] = vv
-        nz = (AB != 0).astype(float)
-        shared = np.zeros(i.size, dtype=bool)
-        shared[off] = (nz @ nz.T)[i[off], j[off]] > 0
-        # a product that underflows may come out of BLAS as +0 or -0
-        shared[basis[vv == 0]] = True
-        batch = np.flatnonzero(shared)
-        slots[batch] = _first_factor(AB, i[batch], j[batch]) @ AB
+    i, j, off, table = upper_triangle(AB.shape[0])
+    r, c = np.nonzero(AB)
+    v = AB[r, c]
+    np.add.at(slots, (table[r[:, None], r], c[:, None], c), np.multiply.outer(v, v))
     slots[np.arange(i.size), i, j] -= 1.0
     slots[off, j[off], i[off]] -= 1.0
 
@@ -192,8 +140,8 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     The block is the sum over the row blocks of out, AB^T P AB -
     blkdiag(P, 0) + sum_b out_b^T X_b out_b, written into one stack over
     the key union, so neither the zero-padded middle matrix nor P's unit
-    basis is built: ``_write_p_terms`` writes P's terms into the stack's
-    first, contiguous, P.size rows.
+    basis is built: ``_write_p_terms`` adds P's terms into the stack's
+    first P.size rows.
 
     Every caller declares P before the row variables, so the key union is
     P's range followed by each X_b's keys in turn, and each row term is
@@ -419,7 +367,7 @@ def _convex_synth_block(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, 
     blk = place((dim, dim), [(N, N, congruence(CcDc, md))] + list(extra),
                 keys=np.concatenate([X.keys for X in (P22, P11, QA, QB) if X is not None]))
     F = blk.coeffs
-    i, j, off = upper_triangle(N)
+    i, j, off, _ = upper_triangle(N)
     k = np.searchsorted(blk.keys, P22.keys)
     for o in (0, N + nd):
         F[k, o + i, o + j] -= 1.0

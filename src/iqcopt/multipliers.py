@@ -80,6 +80,13 @@ class ZamesFalbStructure:
             raise ArgumentError(f"unknown multiplier class {self.klass!r}")
         if not (0 < self.rho <= 1):
             raise DomainError(f"rho must lie in (0, 1], got {self.rho}")
+        # the membership rows weigh taps by rho^-la and rho^-lc, and the
+        # plants divide by rho: refuse a rho whose largest power overflows
+        power = max(self.ell_causal, self.ell_anticausal, 1)
+        try:
+            float(self.rho) ** -power
+        except OverflowError:
+            raise DomainError(f"rho={self.rho} is too small: rho^-{power} overflows") from None
 
     @property
     def taps(self) -> int:

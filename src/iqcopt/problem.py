@@ -60,8 +60,9 @@ PATTERN_CACHE_SIZE = 32
 
 @functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
 def upper_triangle(n: int):
-    """Row and column indices of an n x n upper triangle, row by row, and
-    the positions of its off-diagonal entries among them.
+    """Row and column indices of an n x n upper triangle, row by row, the
+    positions of its off-diagonal entries among them, and the n x n table
+    of positions: entry (r, s) is the position of (min(r, s), max(r, s)).
 
     The order of np.triu_indices(n), the order of a symmetric variable's
     scalars, built from the n (n + 1) / 2 positions instead of an n x n mask.
@@ -70,10 +71,14 @@ def upper_triangle(n: int):
     """
     i = np.repeat(np.arange(n), np.arange(n, 0, -1))
     # row i starts at position i n - i (i - 1) / 2 and its columns at i
-    j = np.arange(i.size) - i * (2 * n + 1 - i) // 2 + i
+    k = np.arange(i.size)
+    j = k - i * (2 * n + 1 - i) // 2 + i
     off = np.flatnonzero(i != j)
-    i.flags.writeable = j.flags.writeable = off.flags.writeable = False
-    return i, j, off
+    table = np.empty((n, n), dtype=np.intp)
+    table[i, j] = table[j, i] = k
+    for a in (i, j, off, table):
+        a.flags.writeable = False
+    return i, j, off, table
 
 
 def _expr(shape, const, keys, coeffs) -> "AffineMatrix":
@@ -400,7 +405,7 @@ class SdpProblem:
         if info.kind == "matrix":
             return v.reshape(info.shape)
         M = np.empty(info.shape)
-        i, j, _ = upper_triangle(info.shape[0])
+        i, j = upper_triangle(info.shape[0])[:2]
         M[i, j] = v
         M[j, i] = v
         return M

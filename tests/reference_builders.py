@@ -3,9 +3,10 @@
 psi_Delta from kron, np.block and block_diag (and as the library once
 wrote it by index into fresh arrays on every call), the plants through the
 [C; 0] and [0; I] helpers, built whole on every call with nothing kept
-between probes, and the KYP block as a congruence of P's unit basis
-stack. The library builds the same objects by index; the tests
-compare the two entry for entry.
+between probes, and the KYP block with P's terms written densely by
+their definition, each entry a sum of rounded products, and subtracted
+P's unit basis stack. The library builds the same objects by index; the
+tests compare the two entry for entry.
 
 The problem container's former forms are kept here as well: an
 ``add_lmi`` that stores every block symmetrized, and linear rows added one
@@ -208,6 +209,20 @@ def reference_synth_constants(n, p, bounds, structure, rho):
     return C, D, Dd, nd, N, nc, top, CcDc
 
 
+def p_terms(AB, keys):
+    """AB^T P AB on the unit basis of the symmetric P on ``keys``, written
+    densely by its definition: 0 + outer(a_i, a_j) + outer(a_j, a_i) for
+    E_ij + E_ji with i < j and 0 + outer(a_i, a_i) for E_ii, for the rows
+    a_i of AB, each product rounded before the sum."""
+    n, m = AB.shape
+    coeffs = np.empty((keys.size, m, m))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        coeffs[k] = 0.0 + np.outer(AB[i], AB[j])
+        if i != j:
+            coeffs[k] += np.outer(AB[j], AB[i])
+    return AffineMatrix((m, m), keys=keys, coeffs=coeffs)
+
+
 def reference_kyp(AB, P_info, *rows):
     """AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b on P's unit basis."""
     n = P_info.shape[0]
@@ -216,10 +231,8 @@ def reference_kyp(AB, P_info, *rows):
     basis = np.zeros((P_info.size, n, n))
     basis[k, i, j] = 1.0
     basis[k, j, i] = 1.0
-    P = AffineMatrix((n, n), keys=P_info.offset + k, coeffs=basis)
-    total = congruence(AB, P)
-    total.const[:n, :n] -= P.const
-    total.coeffs[:, :n, :n] -= P.coeffs
+    total = p_terms(AB, P_info.offset + k)
+    total.coeffs[:, :n, :n] -= basis
     for out_b, X in rows:
         total = total + congruence(out_b, X)
     return total
@@ -535,7 +548,7 @@ def convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, m
              (0, N + nd, A), (0, N + nd, B), (0, N + nc, QB),
              (N + nd, 0, A.T), (N + nd, 0, B.T), (N + nc, 0, QB.T)]
     if nd:
-        terms += [(N, N, congruence(top, P11)), (N, N, -P11)]
+        terms += [(N, N, p_terms(top, P11.keys)), (N, N, -P11)]
     return terms + [(N + nd, N + nd, -P22), (N, N, congruence(CcDc, md))]
 
 

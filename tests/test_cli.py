@@ -83,10 +83,20 @@ class TestSynthConvex:
         assert code2 == 0
         assert json.loads(out2)["result"]["rho"] <= 0.95 + 1e-3
 
-    def test_below_lower_bound_exits_3(self, capsys):
+    def test_infeasible_above_lower_bound_exits_3(self, capsys):
         code, _ = run_capture(capsys, "synth-convex", "--m", "1", "--L", "10",
-                              "--n", "2", "--rho", "0.51")
+                              "--n", "2", "--rho", "0.6")
         assert code == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("L,rho", [("10", "0.51"), ("10", "1e-200"), ("10", "1e-320"),
+                                       ("1", "1e-320")])
+    def test_unreachable_or_tiny_rho_exits_2(self, capsys, L, rho):
+        """A rho at or below the fundamental lower bound, or one whose
+        inverse overflows, is refused before anything is built."""
+        code = main(["synth-convex", "--m", "1", "--L", L, "--rho", rho])
+        assert code == 2
+        assert f"rho={float(rho)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("klass", ["unstructured", "repeated", "nonrepeated"])

@@ -8,7 +8,7 @@ from iqcopt.algorithms import SectorBounds, make_named, nominal_closed_loop
 from iqcopt.engines import (BisectionConfig, certify_h2, certify_rate,
                             certify_structured_rate, fundamental_lower_bound,
                             h2_norm_linear, synthesize_convex, verify_fdi)
-from iqcopt.errors import DomainError, NotCertifiable
+from iqcopt.errors import DomainError, NotCertifiable, PreconditionError
 from iqcopt.lmi import H2Certificate, RateCertificate, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbParameters, ZamesFalbStructure
 from iqcopt.plantbuild import build_perf_plant, build_rate_plant, default_noise_channel
@@ -220,10 +220,15 @@ class TestSynthesizeConvex:
         asm = assemble_rate_for(res.algo, BOUNDS10, st, 0.95)
         assert solve(asm.problem).certified
 
-    def test_infeasible_below_lower_bound(self):
-        rho_bad = fundamental_lower_bound(BOUNDS10) - 0.01
+    def test_refused_at_or_below_lower_bound(self):
+        bound = fundamental_lower_bound(BOUNDS10)
+        for rho in (bound - 0.01, bound, 1e-200):
+            with pytest.raises(PreconditionError, match="fundamental lower bound"):
+                synthesize_convex(2, 1, BOUNDS10, rho)
+
+    def test_infeasible_above_lower_bound(self):
         with pytest.raises(NotCertifiable):
-            synthesize_convex(2, 1, BOUNDS10, rho_bad)
+            synthesize_convex(2, 1, BOUNDS10, 0.6)
 
     def test_perf_gamma_reported(self):
         bounds = SectorBounds(1.0, 50.0)

@@ -1,0 +1,71 @@
+"""The analysis problems hold the same bytes on every BLAS kernel.
+
+P's terms of the KYP block are sums of rounded products written entry by
+entry, never a BLAS product, so the rate, H2 and rate-slack problems of
+the named algorithms hash equal in this process and in two subprocesses
+that run OpenBLAS's FMA-free Nehalem kernel and its FMA Haswell kernel
+(``OPENBLAS_CORETYPE`` selects the kernel when OpenBLAS loads). Those
+kernels exist on x86-64 only.
+"""
+
+import hashlib
+import os
+import platform
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import iqcopt
+from iqcopt.algorithms import SectorBounds, make_named
+from iqcopt.lmi import assemble_h2_for, assemble_rate_for, assemble_rate_slack
+from iqcopt.multipliers import ZamesFalbStructure
+
+BOUNDS10 = SectorBounds(1.0, 10.0)
+
+
+def _feed(h, prob):
+    """Variables, block names, senses, eps, scales and stacks, and rows."""
+    h.update(repr([(v.name, v.kind, v.shape, v.offset, v.size) for v in prob.variables]).encode())
+    for b in prob.blocks:
+        h.update(repr((b.name, b.sense, b.eps, b.scale)).encode())
+        for a in (b.expr.keys, b.expr.const, b.expr.coeffs):
+            h.update(np.ascontiguousarray(a).tobytes())
+    rows = prob.linear
+    for a in (rows.expr.keys, rows.expr.coeffs, rows.sign, rows.rhs):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(rows.name).encode())
+
+
+def analysis_digest() -> str:
+    """One hash of the rate, H2 and rate-slack problems of gd, nm, tmm and
+    hb at p = 1, 2, 4, for a short and a long multiplier."""
+    h = hashlib.sha256()
+    for kind in ("gd", "nm", "tmm", "hb"):
+        for p in (1, 2, 4):
+            algo = make_named(kind, BOUNDS10, p)
+            rho = 0.5 * (1.0 + algo.nominal_radius(BOUNDS10.m))
+            for lc, la, klass in ((2, 1, "repeated"), (6, 0, "unstructured")):
+                st = ZamesFalbStructure(lc, la, p, klass, 1.0)
+                _feed(h, assemble_rate_for(algo, BOUNDS10, st, rho).problem)
+                _feed(h, assemble_h2_for(algo, BOUNDS10, st).problem)
+                _feed(h, assemble_rate_slack(algo, BOUNDS10, st, rho).problem)
+    return h.hexdigest()
+
+
+def _digest_under(coretype: str) -> str:
+    paths = [os.path.dirname(os.path.dirname(iqcopt.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import test_kernel_independence as t; print(t.analysis_digest())"],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS's Nehalem and Haswell kernels are x86-64 kernels")
+def test_analysis_problems_hash_equal_on_every_kernel():
+    here = analysis_digest()
+    assert [_digest_under(k) for k in ("Nehalem", "Haswell")] == [here, here]

@@ -1,7 +1,9 @@
 import functools
 import json
+import os
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
 from iqcopt.multipliers import (CLASSES, ZamesFalbStructure, m_delta_coefficients,
                                 membership_rows)
 from iqcopt.native import _sym_stack
-from iqcopt.plantbuild import UncertainLoop, build_perf_plant_loop, build_rate_plant
-from iqcopt.problem import SdpProblem, upper_triangle
+from iqcopt.plantbuild import (UncertainLoop, build_perf_plant, build_perf_plant_loop,
+                               build_rate_plant, default_noise_channel)
+from iqcopt.problem import SdpProblem, congruence, upper_triangle
 from iqcopt.sdp import SdpSolution, solve
 from iqcopt.statespace import StateSpace
 import reference_builders as ref_builders
@@ -598,17 +601,12 @@ class TestKypKeyOrder:
             lmi._kyp(self.AB, P, (self.OUT, t), (self.OUT, t))
 
 
-def _stack_size(n, m):
-    """P.size m n for an n x m AB: the size _kyp compares with KYP_SCATTER_MIN."""
-    return n * (n + 1) // 2 * m * n
-
-
 class TestKypScatter:
     """_kyp holds reference_kyp's bytes for ABs the named algorithms do not
     reach: dense, with signed zeros, with one shared pair of rows, with
-    underflowing products, and on both sides of KYP_SCATTER_MIN."""
+    underflowing products, small and large."""
 
-    N = 16          # a 16 x 18 AB is above KYP_SCATTER_MIN
+    N = 16
 
     @staticmethod
     def _assert_bytes(AB):
@@ -634,10 +632,6 @@ class TestKypScatter:
         nz = (AB != 0).astype(float)
         return int(np.count_nonzero(np.triu(nz @ nz.T, 1)))
 
-    def test_n_by_n_plus_2_is_scattered(self):
-        """The cases below that take N x (N + 2) ABs run the scatter."""
-        assert _stack_size(self.N, self.N + 2) >= lmi.KYP_SCATTER_MIN
-
     def test_dense_every_row_shared(self):
         AB = np.random.default_rng(1).normal(size=(self.N, self.N + 2))
         assert self._shared_pairs(AB) == self.N * (self.N - 1) // 2
@@ -658,25 +652,57 @@ class TestKypScatter:
         self._assert_bytes(AB)
 
     def test_underflowing_products(self):
-        """A product that underflows to -0 may come out of BLAS as +0."""
+        """A product that underflows to -0 adds as +0."""
         AB = self._chain(self.N, self.N + 2, 4)
         AB[1, 1] = -1e-170
         AB[6, 3:5] = [1e-170, -2e-170]
         AB[12, 0] = 3e-170
         self._assert_bytes(AB)
 
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_either_side_of_the_crossover(self, side):
-        """The largest n x (n + 2) AB below KYP_SCATTER_MIN and the next one."""
-        n = 1
-        while _stack_size(n + 1, n + 3) < lmi.KYP_SCATTER_MIN:
-            n += 1
-        n += side
-        assert (_stack_size(n, n + 2) >= lmi.KYP_SCATTER_MIN) == bool(side)
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_small_and_large(self, n):
+        """An n x (n + 2) chain with a shared pair of rows and a dense column."""
         AB = self._chain(n, n + 2, 5)
         AB[1, 2:4] = [0.5, -0.25]
-        AB[n - 1, 0] = 2.0
+        AB[:, 0] = np.random.default_rng(n).normal(size=n)
         self._assert_bytes(AB)
+
+    @pytest.mark.skipif(os.environ.get("OPENBLAS_CORETYPE") != "Nehalem",
+                        reason="needs OpenBLAS's FMA-free Nehalem kernel")
+    @pytest.mark.parametrize("kind", ["gd", "nm", "tmm", "hb"])
+    def test_p_terms_are_the_blas_product_without_fma(self, kind):
+        """On a BLAS kernel without FMA, the congruence of P's unit basis
+        holds the bits _kyp writes, for the rate and H2 plants."""
+        for p in (1, 2, 4):
+            algo = make_named(kind, BOUNDS10, p)
+            for lc, la in ((2, 1), (6, 0)):
+                st = ZamesFalbStructure(lc, la, p, "repeated", 1.0)
+                rate = build_rate_plant(algo, BOUNDS10, st, 0.99)
+                perf = build_perf_plant(algo, BOUNDS10, st, default_noise_channel(algo))
+                for AB in (np.hstack([rate.Ac, rate.Bc]), np.hstack([perf.boldA, perf.boldB1])):
+                    n = AB.shape[0]
+                    prob = SdpProblem()
+                    P = prob.add_symmetric("P", n)
+                    blas = congruence(AB, P).coeffs
+                    blas[:, :n, :n] -= P.coeffs
+                    got = lmi._kyp(AB, prob.variables[0]).coeffs
+                    assert got.tobytes() == blas.tobytes()
+
+    def test_two_product_entry_is_the_sum_of_rounded_products(self):
+        """Entry (1, 2) of E_01's term is x y + u v, each product rounded
+        on its own; a fused multiply-add would round it once."""
+        e = 2.0 ** -30
+        x = y = 1 + e
+        u, v = -(1 + e), 1 + 2 * e
+        AB = np.array([[0.5, x, v], [0.0, u, y]])
+        prob = SdpProblem()
+        P = prob.declare("P", "symmetric", (2, 2))
+        got = lmi._kyp(AB, P).coeffs[1, 1, 2]     # E_01 is P's basis row 1
+        want = float(x * y) + float(u * v)
+        fused = [float(Fraction(a) * Fraction(b) + Fraction(c * d))
+                 for a, b, c, d in ((x, y, u, v), (u, v, x, y))]
+        assert want not in fused
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestSolverInputIdentity:
@@ -804,12 +830,8 @@ class TestPlacedSynthesisBlocks:
         """synth-rate and synth-h2, written from their variables' entries,
         hold the bytes of the term-by-term sum, signed zeros included."""
         # (0, 0) has no multiplier states; with lc > 0 and la > 0 entries of
-        # U sum two products; at p = 4, P11's term of (1, 1) lies below
-        # KYP_SCATTER_MIN and that of (2, 1) and (3, 3) above it
-        sides = set()
+        # U sum two products
         for lc, la in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (3, 3)):
-            nd = (lc + la) * p     # P11's term has an nd x (nd + (n + 1) p) top
-            sides.add(_stack_size(nd, nd + (n + 1) * p) >= lmi.KYP_SCATTER_MIN)
             st = ZamesFalbStructure(lc, la, p, klass, 0.9)
             for build in (assemble_convex_synth, assemble_convex_synth_perf):
                 got = build(n, p, BOUNDS10, st, 0.9).problem
@@ -821,7 +843,6 @@ class TestPlacedSynthesisBlocks:
                     for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
                                  (a.expr.coeffs, b.expr.coeffs)):
                         assert x.shape == y.shape and x.tobytes() == y.tobytes()
-        assert sides == ({False, True} if p == 4 else {False})
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_same_solver_iterate(self, which):

@@ -38,6 +38,15 @@ class TestStructureFields:
         with pytest.raises(DomainError, match=f"^{field} must be an integer"):
             ZamesFalbStructure(*args)
 
+    @pytest.mark.parametrize("lc,la,tiny,small", [(0, 0, 1e-320, 1e-300),
+                                                  (2, 0, 1e-200, 1e-150),
+                                                  (0, 3, 1e-110, 1e-100)])
+    def test_rho_whose_inverse_power_overflows_refused(self, lc, la, tiny, small):
+        """rho^-max(lc, la, 1) must be finite: 1e-150^-2 is, 1e-200^-2 is not."""
+        with pytest.raises(DomainError, match=f"rho={tiny} is too small"):
+            ZamesFalbStructure(lc, la, 1, "unstructured", tiny)
+        assert ZamesFalbStructure(lc, la, 1, "unstructured", small).rho == small
+
     def test_numpy_integers_accepted(self):
         st = ZamesFalbStructure(np.int64(2), np.int64(1), np.int64(2), "repeated")
         assert st == ZamesFalbStructure(2, 1, 2, "repeated")

@@ -108,10 +108,13 @@ class TestAffineMatrix:
 
     def test_upper_triangle_is_shared_and_read_only(self):
         for n in range(0, 41):
-            i, j, off = upper_triangle(n)
+            i, j, off, table = upper_triangle(n)
             np.testing.assert_array_equal(off, np.flatnonzero(i != j))
+            k = np.arange(i.size)
+            np.testing.assert_array_equal(table[i, j], k)
+            np.testing.assert_array_equal(table[j, i], k)
             assert upper_triangle(n) is upper_triangle(n)
-            for arr in (i, j, off):
+            for arr in (i, j, off, table):
                 assert not arr.flags.writeable
         assert upper_triangle.cache_info().maxsize == PATTERN_CACHE_SIZE
 
