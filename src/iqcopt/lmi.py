@@ -25,10 +25,14 @@ multiplier terms so, and writes the terms of A and B column by column
 from the nonzeros of the algorithm rows bot: TR's columns P22[:, a] v
 and the cross term's columns top^T (P12[:, a] v), all from one product,
 in the association of top^T (P12 bot). Either way the blocks hold the
-same bits as the dense per-key terms. Strict inequalities carry a
-relative margin eps = 1e-7 (1 + ||const||_F); certificates are
-rechecked by eigenvalue computation in the solver layer, so a reported
-certificate always holds numerically.
+same bits as the dense per-key terms. A sub-block of a variable is a
+slice of its expression, never a product with a 0/1 selector: the H2
+Schur block reads P's algorithm block P[nd:, nd:], and with canonical
+Ddagger = [I; 0] the fixed-point rows (A - I) Ddagger = 0 are the first p
+columns, QA[:, :p] - P22[:, :p] and A[:, :p] - Ddagger. Strict
+inequalities carry a relative margin eps = 1e-7 (1 + ||const||_F);
+certificates are rechecked by eigenvalue computation in the solver
+layer, so a reported certificate always holds numerically.
 """
 
 from dataclasses import dataclass, field
@@ -266,10 +270,9 @@ def assemble_h2(perf_plant: PerformanceAugmentedPlant) -> H2Assembly:
     prob.add_lmi(kyp, "neg", name="h2-kyp")
 
     P = prob.variable_expr("P_p")
-    NPN = congruence(pl.N, P)                      # N^T P N
-    NB2 = pl.N.T @ pl.boldB2
-    schur = AffineMatrix.block([[NPN, NPN @ NB2],
-                                [(NPN @ NB2).T, Z]])
+    NPN = P[pl.n_mult:, pl.n_mult:]         # N^T P N for N = [0; I]
+    NPNB2 = NPN @ pl.boldB2[pl.n_mult:]     # ... times N^T B2
+    schur = AffineMatrix.block([[NPN, NPNB2], [NPNB2.T, Z]])
     prob.add_lmi(schur, "pos", name="h2-trace-schur")
     prob.add_lmi(P, "pos", name="h2-Pp-pos")
     prob.add_linear(Z.trace() - t, "<=", 0.0, name="trZ<=t")
@@ -398,7 +401,8 @@ def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
     md = _add_multiplier(prob, structure)
     prob.add_lmi(_convex_synth_block(N, nd, bounds.m, C, 1.0 / rho, P22, P11, QA, QB,
                                      top, CcDc, md), "neg", name="synth-rate")
-    prob.add_matrix_equality((QA - P22) @ Dd, name="eq-fixedpoint")
+    # (QA - P22) Ddagger = 0 with canonical Ddagger = [I; 0]: the first p columns
+    prob.add_matrix_equality(QA[:, :p] - P22[:, :p], name="eq-fixedpoint")
     return ConvexSynthAssembly(prob, n, p, bounds, structure, rho)
 
 
@@ -582,8 +586,8 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
         if not slack:
             prob.minimize(t)
 
-    # fixed-point condition (A - I) Ddagger = 0 with canonical Ddagger
-    prob.add_matrix_equality(Ae @ Dd - AffineMatrix.constant(Dd), name="eq-fixedpoint")
+    # fixed-point condition (A - I) Ddagger = 0 with canonical Ddagger = [I; 0]
+    prob.add_matrix_equality(Ae[:, :p] - Dd, name="eq-fixedpoint")
     return BmiFixedPAssembly(prob, n, p, bounds, structure, rho, with_perf, slack)
 
 
@@ -619,8 +623,7 @@ def assemble_rate_slack(algo: AlgorithmRealization, bounds: SectorBounds,
                  "neg", eps=0.0, name="rate-slack")
     P = prob.variable_expr("P")
     nd, nl = plant.n_mult, plant.n_loop
-    P22 = AffineMatrix((nl, nl), P.const[nd:, nd:], P.keys, P.coeffs[:, nd:, nd:])
-    prob.add_lmi(P22 - AffineMatrix.constant(np.eye(nl)), "pos",
+    prob.add_lmi(P[nd:, nd:] - np.eye(nl), "pos",
                  eps=0.0, name="p22-normalized")
     prob.add_lmi(AffineMatrix.constant(radius * np.eye(plant.n_c)) - P, "pos",
                  eps=0.0, name="p-box-hi")

@@ -16,10 +16,10 @@ underlying Toeplitz operator must be doubly hyperdominant as a whole.
 
 The admissible set is one array of rows over theta (``membership_rows``),
 which the problem builder adds as linear rows and ``verify_membership``
-evaluates with one mat-vec. The filter psi_Delta of the factorization
-Pi = psi^* M_Delta psi is written by index into zeroed arrays (two shift
-chains, the sector transform folded into B and D); no kron or
-block_diag is composed.
+evaluates, each row's value the fsum of its rounded products. The
+filter psi_Delta of the factorization Pi = psi^* M_Delta psi is written
+by index into zeroed arrays (two shift chains, the sector transform
+folded into B and D); no kron or block_diag is composed.
 
 Everything about a multiplier except rho depends only on its shape
 (lc, la, p, class): the tap indices and basis stack (``tap_basis``), the
@@ -38,6 +38,7 @@ writes the width into them.
 """
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -286,15 +287,18 @@ def membership_constraints(structure: ZamesFalbStructure) -> list:
 def verify_membership(params: ZamesFalbParameters, structure: ZamesFalbStructure) -> bool:
     """Evaluate the membership rows on concrete kernel matrices.
 
-    Every row must hold to MEMBER_TOL (1 + max |theta|): rows @ theta <=
-    that slack for a '<=' row and >= minus it for a '>=' row.
+    Every row must hold to MEMBER_TOL (1 + max |theta|): a row's value
+    is <= that slack for a '<=' row and >= minus it for a '>=' row. The
+    value is the correctly rounded sum (math.fsum) of the row's rounded
+    products with theta, so a row at its bound gets one verdict on every
+    BLAS kernel, which a mat-vec would not.
     """
     try:
         theta = structure.theta_from_matrices(params.M)
     except DimensionError:
         return False
     rows, senses, _ = membership_rows(structure)
-    v = rows @ theta
+    v = np.array([math.fsum(r) for r in rows * theta])
     slack = MEMBER_TOL * (1.0 + np.max(np.abs(theta)))
     return bool(np.all(np.where(np.array(senses) == "<=", v <= slack, v >= -slack)))
 

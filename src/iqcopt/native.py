@@ -175,6 +175,11 @@ class _Reduced:
             F0s.append(F0 + np.tensordot(self.x0[keys], Fsub, 1) if keys.size else F0)
             row += F0.size
         self.lmi = _Lmi(F0s, Fs, self.g0_x + self.A_x @ self.x0, Uk[row:].copy())
+        # ||G(x0)||_F^2: farkas_radius's unit is 1 + ||G(x0)||_F
+        g0 = self.lmi.g0
+        self.scale = float(g0 @ g0)
+        for F0 in F0s:
+            self.scale += float(np.vdot(F0, F0))
         self.c = T.T @ self.c_x
 
     def x_of(self, w):
@@ -183,7 +188,7 @@ class _Reduced:
     def farkas_radius(self, Zs, z) -> float:
         """Radius within which Z >= 0 proves G(x) >= 0 infeasible.
 
-        Recomputed from the problem's own coefficients. On the equality
+        Computed from the problem's own coefficients. On the equality
         manifold G(x) - G(x0) = U S V^T u, the SVD above in scaled
         coordinates u, so <G(x), Z> = <G(x0), Z> + (S V^T u) . U^T vec(Z)
         and, by Cauchy-Schwarz, no x with ||G(x) - G(x0)||_F below
@@ -196,15 +201,11 @@ class _Reduced:
         Zs = [_psd_part(Z) for Z in Zs]
         z = np.maximum(z, 0.0)
         r = self.A_x.T @ z
-        g0 = self.g0_x + self.A_x @ self.x0
-        g = float(g0 @ z)
-        scale = float(g0 @ g0)
-        for (keys, F0, Fsub), Z in zip(self.blocks, Zs):
+        g = float(self.lmi.g0 @ z)
+        for (keys, F0, Fsub), G0, Z in zip(self.blocks, self.lmi.F0, Zs):
             if keys.size:
                 r[keys] += Fsub.reshape(len(keys), F0.size) @ Z.ravel()
-                F0 = F0 + np.tensordot(self.x0[keys], Fsub, 1)
-            g += float(np.vdot(F0, Z))
-            scale += float(np.vdot(F0, F0))
+            g += float(np.vdot(G0, Z))
         if g >= 0:
             return 0.0
         ru = (r if self.N is None else self.N.T @ r) / self.dg
@@ -213,7 +214,7 @@ class _Reduced:
             vecZ = np.concatenate([Z.ravel() for Z in Zs] + [z])
             rn = np.hypot(rn, np.linalg.norm(self.Ud.T @ vecZ))
         rn = float(rn)
-        return np.inf if rn == 0.0 else -g / rn / (1.0 + np.sqrt(scale))
+        return np.inf if rn == 0.0 else -g / rn / (1.0 + np.sqrt(self.scale))
 
 
 def _sym_stack(F):

@@ -26,7 +26,9 @@ steps without keeping anything.
 
 The loop's nominal spectral radius is computed on first read, which only
 the rate and H2 assemblies do; a sector loop reads the algorithm's own
-kept value.
+kept value. A rho for which the products of the plant's entries would
+overflow is refused with DomainError before anything is divided by it,
+from the largest entry that the rho-free part records.
 """
 
 from dataclasses import dataclass, field
@@ -162,6 +164,9 @@ class _RhoFree:
     blocks enter through the column blocks of psi.B and psi.D: the y block
     as the products BC and DC, which a probe divides by rho, and the u
     block as Bc and Dc. These four arrays are read-only, like psi's A and C.
+    amax is the largest magnitude among them, the loop's Anom and 1 (psi's
+    A and C hold only 0 and 1), so amax / rho bounds every entry of a
+    plant at rho <= 1.
     """
 
     def __init__(self, loop: UncertainLoop, structure: ZamesFalbStructure):
@@ -179,6 +184,8 @@ class _RhoFree:
         self.Dc = psi.D[:, q:].copy()
         for arr in (self.BC, self.DC, self.Bc, self.Dc):
             arr.flags.writeable = False
+        self.amax = float(np.abs(np.concatenate(
+            [a.ravel() for a in (self.BC, self.DC, self.Bc, self.Dc, loop.Anom)])).max(initial=1.0))
 
 
 def _rate_plant(part: _RhoFree, structure: ZamesFalbStructure, rho: float) -> AugmentedPlant:
@@ -186,6 +193,13 @@ def _rate_plant(part: _RhoFree, structure: ZamesFalbStructure, rho: float) -> Au
     if not (0 < rho <= 1):
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     nd, N = part.n_mult, part.loop.nstates
+    # an entry of a KYP block on the plant sums at most dim^2 products of
+    # two plant entries and a P or multiplier coefficient of magnitude at
+    # most 1; refuse a rho for which that bound overflows, before dividing
+    a, dim = part.amax / rho, nd + N + part.q_c
+    if not a * a * dim * dim < np.inf:          # inf or NaN
+        raise DomainError(f"rho={rho}: plant entries up to {a:.3g} would overflow "
+                          "the KYP block's products")
     Ac = np.zeros((nd + N, nd + N))
     Ac[:nd, :nd] = part.psi_A
     np.divide(part.BC, rho, out=Ac[:nd, nd:])
@@ -238,7 +252,8 @@ class PerformanceAugmentedPlant:
     (n_yp); inputs into the uncertainty channel (p_c) and the noise
     channel (n_wp). The direct terms D12, D21, D22 vanish for the H2
     setup with D_perf = 0. nominal_radius is the spectral radius of the
-    loop's Anom.
+    loop's Anom. boldB2 and boldC2 are zero on the multiplier states, so
+    boldB2[n_mult:] is B_perf.
     """
 
     boldA: np.ndarray = field(repr=False)
@@ -247,7 +262,6 @@ class PerformanceAugmentedPlant:
     boldC1: np.ndarray = field(repr=False)
     boldC2: np.ndarray = field(repr=False)
     boldD11: np.ndarray = field(repr=False)
-    N: np.ndarray = field(repr=False)
     n_mult: int
     n_loop: int
     p_c: int
@@ -279,7 +293,6 @@ def _perf_plant(part: _RhoFree, structure: ZamesFalbStructure,
     return PerformanceAugmentedPlant(
         plant.Ac, plant.Bc, np.vstack([np.zeros((nd, nwp)), B_perf]), plant.Cc,
         np.hstack([np.zeros((nyp, nd)), C_perf]), plant.Dc,
-        np.vstack([np.zeros((nd, N)), np.eye(N)]),
         n_mult=nd, n_loop=N, p_c=plant.p_c, q_c=plant.q_c, n_wp=nwp, n_yp=nyp,
         loop=part.loop, structure=structure,
     )

@@ -4,7 +4,8 @@ An AffineMatrix is const + sum_k x[keys[k]] * coeffs[k]: a constant
 term, the sorted indices of the scalar variables it holds, and one
 K x r x c stack of their coefficient matrices. Every operation is one
 numpy call on that stack: a key union and an aligned add for +/-, a
-batched matmul for products with constants, slices for entries, and for
+batched matmul for products with constants, views for the sub-block at a
+pair of slices (``P[nd:, nd:]``, never a 0/1 selector product), and for
 evaluation the one (1 x K) @ (K x rc) product that np.tensordot makes.
 ``place`` writes a sum of expressions at offsets into one stack over
 their key union, term by term in order; ``AffineMatrix.block`` is
@@ -34,7 +35,8 @@ the native backend, symmetrize what they read. Coefficient matrices in the
 JSON interchange can therefore be asymmetric at rounding level; only the
 constant term is stored symmetrized. A block computes its scale
 1 + ||const||_F once, when it is made: the default eps margin is EPS_REL
-times it, and ``verify`` measures eigenvalue margins in units of it.
+times it, and ``verify`` measures eigenvalue margins in units of it, by
+the module constants EIG_MARGIN and LIN_TOL, which no caller can loosen.
 ``verify`` refuses a candidate with a non-finite entry before it reads a
 block, since NaN compares false with every tolerance; for the same
 reason a block with a non-finite scale or eps and a row with a
@@ -51,6 +53,10 @@ from .errors import ArgumentError, DimensionError, DomainError
 
 # strict LMIs are realized with this relative margin
 EPS_REL = 1e-7
+# ``verify``: a strict block must clear zero by EIG_MARGIN times its scale; a
+# closed block and a linear row may miss by LIN_TOL times theirs
+EIG_MARGIN = 1e-10
+LIN_TOL = 1e-8
 
 _NO_KEYS = np.zeros(0, dtype=np.intp)
 
@@ -88,11 +94,6 @@ def _expr(shape, const, keys, coeffs) -> "AffineMatrix":
     e = object.__new__(AffineMatrix)
     e.shape, e.const, e.keys, e.coeffs = shape, const, keys, coeffs
     return e
-
-
-def _is_matrix(T) -> bool:
-    """T is a 2-D float64 ndarray, an operand products take as it is."""
-    return type(T) is np.ndarray and T.ndim == 2 and T.dtype == float
 
 
 class AffineMatrix:
@@ -174,9 +175,6 @@ class AffineMatrix:
 
     def __matmul__(self, other):
         """Affine @ constant (right multiplication)."""
-        if _is_matrix(other):
-            return _expr((self.shape[0], other.shape[1]), self.const @ other, self.keys,
-                         self.coeffs @ other)
         if isinstance(other, AffineMatrix):
             if not other.keys.size:
                 other = other.const
@@ -184,18 +182,24 @@ class AffineMatrix:
                 return other.__rmatmul__(self.const)
             else:
                 raise ArgumentError("product of two non-constant expressions")
-        T = np.atleast_2d(np.asarray(other, dtype=float))
-        out_shape = (self.shape[0], T.shape[1])
-        return AffineMatrix(out_shape, self.const @ T, self.keys, self.coeffs @ T)
+        other = np.atleast_2d(np.asarray(other, dtype=float))
+        return _expr((self.shape[0], other.shape[1]), self.const @ other, self.keys,
+                     self.coeffs @ other)
 
     def __rmatmul__(self, other):
         """constant @ Affine (left multiplication)."""
-        if _is_matrix(other):
-            return _expr((other.shape[0], self.shape[1]), other @ self.const, self.keys,
-                         other @ self.coeffs)
-        T = np.atleast_2d(np.asarray(other, dtype=float))
-        out_shape = (T.shape[0], self.shape[1])
-        return AffineMatrix(out_shape, T @ self.const, self.keys, T @ self.coeffs)
+        other = np.atleast_2d(np.asarray(other, dtype=float))
+        return _expr((other.shape[0], self.shape[1]), other @ self.const, self.keys,
+                     other @ self.coeffs)
+
+    def __getitem__(self, index) -> "AffineMatrix":
+        """The sub-block at a pair of slices, e.g. ``P[nd:, nd:]``: views of
+        const and of every coefficient matrix. Any other index raises
+        ArgumentError."""
+        if type(index) is not tuple or [type(s) for s in index] != [slice, slice]:
+            raise ArgumentError(f"index an expression by a pair of slices, not {index!r}")
+        const = self.const[index]
+        return _expr(const.shape, const, self.keys, self.coeffs[(slice(None),) + index])
 
     @property
     def T(self) -> "AffineMatrix":
@@ -204,10 +208,6 @@ class AffineMatrix:
     def trace(self) -> "AffineMatrix":
         return AffineMatrix((1, 1), [[np.trace(self.const)]], self.keys,
                             np.trace(self.coeffs, axis1=1, axis2=2)[:, None, None])
-
-    def entry(self, i, j) -> "AffineMatrix":
-        return AffineMatrix((1, 1), self.const[i:i + 1, j:j + 1], self.keys,
-                            self.coeffs[:, i:i + 1, j:j + 1])
 
     def ravel(self) -> "AffineMatrix":
         """The entries as an (r*c) x 1 column, row by row."""
@@ -479,16 +479,16 @@ class SdpProblem:
         self.objective = expr
 
     # -- verification -------------------------------------------------------
-    def verify(self, x: np.ndarray, lin_tol: float = 1e-8,
-               eig_margin: float = 1e-10):
+    def verify(self, x: np.ndarray):
         """Strict numerical recheck of a candidate solution.
 
         Strict blocks (eps > 0) must hold with the correct sign: the
-        extremal eigenvalue must clear zero by eig_margin times the block's
+        extremal eigenvalue must clear zero by EIG_MARGIN times the block's
         stored scale 1 + ||const||_F. Blocks posed with eps = 0 are closed
-        inequalities and get a slack of lin_tol times that scale instead,
+        inequalities and get a slack of LIN_TOL times that scale instead,
         since objective problems routinely drive them onto the boundary.
-        Linear rows are allowed lin_tol slack. Returns (ok, worst
+        Linear rows are allowed LIN_TOL slack. Both are module constants,
+        so no caller can loosen the check. Returns (ok, worst
         violation); a candidate with a non-finite entry returns
         (False, inf).
         """
@@ -501,7 +501,7 @@ class SdpProblem:
             V = blk.expr.value(x)
             V = 0.5 * (V + V.T)
             eigs = np.linalg.eigvalsh(V)
-            slack = eig_margin * blk.scale if blk.eps > 0 else -lin_tol * blk.scale
+            slack = EIG_MARGIN * blk.scale if blk.eps > 0 else -LIN_TOL * blk.scale
             if blk.sense == "neg":
                 viol = float(eigs[-1]) + slack
             else:
@@ -514,7 +514,7 @@ class SdpProblem:
             sign, rhs = rows.sign, rows.rhs
             d = x[rows.expr.keys] @ rows.expr.coeffs[:, :, 0] - rhs
             viol = np.where(sign, sign * d, np.abs(d))
-            tol = lin_tol * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
+            tol = LIN_TOL * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
             ok = ok and not np.any(viol > tol)
             worst = max(worst, float(np.max(viol - tol)))
         return ok, worst

@@ -38,6 +38,7 @@ builders against them. So do the bisection loops each driver once ran on
 its own, which the tests run beside the library's one loop.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +176,7 @@ def reference_build_perf_plant_loop(loop, structure, B_perf, C_perf):
         boldA, np.vstack([psi.B @ Din, loop.Beff]),
         np.vstack([np.zeros((nd, nwp)), B_perf]),
         np.hstack([psi.C, psi.D @ Cext]), np.hstack([np.zeros((nyp, nd)), C_perf]),
-        psi.D @ Din, np.vstack([np.zeros((nd, N)), np.eye(N)]),
+        psi.D @ Din,
         n_mult=nd, n_loop=N, p_c=q, q_c=psi.ny, n_wp=nwp, n_yp=nyp,
         loop=loop, structure=structure,
     )
@@ -284,7 +285,7 @@ def reference_add_matrix_equality(self, expr, name=""):
     r, c = expr.shape
     for i in range(r):
         for j in range(c):
-            self.add_linear(expr.entry(i, j), "==", 0.0, name=f"{name}[{i},{j}]")
+            self.add_linear(expr[i:i + 1, j:j + 1], "==", 0.0, name=f"{name}[{i},{j}]")
 
 
 def reference_add_multiplier(prob, structure, name="zf_theta"):
@@ -294,7 +295,7 @@ def reference_add_multiplier(prob, structure, name="zf_theta"):
     cons = membership_constraints(structure)
     rows = np.array([con.coeffs for con in cons]) @ theta
     for r, con in enumerate(cons):
-        prob.add_linear(rows.entry(r, 0), con.sense, con.rhs, name=f"{name}:{con.label}")
+        prob.add_linear(rows[r:r + 1, :], con.sense, con.rhs, name=f"{name}:{con.label}")
     return md
 
 
@@ -302,11 +303,11 @@ def reference_add_box_rows(prob, Ae, Be):
     N, p = Be.shape
     for i in range(N):
         for j in range(N):
-            prob.add_linear(Ae.entry(i, j), "<=", 10.0)
-            prob.add_linear(Ae.entry(i, j), ">=", -10.0)
+            prob.add_linear(Ae[i:i + 1, j:j + 1], "<=", 10.0)
+            prob.add_linear(Ae[i:i + 1, j:j + 1], ">=", -10.0)
         for j in range(p):
-            prob.add_linear(Be.entry(i, j), "<=", 10.0)
-            prob.add_linear(Be.entry(i, j), ">=", -10.0)
+            prob.add_linear(Be[i:i + 1, j:j + 1], "<=", 10.0)
+            prob.add_linear(Be[i:i + 1, j:j + 1], ">=", -10.0)
 
 
 def use_reference_lmi(monkeypatch):
@@ -435,14 +436,15 @@ def reference_membership_constraints(structure):
 
 
 def reference_verify_membership(params, structure, tol=1e-10):
-    """verify_membership as it was: one constraint object and one dot at a time."""
+    """verify_membership one constraint object at a time, a row's value
+    the fsum of its rounded products with theta."""
     try:
         theta = structure.theta_from_matrices(params.M)
     except DimensionError:
         return False
     scale = 1.0 + np.max(np.abs(theta)) if len(theta) else 1.0
     for con in membership_constraints(structure):
-        v = float(np.dot(con.coeffs, theta))
+        v = math.fsum(np.asarray(con.coeffs) * theta)
         if con.sense == "<=":
             ok = v <= con.rhs + tol * scale
         else:

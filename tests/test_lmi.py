@@ -507,6 +507,65 @@ class TestDirectBuildersMatchReference:
             _assert_same_problem(*_direct_and_reference(monkeypatch, build))
 
 
+class TestH2SchurBlock:
+    """h2-trace-schur holds the bits of [[N^T P N, N^T P N N^T B2], [., Z]],
+    formed through the selector N = [0; I] onto the algorithm states."""
+
+    @pytest.mark.parametrize("kind", ["gd", "nm", "tmm", "hb"])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("lc,la,klass", [(2, 1, "repeated"), (6, 0, "unstructured")])
+    def test_selector_products(self, kind, p, lc, la, klass):
+        st = ZamesFalbStructure(lc, la, p, klass, 1.0)
+        asm = assemble_h2_for(make_named(kind, BOUNDS10, p), BOUNDS10, st)
+        prob, pl = asm.problem, asm.plant
+        N = np.vstack([np.zeros((pl.n_mult, pl.n_loop)), np.eye(pl.n_loop)])
+        NPN = congruence(N, prob.variable_expr("P_p"))
+        NPNB2 = NPN @ (N.T @ pl.boldB2)
+        want = ref_builders.reference_block([[NPN, NPNB2],
+                                             [NPNB2.T, prob.variable_expr("Z")]])
+        (got,) = [b.expr for b in prob.blocks if b.name == "h2-trace-schur"]
+        for x, y in ((got.keys, want.keys), (got.const, 0.5 * (want.const + want.const.T)),
+                     (got.coeffs, want.coeffs)):
+            assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+
+class TestTinyRhoRefused:
+    """A rho whose plant products would overflow is refused, naming rho,
+    before any division or product: no RuntimeWarning is raised."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @pytest.mark.parametrize("kind,L,rho", [("gd", 1.0, 1e-200), ("gd", 1.0, 1e-308),
+                                            ("nm", 10.0, 1e-200), ("nm", 10.0, 1e-308)])
+    def test_rate_and_rate_slack(self, kind, L, rho):
+        """gd at m = L has a zero-radius loop, so no radius check stops it;
+        1e-308 overflows the division by rho itself."""
+        bounds = SectorBounds(1.0, L)
+        algo = make_named(kind, bounds)
+        st = ZamesFalbStructure(1, 0, 1, "unstructured", rho)
+        for build in (assemble_rate_for, assemble_rate_slack):
+            with pytest.raises(DomainError, match=f"rho={rho}:"):
+                build(algo, bounds, st, rho)
+
+    def test_h2(self):
+        loop = UncertainLoop(np.array([[0.0, 1e200], [0.0, 0.0]]), np.ones((2, 1)),
+                             np.ones((1, 2)), 1.0)
+        assert loop.radius == 0.0
+        with pytest.raises(DomainError, match="rho=1.0:"):
+            assemble_h2(build_perf_plant_loop(loop, ST10, np.ones((2, 1)), np.ones((1, 2))))
+
+    def test_small_rho_that_fits_is_built(self):
+        bounds = SectorBounds(1.0, 1.0)
+        algo = make_named("gd", bounds)
+        st = ZamesFalbStructure(1, 0, 1, "unstructured", 1e-150)
+        asm = assemble_rate_for(algo, bounds, st, 1e-150)
+        assert all(np.isfinite(b.expr.coeffs).all() for b in asm.problem.blocks)
+
+
 def _synthesis_builds(n, p, klass):
     """Convex, convex-perf and BMI fixed-P problems (with and without slack and P_p)."""
     st = ZamesFalbStructure(2, 1, p, klass, 0.9)
@@ -587,7 +646,7 @@ class TestKypKeyOrder:
 
     def test_row_key_at_or_below_P_refused(self):
         prob, s, P, t = self._problem()
-        P_entry = prob.variable_expr("P").entry(1, 1)
+        P_entry = prob.variable_expr("P")[1:2, 1:2]
         for X in (s, P_entry, s + t):
             with pytest.raises(ArgumentError, match="declare P before the row variables"):
                 lmi._kyp(self.AB, P, (self.OUT, X))

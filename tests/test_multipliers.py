@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iqcopt import multipliers
 from iqcopt.algorithms import SectorBounds
@@ -152,14 +152,20 @@ class TestMembership:
 
 
 class TestVerifyMembershipMatchesPerConstraint:
-    """The one mat-vec over membership_rows gives the verdict the per-object
-    constraint loop gave, also a few tolerances either side of a row's bound."""
+    """verify_membership over membership_rows gives the verdict of the
+    per-object constraint loop, also a few tolerances either side of a
+    row's bound. Both read a row's value as the fsum of its rounded
+    products, so a row drawn exactly at its bound gets one verdict."""
 
     @settings(max_examples=400, deadline=None)
     @given(klass=st.sampled_from(CLASSES), p=st.integers(1, 3), lc=st.integers(0, 3),
            la=st.integers(0, 3), rho=st.sampled_from([1.0, 0.9, 0.37]),
            seed=st.integers(0, 2 ** 32 - 1), offset=st.floats(-3.0, 3.0),
            break_shape=st.booleans())
+    # a '>=' row at its bound, where a BLAS mat-vec and a dot rounded to
+    # different sides of the slack on an FMA kernel
+    @example(klass="unstructured", p=1, lc=1, la=0, rho=0.9, seed=129, offset=1.0,
+             break_shape=False)
     def test_same_verdict(self, klass, p, lc, la, rho, seed, offset, break_shape):
         structure = ZamesFalbStructure(lc, la, p, klass, rho)
         rows, senses, _ = membership_rows(structure)

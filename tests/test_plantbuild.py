@@ -87,17 +87,15 @@ class TestRatePlant:
 
 
 class TestPerfPlant:
-    def test_noise_channel_block_layout(self):
-        st = ZamesFalbStructure(1, 0, 1, "unstructured", 1.0)
+    @pytest.mark.parametrize("lc", [1, 2])
+    def test_noise_channel_block_layout(self, lc):
+        """boldB2 is zero on the multiplier states, and boldB2[n_mult:], the
+        slice the H2 Schur block reads, is B_perf bit for bit."""
+        st = ZamesFalbStructure(lc, 0, 1, "unstructured", 1.0)
         plant = build_perf_plant(GD, BOUNDS, st, default_noise_channel(GD))
-        np.testing.assert_allclose(plant.boldB2[: plant.n_mult], 0.0)
-        np.testing.assert_allclose(plant.boldB2[plant.n_mult:], GD.B)
-
-    def test_selector_recovers_channel(self):
-        st = ZamesFalbStructure(2, 0, 1, "unstructured", 1.0)
-        plant = build_perf_plant(GD, BOUNDS, st, default_noise_channel(GD))
-        np.testing.assert_allclose(plant.N.T @ plant.boldB2, GD.B)
-        assert plant.N.shape == (plant.n_c, plant.n_loop)
+        assert plant.boldB2.shape == (plant.n_c, plant.n_wp)
+        np.testing.assert_array_equal(plant.boldB2[: plant.n_mult], 0.0)
+        assert plant.boldB2[plant.n_mult:].tobytes() == GD.B.tobytes()
 
     def test_bold_a_equals_rate_plant_at_one(self):
         st = ZamesFalbStructure(1, 1, 1, "unstructured", 1.0)

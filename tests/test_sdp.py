@@ -183,13 +183,43 @@ class TestAffineMatrix:
             (AffineMatrix.block([[A, np.zeros((r, c))], [np.zeros((c, c)), S]]),
              np.block([[a, np.zeros((r, c))], [np.zeros((c, c)), s]])),
             (congruence(T, S), T.T @ s @ T),
-            (A.entry(i, j), a[i:i + 1, j:j + 1]),
+            (A[i:i + 1, j:j + 1], a[i:i + 1, j:j + 1]),
             (S.trace(), np.array([[np.trace(s)]])),
         ]
         for expr, want in cases:
             assert list(expr.keys) == sorted(set(expr.keys))
             np.testing.assert_allclose(expr.value(x), want, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(_dense(expr, x), want, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 5), c=st.integers(1, 5), nvars=st.integers(0, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_slice_is_the_selector_product(self, r, c, nvars, seed):
+        """E[a:b, d:e] holds the bits of the 0/1 selector product S_r E S_c,
+        as views of E's arrays, on the same keys."""
+        rng = np.random.default_rng(seed)
+        E = _random_expr(rng, (r, c), nvars)
+        a, b = sorted(rng.integers(0, r + 1, size=2))
+        d, e = sorted(rng.integers(0, c + 1, size=2))
+        step = int(rng.integers(1, 3))
+        for rows, cols in ((slice(a, b), slice(d, e)), (slice(None), slice(d, None)),
+                           (slice(None, None, step), slice(None, None, -1))):
+            got = E[rows, cols]
+            want = (np.eye(r)[rows] @ E) @ np.eye(c)[:, cols]
+            assert got.shape == want.shape == got.const.shape
+            assert got.keys is E.keys
+            assert np.shares_memory(got.coeffs, E.coeffs) or not got.coeffs.size
+            for x, y in ((got.const, want.const), (got.coeffs, want.coeffs)):
+                assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+    @pytest.mark.parametrize("index", [0, (0, 0), (slice(None), 0), (0, slice(None)),
+                                       ([0, 1], slice(None)), (Ellipsis, slice(None)),
+                                       (slice(None),), (slice(None),) * 3,
+                                       [slice(None), slice(None)]])
+    def test_index_other_than_two_slices_refused(self, index):
+        E = AffineMatrix((2, 3), np.ones((2, 3)), [0], np.ones((1, 2, 3)))
+        with pytest.raises(ArgumentError, match="pair of slices"):
+            E[index]
 
 
 class TestAsymmetricBlock:
@@ -266,7 +296,7 @@ class TestLinearRows:
         rows, col = self._column()
         per = lambda v, i: v if isinstance(v, str) else v[i]
         for i in range(3):
-            reference_add_linear(rows, col.entry(i, 0), per(sense, i),
+            reference_add_linear(rows, col[i:i + 1, :], per(sense, i),
                                  rhs if np.ndim(rhs) == 0 else rhs[i], per(name, i))
         assert bulk.to_json_dict()["linear"] == rows.to_json_dict()["linear"]
         a, b = bulk.linear, rows.linear
