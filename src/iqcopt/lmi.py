@@ -4,24 +4,27 @@ All analysis inequalities share one KYP-style congruence
 
     [A B; I 0; C D]^T blkdiag(P, -P, M) [A B; I 0; C D]  <=  -eps I,
 
-with the multiplier matrix M affine in the kernel parameters. The block
-is written into one coefficient stack, and P's unit basis is never built:
-``_write_p_terms`` adds the product of each pair of nonzeros of [A B]
-into its entry of P's terms, so every entry is a fixed sum of rounded
-products and P's terms hold the same bits on any BLAS kernel. P is
-declared before the multiplier's variables, so the stack's keys are P's
-range followed by theirs, laid out without a sort.
+with the multiplier matrix M affine in the kernel parameters. Every
+block is written as the entries of its coefficient matrices (see
+:mod:`iqcopt.problem`); no builder forms a dense K x m x m stack. P's
+unit basis is never built: ``_p_terms`` lists the product of each pair
+of nonzeros of [A B] as a term of its entry of P's terms, and the terms
+of an entry are summed in a fixed order, so P's terms hold the same bits
+on any BLAS kernel. They are the rank-2 matrices a_i^T a_j + a_j^T a_i,
+nonzero only where [A B] has nonzero columns. P is declared before the
+multiplier's variables, so a block's keys are P's range followed by
+theirs, and its entries are P's followed by the multiplier's, key-major
+without a sort.
 Synthesis variants reshuffle the same blocks by Schur complement so the
 algorithm matrices appear linearly. ``place`` sums a synthesis block's
-(row offset, column offset, term) list into one coefficient stack, so no
-partial sum of a block is allocated; the terms of an entry are listed in
-the order the entry is summed in, so every block holds the numbers of
-the term-by-term sum. The convex blocks place only their multiplier and
-constant terms so; every other term is a declared variable's unit basis
-times constants, so -1 at P22's entries, the algorithm rows of QA and QB
-in TR and P11's terms, through ``_write_p_terms``, are added entry by
-entry into the zeroed stack. A BMI half-step places its constant and
-multiplier terms so, and writes the terms of A and B column by column
+(row offset, column offset, term) list entry by entry; the terms of an
+entry are listed in the order the entry is summed in, so every block
+holds the numbers of the term-by-term sum. The convex blocks place only
+their multiplier and constant terms so; every other term is a declared
+variable's unit basis times constants, so -1 at P22's entries, the
+algorithm rows of QA and QB in TR and P11's terms, from ``_p_terms``,
+are listed as entries beside them. A BMI half-step places its constant
+and multiplier terms so, and lists the terms of A and B column by column
 from the nonzeros of the algorithm rows bot: TR's columns P22[:, a] v
 and the cross term's columns top^T (P12[:, a] v), all from one product,
 in the association of top^T (P12 bot). Either way the blocks hold the
@@ -45,13 +48,13 @@ from .algorithms import (AlgorithmRealization, SectorBounds, canonical_output,
 from .errors import (ArgumentError, DimensionError, DomainError, InfeasiblePrecondition,
                      PreconditionError, StructureError)
 from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
-                          m_delta_coefficients, membership_rows,
+                          m_delta_coefficients, m_delta_entries, membership_entries,
                           psi_delta_realization)
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant, build_perf_plant,
                          build_rate_plant, build_rate_plant_loop, check_structured_data,
                          default_noise_channel, structured_loop)
-from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, place,
-                      upper_triangle)
+from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, from_codes,
+                      from_entries, place, sum_codes, upper_triangle)
 from .sdp import SdpSolution
 
 
@@ -96,16 +99,17 @@ def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
     their M_Delta expression.
 
     Over theta's unit basis, rows @ theta is the transposed membership
-    array on theta's consecutive keys, so the rows are added from it
-    directly and no expression of theta is built.
+    array on theta's consecutive keys, so the rows are added from its
+    entries directly and no expression of theta is built. M_Delta's
+    entries are the shape's layout's, shared read-only.
     """
     info = prob.declare(name, "matrix", (structure.parameter_count(), 1))
     keys = info.offset + np.arange(info.size)
-    coeffs = m_delta_coefficients(structure)
-    rows, senses, labels = membership_rows(structure)
-    prob.add_linear(AffineMatrix((len(rows), 1), keys=keys, coeffs=rows.T[:, :, None]),
-                    senses, 0.0, [f"{name}:{label}" for label in labels])
-    return AffineMatrix(coeffs.shape[1:], keys=keys, coeffs=coeffs)
+    entries, senses, labels = membership_entries(structure)
+    prob.add_linear(from_entries((len(senses), 1), np.zeros((len(senses), 1)), keys, *entries),
+                                 senses, 0.0, [f"{name}:{label}" for label in labels])
+    q = m_delta_coefficients(structure).shape[1]
+    return from_entries((q, q), np.zeros((q, q)), keys, *m_delta_entries(structure))
 
 
 def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameters:
@@ -113,28 +117,29 @@ def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameter
         np.asarray(theta_value).ravel())))
 
 
-def _write_p_terms(AB: np.ndarray, slots: np.ndarray) -> None:
-    """Add AB^T P AB - blkdiag(P, 0) on P's unit basis into the zeroed view
-    ``slots``, one row per basis element of the symmetric n x n P.
+def _p_terms(AB: np.ndarray):
+    """The entries of AB^T P AB - blkdiag(P, 0) on P's unit basis, one
+    basis row per element of the symmetric n x n P: sorted codes
+    k m^2 + c m + d for basis row k and entry (c, d), and their values.
 
     For the rows a_i of AB, entry (c, d) of P's term is, for E_ij + E_ji
     with i < j, 0 + a_i[c] a_j[d] + a_j[c] a_i[d], and for E_ii it is
-    0 + a_i[c] a_i[d]: each product rounded, then summed in that order,
-    so every entry holds the same bits on any BLAS kernel. [A B] is as
-    sparse as Kronecker lifts and shift chains make it, so one add.at
-    adds the product of each pair of AB's nonzeros into its basis row
-    and entry. add.at sums repeated indices in index order, and
-    np.nonzero lists the nonzeros row by row, so the lower row's product
-    is added first. The basis is then subtracted in place. The view may
-    be strided, a block of a larger stack, as in the convex synthesis
-    blocks.
+    0 + a_i[c] a_i[d], then minus 1 where the basis has a 1: each product
+    rounded, then summed in that order, so every entry holds the same
+    bits on any BLAS kernel. [A B] is as sparse as Kronecker lifts and
+    shift chains make it, so the product of each ordered pair of AB's
+    nonzeros is listed at its basis row and entry, pairs in order of the
+    first nonzero, row by row, so the lower row's product comes first;
+    the basis's -1 entries come last.
     """
-    i, j, off, table = upper_triangle(AB.shape[0])
-    r, c = np.nonzero(AB)
+    n, m = AB.shape
+    _, _, table, bk, br, bc = upper_triangle(n)
+    r, c = AB.nonzero()
     v = AB[r, c]
-    np.add.at(slots, (table[r[:, None], r], c[:, None], c), np.multiply.outer(v, v))
-    slots[np.arange(i.size), i, j] -= 1.0
-    slots[off, j[off], i[off]] -= 1.0
+    mm = m * m
+    pairs = table.take(r, 0).take(r, 1) * mm + np.add.outer(c * m, c)
+    return sum_codes(np.concatenate([pairs.ravel(), bk * mm + br * m + bc]),
+                     np.concatenate([np.multiply.outer(v, v).ravel(), np.full(bk.size, -1.0)]))
 
 
 def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
@@ -142,14 +147,16 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
 
     P is a declared symmetric variable and ``rows`` the pairs (out_b, X_b).
     The block is the sum over the row blocks of out, AB^T P AB -
-    blkdiag(P, 0) + sum_b out_b^T X_b out_b, written into one stack over
-    the key union, so neither the zero-padded middle matrix nor P's unit
-    basis is built: ``_write_p_terms`` adds P's terms into the stack's
-    first P.size rows.
+    blkdiag(P, 0) + sum_b out_b^T X_b out_b, written as entries over the
+    key union, so neither the zero-padded middle matrix nor P's unit
+    basis is built: ``_p_terms`` gives P's entries. A row variable's
+    matrices are few and small (a multiplier's, a slack's), so each row
+    term is the batched product (out_b^T F) out_b of X_b's dense stack F,
+    and its entries are 0.0 plus the product's that are not +0.0.
 
     Every caller declares P before the row variables, so the key union is
-    P's range followed by each X_b's keys in turn, and each row term is
-    added through its slice of the stack. Keys out of that order raise
+    P's range followed by each X_b's keys in turn, and the entries are
+    P's followed by each row term's. Keys out of that order raise
     ArgumentError.
     """
     m = AB.shape[1]
@@ -162,21 +169,27 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
                     "declare P before the row variables, in order")
             last = X.keys[-1]
     keys = np.concatenate([P.offset + np.arange(P.size)] + [X.keys for _, X in rows])
-    coeffs = np.zeros((keys.size, m, m))
-    _write_p_terms(AB, coeffs[:P.size])
+    code, val = _p_terms(AB)
+    codes, vals = [code], [val]
     const = np.zeros((m, m))
-    lo = P.size
+    lo = P.size * m * m
     for out_b, X in rows:
-        term = congruence(out_b, X)
-        const += term.const
-        coeffs[lo:lo + X.keys.size] += term.coeffs
-        lo += X.keys.size
-    return AffineMatrix((m, m), const, keys, coeffs)
+        if X.const.any():
+            const += (out_b.T @ X.const) @ out_b
+        if X.val.size:
+            F = ((out_b.T @ X.dense()) @ out_b).ravel()
+            at = F.view(np.int64).nonzero()[0]
+            codes.append(lo + at)
+            vals.append(0.0 + F[at])
+        lo += X.keys.size * m * m
+    return from_codes((m, m), const, keys, np.concatenate(codes), np.concatenate(vals))
 
 
 def _minus_identity(s: AffineMatrix, dim: int) -> AffineMatrix:
     """-s I for a scalar variable s, as a dim x dim expression."""
-    return AffineMatrix((dim, dim), keys=s.keys, coeffs=-np.eye(dim)[None])
+    return AffineMatrix((dim, dim), keys=s.keys,
+                        entries=(np.zeros(dim, dtype=np.intp), np.arange(dim) * (dim + 1),
+                                 np.full(dim, -1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +370,41 @@ def _convex_synth_block(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, 
     ``place`` sums the multiplier term and the constant ``extra`` terms
     over a key union that holds the keys of P22, P11, QA and QB too. Every
     term of those four is a unit basis times constants, so their entries
-    are then added into the zeroed stack: -1 at P22's entries in both of
-    its blocks; the rows ``_algorithm_rows`` gives QA's and QB's scalars,
+    are listed beside the placed ones: -1 at P22's entries in both of its
+    blocks; the rows ``_algorithm_rows`` gives QA's and QB's scalars,
     scale at QA[a, b]'s entry and scale (m C[l, :]) and 1 at QB[a, l]'s,
-    in row a of TR, each beside its transpose; and P11's terms, written
-    by ``_write_p_terms``. No entry of a key takes two of these terms, so
-    the stack holds the bits of the term-by-term sum.
+    in row a of TR, each beside its transpose; and P11's terms, from
+    ``_p_terms``. No entry of a key takes two of these terms, so the block
+    holds the bits of the term-by-term sum.
     """
     p = C.shape[0]
     nc = nd + N
     dim = N + nc + p
+    RC = dim * dim
     blk = place((dim, dim), [(N, N, congruence(CcDc, md))] + list(extra),
                 keys=np.concatenate([X.keys for X in (P22, P11, QA, QB) if X is not None]))
-    F = blk.coeffs
-    i, j, off, _ = upper_triangle(N)
-    k = np.searchsorted(blk.keys, P22.keys)
+    keys = blk.keys
+    codes, vals = [blk.kix * RC + blk.pos], [blk.val]
+    _, _, _, bk, br, bc = upper_triangle(N)
+    bk = bk + np.searchsorted(keys, P22.keys[0])
     for o in (0, N + nd):
-        F[k, o + i, o + j] -= 1.0
-        F[k[off], o + j[off], o + i[off]] -= 1.0
+        codes.append(bk * RC + (o + br) * dim + o + bc)
+        vals.append(np.full(bk.size, -1.0))
     rows, a = _algorithm_rows(N, p, sector_m, C, scale)
-    k = np.searchsorted(blk.keys, np.concatenate([QA.keys, QB.keys]))
-    F[k, a, N + nd:] += rows
-    F[k, N + nd:, a] += rows
+    k, col = np.nonzero(rows)
+    kq = np.searchsorted(keys, np.concatenate([QA.keys, QB.keys]))[k] * RC
+    a, tr = a[k], col + N + nd
+    codes += [kq + a * dim + tr, kq + tr * dim + a]
+    vals += [rows[k, col]] * 2
     if nd:
-        lo = np.searchsorted(blk.keys, P11.keys[0])
-        _write_p_terms(top, F[lo:lo + P11.keys.size, N:, N:])
-    return blk
+        mt = dim - N
+        code, val = _p_terms(top)
+        k11, rem = np.divmod(code, mt * mt)
+        row, col = np.divmod(rem, mt)
+        codes.append((k11 + np.searchsorted(keys, P11.keys[0])) * RC + (N + row) * dim + N + col)
+        vals.append(val)
+    code, val = sum_codes(np.concatenate(codes), np.concatenate(vals))
+    return from_codes((dim, dim), blk.const, keys, code, val)
 
 
 def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
@@ -491,9 +513,11 @@ def _add_box_rows(prob: SdpProblem, Ae: AffineMatrix, Be: AffineMatrix) -> None:
     unit coefficient on the key of its entry.
     """
     entries = np.hstack([Ae.keys.reshape(Ae.shape), Be.keys.reshape(Be.shape)]).ravel()
-    keys = np.sort(entries)
-    unit = keys[:, None] == entries.repeat(2)
-    prob.add_linear(AffineMatrix(unit.shape[1:] + (1,), keys=keys, coeffs=unit[:, :, None] * 1.0),
+    t = np.argsort(entries)         # the box entry of each key, in key order
+    prob.add_linear(AffineMatrix((2 * t.size, 1), keys=entries[t],
+                                 entries=(np.repeat(np.arange(t.size), 2),
+                                          np.stack([2 * t, 2 * t + 1], axis=1).ravel(),
+                                          np.ones(2 * t.size))),
                     ["<=", ">="] * entries.size, [10.0, -10.0] * entries.size)
 
 
@@ -531,11 +555,14 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
         ``place`` sums the terms free of A and B over a key union that holds
         A's and B's keys too. A key of A has one nonzero in bot, rho^-1, and
         a key of B two, rho^-1 (m C) and 1, both in the key's row a. Each
-        nonzero (key, a, column, v) past bot's nd zero columns then adds
+        nonzero (key, a, column, v) past bot's nd zero columns then lists
         TR's column P22[:, a] v and the cross term's column top^T
         (P12[:, a] v), all taken in one product, each beside its transpose:
-        the entries of the dense per-key products, whose other rows and
-        columns are zero, added into the zeroed stack.
+        the nonzero entries of the dense per-key products, whose other rows
+        and columns are zero, summed in the order the products were added.
+        A column of top that is zero gives a zero cross entry, so only
+        top's nonzero columns are listed. A and B are declared before the
+        multipliers, so their entries precede the placed ones.
         """
         rows, row_of_key = _algorithm_rows(N, p, bounds.m, C, 1.0 / rho_)
         k, c = np.nonzero(rows)
@@ -544,16 +571,25 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
         blk = place((dim, dim), [(0, 0, -P_[nd:, nd:]), (N, N, top_.T @ P_[:nd, :nd] @ top_),
                                  (N, N, -P_), (N, N, congruence(CcDc_, md_))] + extra,
                     keys=AB_keys)
-        k += np.searchsorted(blk.keys, AB_keys[0])
-        c += N + nd
+        RC = dim * dim
+        k = (k + np.searchsorted(blk.keys, AB_keys[0]))[:, None] * RC
+        c = (c + N + nd)[:, None]
+        t = np.arange(N)
         TR = Pv[nd:].T
-        blk.coeffs[k, :N, c] += TR
-        blk.coeffs[k, c, :N] += TR
+        codes, vals = [k + t * dim + c, k + c * dim + t], [TR, TR]
         if nd:
-            cross = (top_.T @ Pv[:nd]).T
-            blk.coeffs[k, N:, c] += cross
-            blk.coeffs[k, c, N:] += cross
-        return blk
+            used = top_.any(axis=0).nonzero()[0]
+            u = N + used
+            cross = (top_.T @ Pv[:nd]).T[:, used]
+            codes += [k + u * dim + c, k + c * dim + u]
+            vals += [cross, cross]
+        code = np.concatenate([x.ravel() for x in codes])
+        val = np.concatenate([x.ravel() for x in vals])
+        nz = val != 0.0      # a zero term changes no sum that starts at 0.0
+        code, val = sum_codes(code[nz], val[nz])
+        return from_codes((dim, dim), blk.const, blk.keys,
+                          np.concatenate([code, blk.kix * RC + blk.pos]),
+                          np.concatenate([val, blk.val]))
 
     if slack:
         s = prob.add_scalar("s")

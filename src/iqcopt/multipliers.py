@@ -23,7 +23,8 @@ folded into B and D); no kron or block_diag is composed.
 
 Everything about a multiplier except rho depends only on its shape
 (lc, la, p, class): the tap indices and basis stack (``tap_basis``), the
-M_Delta coefficient stack (``m_delta_coefficients``), the membership
+M_Delta coefficient stack (``m_delta_coefficients``) and its entries
+(``m_delta_entries``, the form an affine expression stores), the membership
 pattern (the sign rows, the row- and column-sum patterns, each
 component's tap position, the senses and labels) and the filter
 template (psi_Delta's A and C, and B and D with the sector width left
@@ -203,13 +204,24 @@ class _Layout:
         if klass == "repeated":
             sign |= r != c
         self.taps, self.basis, self.coeffs = taps, E, coeffs
+        # the stack's entries, key-major: each unit entry, 1.0
+        ek, ep = coeffs.reshape(nvar, q * q).nonzero()
+        self.entries = (ek, ep, np.ones(ek.size))
         self.sign_rows = np.eye(nvar)[sign]
         self.row_sums = E.sum(axis=2)
         self.col_sums = E.sum(axis=1)
+        # the entries of the rows' transpose, key-major: each one's theta
+        # index and row, its unweighted value, and the slot of its weight
+        # among [1 (sign rows), rho^-i (row sums), rho^i (column sums)]
+        pattern = np.concatenate([self.sign_rows, self.row_sums.T, self.col_sums.T]).T
+        kk, rr = pattern.nonzero()
+        group = (rr >= len(self.sign_rows)) + (rr >= len(self.sign_rows) + p).astype(int)
+        self.row_entries = (kk, rr, pattern[kk, rr], group * nvar + kk)
         self.pos = taps + lc                 # position of each kernel index in -lc..la
         (self.psi_A, self.psi_B, self.psi_C, self.psi_D,
          self.width_B, self.width_D) = _psi_template(lc, la, p)
-        for arr in (self.taps, self.basis, self.coeffs, self.sign_rows,
+        for arr in (self.taps, self.basis, self.coeffs, *self.entries, *self.row_entries,
+                    self.sign_rows,
                     self.row_sums, self.col_sums, self.pos, self.psi_A, self.psi_B,
                     self.psi_C, self.psi_D, self.width_B, self.width_D):
             arr.flags.writeable = False
@@ -262,11 +274,7 @@ def membership_rows(structure: ZamesFalbStructure):
     ('<=' or '>=') and label. Only the rho weights of the row- and
     column-sum rows are applied here; the rest is the shape's layout.
     """
-    layout = _layout(structure.ell_causal, structure.ell_anticausal, structure.p,
-                     structure.klass)
-    rho = structure.rho
-    down = np.array([rho ** (-i) for i in structure.indices()])[layout.pos]
-    up = np.array([rho ** i for i in structure.indices()])[layout.pos]
+    layout, down, up = _weights(structure)
     rows = np.concatenate([
         layout.sign_rows,
         # rho-weighted row sums: (sum_i M_i rho^{-i}) 1 >= 0  (p rows)
@@ -276,6 +284,28 @@ def membership_rows(structure: ZamesFalbStructure):
     ])
     rows.flags.writeable = False
     return rows, layout.senses, layout.labels
+
+
+def membership_entries(structure: ZamesFalbStructure):
+    """The rows of ``membership_rows`` as the entries of their transpose,
+    one row per theta scalar: key index, row and value arrays, key-major,
+    each value the product the rows hold. Returns them with the senses
+    and labels."""
+    layout, down, up = _weights(structure)
+    kix, row, value, slot = layout.row_entries
+    weight = np.concatenate([np.ones(down.size), down, up])[slot]
+    return (kix, row, weight * value), layout.senses, layout.labels
+
+
+def _weights(structure: ZamesFalbStructure):
+    """The layout of a structure and the rho^-i and rho^i weight of each
+    theta scalar."""
+    layout = _layout(structure.ell_causal, structure.ell_anticausal, structure.p,
+                     structure.klass)
+    rho = structure.rho
+    down = np.array([rho ** (-i) for i in structure.indices()])[layout.pos]
+    up = np.array([rho ** i for i in structure.indices()])[layout.pos]
+    return layout, down, up
 
 
 def membership_constraints(structure: ZamesFalbStructure) -> list:
@@ -312,6 +342,13 @@ def m_delta_coefficients(structure: ZamesFalbStructure) -> np.ndarray:
     matrices, ordered like theta (the shape's layout)."""
     return _layout(structure.ell_causal, structure.ell_anticausal, structure.p,
                    structure.klass).coeffs
+
+
+def m_delta_entries(structure: ZamesFalbStructure) -> tuple:
+    """The entries of ``m_delta_coefficients``: read-only key index, flat
+    position and value arrays, key-major, as an AffineMatrix holds them."""
+    return _layout(structure.ell_causal, structure.ell_anticausal, structure.p,
+                   structure.klass).entries
 
 
 def m_delta_matrix(params: ZamesFalbParameters, structure: ZamesFalbStructure) -> np.ndarray:

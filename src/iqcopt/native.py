@@ -109,19 +109,19 @@ class _Reduced:
         for blk in problem.blocks:
             sgn = -1.0 if blk.sense == "neg" else 1.0
             d = blk.expr.shape[0]
-            keys, Fsub = blk.expr.keys, sgn * _sym_stack(blk.expr.coeffs)
+            keys, Fsub = blk.expr.keys, sgn * _sym_stack(blk.expr.dense())
             F0 = sgn * _sym(blk.expr.const) - blk.eps * np.eye(d)
             blocks.append((keys, F0, Fsub))
         rows = problem.linear
         R = np.zeros((len(rows), n))
-        R[:, rows.expr.keys] = rows.expr.coeffs[:, :, 0].T
+        R[:, rows.expr.keys] = rows.expr.dense()[:, :, 0].T
         sign, rhs = rows.sign, rows.rhs
         eq = sign == 0.0
         sign = sign[~eq]          # rhs - a x >= 0 for '<=', a x - rhs >= 0 for '>='
         self.blocks, self.A_x, self.g0_x = blocks, -sign[:, None] * R[~eq], sign * rhs[~eq]
         self.c_x = np.zeros(n)
         if problem.objective is not None:
-            self.c_x[problem.objective.keys] = problem.objective.coeffs[:, 0, 0]
+            self.c_x[problem.objective.keys] = problem.objective.dense()[:, 0, 0]
         self.message = ""
         self.inconsistent = False
         self._eliminate(R[eq], rhs[eq])

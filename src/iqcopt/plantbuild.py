@@ -28,7 +28,8 @@ The loop's nominal spectral radius is computed on first read, which only
 the rate and H2 assemblies do; a sector loop reads the algorithm's own
 kept value. A rho for which the products of the plant's entries would
 overflow is refused with DomainError before anything is divided by it,
-from the largest entry that the rho-free part records.
+from the largest entry that the rho-free part records; so is a noise
+channel whose entries would overflow the H2 blocks' products.
 """
 
 from dataclasses import dataclass, field
@@ -290,6 +291,17 @@ def _perf_plant(part: _RhoFree, structure: ZamesFalbStructure,
     if B_perf.shape[0] != N or C_perf.shape[1] != N:
         raise DimensionError("performance channel dimensions do not match the loop")
     nwp, nyp = B_perf.shape[1], C_perf.shape[0]
+    # an entry of an H2 block sums at most dim products of two channel
+    # entries and a coefficient of magnitude at most 1 (C_perf^T C_perf in
+    # the KYP block, N^T P N B_perf in the Schur block), and a block's scale
+    # squares its dim^2 entries; refuse a channel for which that overflows
+    dim = plant.n_c + plant.p_c + nwp + nyp
+    for name, M in (("B_perf", B_perf), ("C_perf", C_perf)):
+        a = float(np.abs(M).max(initial=1.0))
+        e = a * a * dim
+        if not e * e * dim * dim < np.inf:      # inf or NaN
+            raise DomainError(f"{name}: entries up to {a:.3g} would overflow "
+                              "the H2 blocks' products")
     return PerformanceAugmentedPlant(
         plant.Ac, plant.Bc, np.vstack([np.zeros((nd, nwp)), B_perf]), plant.Cc,
         np.hstack([np.zeros((nyp, nd)), C_perf]), plant.Dc,

@@ -1,17 +1,33 @@
 """Affine matrix expressions and the SdpProblem container.
 
-An AffineMatrix is const + sum_k x[keys[k]] * coeffs[k]: a constant
-term, the sorted indices of the scalar variables it holds, and one
-K x r x c stack of their coefficient matrices. Every operation is one
-numpy call on that stack: a key union and an aligned add for +/-, a
-batched matmul for products with constants, views for the sub-block at a
-pair of slices (``P[nd:, nd:]``, never a 0/1 selector product), and for
-evaluation the one (1 x K) @ (K x rc) product that np.tensordot makes.
-``place`` writes a sum of expressions at offsets into one stack over
-their key union, term by term in order; ``AffineMatrix.block`` is
-``place`` with non-overlapping offsets, and the synthesis builders write
-each of their blocks with one call, so no intermediate sum of a block is
-ever allocated.
+An AffineMatrix is const + sum_k x[keys[k]] F_k: a constant term, the
+sorted indices of the scalar variables it holds, and the entries of its
+coefficient matrices F_k. Only entries are stored: each one's key index
+k, its flat position e = row * c + column in the r x c matrix, and its
+value F_k[e], key-major (sorted by k, then by e) with one value per
+(k, e). Every other entry of every F_k is +0.0. An entry may hold -0.0,
+so a signed zero in a coefficient survives the algebra. ``dense()`` gives
+the K x r x c stack, which the JSON interchange, the native backend's
+reader and the tests read; no builder forms it.
+
+Evaluation is one scatter without BLAS: ``value(x)`` is
+const + (0 + sum_k x_k F_k[e], summed in key order), each product
+x_k F_k[e] rounded and added into its position in key order by one
+np.bincount, so it holds the same bits on any BLAS kernel.
+
+The algebra keeps the numbers the dense stack held. A sum or difference
+takes the key union and adds the entries two operands share; a product
+with a constant matrix forms the dense matrices of the keys that hold an
+entry and multiplies them as a batched matmul did, so the result holds
+that product's bits; a pair of slices (``P[nd:, nd:]``, never a 0/1
+selector product) keeps the entries inside it. ``place`` writes a sum of
+expressions at offsets over their key union: the entries of every term
+are listed in order and summed from 0.0 position by position, so an
+entry that several terms cover is their sum taken left to right.
+``AffineMatrix.block`` is ``place`` with non-overlapping offsets. The
+dense stack's unary minus and products with a negative scalar wrote -0.0
+where no entry lies; ``dense()`` reads +0.0 there, and no value reads the
+difference.
 
 An SdpProblem collects scalar/matrix decision variables, affine
 matrix-inequality blocks, scalar linear rows and an optional linear
@@ -22,15 +38,16 @@ coefficient matrix per variable a block holds.
 All scalar rows live in one r x 1 AffineMatrix that holds only the
 variables some row uses, beside a per-row sign (+1 for '<=', -1 for '>=',
 0 for '==') and rhs, each one float array, and a list of names, so
-``verify`` checks them with one mat-vec and the native backend scatters
-them in one step. The JSON interchange lists each row's nonzero
-coefficients in key order; ``from_json_dict`` rebuilds the rows through
-``add_linear``, so a round trip gives the same rows and the same
+``verify`` evaluates them with the one scatter of ``value`` and the
+native backend scatters them in one step. ``add_linear`` merges the new
+rows' entries into the column. The JSON interchange lists each row's
+nonzero coefficients in key order; ``from_json_dict`` rebuilds the rows
+through ``add_linear``, so a round trip gives the same rows and the same
 ``verify`` results bit for bit.
 
 A block means the symmetric part of its expression: v^T F v = v^T sym(F) v,
 so F(x) <= 0 and sym(F(x)) <= 0 are the same constraint. ``add_lmi`` keeps
-the coefficient stack as it was built, and its two readers, ``verify`` and
+the entries as they were built, and its two readers, ``verify`` and
 the native backend, symmetrize what they read. Coefficient matrices in the
 JSON interchange can therefore be asymmetric at rounding level; only the
 constant term is stored symmetrized. A block computes its scale
@@ -59,6 +76,7 @@ EIG_MARGIN = 1e-10
 LIN_TOL = 1e-8
 
 _NO_KEYS = np.zeros(0, dtype=np.intp)
+_NO_VALUES = np.zeros(0)
 
 # sizes n whose upper-triangle index pattern is kept
 PATTERN_CACHE_SIZE = 32
@@ -67,8 +85,10 @@ PATTERN_CACHE_SIZE = 32
 @functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
 def upper_triangle(n: int):
     """Row and column indices of an n x n upper triangle, row by row, the
-    positions of its off-diagonal entries among them, and the n x n table
-    of positions: entry (r, s) is the position of (min(r, s), max(r, s)).
+    n x n table of positions (entry (r, s) is the position of
+    (min(r, s), max(r, s))), and the entries of the unit basis E_ij + E_ji
+    (E_ii on the diagonal): each entry's basis row, row and column,
+    key-major, (i, j) before (j, i).
 
     The order of np.triu_indices(n), the order of a symmetric variable's
     scalars, built from the n (n + 1) / 2 positions instead of an n x n mask.
@@ -79,48 +99,84 @@ def upper_triangle(n: int):
     # row i starts at position i n - i (i - 1) / 2 and its columns at i
     k = np.arange(i.size)
     j = k - i * (2 * n + 1 - i) // 2 + i
-    off = np.flatnonzero(i != j)
     table = np.empty((n, n), dtype=np.intp)
     table[i, j] = table[j, i] = k
-    for a in (i, j, off, table):
+    two = np.ones((i.size, 2), dtype=bool)
+    two[:, 1] = i != j
+    bk = np.repeat(k, 2)[two.ravel()]
+    br = np.stack([i, j], axis=1)[two]
+    bc = np.stack([j, i], axis=1)[two]
+    for a in (i, j, table, bk, br, bc):
         a.flags.writeable = False
-    return i, j, off, table
+    return i, j, table, bk, br, bc
 
 
-def _expr(shape, const, keys, coeffs) -> "AffineMatrix":
-    """An expression from float arrays whose shapes the caller has made
-    to fit ``shape``: the constructor without its conversions and checks,
-    for the results of the algebra below."""
+def from_entries(shape, const, keys, kix, pos, val) -> "AffineMatrix":
+    """An expression from arrays that the caller has made to fit
+    ``shape`` and the entry layout: the constructor without its
+    conversions and checks, for entries key-major by construction (the
+    algebra below, the builders in :mod:`iqcopt.lmi`)."""
     e = object.__new__(AffineMatrix)
-    e.shape, e.const, e.keys, e.coeffs = shape, const, keys, coeffs
+    e.shape, e.const, e.keys, e.kix, e.pos, e.val = shape, const, keys, kix, pos, val
     return e
 
 
-class AffineMatrix:
-    """Matrix-valued affine expression: const + sum_k x[keys[k]] * coeffs[k].
+def sum_codes(code, val):
+    """Sorted unique codes and, for each, 0.0 + the values listed for it,
+    added in the order they are listed: np.add.at into a zero array, for
+    the codes that occur. An entry's code is k r c + e for key index k and
+    position e in an r x c matrix, so sorted codes are key-major entries."""
+    order = code.argsort(kind="stable")
+    code = code[order]
+    first = np.empty(code.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(code[1:], code[:-1], out=first[1:])
+    return code[first], np.bincount(np.add.accumulate(first, dtype=np.intp), val[order])[1:]
 
-    keys is sorted and unique, coeffs is K x r x c. Results may share these
-    arrays with their operands (views, unchanged stacks), so an expression's
-    arrays are not written once it has been passed on. The constructor
-    converts and checks its arguments; the results of the algebra, whose
-    shapes are known, are made without either.
+
+def _entries(stack):
+    """Key index, position and value of every entry of a K x r x c stack
+    that is not +0.0 (so -0.0 is kept), key-major."""
+    K, r, c = stack.shape
+    flat = np.ascontiguousarray(stack, dtype=float).ravel()
+    at = flat.view(np.int64).nonzero()[0]
+    kix = at // (r * c)
+    return kix, at - kix * (r * c), flat[at]
+
+
+class AffineMatrix:
+    """Matrix-valued affine expression: const + sum_k x[keys[k]] F_k.
+
+    keys is sorted and unique; the entries of the F_k are stored as the
+    arrays kix (key index), pos (flat position) and val, key-major with
+    one value per (kix, pos). Results may share these arrays with their
+    operands, so an expression's arrays are not written once it has been
+    passed on. The constructor takes the entries as a triple
+    ``(kix, pos, val)`` and checks them; ``from_dense`` takes a stack.
     """
 
-    __slots__ = ("shape", "const", "keys", "coeffs")
+    __slots__ = ("shape", "const", "keys", "kix", "pos", "val")
     __array_priority__ = 100  # so ndarray @ AffineMatrix dispatches here
 
-    def __init__(self, shape, const=None, keys=None, coeffs=None):
+    def __init__(self, shape, const=None, keys=None, entries=None):
         self.shape = tuple(shape)
         self.const = np.zeros(self.shape) if const is None else np.asarray(const, dtype=float)
         if self.const.shape != self.shape:
             raise DimensionError("const shape mismatch")
-        if keys is None:
-            self.keys, self.coeffs = _NO_KEYS, np.zeros((0,) + self.shape)
-        else:
-            self.keys = np.asarray(keys, dtype=np.intp)
-            self.coeffs = np.asarray(coeffs, dtype=float)
-            if self.coeffs.shape != (self.keys.size,) + self.shape:
-                raise DimensionError("coeffs shape mismatch")
+        self.keys = _NO_KEYS if keys is None else np.asarray(keys, dtype=np.intp)
+        if entries is None:
+            self.kix, self.pos, self.val = _NO_KEYS, _NO_KEYS, _NO_VALUES
+            return
+        kix, pos, val = entries
+        self.kix, self.pos = np.asarray(kix, dtype=np.intp), np.asarray(pos, dtype=np.intp)
+        self.val = np.asarray(val, dtype=float)
+        rc = self.shape[0] * self.shape[1]
+        code = self.kix * rc + self.pos
+        if not (self.kix.shape == self.pos.shape == self.val.shape == code.shape[:1]
+                and (not code.size or (self.kix[0] >= 0 and self.kix[-1] < self.keys.size
+                                       and (self.pos >= 0).all() and (self.pos < rc).all()))
+                and (code[1:] > code[:-1]).all()):
+            raise DimensionError("entries must be key-major and unique, within keys and shape")
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -129,29 +185,84 @@ class AffineMatrix:
         return AffineMatrix(M.shape, M.copy())
 
     @staticmethod
+    def from_dense(keys, stack, const=None) -> "AffineMatrix":
+        """The expression whose coefficient stack is the K x r x c ``stack``
+        on ``keys``: its entries that are not +0.0."""
+        stack, keys = np.asarray(stack, dtype=float), np.asarray(keys, dtype=np.intp)
+        if stack.ndim != 3 or keys.shape != stack.shape[:1]:
+            raise DimensionError("expected a K x r x c stack on K keys")
+        shape = stack.shape[1:]
+        const = np.zeros(shape) if const is None else np.asarray(const, dtype=float)
+        if const.shape != shape:
+            raise DimensionError("const shape mismatch")
+        return from_entries(shape, const, keys, *_entries(stack))
+
+    @staticmethod
     def lift(obj) -> "AffineMatrix":
         if isinstance(obj, AffineMatrix):
             return obj
         return AffineMatrix.constant(obj)
 
+    def dense(self) -> np.ndarray:
+        """The K x r x c coefficient stack: F_k for every key k, +0.0 where no
+        entry lies."""
+        (r, c), K = self.shape, self.keys.size
+        out = np.zeros((K, r * c))
+        out[self.kix, self.pos] = self.val
+        return out.reshape(K, r, c)
+
+    def _product(self, shape, const, f) -> "AffineMatrix":
+        """The expression f(F_k) for every key: f applied to the stacked
+        dense matrices of the keys that hold an entry, as it was to the
+        whole stack, and its entries that are not +0.0; a key whose F_k is
+        zero maps to zero."""
+        (r, c), kix = self.shape, self.kix
+        if not kix.size:
+            return from_entries(shape, const, self.keys, _NO_KEYS, _NO_KEYS, _NO_VALUES)
+        count = np.bincount(kix, minlength=self.keys.size)
+        held = count.nonzero()[0]
+        if held.size < count.size:      # index the held keys' matrices from 0
+            kix = np.arange(held.size).repeat(count[held])
+        stack = np.zeros((held.size, r * c))
+        stack[kix, self.pos] = self.val
+        lk, pos, val = _entries(f(stack.reshape(held.size, r, c)))
+        return from_entries(shape, const, self.keys, held[lk], pos, val)
+
     # -- algebra ------------------------------------------------------------
     def _combine(self, other, op) -> "AffineMatrix":
-        """op(self, other) for op in (np.add, np.subtract) over the key union."""
+        """op(self, other) for op in (np.add, np.subtract) over the key union:
+        op(a, b) where both hold an entry, op(0.0, b) where only ``other``
+        does, and ``self``'s entry a as it is elsewhere, except that a key
+        both hold adds 0.0 to it, as the dense stack's op did."""
         if other.shape != self.shape:
             raise DimensionError(f"add: {self.shape} vs {other.shape}")
         const = op(self.const, other.const)
         if not other.keys.size:
-            return _expr(self.shape, const, self.keys, self.coeffs)
+            return from_entries(self.shape, const, self.keys, self.kix, self.pos, self.val)
         if not self.keys.size:
-            return _expr(self.shape, const, other.keys, op(0.0, other.coeffs))
-        if np.array_equal(self.keys, other.keys):
-            return _expr(self.shape, const, self.keys, op(self.coeffs, other.coeffs))
+            return from_entries(self.shape, const, other.keys, other.kix, other.pos,
+                                op(0.0, other.val))
+        if self.keys[-1] < other.keys[0]:       # no key in common: side by side
+            return from_entries(self.shape, const, np.concatenate([self.keys, other.keys]),
+                                np.concatenate([self.kix, other.kix + self.keys.size]),
+                                np.concatenate([self.pos, other.pos]),
+                                np.concatenate([self.val, op(0.0, other.val)]))
+        rc = self.shape[0] * self.shape[1]
         keys = np.union1d(self.keys, other.keys)
-        coeffs = np.zeros((keys.size,) + self.shape)
-        coeffs[np.searchsorted(keys, self.keys)] = self.coeffs
-        idx = np.searchsorted(keys, other.keys)
-        coeffs[idx] = op(coeffs[idx], other.coeffs)
-        return _expr(self.shape, const, keys, coeffs)
+        ka = np.searchsorted(keys, self.keys)[self.kix] * rc + self.pos
+        kb = np.searchsorted(keys, other.keys)[other.kix] * rc + other.pos
+        code = np.union1d(ka, kb)
+        ia, ib = np.searchsorted(code, ka), np.searchsorted(code, kb)
+        val = np.zeros(code.size)
+        val[ia] = self.val
+        if op is np.add and not self.val.all():
+            # a zero of self's alone at a key other holds became a + 0.0
+            alone = np.ones(code.size, dtype=bool)
+            alone[ib] = False
+            shared = np.isin(self.keys, other.keys)[self.kix] & alone[ia]
+            val[ia[shared]] += 0.0
+        val[ib] = op(val[ib], other.val)
+        return from_codes(self.shape, const, keys, code, val)
 
     def __add__(self, other):
         return self._combine(AffineMatrix.lift(other), np.add)
@@ -159,7 +270,7 @@ class AffineMatrix:
     __radd__ = __add__
 
     def __neg__(self):
-        return _expr(self.shape, -self.const, self.keys, -self.coeffs)
+        return from_entries(self.shape, -self.const, self.keys, self.kix, self.pos, -self.val)
 
     def __sub__(self, other):
         return self._combine(AffineMatrix.lift(other), np.subtract)
@@ -169,7 +280,8 @@ class AffineMatrix:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return _expr(self.shape, s * self.const, self.keys, s * self.coeffs)
+        return from_entries(self.shape, s * self.const, self.keys, self.kix, self.pos,
+                            s * self.val)
 
     __rmul__ = __mul__
 
@@ -183,44 +295,71 @@ class AffineMatrix:
             else:
                 raise ArgumentError("product of two non-constant expressions")
         other = np.atleast_2d(np.asarray(other, dtype=float))
-        return _expr((self.shape[0], other.shape[1]), self.const @ other, self.keys,
-                     self.coeffs @ other)
+        return self._product((self.shape[0], other.shape[1]), self.const @ other,
+                             lambda F: F @ other)
 
     def __rmatmul__(self, other):
         """constant @ Affine (left multiplication)."""
         other = np.atleast_2d(np.asarray(other, dtype=float))
-        return _expr((other.shape[0], self.shape[1]), other @ self.const, self.keys,
-                     other @ self.coeffs)
+        return self._product((other.shape[0], self.shape[1]), other @ self.const,
+                             lambda F: other @ F)
 
     def __getitem__(self, index) -> "AffineMatrix":
-        """The sub-block at a pair of slices, e.g. ``P[nd:, nd:]``: views of
-        const and of every coefficient matrix. Any other index raises
-        ArgumentError."""
+        """The sub-block at a pair of slices, e.g. ``P[nd:, nd:]``: a view of
+        const and the entries inside the block, each at its position there.
+        Any other index raises ArgumentError."""
         if type(index) is not tuple or [type(s) for s in index] != [slice, slice]:
             raise ArgumentError(f"index an expression by a pair of slices, not {index!r}")
         const = self.const[index]
-        return _expr(const.shape, const, self.keys, self.coeffs[(slice(None),) + index])
+        (r, c), (h, w) = self.shape, const.shape
+        row, col = np.divmod(self.pos, c)
+        new_row, new_col = np.full(r, -1), np.full(c, -1)
+        new_row[index[0]], new_col[index[1]] = np.arange(h), np.arange(w)
+        row, col = new_row[row], new_col[col]
+        inside = (row >= 0) & (col >= 0)
+        kix, pos, val = self.kix[inside], row[inside] * w + col[inside], self.val[inside]
+        if any((s.step or 1) < 0 for s in index):     # a reversed block: sort its entries
+            order = (kix * (h * w) + pos).argsort()
+            kix, pos, val = kix[order], pos[order], val[order]
+        return from_entries(const.shape, const, self.keys, kix, pos, val)
 
     @property
     def T(self) -> "AffineMatrix":
-        return _expr(self.shape[::-1], self.const.T, self.keys, self.coeffs.transpose(0, 2, 1))
+        r, c = self.shape
+        row, col = np.divmod(self.pos, c)
+        pos = col * r + row
+        order = (self.kix * (r * c) + pos).argsort()
+        return from_entries((c, r), self.const.T, self.keys, self.kix, pos[order], self.val[order])
 
     def trace(self) -> "AffineMatrix":
-        return AffineMatrix((1, 1), [[np.trace(self.const)]], self.keys,
-                            np.trace(self.coeffs, axis1=1, axis2=2)[:, None, None])
+        """The 1 x 1 trace: each key's diagonal summed by the reduction that
+        np.trace makes, over the keys whose diagonal holds an entry."""
+        r, c = self.shape
+        row, col = np.divmod(self.pos, c)
+        on = row == col
+        diag = np.zeros((self.keys.size, min(r, c)))
+        diag[self.kix[on], row[on]] = self.val[on]
+        held = np.bincount(self.kix[on], minlength=self.keys.size).nonzero()[0]
+        return from_entries((1, 1), np.array([[np.trace(self.const)]]), self.keys, held,
+                            np.zeros(held.size, dtype=np.intp), diag.sum(axis=1)[held])
 
     def ravel(self) -> "AffineMatrix":
         """The entries as an (r*c) x 1 column, row by row."""
         n = self.shape[0] * self.shape[1]
-        return AffineMatrix((n, 1), self.const.reshape(n, 1), self.keys,
-                            self.coeffs.reshape(self.keys.size, n, 1))
+        return from_entries((n, 1), self.const.reshape(n, 1), self.keys, self.kix, self.pos,
+                            self.val)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """const + sum_k x[keys[k]] coeffs[k] by the product that
-        np.tensordot(x[keys], coeffs, 1) makes, without its reshaping."""
-        (r, c), K = self.shape, self.keys.size
-        return self.const + np.dot(x[self.keys].reshape(1, K),
-                                   self.coeffs.reshape(K, r * c)).reshape(r, c)
+        """const + (0 + sum_k x[keys[k]] F_k, summed in key order).
+
+        Each product x_k F_k[e] is rounded and added into its position in
+        the order of the keys by one np.bincount, so the value is the same
+        on any BLAS kernel. For finite x an entry that is not stored adds
+        a zero, which changes no sum that starts at +0.0.
+        """
+        r, c = self.shape
+        acc = np.bincount(self.pos, x[self.keys][self.kix] * self.val, r * c)
+        return self.const + acc.reshape(r, c)
 
     @staticmethod
     def block(rows) -> "AffineMatrix":
@@ -243,45 +382,59 @@ class AffineMatrix:
                                         for j, b in enumerate(r)])
 
 
+def placed_codes(keys, shape, i, j, e: AffineMatrix):
+    """The codes of ``e``'s entries placed with their top-left corner at
+    (i, j) in ``shape``, key indices into ``keys`` (which hold e.keys);
+    key-major, as e's entries are."""
+    c, C = e.shape[1], shape[1]
+    pos = e.pos + e.pos // c * (C - c) + (i * C + j)
+    return np.searchsorted(keys, e.keys)[e.kix] * (shape[0] * C) + pos
+
+
+def from_codes(shape, const, keys, code, val) -> AffineMatrix:
+    """The expression whose entries are the sorted unique ``code`` and
+    their values."""
+    rc = shape[0] * shape[1]
+    kix = code // rc
+    return from_entries(shape, const, keys, kix, code - kix * rc, val)
+
+
 def place(shape, terms, keys=_NO_KEYS) -> AffineMatrix:
     """The sum of expressions placed at offsets in a zero matrix of ``shape``.
 
     ``terms`` is a sequence of (row offset, column offset, expression); an
-    expression may be a constant array. The key union is built once, one
-    constant and one K x r x c stack are allocated, and each term is added
-    into its slice in order, so an entry that several terms cover is their
-    sum taken left to right. A term whose keys are consecutive, as every
-    declared variable's are, is added through a slice of the stack, others
-    through an index array. A sign is the caller's: pass the negated
-    expression. ``keys`` joins the union with zero coefficients, for a
-    caller that writes those keys' entries into the new stack itself.
+    expression may be a constant array. The key union is built once, the
+    constants are added into one zero matrix, and the entries of every
+    term are listed in order and summed from 0.0 position by position
+    (``sum_codes``), so an entry that several terms cover is their sum
+    taken left to right. A sign is the caller's: pass the negated
+    expression. ``keys`` joins the union with no entries, for a caller that
+    adds those keys' entries itself.
     """
     shape = tuple(shape)
     terms = [(i, j, AffineMatrix.lift(e)) for i, j, e in terms]
     keys = np.unique(np.concatenate([keys] + [e.keys for _, _, e in terms]))
     const = np.zeros(shape)
-    coeffs = np.zeros((keys.size,) + shape)
+    codes, vals = [_NO_KEYS], [_NO_VALUES]
     for i, j, e in terms:
         r, c = e.shape
         if i < 0 or j < 0 or i + r > shape[0] or j + c > shape[1]:
             raise DimensionError(f"place: {e.shape} at ({i}, {j}) exceeds {shape}")
         const[i:i + r, j:j + c] += e.const
-        if not e.keys.size:
-            continue
-        if e.keys[-1] - e.keys[0] == e.keys.size - 1:
-            lo = int(np.searchsorted(keys, e.keys[0]))
-            coeffs[lo:lo + e.keys.size, i:i + r, j:j + c] += e.coeffs
-        else:
-            coeffs[np.searchsorted(keys, e.keys), i:i + r, j:j + c] += e.coeffs
-    return _expr(shape, const, keys, coeffs)
+        if e.val.size:
+            codes.append(placed_codes(keys, shape, i, j, e))
+            vals.append(e.val)
+    code, val = sum_codes(np.concatenate(codes), np.concatenate(vals))
+    return from_codes(shape, const, keys, code, val)
 
 
 def congruence(T, X: AffineMatrix) -> AffineMatrix:
-    """T^T X T for a constant outer factor T: the products (T^T X_k) T
+    """T^T X T for a constant outer factor T: the products (T^T F_k) T
     that ``(T.T @ X) @ T`` makes, without its intermediate expression."""
     T = np.asarray(T, dtype=float)
     c = T.shape[1]
-    return _expr((c, c), (T.T @ X.const) @ T, X.keys, (T.T @ X.coeffs) @ T)
+    const = (T.T @ X.const) @ T if X.const.any() else np.zeros((c, c))
+    return X._product((c, c), const, lambda F: (T.T @ F) @ T)
 
 
 @dataclass
@@ -383,18 +536,19 @@ class SdpProblem:
     def variable_expr(self, name: str) -> AffineMatrix:
         """Re-create the canonical expression of a declared variable.
 
-        Its stack holds one unit basis matrix per scalar, in row-major
-        order over the entries (the upper triangle for symmetric ones).
+        Its F_k is one unit basis matrix per scalar, in row-major order over
+        the entries (the upper triangle for symmetric ones, E_ij + E_ji off
+        the diagonal), stored as its entries, each 1.0.
         """
         info = self._by_name[name]
         r, c = info.shape
-        k = np.arange(info.size)
-        i, j = upper_triangle(r)[:2] if info.kind == "symmetric" else np.divmod(k, c)
-        basis = np.zeros((info.size, r, c))
-        basis[k, i, j] = 1.0
         if info.kind == "symmetric":
-            basis[k, j, i] = 1.0
-        return AffineMatrix(info.shape, keys=info.offset + k, coeffs=basis)
+            _, _, _, kix, row, col = upper_triangle(r)
+            pos = row * c + col
+        else:
+            kix = pos = np.arange(info.size)
+        return from_entries(info.shape, np.zeros(info.shape), info.offset + np.arange(info.size),
+                            kix, pos, np.ones(kix.size))
 
     def extract(self, name: str, x: np.ndarray):
         """Variable value (scalar or ndarray) from a flat solution vector."""
@@ -415,9 +569,9 @@ class SdpProblem:
                 name: str = "") -> LmiBlock:
         """Add sym(expr) <= -eps I ('neg') or sym(expr) >= eps I ('pos').
 
-        The coefficient stack is stored as built, not symmetrized: the
-        block means its symmetric part, which ``verify`` and the solver
-        form themselves. The constant term is stored symmetrized, and the
+        The entries are stored as built, not symmetrized: the block
+        means its symmetric part, which ``verify`` and the solver form
+        themselves. The constant term is stored symmetrized, and the
         default eps is EPS_REL times the block's scale 1 + ||const||_F.
         """
         if expr.shape[0] != expr.shape[1]:
@@ -426,7 +580,7 @@ class SdpProblem:
             raise ArgumentError("sense must be 'neg' or 'pos'")
         const = 0.5 * (expr.const + expr.const.T)
         block = LmiBlock(name or f"lmi{len(self.blocks)}",
-                         AffineMatrix(expr.shape, const, expr.keys, expr.coeffs),
+                         from_entries(expr.shape, const, expr.keys, expr.kix, expr.pos, expr.val),
                          sense, eps)
         self.blocks.append(block)
         return block
@@ -438,7 +592,10 @@ class SdpProblem:
         of one value per row. The rows are appended in order to the one
         column of ``self.linear``, with the constant moved to the rhs; a
         non-finite rhs raises DomainError, since a NaN row passes every
-        ``verify``.
+        ``verify``. Only the keys with a nonzero entry are kept, and their
+        entries are merged into the column's, below its n rows: appended
+        when their keys follow the column's, else sorted into it by key
+        index. The column is not rebuilt.
         """
         r = expr.shape[0]
         if expr.shape[1] != 1:
@@ -453,16 +610,27 @@ class SdpProblem:
         if not np.isfinite(rhs).all():
             raise DomainError("linear rows: non-finite rhs or constant")
         old, n = self.linear, len(self.linear)
-        used = expr.coeffs.any(axis=(1, 2))
-        keys, coeffs = expr.keys[used], expr.coeffs[used]
+        keys, kix, pos, val = expr.keys, expr.kix, expr.pos, expr.val
+        used = np.zeros(keys.size, dtype=bool)
+        used[kix[val != 0.0]] = True
+        if not used.all():
+            keep = used[kix]
+            keys, kix = keys[used], (np.cumsum(used) - 1)[kix[keep]]
+            pos, val = pos[keep], val[keep]
         if n:
-            new_keys, new = keys, coeffs
-            keys = np.union1d(old.expr.keys, new_keys)
-            coeffs = np.zeros((keys.size, n + r, 1))
-            coeffs[np.searchsorted(keys, old.expr.keys), :n] = old.expr.coeffs
-            coeffs[np.searchsorted(keys, new_keys), n:] = new
+            e = old.expr
+            pos, val = np.concatenate([e.pos, n + pos]), np.concatenate([e.val, val])
+            if not (e.keys.size and keys.size) or keys[0] > e.keys[-1]:
+                kix = np.concatenate([e.kix, e.keys.size + kix])
+                keys = np.concatenate([e.keys, keys])
+            else:
+                union = np.union1d(e.keys, keys)
+                kix = np.concatenate([np.searchsorted(union, e.keys)[e.kix],
+                                      np.searchsorted(union, keys)[kix]])
+                order = kix.argsort(kind="stable")     # each key's old rows, then its new
+                keys, kix, pos, val = union, kix[order], pos[order], val[order]
         self.linear = LinearRows(
-            AffineMatrix((n + r, 1), keys=keys, coeffs=coeffs),
+            from_entries((n + r, 1), np.zeros((n + r, 1)), keys, kix, pos, val),
             np.concatenate([old.sign, [_SIGN[s] for s in senses]]),
             np.concatenate([old.rhs, rhs]),
             old.name + names)
@@ -512,7 +680,7 @@ class SdpProblem:
         rows = self.linear
         if len(rows):
             sign, rhs = rows.sign, rows.rhs
-            d = x[rows.expr.keys] @ rows.expr.coeffs[:, :, 0] - rhs
+            d = rows.expr.value(x)[:, 0] - rhs
             viol = np.where(sign, sign * d, np.abs(d))
             tol = LIN_TOL * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
             ok = ok and not np.any(viol > tol)
@@ -523,14 +691,16 @@ class SdpProblem:
     def to_json_dict(self) -> dict:
         def coeffs_list(expr):
             return [{"var": int(k), "matrix": v.tolist()}
-                    for k, v in zip(expr.keys, expr.coeffs)]
+                    for k, v in zip(expr.keys, expr.dense())]
 
         rows = self.linear
-        C = rows.expr.coeffs[:, :, 0].T
-        r, c = np.nonzero(C)   # row by row, keys ascending within a row
+        nz = rows.expr.val != 0.0
+        r, k = rows.expr.pos[nz], rows.expr.kix[nz]
+        order = np.lexsort((k, r))     # row by row, keys ascending within a row
         coeffs = [[] for _ in range(len(rows))]
-        for i, k, v in zip(r.tolist(), rows.expr.keys[c].tolist(), C[r, c].tolist()):
-            coeffs[i].append([k, v])
+        for i, key, v in zip(r[order].tolist(), rows.expr.keys[k[order]].tolist(),
+                             rows.expr.val[nz][order].tolist()):
+            coeffs[i].append([key, v])
         return {
             "name": self.name,
             "variables": [
@@ -564,17 +734,19 @@ class SdpProblem:
             coeffs = sorted(coeffs, key=lambda c: int(c["var"]))
             stack = np.reshape(np.asarray([c["matrix"] for c in coeffs], dtype=float),
                                (len(coeffs),) + const.shape)
-            return AffineMatrix(const.shape, const, [int(c["var"]) for c in coeffs], stack)
+            return AffineMatrix.from_dense([int(c["var"]) for c in coeffs], stack, const)
 
         for b in d["blocks"]:
             expr = expr_from(b["const"], b["coeffs"])
             prob.blocks.append(LmiBlock(b["name"], expr, b["sense"], float(b["eps"])))
         rows = d["linear"]
-        C = np.zeros((prob.nvars, len(rows), 1))
-        for i, r in enumerate(rows):
-            for k, v in r["coeffs"]:
-                C[int(k), i, 0] = v
-        prob.add_linear(AffineMatrix((len(rows), 1), keys=np.arange(prob.nvars), coeffs=C),
+        cells = sorted({(int(k), i): float(v) for i, r in enumerate(rows)
+                        for k, v in r["coeffs"]}.items())     # key-major; a repeat overwrites
+        keys, kix = np.unique(np.array([k for (k, _), _ in cells], dtype=np.intp),
+                              return_inverse=True)
+        prob.add_linear(AffineMatrix((len(rows), 1), keys=keys,
+                                     entries=(kix, [i for (_, i), _ in cells],
+                                              [v for _, v in cells])),
                         [r["sense"] for r in rows], [r["rhs"] for r in rows],
                         [r.get("name", "") for r in rows])
         if d.get("objective"):

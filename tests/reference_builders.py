@@ -13,10 +13,11 @@ The problem container's former forms are kept here as well: an
 1x1 expression per call (membership rows, matrix equalities and the BMI
 box rows). The tests check that the solver receives the same blocks and
 the same rows from the library's forms. ``reference_verify`` is the
-eigenvalue recheck as it was written first: tensordot evaluation, the
-block scale computed on every call and the rows converted from lists;
-the tests check that the library's ``verify`` returns the same bits on
-every finite candidate.
+eigenvalue recheck as it was written first, the block scale computed on
+every call and the rows converted from lists, with every block and the
+row column evaluated by ``value``'s definition on the dense stack: 0 +
+x_k F_k added key by key, then the constant; the tests check that the
+library's ``verify`` returns the same bits on every finite candidate.
 
 The four synthesis builders are kept as they were composed from the
 expression algebra: every sum, difference and block allocates a new
@@ -210,18 +211,18 @@ def reference_synth_constants(n, p, bounds, structure, rho):
     return C, D, Dd, nd, N, nc, top, CcDc
 
 
-def p_terms(AB, keys):
-    """AB^T P AB on the unit basis of the symmetric P on ``keys``, written
-    densely by its definition: 0 + outer(a_i, a_j) + outer(a_j, a_i) for
+def p_terms(AB):
+    """AB^T P AB on the unit basis of the symmetric P, as a dense stack
+    written by its definition: 0 + outer(a_i, a_j) + outer(a_j, a_i) for
     E_ij + E_ji with i < j and 0 + outer(a_i, a_i) for E_ii, for the rows
     a_i of AB, each product rounded before the sum."""
     n, m = AB.shape
-    coeffs = np.empty((keys.size, m, m))
+    coeffs = np.empty((n * (n + 1) // 2, m, m))
     for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
         coeffs[k] = 0.0 + np.outer(AB[i], AB[j])
         if i != j:
             coeffs[k] += np.outer(AB[j], AB[i])
-    return AffineMatrix((m, m), keys=keys, coeffs=coeffs)
+    return coeffs
 
 
 def reference_kyp(AB, P_info, *rows):
@@ -232,8 +233,9 @@ def reference_kyp(AB, P_info, *rows):
     basis = np.zeros((P_info.size, n, n))
     basis[k, i, j] = 1.0
     basis[k, j, i] = 1.0
-    total = p_terms(AB, P_info.offset + k)
-    total.coeffs[:, :n, :n] -= basis
+    coeffs = p_terms(AB)
+    coeffs[:, :n, :n] -= basis
+    total = AffineMatrix.from_dense(P_info.offset + k, coeffs)
     for out_b, X in rows:
         total = total + congruence(out_b, X)
     return total
@@ -252,9 +254,10 @@ def use_reference_builders(monkeypatch):
 
 def reference_add_lmi(self, expr, sense="neg", eps=None, name=""):
     """add_lmi storing the symmetrized stack 0.5 (F_k + F_k^T) of every block."""
-    coeffs = expr.coeffs + expr.coeffs.transpose(0, 2, 1)
+    F = expr.dense()
+    coeffs = F + F.transpose(0, 2, 1)
     coeffs *= 0.5
-    expr = AffineMatrix(expr.shape, 0.5 * (expr.const + expr.const.T), expr.keys, coeffs)
+    expr = AffineMatrix.from_dense(expr.keys, coeffs, 0.5 * (expr.const + expr.const.T))
     if eps is None:
         eps = EPS_REL * (1.0 + np.linalg.norm(expr.const, "fro"))
     block = LmiBlock(name or f"lmi{len(self.blocks)}", expr, sense, float(eps))
@@ -275,9 +278,9 @@ def reference_add_linear(self, expr, sense, rhs=0.0, name=""):
     """
     if expr.shape != (1, 1):
         raise DimensionError("expected a 1x1 expression")
-    c = expr.coeffs[:, 0, 0]
+    c = expr.dense()[:, 0, 0]
     nz = c != 0.0
-    row = AffineMatrix((1, 1), keys=expr.keys[nz], coeffs=c[nz, None, None])
+    row = AffineMatrix.from_dense(expr.keys[nz], c[nz, None, None])
     _append_rows(self, row, sense, float(rhs) - float(expr.const[0, 0]), name)
 
 
@@ -291,7 +294,7 @@ def reference_add_matrix_equality(self, expr, name=""):
 def reference_add_multiplier(prob, structure, name="zf_theta"):
     theta = prob.add_matrix(name, structure.parameter_count(), 1)
     coeffs = m_delta_coefficients(structure)
-    md = AffineMatrix(coeffs.shape[1:], keys=theta.keys, coeffs=coeffs)
+    md = AffineMatrix.from_dense(theta.keys, coeffs)
     cons = membership_constraints(structure)
     rows = np.array([con.coeffs for con in cons]) @ theta
     for r, con in enumerate(cons):
@@ -315,13 +318,22 @@ def use_reference_lmi(monkeypatch):
     monkeypatch.setattr(SdpProblem, "add_lmi", reference_add_lmi)
 
 
+def dense_value(expr, x):
+    """``AffineMatrix.value`` by its definition on the dense stack:
+    const + (0 + x_k F_k, added key by key in key order), the running sum
+    taken by np.add.accumulate, which adds one term at a time."""
+    terms = x[expr.keys][:, None, None] * expr.dense()
+    acc = np.add.accumulate(np.concatenate([np.zeros((1,) + expr.shape), terms]))[-1]
+    return expr.const + acc
+
+
 def reference_verify(prob, x, lin_tol=1e-8, eig_margin=1e-10):
     """SdpProblem.verify by its first formula, for finite candidates."""
     ok = True
     worst = -np.inf
     xmax = float(np.max(np.abs(x))) if x.size else 0.0
     for blk in prob.blocks:
-        V = blk.expr.const + np.tensordot(x[blk.expr.keys], blk.expr.coeffs, 1)
+        V = dense_value(blk.expr, x)
         V = 0.5 * (V + V.T)
         eigs = np.linalg.eigvalsh(V)
         scale = 1.0 + np.linalg.norm(blk.expr.const, "fro")
@@ -336,7 +348,7 @@ def reference_verify(prob, x, lin_tol=1e-8, eig_margin=1e-10):
     rows = prob.linear
     if len(rows):
         sign, rhs = np.array(rows.sign), np.array(rows.rhs)
-        d = x[rows.expr.keys] @ rows.expr.coeffs[:, :, 0] - rhs
+        d = dense_value(rows.expr, x)[:, 0] - rhs
         viol = np.where(sign, sign * d, np.abs(d))
         tol = lin_tol * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
         ok = ok and not np.any(viol > tol)
@@ -517,8 +529,8 @@ def reference_block(rows):
             const[ro[i]:ro[i + 1], co[j]:co[j + 1]] = b.const
             if b.keys.size:
                 coeffs[np.searchsorted(keys, b.keys), ro[i]:ro[i + 1],
-                       co[j]:co[j + 1]] = b.coeffs
-    return AffineMatrix(total, const, keys, coeffs)
+                       co[j]:co[j + 1]] = b.dense()
+    return AffineMatrix.from_dense(keys, coeffs, const)
 
 
 def reference_blkdiag(*exprs):
@@ -528,7 +540,7 @@ def reference_blkdiag(*exprs):
 
 
 def _smul(scalar, M):
-    return AffineMatrix(M.shape, scalar.const[0, 0] * M, scalar.keys, scalar.coeffs * M)
+    return AffineMatrix.from_dense(scalar.keys, scalar.dense() * M, scalar.const[0, 0] * M)
 
 
 def _embed_state_block(expr, p):
@@ -550,7 +562,7 @@ def convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, m
              (0, N + nd, A), (0, N + nd, B), (0, N + nc, QB),
              (N + nd, 0, A.T), (N + nd, 0, B.T), (N + nc, 0, QB.T)]
     if nd:
-        terms += [(N, N, p_terms(top, P11.keys)), (N, N, -P11)]
+        terms += [(N, N, AffineMatrix.from_dense(P11.keys, p_terms(top))), (N, N, -P11)]
     return terms + [(N + nd, N + nd, -P22), (N, N, congruence(CcDc, md))]
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,27 @@ class TestNonFiniteBounds:
         captured = capsys.readouterr()
         assert "m and L must be finite" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestHugeNoiseChannelFile:
+    """A file: algorithm whose D (the default noise channel's C_perf) is
+    finite but would overflow the H2 blocks' products exits 2 from
+    analyze-h2 with the message, before any product warns."""
+
+    def test_exits_usage(self, tmp_path, capfd):
+        # stable at m = 1, and D Ddagger = C Ddagger = I with D's huge entry
+        # on the column Ddagger does not read
+        algo = {"n": 2, "p": 1, "A": [[1.0, 0.5], [0.0, 0.3]], "B": [[-0.5], [0.0]],
+                "C": [[1.0, 1.0]], "D": [[1.0, 1e160]], "Ddagger": [[1.0], [0.0]]}
+        path = tmp_path / "algo.json"
+        path.write_text(json.dumps(algo))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = RUN("analyze-h2", "--algo", f"file:{path}", "--m", "1", "--L", "10")
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "C_perf: entries up to 1e+160" in err and "Traceback" not in err
 
 
 class TestNonFiniteAlgorithmFile:

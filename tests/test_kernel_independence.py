@@ -5,7 +5,11 @@ entry, never a BLAS product, so the rate, H2 and rate-slack problems of
 the named algorithms hash equal in this process and in two subprocesses
 that run OpenBLAS's FMA-free Nehalem kernel and its FMA Haswell kernel
 (``OPENBLAS_CORETYPE`` selects the kernel when OpenBLAS loads). Those
-kernels exist on x86-64 only.
+kernels exist on x86-64 only. ``verify`` evaluates every block and the
+row column by one scatter without BLAS, so those values at a seeded
+candidate, and verify's verdict there, hash equal too. Its worst margin
+is left out: it is an eigenvalue from LAPACK's eigvalsh, whose last bits
+follow the BLAS kernel.
 """
 
 import hashlib
@@ -26,16 +30,22 @@ BOUNDS10 = SectorBounds(1.0, 10.0)
 
 
 def _feed(h, prob):
-    """Variables, block names, senses, eps, scales and stacks, and rows."""
+    """Variables, block names, senses, eps, scales and stacks, rows, and at
+    a seeded candidate what verify reads: every block's value, the rows'
+    values, and its verdict."""
     h.update(repr([(v.name, v.kind, v.shape, v.offset, v.size) for v in prob.variables]).encode())
     for b in prob.blocks:
         h.update(repr((b.name, b.sense, b.eps, b.scale)).encode())
-        for a in (b.expr.keys, b.expr.const, b.expr.coeffs):
+        for a in (b.expr.keys, b.expr.const, b.expr.dense()):
             h.update(np.ascontiguousarray(a).tobytes())
     rows = prob.linear
-    for a in (rows.expr.keys, rows.expr.coeffs, rows.sign, rows.rhs):
+    for a in (rows.expr.keys, rows.expr.dense(), rows.sign, rows.rhs):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr(rows.name).encode())
+    x = np.random.default_rng(prob.nvars).standard_normal(prob.nvars)
+    for expr in [b.expr for b in prob.blocks] + [rows.expr]:
+        h.update(expr.value(x).tobytes())
+    h.update(repr(prob.verify(x)[0]).encode())
 
 
 def analysis_digest() -> str:

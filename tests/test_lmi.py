@@ -114,7 +114,7 @@ class TestReducedAssembly:
         for ours, ref in zip(red.problem.blocks, direct.problem.blocks):
             np.testing.assert_allclose(ours.expr.const, ref.expr.const, atol=1e-14)
             np.testing.assert_array_equal(ours.expr.keys, ref.expr.keys)
-            np.testing.assert_allclose(ours.expr.coeffs, ref.expr.coeffs, atol=1e-14)
+            np.testing.assert_allclose(ours.expr.dense(), ref.expr.dense(), atol=1e-14)
 
     def test_feasibility_agrees_on_random_instances(self):
         rng = np.random.default_rng(99)
@@ -270,7 +270,7 @@ class TestStructuredRate:
         for ours, ref in zip(struct.problem.blocks, plain.problem.blocks):
             np.testing.assert_allclose(ours.expr.const, ref.expr.const, atol=1e-13)
             np.testing.assert_array_equal(ours.expr.keys, ref.expr.keys)
-            np.testing.assert_allclose(ours.expr.coeffs, ref.expr.coeffs, atol=1e-13)
+            np.testing.assert_allclose(ours.expr.dense(), ref.expr.dense(), atol=1e-13)
 
 
 class TestStructuredDataRefused:
@@ -418,10 +418,10 @@ class TestRhoFreeParts:
             a, b = got.linear, ref.linear
             assert a.name == b.name
             for x, y in ((a.sign, b.sign), (a.rhs, b.rhs), (a.expr.keys, b.expr.keys),
-                         (a.expr.const, b.expr.const), (a.expr.coeffs, b.expr.coeffs)):
+                         (a.expr.const, b.expr.const), (a.expr.dense(), b.expr.dense())):
                 assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
             assert md.keys.tobytes() == theta.keys.tobytes()
-            assert md.coeffs is m_delta_coefficients(st)
+            assert md.dense().tobytes() == m_delta_coefficients(st).tobytes()
 
 
 def _direct_and_reference(monkeypatch, build, use_reference=use_reference_builders):
@@ -443,7 +443,7 @@ def _assert_same_problem(got, ref):
     assert got.to_json_dict() == ref.to_json_dict()
     for a, b in zip(got.blocks, ref.blocks):
         for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
-                     (a.expr.coeffs, b.expr.coeffs)):
+                     (a.expr.dense(), b.expr.dense())):
             assert np.array_equal(x, y)
             assert x.tobytes() == y.tobytes()
 
@@ -525,7 +525,7 @@ class TestH2SchurBlock:
                                              [NPNB2.T, prob.variable_expr("Z")]])
         (got,) = [b.expr for b in prob.blocks if b.name == "h2-trace-schur"]
         for x, y in ((got.keys, want.keys), (got.const, 0.5 * (want.const + want.const.T)),
-                     (got.coeffs, want.coeffs)):
+                     (got.dense(), want.dense())):
             assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
 
 
@@ -563,7 +563,42 @@ class TestTinyRhoRefused:
         algo = make_named("gd", bounds)
         st = ZamesFalbStructure(1, 0, 1, "unstructured", 1e-150)
         asm = assemble_rate_for(algo, bounds, st, 1e-150)
-        assert all(np.isfinite(b.expr.coeffs).all() for b in asm.problem.blocks)
+        assert all(np.isfinite(b.expr.dense()).all() for b in asm.problem.blocks)
+
+
+class TestHugeNoiseChannelRefused:
+    """A noise channel whose entries would overflow the H2 blocks' products
+    is refused, naming the channel, before any product: no RuntimeWarning
+    is raised."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_as_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @staticmethod
+    def _channel(scale, which):
+        algo = make_named("gd", BOUNDS10)
+        loop = UncertainLoop(algo.nominal_matrix(BOUNDS10.m), algo.B, algo.C, 9.0)
+        B_perf, C_perf = np.ones((loop.nstates, 1)), np.ones((1, loop.nstates))
+        if which == "B_perf":
+            B_perf = scale * B_perf
+        else:
+            C_perf = scale * C_perf
+        return build_perf_plant_loop(loop, ST10, B_perf, C_perf)
+
+    @pytest.mark.parametrize("which", ["B_perf", "C_perf"])
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, np.inf, np.nan])
+    def test_refused(self, which, scale):
+        with pytest.raises(DomainError, match=f"{which}: entries up to"):
+            self._channel(scale, which)
+
+    @pytest.mark.parametrize("which", ["B_perf", "C_perf"])
+    def test_channel_that_fits_is_built(self, which):
+        asm = assemble_h2(self._channel(1e60, which))
+        assert all(np.isfinite(b.expr.const).all() and np.isfinite(b.expr.val).all()
+                   for b in asm.problem.blocks)
 
 
 def _synthesis_builds(n, p, klass):
@@ -594,9 +629,10 @@ def _reference_verify_bits(prob, x):
 
 
 class TestVerifyMatchesReference:
-    """verify returns the bits of its first formula (tensordot, the block
-    scale per call, rows from lists) on every finite candidate, also after
-    a JSON round trip."""
+    """verify returns the bits of its first formula (the block scale per
+    call, rows from lists), with every block and the row column evaluated
+    by value's definition on the dense stack, on every finite candidate,
+    also after a JSON round trip."""
 
     @staticmethod
     def _assert_same_verify(prob):
@@ -676,7 +712,7 @@ class TestKypScatter:
         out = np.random.default_rng(n).normal(size=(2, m))
         got = lmi._kyp(AB, P, (out, X))
         ref = ref_builders.reference_kyp(AB, P, (out, X))
-        for x, y in ((got.keys, ref.keys), (got.const, ref.const), (got.coeffs, ref.coeffs)):
+        for x, y in ((got.keys, ref.keys), (got.const, ref.const), (got.dense(), ref.dense())):
             assert x.tobytes() == y.tobytes()
 
     @staticmethod
@@ -742,9 +778,9 @@ class TestKypScatter:
                     n = AB.shape[0]
                     prob = SdpProblem()
                     P = prob.add_symmetric("P", n)
-                    blas = congruence(AB, P).coeffs
-                    blas[:, :n, :n] -= P.coeffs
-                    got = lmi._kyp(AB, prob.variables[0]).coeffs
+                    blas = congruence(AB, P).dense()
+                    blas[:, :n, :n] -= P.dense()
+                    got = lmi._kyp(AB, prob.variables[0]).dense()
                     assert got.tobytes() == blas.tobytes()
 
     def test_two_product_entry_is_the_sum_of_rounded_products(self):
@@ -756,7 +792,7 @@ class TestKypScatter:
         AB = np.array([[0.5, x, v], [0.0, u, y]])
         prob = SdpProblem()
         P = prob.declare("P", "symmetric", (2, 2))
-        got = lmi._kyp(AB, P).coeffs[1, 1, 2]     # E_01 is P's basis row 1
+        got = lmi._kyp(AB, P).dense()[1, 1, 2]     # E_01 is P's basis row 1
         want = float(x * y) + float(u * v)
         fused = [float(Fraction(a) * Fraction(b) + Fraction(c * d))
                  for a, b, c, d in ((x, y, u, v), (u, v, x, y))]
@@ -777,7 +813,7 @@ class TestSolverInputIdentity:
             assert (a.name, a.sense, a.eps) == (b.name, b.sense, b.eps)
             assert a.expr.keys.tobytes() == b.expr.keys.tobytes()
             assert a.expr.const.tobytes() == b.expr.const.tobytes()
-            assert _sym_stack(a.expr.coeffs).tobytes() == b.expr.coeffs.tobytes()
+            assert _sym_stack(a.expr.dense()).tobytes() == b.expr.dense().tobytes()
         rng = np.random.default_rng(got.nvars)
         for _ in range(3):
             x = rng.standard_normal(got.nvars)
@@ -862,7 +898,7 @@ def _assert_same_values(got, ref):
         [(b.name, b.sense, b.eps) for b in ref.blocks]
     for a, b in zip(got.blocks, ref.blocks):
         for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
-                     (a.expr.coeffs, b.expr.coeffs)):
+                     (a.expr.dense(), b.expr.dense())):
             assert x.shape == y.shape and np.array_equal(x, y)
     assert got.nvars == ref.nvars
     assert got.to_json_dict()["linear"] == ref.to_json_dict()["linear"]
@@ -900,7 +936,7 @@ class TestPlacedSynthesisBlocks:
                 assert [b.name for b in got.blocks] == [b.name for b in ref.blocks]
                 for a, b in zip(got.blocks, ref.blocks):
                     for x, y in ((a.expr.keys, b.expr.keys), (a.expr.const, b.expr.const),
-                                 (a.expr.coeffs, b.expr.coeffs)):
+                                 (a.expr.dense(), b.expr.dense())):
                         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("which", [0, 1, 2])

@@ -23,14 +23,14 @@ from reference_builders import reference_add_linear
 def _random_expr(rng, shape, nvars):
     """An expression holding a random subset of the nvars variables."""
     keys = np.sort(rng.choice(nvars, size=int(rng.integers(0, nvars + 1)), replace=False))
-    return AffineMatrix(shape, rng.standard_normal(shape), keys,
-                        rng.standard_normal((keys.size,) + tuple(shape)))
+    const = rng.standard_normal(shape)
+    return AffineMatrix.from_dense(keys, rng.standard_normal((keys.size,) + tuple(shape)), const)
 
 
 def _dense(expr, x):
     """Reference evaluation, one variable at a time."""
     out = expr.const.copy()
-    for k, C in zip(expr.keys, expr.coeffs):
+    for k, C in zip(expr.keys, expr.dense()):
         out += x[k] * C
     return out
 
@@ -59,12 +59,12 @@ class TestAffineMatrix:
         T = rng.normal(size=(4, 3))
         T[1] = -0.0
         for keys in (np.array([0, 2, 5]), np.zeros(0, dtype=np.intp)):
-            X = AffineMatrix((4, 4), rng.normal(size=(4, 4)), keys,
-                             rng.normal(size=(keys.size, 4, 4)))
+            const = rng.normal(size=(4, 4))
+            X = AffineMatrix.from_dense(keys, rng.normal(size=(keys.size, 4, 4)), const)
             got, want = congruence(T, X), (T.T @ X) @ T
             assert got.shape == want.shape == (3, 3)
             for a, b in ((got.keys, want.keys), (got.const, want.const),
-                         (got.coeffs, want.coeffs)):
+                         (got.dense(), want.dense())):
                 assert a.tobytes() == b.tobytes()
 
     def test_matmul_both_sides(self):
@@ -108,13 +108,18 @@ class TestAffineMatrix:
 
     def test_upper_triangle_is_shared_and_read_only(self):
         for n in range(0, 41):
-            i, j, off, table = upper_triangle(n)
-            np.testing.assert_array_equal(off, np.flatnonzero(i != j))
+            i, j, table, bk, br, bc = upper_triangle(n)
             k = np.arange(i.size)
             np.testing.assert_array_equal(table[i, j], k)
             np.testing.assert_array_equal(table[j, i], k)
+            # the unit basis's entries: E_ij + E_ji, key-major, (i, j) first
+            basis = np.zeros((i.size, n, n))
+            basis[k, i, j] = basis[k, j, i] = 1.0
+            kk, pp = basis.reshape(i.size, n * n).nonzero()
+            np.testing.assert_array_equal(bk, kk)
+            np.testing.assert_array_equal(br * n + bc, pp)
             assert upper_triangle(n) is upper_triangle(n)
-            for arr in (i, j, off, table):
+            for arr in (i, j, table, bk, br, bc):
                 assert not arr.flags.writeable
         assert upper_triangle.cache_info().maxsize == PATTERN_CACHE_SIZE
 
@@ -142,8 +147,9 @@ class TestAffineMatrix:
             elif kind == 1:    # consecutive keys, as a declared variable has
                 lo = int(rng.integers(nvars))
                 hi = int(rng.integers(lo, nvars)) + 1
-                e = AffineMatrix((r, c), rng.standard_normal((r, c)), np.arange(lo, hi),
-                                 rng.standard_normal((hi - lo, r, c)))
+                const = rng.standard_normal((r, c))
+                e = AffineMatrix.from_dense(np.arange(lo, hi),
+                                            rng.standard_normal((hi - lo, r, c)), const)
             elif kind == 2:    # a transposed view
                 e = _random_expr(rng, (c, r), nvars).T
             else:              # a constant without keys
@@ -153,7 +159,7 @@ class TestAffineMatrix:
         got = place((rows, cols), terms)
         used = [AffineMatrix.lift(e).keys for _, _, e in terms]
         assert list(got.keys) == sorted(set(np.concatenate([[]] + used).astype(int)))
-        assert got.shape == (rows, cols) and got.coeffs.shape == (got.keys.size, rows, cols)
+        assert got.shape == (rows, cols) and got.dense().shape == (got.keys.size, rows, cols)
         np.testing.assert_allclose(got.value(x), want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(_dense(got, x), want, rtol=1e-12, atol=1e-12)
 
@@ -196,7 +202,7 @@ class TestAffineMatrix:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_slice_is_the_selector_product(self, r, c, nvars, seed):
         """E[a:b, d:e] holds the bits of the 0/1 selector product S_r E S_c,
-        as views of E's arrays, on the same keys."""
+        its constant a view of E's, on the same keys."""
         rng = np.random.default_rng(seed)
         E = _random_expr(rng, (r, c), nvars)
         a, b = sorted(rng.integers(0, r + 1, size=2))
@@ -208,8 +214,8 @@ class TestAffineMatrix:
             want = (np.eye(r)[rows] @ E) @ np.eye(c)[:, cols]
             assert got.shape == want.shape == got.const.shape
             assert got.keys is E.keys
-            assert np.shares_memory(got.coeffs, E.coeffs) or not got.coeffs.size
-            for x, y in ((got.const, want.const), (got.coeffs, want.coeffs)):
+            assert np.shares_memory(got.const, E.const) or not got.const.size
+            for x, y in ((got.const, want.const), (got.dense(), want.dense())):
                 assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
 
     @pytest.mark.parametrize("index", [0, (0, 0), (slice(None), 0), (0, slice(None)),
@@ -217,7 +223,7 @@ class TestAffineMatrix:
                                        (slice(None),), (slice(None),) * 3,
                                        [slice(None), slice(None)]])
     def test_index_other_than_two_slices_refused(self, index):
-        E = AffineMatrix((2, 3), np.ones((2, 3)), [0], np.ones((1, 2, 3)))
+        E = AffineMatrix.from_dense([0], np.ones((1, 2, 3)), np.ones((2, 3)))
         with pytest.raises(ArgumentError, match="pair of slices"):
             E[index]
 
@@ -231,7 +237,7 @@ class TestAsymmetricBlock:
         def build(const, coeffs):
             prob = SdpProblem()
             keys = [prob.declare(f"x{k}", "scalar", (1, 1)).offset for k in range(len(coeffs))]
-            prob.add_lmi(AffineMatrix(const.shape, const, keys, coeffs), "pos")
+            prob.add_lmi(AffineMatrix.from_dense(keys, coeffs, const), "pos")
             return prob
 
         sym = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
@@ -251,7 +257,7 @@ class TestAsymmetricBlock:
         S[0] = 10.0 * np.eye(m)          # x0 large makes the block positive
         C = -np.eye(m)
         prob, twin = self._pair(self._skewed(rng, C), self._skewed(rng, S))
-        assert not np.array_equal(prob.blocks[0].expr.coeffs, twin.blocks[0].expr.coeffs)
+        assert not np.array_equal(prob.blocks[0].expr.dense(), twin.blocks[0].expr.dense())
         assert prob.blocks[0].eps == twin.blocks[0].eps
         for _ in range(20):
             x = rng.standard_normal(3)
@@ -267,7 +273,7 @@ class TestAsymmetricBlock:
         rng = np.random.default_rng(12)
         W = rng.standard_normal((1, 3, 3))
         prob, twin = self._pair(-np.eye(3), W - W.transpose(0, 2, 1))
-        assert not np.any(twin.blocks[0].expr.coeffs)
+        assert not np.any(twin.blocks[0].expr.dense())
         for x in (np.array([0.0]), np.array([100.0]), np.array([-1e3])):
             assert prob.verify(x) == twin.verify(x)
         assert solve(prob).status == solve(twin).status
@@ -301,7 +307,7 @@ class TestLinearRows:
         assert bulk.to_json_dict()["linear"] == rows.to_json_dict()["linear"]
         a, b = bulk.linear, rows.linear
         assert len(a) == len(b) == 3 and a.name == b.name
-        for got, want in ((a.expr.keys, b.expr.keys), (a.expr.coeffs, b.expr.coeffs),
+        for got, want in ((a.expr.keys, b.expr.keys), (a.expr.dense(), b.expr.dense()),
                           (a.sign, b.sign), (a.rhs, b.rhs)):
             np.testing.assert_array_equal(got, want)
 
@@ -351,10 +357,10 @@ class TestRowColumn:
             rhs = rng.standard_normal(r)
             names = [f"c{len(calls)}r{i}" for i in range(r)]
             if per_row:
-                prob.add_linear(AffineMatrix((r, 1), const, keys, C), senses, rhs, names)
+                prob.add_linear(AffineMatrix.from_dense(keys, C, const), senses, rhs, names)
             else:
                 senses, rhs, names = [senses[0]] * r, np.full(r, rhs[0]), [names[0]] * r
-                prob.add_linear(AffineMatrix((r, 1), const, keys, C), senses[0], rhs[0], names[0])
+                prob.add_linear(AffineMatrix.from_dense(keys, C, const), senses[0], rhs[0], names[0])
             calls.append((keys, C[:, :, 0], const[:, 0], senses, rhs, names))
         prob.add_scalar("late")   # held by no row
         return prob, calls
@@ -535,7 +541,7 @@ class TestNonFiniteData:
         const = np.zeros((3, 3))
         const[0, 0] = np.nan
         with pytest.raises(DomainError, match="non-finite constant or eps"):
-            prob.add_lmi(AffineMatrix((3, 3), const, t.keys, np.eye(3)[None]), "pos")
+            prob.add_lmi(AffineMatrix.from_dense(t.keys, np.eye(3)[None], const), "pos")
         assert not prob.blocks
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
@@ -558,7 +564,7 @@ class TestNonFiniteData:
     def _valid_dict():
         prob = SdpProblem()
         t = prob.add_scalar("t")
-        prob.add_lmi(AffineMatrix((3, 3), np.eye(3), t.keys, np.eye(3)[None]), "pos")
+        prob.add_lmi(AffineMatrix.from_dense(t.keys, np.eye(3)[None], np.eye(3)), "pos")
         prob.add_linear(t, "<=", 1.0)
         assert prob.verify(np.array([0.5]))[0]
         return prob.to_json_dict()
