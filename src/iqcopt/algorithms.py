@@ -131,14 +131,7 @@ class AlgorithmRealization:
         return self.A + m * self.B @ self.C
 
     def nominal_radius(self, m: float) -> float:
-        """Spectral radius of nominal_matrix(m), kept for the last m asked for.
-
-        The rate probes of one certification share the algorithm and m, so
-        they share one eigenvalue computation.
-        """
-        if vars(self).get("_radius", (None,))[0] != m:
-            vars(self)["_radius"] = (m, spectral_radius(self.nominal_matrix(m)))
-        return self._radius[1]
+        return spectral_radius(self.nominal_matrix(m))
 
 
 KINDS = ("gd", "nm", "nm_mod", "tmm", "hb")
@@ -148,7 +141,6 @@ _KIND_ALIASES = {
     "nm": "nm",
     "nm-mod": "nm_mod",
     "nm_mod": "nm_mod",
-    "nm_modified": "nm_mod",
     "tmm": "tmm",
     "hb": "hb",
 }
@@ -178,23 +170,6 @@ def table_parameters(kind: str, bounds: SectorBounds) -> tuple[float, float, flo
         nu2 = ((np.sqrt(L) - np.sqrt(m)) / (np.sqrt(L) + np.sqrt(m))) ** 2
         return nu1, nu2, 0.0
     raise ArgumentError(f"unknown algorithm kind {kind!r}; expected one of {KINDS}")
-
-
-def known_rate(kind: str, bounds: SectorBounds) -> float | None:
-    """Published worst-case rate bound; None when no global bound exists (hb)."""
-    kap = bounds.kappa
-    if kind == "gd":
-        return (kap - 1) / (kap + 1)
-    if kind == "nm":
-        # improved bound for the classical parameters
-        return float(np.sqrt(1 - np.sqrt(2 * kap - 1) / kap))
-    if kind == "nm_mod":
-        return float(np.sqrt(1 - np.sqrt(2 * kap - 1) / kap))
-    if kind == "tmm":
-        return 1 - 1 / np.sqrt(kap)
-    if kind == "hb":
-        return None
-    raise ArgumentError(f"unknown algorithm kind {kind!r}")
 
 
 def make_named(kind: str, bounds: SectorBounds, p: int = 1) -> AlgorithmRealization:
@@ -291,7 +266,9 @@ def chain_matrices(n: int, p: int):
 
 
 def canonical_output(n: int, p: int):
-    """C = D = [I 0 ... 0], Ddagger = C^T."""
+    """C = D = [I 0 ... 0], Ddagger = C^T; DomainError unless n >= 1."""
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
     C = np.zeros((p, n * p))
     C[:, :p] = np.eye(p)
     return C, C.copy(), C.T.copy()
@@ -332,8 +309,8 @@ def reduce_to_scalar_block(algo: AlgorithmRealization) -> AlgorithmRealization:
     A realization stored with q = p gives its stored core. A dense one
     (q = 1, such as a loaded file or a `from_structured` realization) is
     factored by `kronecker_factor`, which raises StructureError when it is
-    not of that form. Every later call returns the same core, so the plant
-    part and nominal radius kept on it are shared.
+    not of that form. Every later call returns the same core, so rate
+    probes on it share the kept plant part and its nominal radius.
     """
     if algo.p == 1:
         return algo

@@ -41,10 +41,15 @@ BMI_H2_REL_TOL = 1e-3
 
 @dataclass
 class BisectionConfig:
-    """Rate bisection on [nominal spectral radius + 1e-6, rho_hi]."""
+    """Rate bisection on [nominal spectral radius + 1e-6, rho_hi], down to a
+    bracket no wider than tol; a NaN or negative tol raises DomainError."""
 
     rho_hi: float = 1.0
     tol: float = 1e-4
+
+    def __post_init__(self):
+        if not self.tol >= 0:       # NaN too: hi - lo > nan is never true
+            raise DomainError(f"tol must be a nonnegative number, got {self.tol}")
 
 
 @dataclass
@@ -380,7 +385,8 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
     kappa0 = min(kappa_goal, 0.8 * (1 + target_rho) / (1 - target_rho))
     algo = None
     rho0 = None
-    while kappa0 >= 1.02:
+    # shrink the class down to kappa0 = 1.02, or to kappa itself when that is below
+    while kappa0 >= min(1.02, kappa_goal):
         bnds0 = SectorBounds(bounds.m, bounds.m * kappa0)
         cand, rho0 = _structured_initializer(n, p, bounds=bnds0, options=options)
         ok, _, _ = _rate_feasible(cand, bnds0, structure, target_rho,

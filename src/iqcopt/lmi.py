@@ -6,33 +6,34 @@ All analysis inequalities share one KYP-style congruence
 
 with the multiplier matrix M affine in the kernel parameters. Every
 block is written as the entries of its coefficient matrices (see
-:mod:`iqcopt.problem`); no builder forms a dense K x m x m stack. P's
-unit basis is never built: ``_p_terms`` lists the product of each pair
-of nonzeros of [A B] as a term of its entry of P's terms, and the terms
-of an entry are summed in a fixed order, so P's terms hold the same bits
-on any BLAS kernel. They are the rank-2 matrices a_i^T a_j + a_j^T a_i,
-nonzero only where [A B] has nonzero columns. P is declared before the
-multiplier's variables, so a block's keys are P's range followed by
-theirs, and its entries are P's followed by the multiplier's, key-major
-without a sort.
+:mod:`iqcopt.problem`); no builder forms a dense K x m x m stack. One
+writer, ``_kyp``, writes every KYP term: P's unit basis is never built,
+the product of each pair of nonzeros of [A B] is listed as a term of its
+entry of P's terms, and the terms of an entry are summed in a fixed
+order, so P's terms hold the same bits on any BLAS kernel. They are the
+rank-2 matrices a_i^T a_j + a_j^T a_i, nonzero only where [A B] has
+nonzero columns. P is declared before the multiplier's variables, so a
+block's keys are P's range followed by theirs, and its entries are P's
+followed by the multiplier's, key-major without a sort.
 Synthesis variants reshuffle the same blocks by Schur complement so the
 algorithm matrices appear linearly. ``place`` sums a synthesis block's
 (row offset, column offset, term) list entry by entry; the terms of an
 entry are listed in the order the entry is summed in, so every block
-holds the numbers of the term-by-term sum. The convex blocks place only
-their multiplier and constant terms so; every other term is a declared
-variable's unit basis times constants, so -1 at P22's entries, the
-algorithm rows of QA and QB in TR and P11's terms, from ``_p_terms``,
-are listed as entries beside them. A BMI half-step places its constant
-and multiplier terms so, and lists the terms of A and B column by column
-from the nonzeros of the algorithm rows bot: TR's columns P22[:, a] v
-and the cross term's columns top^T (P12[:, a] v), all from one product,
-in the association of top^T (P12 bot). Either way the blocks hold the
-same bits as the dense per-key terms. A sub-block of a variable is a
-slice of its expression, never a product with a 0/1 selector: the H2
-Schur block reads P's algorithm block P[nd:, nd:], and with canonical
-Ddagger = [I; 0] the fixed-point rows (A - I) Ddagger = 0 are the first p
-columns, QA[:, :p] - P22[:, :p] and A[:, :p] - Ddagger. Strict
+holds the numbers of the term-by-term sum. A convex block places the
+KYP term of its multiplier states, ``_kyp``'s on P11, and its constant
+terms so; its own terms, -1 at P22's entries and the algorithm rows of
+QA and QB in TR, are a declared variable's unit basis times constants
+and are listed as entries beside them. A BMI half-step places its
+constant and multiplier terms so, and lists the terms of A and B column
+by column from the nonzeros of the algorithm rows bot: TR's columns
+P22[:, a] v and the cross term's columns top^T (P12[:, a] v), all from
+one product, in the association of top^T (P12 bot). Either way the
+blocks hold the same bits as the dense per-key terms. A sub-block of a
+variable is a slice of its expression, never a product with a 0/1
+selector: the H2 Schur block reads P's algorithm block P[nd:, nd:], and
+with canonical Ddagger = [I; 0] the fixed-point rows (A - I) Ddagger = 0
+are the first p columns, QA[:, :p] - P22[:, :p] and A[:, :p] - Ddagger,
+which ``_design`` sets exactly when it decodes a design. Strict
 inequalities carry a relative margin eps = 1e-7 (1 + ||const||_F);
 certificates are rechecked by eigenvalue computation in the solver
 layer, so a reported certificate always holds numerically.
@@ -117,31 +118,6 @@ def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameter
         np.asarray(theta_value).ravel())))
 
 
-def _p_terms(AB: np.ndarray):
-    """The entries of AB^T P AB - blkdiag(P, 0) on P's unit basis, one
-    basis row per element of the symmetric n x n P: sorted codes
-    k m^2 + c m + d for basis row k and entry (c, d), and their values.
-
-    For the rows a_i of AB, entry (c, d) of P's term is, for E_ij + E_ji
-    with i < j, 0 + a_i[c] a_j[d] + a_j[c] a_i[d], and for E_ii it is
-    0 + a_i[c] a_i[d], then minus 1 where the basis has a 1: each product
-    rounded, then summed in that order, so every entry holds the same
-    bits on any BLAS kernel. [A B] is as sparse as Kronecker lifts and
-    shift chains make it, so the product of each ordered pair of AB's
-    nonzeros is listed at its basis row and entry, pairs in order of the
-    first nonzero, row by row, so the lower row's product comes first;
-    the basis's -1 entries come last.
-    """
-    n, m = AB.shape
-    _, _, table, bk, br, bc = upper_triangle(n)
-    r, c = AB.nonzero()
-    v = AB[r, c]
-    mm = m * m
-    pairs = table.take(r, 0).take(r, 1) * mm + np.add.outer(c * m, c)
-    return sum_codes(np.concatenate([pairs.ravel(), bk * mm + br * m + bc]),
-                     np.concatenate([np.multiply.outer(v, v).ravel(), np.full(bk.size, -1.0)]))
-
-
 def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
 
@@ -149,17 +125,29 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     The block is the sum over the row blocks of out, AB^T P AB -
     blkdiag(P, 0) + sum_b out_b^T X_b out_b, written as entries over the
     key union, so neither the zero-padded middle matrix nor P's unit
-    basis is built: ``_p_terms`` gives P's entries. A row variable's
-    matrices are few and small (a multiplier's, a slack's), so each row
-    term is the batched product (out_b^T F) out_b of X_b's dense stack F,
-    and its entries are 0.0 plus the product's that are not +0.0.
+    basis is built.
+
+    P's terms are listed on its unit basis, one basis row per element of
+    the symmetric n x n P, at codes k m^2 + c m + d for basis row k and
+    entry (c, d). For the rows a_i of AB, entry (c, d) of P's term is, for
+    E_ij + E_ji with i < j, 0 + a_i[c] a_j[d] + a_j[c] a_i[d], and for E_ii
+    it is 0 + a_i[c] a_i[d], then minus 1 where the basis has a 1: each
+    product rounded, then summed in that order, so every entry holds the
+    same bits on any BLAS kernel. [A B] is as sparse as Kronecker lifts
+    and shift chains make it, so the product of each ordered pair of AB's
+    nonzeros is listed at its basis row and entry, pairs in order of the
+    first nonzero, row by row, so the lower row's product comes first;
+    the basis's -1 entries come last. A row variable's matrices are few
+    and small (a multiplier's, a slack's), so each row term is the
+    batched product (out_b^T F) out_b of X_b's dense stack F, and its
+    entries are 0.0 plus the product's that are not +0.0.
 
     Every caller declares P before the row variables, so the key union is
     P's range followed by each X_b's keys in turn, and the entries are
     P's followed by each row term's. Keys out of that order raise
     ArgumentError.
     """
-    m = AB.shape[1]
+    n, m = AB.shape
     last = P.offset + P.size - 1
     for _, X in rows:
         if X.keys.size:
@@ -169,10 +157,17 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
                     "declare P before the row variables, in order")
             last = X.keys[-1]
     keys = np.concatenate([P.offset + np.arange(P.size)] + [X.keys for _, X in rows])
-    code, val = _p_terms(AB)
+    _, _, table, bk, br, bc = upper_triangle(n)
+    r, c = AB.nonzero()
+    v = AB[r, c]
+    mm = m * m
+    pairs = table.take(r, 0).take(r, 1) * mm + np.add.outer(c * m, c)
+    code, val = sum_codes(np.concatenate([pairs.ravel(), bk * mm + br * m + bc]),
+                          np.concatenate([np.multiply.outer(v, v).ravel(),
+                                          np.full(bk.size, -1.0)]))
     codes, vals = [code], [val]
     const = np.zeros((m, m))
-    lo = P.size * m * m
+    lo = P.size * mm
     for out_b, X in rows:
         if X.const.any():
             const += (out_b.T @ X.const) @ out_b
@@ -181,7 +176,7 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
             at = F.view(np.int64).nonzero()[0]
             codes.append(lo + at)
             vals.append(0.0 + F[at])
-        lo += X.keys.size * m * m
+        lo += X.keys.size * mm
     return from_codes((m, m), const, keys, np.concatenate(codes), np.concatenate(vals))
 
 
@@ -329,21 +324,25 @@ class ConvexSynthAssembly:
     with_perf: bool = False
 
     def decode(self, sol: SdpSolution) -> SynthesisResult:
-        P22 = np.asarray(sol.values["P22"])
-        QA = np.asarray(sol.values["QA"])
-        QB = np.asarray(sol.values["QB"])
-        A = np.linalg.solve(P22, QA)
-        B = np.linalg.solve(P22, QB)
-        C, D, Dd = canonical_output(self.n, self.p)
-        # the linear equality (QA - P22) Ddagger = 0 holds to solver
-        # tolerance only; enforce the fixed-point property exactly
-        A[:, :self.p] = Dd
-        algo = AlgorithmRealization(A, B, C, D, Dd, n=self.n, p=self.p)
-        gamma = None
-        if self.with_perf and "t" in sol.values:
-            gamma = float(np.sqrt(max(float(sol.values["t"]), 0.0)))
-        return SynthesisResult(algo=algo, P22=P22, QA=QA, QB=QB,
-                               rho=self.rho, gamma=gamma)
+        P22, QA, QB = (np.asarray(sol.values[k]) for k in ("P22", "QA", "QB"))
+        return _design(self, sol, np.linalg.solve(P22, QA), np.linalg.solve(P22, QB),
+                       P22=P22, QA=QA, QB=QB)
+
+
+def _design(asm, sol: SdpSolution, A: np.ndarray, B: np.ndarray, **found) -> SynthesisResult:
+    """The designed algorithm (A, B) of a synthesis assembly's solution.
+
+    The fixed-point equality (A - I) Ddagger = 0 is affine and the solver
+    meets it only to its own tolerance, so A's first p columns are set to
+    the canonical Ddagger exactly; with the H2 objective gamma = sqrt(t).
+    """
+    C, D, Dd = canonical_output(asm.n, asm.p)
+    A[:, :asm.p] = Dd
+    gamma = None
+    if asm.with_perf and "t" in sol.values:
+        gamma = float(np.sqrt(max(float(sol.values["t"]), 0.0)))
+    return SynthesisResult(algo=AlgorithmRealization(A, B, C, D, Dd, n=asm.n, p=asm.p),
+                           rho=asm.rho, gamma=gamma, **found)
 
 
 def _algorithm_rows(N: int, p: int, sector_m: float, C: np.ndarray, scale: float):
@@ -359,30 +358,32 @@ def _algorithm_rows(N: int, p: int, sector_m: float, C: np.ndarray, scale: float
     return rows, np.concatenate([np.arange(N * N) // N, np.arange(N * p) // p])
 
 
-def _convex_synth_block(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
+def _convex_synth_block(sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
                         extra=()) -> AffineMatrix:
     """[[-P22, TR], [TR^T, U]] for the convex synthesis blocks.
 
     TR = [0  scale (QA + m QB C)  QB] and, with P = blkdiag(P11, P22),
     U = top^T P11 top - blkdiag(P, 0) + CcDc^T M CcDc: the A,B-dependent
     rows of [Ac Bc] are annihilated by P - N P22 N^T = blkdiag(P11, 0).
+    Without P22's entries U is the KYP term of the multiplier states,
+    ``_kyp(top, P11, (CcDc, M))``, or the multiplier term alone when
+    there are none (nd = 0, no P11).
 
-    ``place`` sums the multiplier term and the constant ``extra`` terms
-    over a key union that holds the keys of P22, P11, QA and QB too. Every
-    term of those four is a unit basis times constants, so their entries
-    are listed beside the placed ones: -1 at P22's entries in both of its
-    blocks; the rows ``_algorithm_rows`` gives QA's and QB's scalars,
-    scale at QA[a, b]'s entry and scale (m C[l, :]) and 1 at QB[a, l]'s,
-    in row a of TR, each beside its transpose; and P11's terms, from
-    ``_p_terms``. No entry of a key takes two of these terms, so the block
-    holds the bits of the term-by-term sum.
+    ``place`` sums that term and the constant ``extra`` terms over a key
+    union that holds the keys of P22, QA and QB too. Every term of those
+    three is a unit basis times constants, so their entries are listed
+    beside the placed ones: -1 at P22's entries in both of its blocks, and
+    the rows ``_algorithm_rows`` gives QA's and QB's scalars, scale at
+    QA[a, b]'s entry and scale (m C[l, :]) and 1 at QB[a, l]'s, in row a
+    of TR, each beside its transpose. No entry of a key takes two of these
+    terms, so the block holds the bits of the term-by-term sum.
     """
-    p = C.shape[0]
-    nc = nd + N
-    dim = N + nc + p
+    (N, _), (nd, mt), p = P22.shape, top.shape, C.shape[0]
+    dim = N + mt
     RC = dim * dim
-    blk = place((dim, dim), [(N, N, congruence(CcDc, md))] + list(extra),
-                keys=np.concatenate([X.keys for X in (P22, P11, QA, QB) if X is not None]))
+    U = _kyp(top, P11, (CcDc, md)) if nd else congruence(CcDc, md)
+    blk = place((dim, dim), [(N, N, U)] + list(extra),
+                keys=np.concatenate([P22.keys, QA.keys, QB.keys]))
     keys = blk.keys
     codes, vals = [blk.kix * RC + blk.pos], [blk.val]
     _, _, _, bk, br, bc = upper_triangle(N)
@@ -396,13 +397,6 @@ def _convex_synth_block(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, 
     a, tr = a[k], col + N + nd
     codes += [kq + a * dim + tr, kq + tr * dim + a]
     vals += [rows[k, col]] * 2
-    if nd:
-        mt = dim - N
-        code, val = _p_terms(top)
-        k11, rem = np.divmod(code, mt * mt)
-        row, col = np.divmod(rem, mt)
-        codes.append((k11 + np.searchsorted(keys, P11.keys[0])) * RC + (N + row) * dim + N + col)
-        vals.append(val)
     code, val = sum_codes(np.concatenate(codes), np.concatenate(vals))
     return from_codes((dim, dim), blk.const, keys, code, val)
 
@@ -417,12 +411,12 @@ def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
     C, D, Dd, nd, N, nc, top, CcDc = _synth_constants(n, p, bounds, structure, rho)
     prob = SdpProblem(f"synth[rho={rho:.6g}]")
     P22 = prob.add_symmetric("P22", N)
-    P11 = prob.add_symmetric("P11", nd) if nd else None
+    P11 = prob.declare("P11", "symmetric", (nd, nd)) if nd else None
     QA = prob.add_matrix("QA", N, N)
     QB = prob.add_matrix("QB", N, p)
     md = _add_multiplier(prob, structure)
-    prob.add_lmi(_convex_synth_block(N, nd, bounds.m, C, 1.0 / rho, P22, P11, QA, QB,
-                                     top, CcDc, md), "neg", name="synth-rate")
+    prob.add_lmi(_convex_synth_block(bounds.m, C, 1.0 / rho, P22, P11, QA, QB, top, CcDc, md),
+                 "neg", name="synth-rate")
     # (QA - P22) Ddagger = 0 with canonical Ddagger = [I; 0]: the first p columns
     prob.add_matrix_equality(QA[:, :p] - P22[:, :p], name="eq-fixedpoint")
     return ConvexSynthAssembly(prob, n, p, bounds, structure, rho)
@@ -440,15 +434,15 @@ def assemble_convex_synth_perf(n: int, p: int, bounds: SectorBounds,
     P22 = prob.variable_expr("P22")
     QA = prob.variable_expr("QA")
     QB = prob.variable_expr("QB")
-    Pp11 = prob.add_symmetric("Pp11", nd) if nd else None
+    Pp11 = prob.declare("Pp11", "symmetric", (nd, nd)) if nd else None
     md_p = _add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
     Z = prob.add_symmetric("Z", p)
     t = prob.add_scalar("t")
 
     # performance rows: C_perf = C on the algorithm states, zero elsewhere
     C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
-    prob.add_lmi(_convex_synth_block(N, nd, bounds.m, C, 1.0, P22, Pp11, QA, QB, top1, CcDc1,
-                                     md_p, [(N, N, C2.T @ C2)]), "neg", name="synth-h2")
+    prob.add_lmi(_convex_synth_block(bounds.m, C, 1.0, P22, Pp11, QA, QB, top1, CcDc1, md_p,
+                                     [(N, N, C2.T @ C2)]), "neg", name="synth-h2")
     trace_blk = AffineMatrix.block([[P22, QB], [QB.T, Z]])
     prob.add_lmi(trace_blk, "pos", name="synth-h2-trace")
     prob.add_linear(Z.trace() - t, "<=", 0.0, name="trZ<=t")
@@ -473,17 +467,8 @@ class BmiFixedPAssembly:
     slack: bool
 
     def decode(self, sol: SdpSolution) -> SynthesisResult:
-        A = np.asarray(sol.values["A"]).copy()
-        B = np.asarray(sol.values["B"])
-        C, D, Dd = canonical_output(self.n, self.p)
-        # project the fixed-point equality exactly: it is affine and the
-        # solver satisfies it only to its own tolerance
-        A[:, :self.p] = Dd
-        algo = AlgorithmRealization(A, B, C, D, Dd, n=self.n, p=self.p)
-        gamma = None
-        if self.with_perf and "t" in sol.values:
-            gamma = float(np.sqrt(max(float(sol.values["t"]), 0.0)))
-        return SynthesisResult(algo=algo, rho=self.rho, gamma=gamma)
+        return _design(self, sol, np.array(sol.values["A"]),
+                       np.asarray(sol.values["B"]))
 
 
 def _fixed_certificate(P, name: str, nc: int, nd: int) -> np.ndarray:
@@ -708,9 +693,9 @@ def assemble_structured_synth(H1, T, m2: float, L2: float, n: int,
     check_structured_data(H1, T, m2, L2)
     if not (0 < rho < 1):
         raise DomainError("rho must lie in (0, 1)")
+    C, _, _ = canonical_output(n, p)
     N = n * p
     A1, B1 = chain_matrices(n, p)
-    C, _, _ = canonical_output(n, p)
     # transformed chain: first block holds grad(C x); its own row is identity
     A2 = np.eye(N) + A1
     if n > 1:

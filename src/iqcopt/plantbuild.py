@@ -24,16 +24,16 @@ multiplier layout's). ``build_rate_plant_loop`` and
 ``build_perf_plant_loop`` take an explicit loop and run the same two
 steps without keeping anything.
 
-The loop's nominal spectral radius is computed on first read, which only
-the rate and H2 assemblies do; a sector loop reads the algorithm's own
-kept value. A rho for which the products of the plant's entries would
+The loop's nominal spectral radius is computed from its Anom on first
+read, which only the rate and H2 assemblies do, so once per kept
+rho-free part. A rho for which the products of the plant's entries would
 overflow is refused with DomainError before anything is divided by it,
 from the largest entry that the rho-free part records; so is a noise
 channel whose entries would overflow the H2 blocks' products.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +49,13 @@ class UncertainLoop:
 
     For the plain sector setup: Anom = A + m B C, Beff = B, Ceff = C and
     width = L - m. Structured variants substitute their own matrices.
-    radius is the spectral radius of Anom, computed on first read by
-    radius_of when given, else from Anom.
+    radius is the spectral radius of Anom, computed on first read.
     """
 
     Anom: np.ndarray
     Beff: np.ndarray
     Ceff: np.ndarray
     width: float
-    radius_of: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         Anom = np.atleast_2d(np.asarray(self.Anom, dtype=float))
@@ -76,7 +74,7 @@ class UncertainLoop:
 
     @cached_property
     def radius(self) -> float:
-        return self.radius_of() if self.radius_of else spectral_radius(self.Anom)
+        return spectral_radius(self.Anom)
 
     @property
     def nstates(self) -> int:
@@ -91,8 +89,7 @@ def sector_loop(algo: AlgorithmRealization, bounds: SectorBounds) -> UncertainLo
     """The plain sector loop; Anom is read-only, like the algorithm's B and C."""
     Anom = algo.nominal_matrix(bounds.m)
     Anom.flags.writeable = False
-    return UncertainLoop(Anom, algo.B, algo.C, bounds.L - bounds.m,
-                         partial(algo.nominal_radius, bounds.m))
+    return UncertainLoop(Anom, algo.B, algo.C, bounds.L - bounds.m)
 
 
 def check_structured_data(H1: np.ndarray, T: np.ndarray, m2: float, L2: float) -> None:

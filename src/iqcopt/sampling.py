@@ -129,8 +129,7 @@ class SimulationRun:
 
 
 def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
-                k_max: int, realizations: int, seed,
-                noise_scale: float = 1.0) -> SimulationRun:
+                k_max: int, realizations: int, seed) -> SimulationRun:
     """Empirical time-averaged output second moment under white gradient noise.
 
     Iterates x+ = A x + B (grad(C x) + W) from the equilibrium, with W
@@ -173,8 +172,6 @@ def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
             kb = min(BLOCK, k_max + 1 - k0)
             W = noise[:kb]
             rng.standard_normal(out=W)
-            if noise_scale != 1.0:
-                W *= noise_scale
             for (z, xu, nxt), w in zip(steps, W):
                 add_gradient(z, w)
                 np.dot(M, xu, out=nxt)   # less call overhead than np.matmul

@@ -225,17 +225,24 @@ def p_terms(AB):
     return coeffs
 
 
-def reference_kyp(AB, P_info, *rows):
-    """AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b on P's unit basis."""
+def unit_basis(P_info):
+    """The unit basis stack of a declared symmetric variable: E_ij + E_ji
+    for i < j and E_ii, in the order of np.triu_indices."""
     n = P_info.shape[0]
     i, j = np.triu_indices(n)
     k = np.arange(P_info.size)
     basis = np.zeros((P_info.size, n, n))
     basis[k, i, j] = 1.0
     basis[k, j, i] = 1.0
+    return basis
+
+
+def reference_kyp(AB, P_info, *rows):
+    """AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b on P's unit basis."""
+    n = P_info.shape[0]
     coeffs = p_terms(AB)
-    coeffs[:, :n, :n] -= basis
-    total = AffineMatrix.from_dense(P_info.offset + k, coeffs)
+    coeffs[:, :n, :n] -= unit_basis(P_info)
+    total = AffineMatrix.from_dense(P_info.offset + np.arange(P_info.size), coeffs)
     for out_b, X in rows:
         total = total + congruence(out_b, X)
     return total
@@ -566,9 +573,13 @@ def convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, m
     return terms + [(N + nd, N + nd, -P22), (N, N, congruence(CcDc, md))]
 
 
-def reference_convex_synth_block(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
+def reference_convex_synth_block(sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
                                  extra=()):
-    """lmi._convex_synth_block as ``place``'s sum of the dense per-key terms."""
+    """lmi._convex_synth_block as ``place``'s sum of the dense per-key terms;
+    P11 is the declared variable, None when nd = 0."""
+    N, nd = P22.shape[0], top.shape[0]
+    if nd:
+        P11 = AffineMatrix.from_dense(P11.offset + np.arange(P11.size), unit_basis(P11))
     dim = 2 * N + nd + C.shape[0]
     return place((dim, dim), convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB,
                                                 top, CcDc, md) + list(extra))

@@ -10,7 +10,7 @@ from iqcopt.algorithms import (KINDS, AlgorithmRealization, SectorBounds,
                                StructuredControllerForm, canonical_output,
                                check_equilibrium_conditions, from_structured,
                                from_json_dict, kronecker_factor, lift, make_named,
-                               known_rate, nominal_closed_loop,
+                               nominal_closed_loop,
                                reduce_to_scalar_block, to_json_dict)
 from iqcopt.errors import ArgumentError, DimensionError, DomainError, StructureError
 from iqcopt.sampling import sample_function, simulate_h2
@@ -347,15 +347,13 @@ class TestJson:
             AlgorithmRealization([[1.0]], [[-0.1]], [[np.nan]], [[1.0]], [[1.0]], n=1, p=2, q=2)
 
 
-def test_known_rate_formulas():
-    b = SectorBounds(1.0, 10.0)
-    assert known_rate("gd", b) == pytest.approx(9.0 / 11.0)
-    assert known_rate("tmm", b) == pytest.approx(1 - 1 / np.sqrt(10.0))
-    assert known_rate("nm", b) == pytest.approx(np.sqrt(1 - np.sqrt(19.0) / 10.0))
-    assert known_rate("hb", b) is None
-
-
 def test_canonical_output_shapes():
     C, D, Dd = canonical_output(3, 2)
     assert C.shape == (2, 6) and Dd.shape == (6, 2)
     np.testing.assert_allclose(C @ Dd, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_canonical_output_refuses_nonpositive_n(n):
+    with pytest.raises(DomainError, match=f"n must be a positive integer, got {n}"):
+        canonical_output(n, 2)

@@ -194,6 +194,40 @@ class TestNonpositiveP:
         assert "p must be a positive integer" in err and "Traceback" not in err
 
 
+class TestNonpositiveN:
+    @pytest.mark.parametrize("argv", [
+        ("synth-convex", "--m", "1", "--L", "10", "--rho", "0.9", "--n", "0"),
+        ("synth-convex", "--m", "1", "--L", "10", "--rho", "0.9", "--n", "-1"),
+        ("synth-bmi", "--m", "1", "--L", "10", "--target-rho", "0.7", "--n", "0"),
+    ])
+    def test_exits_usage_with_a_message(self, argv, capsys):
+        assert RUN(*argv) == 2
+        captured = capsys.readouterr()
+        assert f"n must be a positive integer, got {argv[-1]}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestNanTolerance:
+    @pytest.mark.parametrize("argv", [
+        ("analyze-rate", "--algo", "gd", "--m", "1", "--L", "10", "--tol", "nan"),
+        ("sweep", "--kappa-grid", "lin:10:10:1", "--algos", "gd", "--tol", "nan"),
+        ("sweep", "--kappa-grid", "lin:10:10:1", "--algos", "gd", "--tol=-1e-3"),
+    ])
+    def test_exits_usage_with_a_message(self, argv, capsys):
+        assert RUN(*argv) == 2
+        captured = capsys.readouterr()
+        assert "tol must be a nonnegative number" in captured.err and captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synth_bmi_designs_at_m_equal_L(capsys):
+    code, out = run_capture(capsys, "synth-bmi", "--m", "1", "--L", "1", "--target-rho", "0.5",
+                            "--n", "1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["rho"] == 0.5 and np.isfinite(result["gamma"])
+
+
 class TestNonFiniteBounds:
     @pytest.mark.parametrize("argv", [
         ("sample-h2", "--algo", "gd", "--m", "1", "--L", "inf",

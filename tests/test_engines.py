@@ -7,7 +7,8 @@ from iqcopt import engines
 from iqcopt.algorithms import SectorBounds, make_named, nominal_closed_loop
 from iqcopt.engines import (BisectionConfig, certify_h2, certify_rate,
                             certify_structured_rate, fundamental_lower_bound,
-                            h2_norm_linear, synthesize_convex, verify_fdi)
+                            h2_norm_linear, synthesize_bmi, synthesize_convex,
+                            verify_fdi)
 from iqcopt.errors import DomainError, NotCertifiable, PreconditionError
 from iqcopt.lmi import H2Certificate, RateCertificate, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbParameters, ZamesFalbStructure
@@ -234,6 +235,41 @@ class TestSynthesizeConvex:
         bounds = SectorBounds(1.0, 50.0)
         res = synthesize_convex(2, 1, bounds, 0.995, with_perf=True)
         assert res.gamma is not None and np.isfinite(res.gamma)
+
+
+class TestNonpositiveN:
+    """A design with n < 1 state blocks is refused, naming n, before any
+    array of its size is made."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_synthesis_drivers_refuse(self, n):
+        with pytest.raises(DomainError, match=f"n must be a positive integer, got {n}"):
+            synthesize_convex(n, 1, BOUNDS10, 0.9)
+        with pytest.raises(DomainError, match=f"n must be a positive integer, got {n}"):
+            synthesize_bmi(n, 1, BOUNDS10, 0.7)
+
+
+@pytest.mark.parametrize("L", [1.0, 1.01])
+def test_bmi_initializer_runs_on_classes_narrower_than_its_floor(L):
+    """With L < 1.02 m the initializer tries the class (m, L) itself, so a
+    reachable target is designed rather than refused."""
+    bounds = SectorBounds(1.0, L)
+    res = synthesize_bmi(1, 1, bounds, 0.5, optimize="h2")
+    assert res.rho == 0.5 and res.iterations[0] == ("init", 0.5, None)
+    assert np.isfinite(res.gamma) and 0.9 < res.gamma < 1.1
+
+
+class TestBisectionTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-4, float("-inf")])
+    def test_nan_or_negative_refused(self, tol):
+        with pytest.raises(DomainError, match="tol must be a nonnegative number"):
+            BisectionConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, float("inf")])
+    def test_zero_and_inf_keep_their_meaning(self, tol):
+        """tol = 0 halves MAX_BISECTION_STEPS times; tol = inf probes rho_hi only."""
+        res = certify_rate(make_named("gd", BOUNDS10), BOUNDS10, ST, BisectionConfig(tol=tol))
+        assert len(res.log) == (1 + engines.MAX_BISECTION_STEPS if tol == 0 else 1)
 
 
 class TestStructuredDesign:

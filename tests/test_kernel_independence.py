@@ -1,11 +1,15 @@
-"""The analysis problems hold the same bytes on every BLAS kernel.
+"""The analysis and convex synthesis problems hold the same bytes on every
+BLAS kernel.
 
 P's terms of the KYP block are sums of rounded products written entry by
 entry, never a BLAS product, so the rate, H2 and rate-slack problems of
-the named algorithms hash equal in this process and in two subprocesses
-that run OpenBLAS's FMA-free Nehalem kernel and its FMA Haswell kernel
-(``OPENBLAS_CORETYPE`` selects the kernel when OpenBLAS loads). Those
-kernels exist on x86-64 only. ``verify`` evaluates every block and the
+the named algorithms, and the convex synthesis problems, whose
+multiplier-state block is the same KYP term on P11, hash equal in this
+process and in two subprocesses that run OpenBLAS's FMA-free Nehalem
+kernel and its FMA Haswell kernel (``OPENBLAS_CORETYPE`` selects the
+kernel when OpenBLAS loads). Those kernels exist on x86-64 only. The BMI
+half-steps and the structured design are left out: their blocks hold BLAS
+products of the fixed P and of T, whose last bits follow the kernel. ``verify`` evaluates every block and the
 row column by one scatter without BLAS, so those values at a seeded
 candidate, and verify's verdict there, hash equal too. Its worst margin
 is left out: it is an eigenvalue from LAPACK's eigvalsh, whose last bits
@@ -23,7 +27,8 @@ import pytest
 
 import iqcopt
 from iqcopt.algorithms import SectorBounds, make_named
-from iqcopt.lmi import assemble_h2_for, assemble_rate_for, assemble_rate_slack
+from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf, assemble_h2_for,
+                        assemble_rate_for, assemble_rate_slack)
 from iqcopt.multipliers import ZamesFalbStructure
 
 BOUNDS10 = SectorBounds(1.0, 10.0)
@@ -48,9 +53,11 @@ def _feed(h, prob):
     h.update(repr(prob.verify(x)[0]).encode())
 
 
-def analysis_digest() -> str:
+def problem_digest() -> str:
     """One hash of the rate, H2 and rate-slack problems of gd, nm, tmm and
-    hb at p = 1, 2, 4, for a short and a long multiplier."""
+    hb at p = 1, 2, 4, for a short and a long multiplier, and of the convex
+    rate and rate + H2 synthesis problems at n = 2, 3, p = 1, 2, 4 and
+    lc = 1, 2, 4."""
     h = hashlib.sha256()
     for kind in ("gd", "nm", "tmm", "hb"):
         for p in (1, 2, 4):
@@ -61,6 +68,12 @@ def analysis_digest() -> str:
                 _feed(h, assemble_rate_for(algo, BOUNDS10, st, rho).problem)
                 _feed(h, assemble_h2_for(algo, BOUNDS10, st).problem)
                 _feed(h, assemble_rate_slack(algo, BOUNDS10, st, rho).problem)
+    for n in (2, 3):
+        for p in (1, 2, 4):
+            for lc in (1, 2, 4):
+                st = ZamesFalbStructure(lc, 0, p, "unstructured", 0.9)
+                _feed(h, assemble_convex_synth(n, p, BOUNDS10, st, 0.9).problem)
+                _feed(h, assemble_convex_synth_perf(n, p, BOUNDS10, st, 0.9).problem)
     return h.hexdigest()
 
 
@@ -69,13 +82,13 @@ def _digest_under(coretype: str) -> str:
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import test_kernel_independence as t; print(t.analysis_digest())"],
+         "import test_kernel_independence as t; print(t.problem_digest())"],
         env=env, capture_output=True, text=True, timeout=300, check=True)
     return out.stdout.strip()
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OpenBLAS's Nehalem and Haswell kernels are x86-64 kernels")
-def test_analysis_problems_hash_equal_on_every_kernel():
-    here = analysis_digest()
+def test_problems_hash_equal_on_every_kernel():
+    here = problem_digest()
     assert [_digest_under(k) for k in ("Nehalem", "Haswell")] == [here, here]

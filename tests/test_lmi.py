@@ -313,7 +313,9 @@ def test_perf_synth_gamma_weakly_decreasing_in_rho():
 class TestSharedLayout:
     def test_built_once_for_a_certification(self, monkeypatch):
         """The layout (filter template included), P's index pattern and the
-        nominal radius are each built once for a whole certification."""
+        nominal radius are each built once for a whole certification: the
+        radius once by the algorithm, here for the bracket, and once by the
+        loop of the kept plant part."""
         built, radii = [], []
         compute = algorithms.spectral_radius
 
@@ -328,6 +330,7 @@ class TestSharedLayout:
         # an empty cache of its own, so what other tests cached does not count
         monkeypatch.setattr(multipliers, "_layout", functools.lru_cache(build))
         monkeypatch.setattr(algorithms, "spectral_radius", spectral_radius)
+        monkeypatch.setattr(plantbuild, "spectral_radius", spectral_radius)
         upper_triangle.cache_clear()
         algo = make_named("nm", BOUNDS10, 1)
         st = ZamesFalbStructure(5, 2, 1, "unstructured", 1.0)
@@ -341,7 +344,7 @@ class TestSharedLayout:
                           values={n: asm.problem.extract(n, x) for n in ("P", "zf_theta")})
         verify_fdi(asm.decode(sol), asm.plant)
         assert built == [(5, 2, 1, "unstructured")]
-        assert radii == [(2, 2)]
+        assert radii == [(2, 2)] * 2
         assert upper_triangle.cache_info().misses == 2         # P's n and H2's 1 x 1 Z
         assert asm.plant.nominal_radius == radius
 
@@ -363,7 +366,7 @@ class TestSharedLayout:
 
         monkeypatch.setattr(plantbuild, "_RhoFree", Counted)
         monkeypatch.setattr(plantbuild, "_kept", None)
-        monkeypatch.setattr(algorithms, "spectral_radius", spectral_radius)
+        monkeypatch.setattr(plantbuild, "spectral_radius", spectral_radius)
         algo = make_named("tmm", BOUNDS10, 2)
         st = ZamesFalbStructure(6, 1, 2, "unstructured", 1.0)
         for rho in np.linspace(1.0, 0.97, 12):

@@ -11,7 +11,7 @@ from iqcopt.sampling import RandomFunctionSpec, sample_function, simulate_h2
 BOUNDS = SectorBounds(1.0, 10.0)
 
 
-def reference_simulate_h2(algo, spec, k_max, realizations, seed, noise_scale=1.0):
+def reference_simulate_h2(algo, spec, k_max, realizations, seed):
     """One draw, one dense update and one divergence check per step: the oracle."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     X = np.zeros((realizations, algo.n * algo.p))
@@ -19,7 +19,7 @@ def reference_simulate_h2(algo, spec, k_max, realizations, seed, noise_scale=1.0
     for k in range(k_max + 1):
         Y = X @ algo.D.T
         sums[k] = np.mean(np.sum(Y * Y, axis=1))
-        W = rng.standard_normal(size=(realizations, algo.p)) * noise_scale
+        W = rng.standard_normal(size=(realizations, algo.p))
         G = spec.gradient(X @ algo.C.T)
         X = X @ algo.A.T + (G + W) @ algo.B.T
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > sampling.DIVERGENCE_LIMIT:
@@ -106,13 +106,6 @@ class TestSimulateH2:
         with pytest.raises(DimensionError, match="p=2 must equal the algorithm dimension p=1"):
             simulate_h2(make_named("nm", BOUNDS), spec, k_max=10, realizations=2, seed=0)
 
-    def test_zero_noise_gives_zero(self):
-        gd = make_named("gd", BOUNDS)
-        spec = RandomFunctionSpec(kind="quadratic", p=1, Q=np.array([[2.0]]))
-        run = simulate_h2(gd, spec, k_max=100, realizations=4, seed=0,
-                          noise_scale=0.0)
-        assert run.estimate == pytest.approx(0.0, abs=1e-12)
-
     @pytest.mark.parametrize("kind", ["quadratic", "cosine"])
     @pytest.mark.parametrize("make, k_max", [(lambda: make_named("gd", BOUNDS), 500),
                                              (_dense_p2, 3 * sampling.BLOCK + 5)],
@@ -148,13 +141,12 @@ class TestSimulateH2:
                                       lambda: make_named("nm", BOUNDS, 8),
                                       _dense_p2],
                              ids=["named-p1", "named-p3", "named-p8", "dense-p2"])
-    @pytest.mark.parametrize("noise_scale", [0.0, 0.5])
     @pytest.mark.parametrize("k_max", [1, 2 * sampling.BLOCK + 5, 3 * sampling.BLOCK])
-    def test_matches_reference_loop(self, kind, make, noise_scale, k_max):
+    def test_matches_reference_loop(self, kind, make, k_max):
         algo = make()
         spec = sample_function(BOUNDS, algo.p, kind, np.random.default_rng(k_max))
-        estimate, sums = reference_simulate_h2(algo, spec, k_max, 7, 19, noise_scale)
-        run = simulate_h2(algo, spec, k_max, 7, 19, noise_scale)
+        estimate, sums = reference_simulate_h2(algo, spec, k_max, 7, 19)
+        run = simulate_h2(algo, spec, k_max, 7, 19)
         np.testing.assert_allclose(run.estimate, estimate, rtol=1e-12, atol=0)
         np.testing.assert_allclose(run.second_moments, sums, rtol=1e-12, atol=0)
 
