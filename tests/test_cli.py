@@ -198,7 +198,9 @@ class TestNonpositiveN:
     @pytest.mark.parametrize("argv", [
         ("synth-convex", "--m", "1", "--L", "10", "--rho", "0.9", "--n", "0"),
         ("synth-convex", "--m", "1", "--L", "10", "--rho", "0.9", "--n", "-1"),
+        ("synth-convex", "--m", "1", "--L", "10", "--rho", "0.9", "--perf", "--n", "0"),
         ("synth-bmi", "--m", "1", "--L", "10", "--target-rho", "0.7", "--n", "0"),
+        ("synth-bmi", "--m", "1", "--L", "10", "--target-rho", "0.7", "--n", "-1"),
     ])
     def test_exits_usage_with_a_message(self, argv, capsys):
         assert RUN(*argv) == 2
@@ -220,8 +222,10 @@ class TestNanTolerance:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_synth_bmi_designs_at_m_equal_L(capsys):
-    code, out = run_capture(capsys, "synth-bmi", "--m", "1", "--L", "1", "--target-rho", "0.5",
+@pytest.mark.parametrize("L", ["1", "1.01"])
+def test_synth_bmi_designs_at_m_equal_L(L, capsys):
+    """m = L and classes narrower than the initializer's 1.02 floor design."""
+    code, out = run_capture(capsys, "synth-bmi", "--m", "1", "--L", L, "--target-rho", "0.5",
                             "--n", "1")
     assert code == 0
     result = json.loads(out)["result"]

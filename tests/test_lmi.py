@@ -297,6 +297,20 @@ class TestStructuredDataRefused:
                     build()
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [
+    lambda n, st: assemble_convex_synth(n, 1, BOUNDS10, st, 0.9),
+    lambda n, st: assemble_convex_synth_perf(n, 1, BOUNDS10, st, 0.9),
+    lambda n, st: assemble_bmi_fixed_P(n, 1, BOUNDS10, st, 0.9, np.eye(1)),
+    lambda n, st: lmi.assemble_structured_synth(np.eye(1), np.eye(1), 0.0, 9.0, n, 0.9),
+], ids=["convex", "convex-perf", "bmi-fixed-P", "structured"])
+def test_synthesis_assemblers_refuse_nonpositive_n(build, n):
+    """Every design assembler names n < 1 before any array of its size is made."""
+    st = ZamesFalbStructure(1, 0, 1, "unstructured", 0.9)
+    with pytest.raises(DomainError, match=f"n must be a positive integer, got {n}"):
+        build(n, st)
+
+
 def test_perf_synth_gamma_weakly_decreasing_in_rho():
     bounds = SectorBounds(1.0, 50.0)
     gammas = []
