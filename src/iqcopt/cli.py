@@ -20,7 +20,7 @@ from .algorithms import (SectorBounds, load_algorithm, make_named,
                          save_algorithm, to_json_dict)
 from .engines import (BisectionConfig, certify_h2, certify_rate,
                       fundamental_lower_bound, synthesize_bmi, synthesize_convex)
-from .errors import IqcError, NotCertifiable, SolverError
+from .errors import DomainError, IqcError, NotCertifiable, SolverError
 from .multipliers import ZamesFalbStructure
 from .sampling import sample_function, simulate_h2
 from .sdp import SolverOptions
@@ -184,6 +184,10 @@ def cmd_synth_bmi(args) -> int:
 
 
 def cmd_sample_h2(args) -> int:
+    if args.runs < 1:
+        raise DomainError(f"--runs must be a positive integer, got {args.runs}")
+    if args.seed < 0:   # SeedSequence takes no negative entropy
+        raise DomainError(f"--seed must be a nonnegative integer, got {args.seed}")
     opts = _solver_options()
     bounds = SectorBounds(args.m, args.L)
     algo = _load_algo(args.algo, bounds, args.p)

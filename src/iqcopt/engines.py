@@ -382,11 +382,13 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
 
     # smallest class for which the initializer already meets the target
     kappa_goal = bounds.kappa
-    kappa0 = min(kappa_goal, 0.8 * (1 + target_rho) / (1 - target_rho))
+    # shrink the class down to kappa0 = 1.02, or to kappa itself when that is
+    # below, and try that floor at least once
+    kappa_floor = min(1.02, kappa_goal)
+    kappa0 = min(kappa_goal, max(kappa_floor, 0.8 * (1 + target_rho) / (1 - target_rho)))
     algo = None
     rho0 = None
-    # shrink the class down to kappa0 = 1.02, or to kappa itself when that is below
-    while kappa0 >= min(1.02, kappa_goal):
+    while True:
         bnds0 = SectorBounds(bounds.m, bounds.m * kappa0)
         cand, rho0 = _structured_initializer(n, p, bounds=bnds0, options=options)
         ok, _, _ = _rate_feasible(cand, bnds0, structure, target_rho,
@@ -394,7 +396,9 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
         if ok:
             algo = cand
             break
-        kappa0 *= 0.7
+        if kappa0 <= kappa_floor:
+            break
+        kappa0 = max(kappa_floor, 0.7 * kappa0)
     if algo is None:
         raise NotCertifiable("no class width admits the structured initializer "
                              f"at target rho {target_rho:.4f}")

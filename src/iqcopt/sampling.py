@@ -12,9 +12,12 @@ dense matrices. Each step is one small matrix product,
 [A B; C A C B; D A D B] [x; u], which writes x+, C x+ and D x+ into the
 next step's slot; the input u = grad(C x) + W is formed in place over
 C x, and the second moments are read from the D x rows once per block.
-Noise is drawn in blocks of BLOCK steps from the same PCG64 stream as
-per-step draws, which gives the same numbers, and every step is still
-checked for divergence, one block at a time.
+Noise is drawn one chunk of whole blocks (about CHUNK_BYTES of noise)
+ahead of the stepping, on one worker thread, so the draw overlaps the
+stepping: the worker alone reads the PCG64 stream, in the same order as
+per-step draws, which gives the same numbers, and it is joined on every
+exit, a raised error included. Every step is still checked for
+divergence, one block of BLOCK steps at a time.
 """
 
 from dataclasses import dataclass, field
@@ -26,10 +29,13 @@ from .errors import (ArgumentError, DimensionError, DivergenceError, DomainError
                      StructureError)
 
 DIVERGENCE_LIMIT = 1e12
-# steps per noise draw and per divergence check; 16 keeps the block
-# buffers (slots of n + 2 rows for a named core, and the noise) under
-# 2.5 MB at p=32 with 100 realizations
+# steps per divergence check and second-moment sum; 16 keeps the slots
+# (n + 2 rows for a named core) under 2 MB at p=32 with 100 realizations
 BLOCK = 16
+# noise per draw on the worker thread: each hand-off between the threads
+# needs the GIL, and at ~1 MiB a p=1 run of 2000 steps and 100
+# realizations takes two draws
+CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,11 @@ def sample_function(bounds: SectorBounds, p: int, kind: str,
     raise ArgumentError(f"unknown function kind {kind!r}")
 
 
+def chunk_steps(realizations: int, p: int) -> int:
+    """Steps per noise draw: whole blocks holding about CHUNK_BYTES of noise."""
+    return BLOCK * max(1, CHUNK_BYTES // (BLOCK * realizations * p * 8))
+
+
 @dataclass(frozen=True)
 class SimulationRun:
     algo: AlgorithmRealization
@@ -140,7 +151,9 @@ def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
     array whose column j q + i is coordinate i of realization j. A
     DivergenceError names the first step whose state left the limit, and a
     DimensionError an objective whose p differs from the algorithm's. The
-    noise comes from PCG64(seed), seed an int or a SeedSequence.
+    noise comes from PCG64(seed), seed an int or a SeedSequence; a worker
+    thread draws it one chunk ahead and is joined before the call returns
+    or raises.
     """
     if k_max < 1 or realizations < 1:
         raise DomainError("k_max and realizations must be positive")
@@ -163,25 +176,44 @@ def simulate_h2(algo: AlgorithmRealization, spec: RandomFunctionSpec,
     states, outputs = slots[:, :n], slots[:, n + m:]
     steps = [(slot[n:n + m].T.reshape(r, p), slot[:n + m], nxt)
              for slot, nxt in zip(slots, slots[1:])]
-    noise = np.empty((BLOCK, r, p))
+    # the chunk being stepped and the next one, which the worker draws
+    chunk = chunk_steps(r, p)
+    noise = np.empty((2, chunk, r, p))
+    starts = range(0, k_max + 1, chunk)
+
+    def draw(i):
+        W = noise[i % 2, :min(chunk, k_max + 1 - starts[i])]
+        rng.standard_normal(out=W)
+        return W
+
     add_gradient = _gradient_plus_noise(spec, r)
     sums = np.empty(k_max + 1)
+    # imported on first use: at module level, concurrent.futures and its
+    # logging import would add ~10 ms to every `import iqcopt`
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the pool joins the worker, after its last draw has returned;
     # a diverging block runs on past its first bad step before the check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, k_max + 1, BLOCK):
-            kb = min(BLOCK, k_max + 1 - k0)
-            W = noise[:kb]
-            rng.standard_normal(out=W)
-            for (z, xu, nxt), w in zip(steps, W):
-                add_gradient(z, w)
-                np.dot(M, xu, out=nxt)   # less call overhead than np.matmul
-            Y = outputs[:kb]
-            sums[k0:k0 + kb] = np.einsum("kij,kij->k", Y, Y) / r
-            new = states[1:kb + 1]
-            if not (new.max() <= DIVERGENCE_LIMIT and new.min() >= -DIVERGENCE_LIMIT):
-                bad = ~np.all(np.abs(new) <= DIVERGENCE_LIMIT, axis=(1, 2))
-                raise DivergenceError(f"trajectory diverged at step {k0 + int(np.argmax(bad))}")
-            slots[0] = slots[kb]
+    with ThreadPoolExecutor(1) as pool, np.errstate(over="ignore", invalid="ignore"):
+        pending = pool.submit(draw, 0)
+        for i, c0 in enumerate(starts):
+            chunk_noise = pending.result()
+            if i + 1 < len(starts):
+                pending = pool.submit(draw, i + 1)
+            for b0 in range(0, len(chunk_noise), BLOCK):
+                W = chunk_noise[b0:b0 + BLOCK]
+                k0, kb = c0 + b0, len(W)
+                for (z, xu, nxt), w in zip(steps, W):
+                    add_gradient(z, w)
+                    np.dot(M, xu, out=nxt)   # less call overhead than np.matmul
+                Y = outputs[:kb]
+                sums[k0:k0 + kb] = np.einsum("kij,kij->k", Y, Y) / r
+                new = states[1:kb + 1]
+                if not (new.max() <= DIVERGENCE_LIMIT and new.min() >= -DIVERGENCE_LIMIT):
+                    bad = ~np.all(np.abs(new) <= DIVERGENCE_LIMIT, axis=(1, 2))
+                    raise DivergenceError(
+                        f"trajectory diverged at step {k0 + int(np.argmax(bad))}")
+                slots[0] = slots[kb]
     estimate = float(np.sqrt(np.sum(sums) / k_max))
     return SimulationRun(algo=algo, spec=spec, seed=seed, k_max=k_max,
                          realizations=realizations, estimate=estimate,

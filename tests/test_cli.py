@@ -182,6 +182,25 @@ class TestSampleH2:
         assert header == "algo,kind,m,L,seed,k_max,N,estimate"
 
 
+class TestSampleH2Counts:
+    BASE = ("sample-h2", "--algo", "gd", "--m", "1", "--L", "10", "--steps", "10",
+            "--realizations", "2")
+
+    @pytest.mark.parametrize("seed", [("--seed", "-1"), ("--seed", "-5", "--runs", "10")])
+    def test_negative_seed_exits_usage(self, seed, capsys):
+        assert RUN(*self.BASE, *seed) == 2
+        captured = capsys.readouterr()
+        assert f"--seed must be a nonnegative integer, got {seed[1]}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_nonpositive_runs_exits_usage(self, runs, capsys):
+        assert RUN(*self.BASE, "--runs", runs) == 2
+        captured = capsys.readouterr()
+        assert f"--runs must be a positive integer, got {runs}" in captured.err
+        assert captured.out == ""
+
+
 class TestNonpositiveP:
     @pytest.mark.parametrize("argv", [
         ("sample-h2", "--algo", "nm", "--m", "1", "--L", "10", "--p", "0",
@@ -230,6 +249,27 @@ def test_synth_bmi_designs_at_m_equal_L(L, capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["rho"] == 0.5 and np.isfinite(result["gamma"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("L, rho", [("1", "0.1"), ("1.3", "0.08")])
+def test_synth_bmi_narrow_target_runs_the_initializer(L, rho, monkeypatch, capsys):
+    """A target whose initial class width falls below the 1.02 floor (or below
+    kappa, if that is smaller) starts the initializer at that floor."""
+    from iqcopt import engines
+
+    widths = []
+    initializer = engines._structured_initializer
+
+    def recording(n, p, bounds, options):
+        widths.append(bounds.kappa)
+        return initializer(n, p, bounds=bounds, options=options)
+
+    monkeypatch.setattr(engines, "_structured_initializer", recording)
+    code, out = run_capture(capsys, "synth-bmi", "--m", "1", "--L", L, "--target-rho", rho,
+                            "--n", "1")
+    assert min(widths) == min(1.02, float(L))
+    assert code == 0 or (code == 3 and "no class width" not in out)
 
 
 class TestNonFiniteBounds:

@@ -31,7 +31,9 @@ class Dense:
     def __init__(self, const, keys, stack, held):
         self.const, self.keys = np.asarray(const, dtype=float), np.asarray(keys, dtype=np.intp)
         self.raw, self.held = stack, held
-        self.stack = np.where(held, stack, 0.0)
+        # C order, as dense() gives it: a view's layout would pick another
+        # BLAS path (a transposed gemm), which rounds otherwise on FMA kernels
+        self.stack = np.ascontiguousarray(np.where(held, stack, 0.0))
 
     @staticmethod
     def of(expr):

@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from iqcopt import sampling
 from iqcopt.algorithms import (AlgorithmRealization, SectorBounds, StructuredControllerForm,
-                               from_structured, lift, make_named)
+                               from_structured, lift, make_named, reduce_to_scalar_block)
 from iqcopt.engines import h2_norm_linear
 from iqcopt.errors import DimensionError, DivergenceError
 from iqcopt.sampling import RandomFunctionSpec, sample_function, simulate_h2
@@ -25,6 +27,36 @@ def reference_simulate_h2(algo, spec, k_max, realizations, seed):
         if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > sampling.DIVERGENCE_LIMIT:
             raise DivergenceError(f"trajectory diverged at step {k}")
     return float(np.sqrt(np.sum(sums) / k_max)), sums
+
+
+def serial_second_moments(algo, spec, k_max, realizations, seed):
+    """simulate_h2's stepping on one thread, the whole noise stream drawn by one call.
+
+    For algorithms stored as a Kronecker core; no divergence check.
+    """
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    core, r, p = reduce_to_scalar_block(algo), realizations, algo.p
+    A, B, C, D = core.A, core.B, core.C, core.D
+    n, m = B.shape
+    M = np.block([[A, B], [C @ A, C @ B], [D @ A, D @ B]])
+    slots = np.zeros((sampling.BLOCK + 1, n + 2 * m, r * p))
+    outputs = slots[:, n + m:]
+    steps = [(slot[n:n + m].T.reshape(r, p), slot[:n + m], nxt)
+             for slot, nxt in zip(slots, slots[1:])]
+    noise = np.empty((k_max + 1, r, p))
+    rng.standard_normal(out=noise)
+    add_gradient = sampling._gradient_plus_noise(spec, r)
+    sums = np.empty(k_max + 1)
+    for k0 in range(0, k_max + 1, sampling.BLOCK):
+        W = noise[k0:k0 + sampling.BLOCK]
+        kb = len(W)
+        for (z, xu, nxt), w in zip(steps, W):
+            add_gradient(z, w)
+            np.dot(M, xu, out=nxt)
+        Y = outputs[:kb]
+        sums[k0:k0 + kb] = np.einsum("kij,kij->k", Y, Y) / r
+        slots[0] = slots[kb]
+    return sums
 
 
 def _dense_p2():
@@ -91,6 +123,20 @@ class TestSampleFunction:
                                        atol=1e-14)
 
 
+_MAKES = {"named-p1": lambda: make_named("tmm", BOUNDS),
+          "named-p3": lambda: make_named("nm", BOUNDS, 3),
+          "named-p8": lambda: make_named("nm", BOUNDS, 8),
+          "dense-p2": _dense_p2}
+# (make, k_max) pairs; the last six run k_max + 1 = one chunk minus one
+# step, one chunk and one chunk plus one step, at the test's 7 realizations
+_REFERENCE_CASES = [
+    *(pytest.param(make, k_max, id=f"{k_max}-{name}")
+      for k_max in (1, 2 * sampling.BLOCK + 5, 3 * sampling.BLOCK)
+      for name, make in _MAKES.items()),
+    *(pytest.param(_MAKES[name], sampling.chunk_steps(7, p) + d, id=f"steps=chunk{d + 1:+d}-{name}")
+      for name, p in (("named-p1", 1), ("named-p8", 8)) for d in (-2, -1, 0))]
+
+
 class TestSimulateH2:
     def test_linear_case_matches_lyapunov(self):
         bounds = SectorBounds(1.0, 1.0)
@@ -126,8 +172,11 @@ class TestSimulateH2:
         spec = RandomFunctionSpec(kind="quadratic", p=p, Q=np.eye(p))
         with pytest.raises(DivergenceError, match="at step 23$"):
             reference_simulate_h2(algo, spec, k_max=2000, realizations=2, seed=1)
+        threads = threading.active_count()
         with pytest.raises(DivergenceError, match="at step 23$"):
             simulate_h2(algo, spec, k_max=2000, realizations=2, seed=1)
+        # the noise worker, then drawing the next chunk, was joined
+        assert threading.active_count() == threads
 
     def test_divergence_detected(self):
         self._assert_diverges_at_step_23(1)
@@ -136,12 +185,7 @@ class TestSimulateH2:
         self._assert_diverges_at_step_23(2)
 
     @pytest.mark.parametrize("kind", ["quadratic", "cosine"])
-    @pytest.mark.parametrize("make", [lambda: make_named("tmm", BOUNDS),
-                                      lambda: make_named("nm", BOUNDS, 3),
-                                      lambda: make_named("nm", BOUNDS, 8),
-                                      _dense_p2],
-                             ids=["named-p1", "named-p3", "named-p8", "dense-p2"])
-    @pytest.mark.parametrize("k_max", [1, 2 * sampling.BLOCK + 5, 3 * sampling.BLOCK])
+    @pytest.mark.parametrize("make, k_max", _REFERENCE_CASES)
     def test_matches_reference_loop(self, kind, make, k_max):
         algo = make()
         spec = sample_function(BOUNDS, algo.p, kind, np.random.default_rng(k_max))
@@ -149,6 +193,65 @@ class TestSimulateH2:
         run = simulate_h2(algo, spec, k_max, 7, 19)
         np.testing.assert_allclose(run.estimate, estimate, rtol=1e-12, atol=0)
         np.testing.assert_allclose(run.second_moments, sums, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "cosine"])
+    @pytest.mark.parametrize("p", [1, 8])
+    def test_same_bits_as_one_serial_draw(self, kind, p):
+        # several chunks drawn on the worker, one draw on one thread: one stream
+        algo = make_named("nm", BOUNDS, p)
+        spec = sample_function(BOUNDS, p, kind, np.random.default_rng(p))
+        k_max = 3 * sampling.chunk_steps(100, p) + 5
+        run = simulate_h2(algo, spec, k_max, 100, 23)
+        sums = serial_second_moments(algo, spec, k_max, 100, 23)
+        assert run.second_moments.tobytes() == sums.tobytes()
+
+    def test_no_thread_outlives_a_run(self):
+        algo = make_named("nm", BOUNDS, 8)
+        spec = sample_function(BOUNDS, 8, "cosine", np.random.default_rng(0))
+        threads = threading.active_count()
+        simulate_h2(algo, spec, 3 * sampling.chunk_steps(5, 8), 5, 0)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_worker_joined_when_the_stepping_raises(self, monkeypatch, error):
+        gradient_plus_noise = sampling._gradient_plus_noise
+
+        def failing(spec, realizations):
+            add, calls = gradient_plus_noise(spec, realizations), []
+
+            def add_or_raise(Z, W):
+                calls.append(None)
+                if len(calls) == 100:
+                    raise error("stepping failed")
+                add(Z, W)
+            return add_or_raise
+
+        monkeypatch.setattr(sampling, "_gradient_plus_noise", failing)
+        algo = make_named("gd", BOUNDS)
+        spec = sample_function(BOUNDS, 1, "quadratic", np.random.default_rng(0))
+        threads = threading.active_count()
+        with pytest.raises(error, match="stepping failed"):
+            simulate_h2(algo, spec, 1000, 1000, 0)
+        assert threading.active_count() == threads
+
+    def test_worker_joined_when_the_draw_raises(self, monkeypatch):
+        class SecondDrawFails:
+            def __init__(self, bit_generator):
+                self.draws = 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 2:
+                    raise MemoryError("draw failed")
+                out[...] = 0.0
+
+        algo = make_named("gd", BOUNDS)
+        spec = sample_function(BOUNDS, 1, "quadratic", np.random.default_rng(0))
+        monkeypatch.setattr(np.random, "default_rng", SecondDrawFails)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="draw failed"):
+            simulate_h2(algo, spec, 3 * sampling.chunk_steps(1000, 1), 1000, 0)
+        assert threading.active_count() == threads
 
     def test_estimate_below_certified_bound_smoke(self):
         from iqcopt.engines import certify_h2
