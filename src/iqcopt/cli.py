@@ -4,6 +4,11 @@ Machine results are JSON with an embedded run manifest; sweeps and
 sampling runs emit CSV with the manifest in '#'-prefixed header lines.
 Exit codes: 0 success, 2 usage error, 3 not certifiable / infeasible,
 4 solver error.
+
+A sweep writes one row per (kappa, algorithm) in both modes: value is nan
+where no certificate is found or the one that is fails verification, and
+lower_bound is the fundamental rate lower bound in rate mode and nan in h2
+mode, since it bounds rates, not noise levels.
 """
 
 import argparse
@@ -236,6 +241,7 @@ def cmd_sweep(args) -> int:
     opts = _solver_options()
     grid = _parse_grid(args.kappa_grid)
     algos = args.algos.split(",")
+    rate = args.mode == "rate"
     t0 = time.time()
     rows = []
     for kappa in grid:
@@ -243,20 +249,14 @@ def cmd_sweep(args) -> int:
         for name in algos:
             algo = make_named(name, bounds, args.p)
             st = _structure(args)
-            if args.mode == "rate":
-                try:
-                    res = certify_rate(algo, bounds, st,
-                                       BisectionConfig(tol=args.tol), opts)
-                    value = res.value
-                except NotCertifiable:
-                    value = float("nan")
-            else:
-                try:
-                    value = certify_h2(algo, bounds, st, options=opts).value
-                except (NotCertifiable, SolverError):
-                    value = float("nan")
-            rows.append([f"{kappa:.6g}", name, args.mode, repr(value),
-                         f"{fundamental_lower_bound(bounds):.12g}"])
+            # a refusal, by the LMIs or by the reporting gate, is one nan row
+            try:
+                value = (certify_rate(algo, bounds, st, BisectionConfig(tol=args.tol), opts)
+                         if rate else certify_h2(algo, bounds, st, options=opts)).value
+            except (NotCertifiable, SolverError):
+                value = float("nan")
+            bound = fundamental_lower_bound(bounds) if rate else float("nan")
+            rows.append([f"{kappa:.6g}", name, args.mode, repr(value), f"{bound:.12g}"])
     manifest = _manifest("sweep", _params(args), time.time() - t0, opts)
     _emit_csv(manifest, ["kappa", "algo", "mode", "value", "lower_bound"],
               rows, args.output)

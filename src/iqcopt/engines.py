@@ -2,10 +2,16 @@
 
 Bisection over the decay rate, H2 bound minimization, convex synthesis
 with mandatory round-trip re-certification, BMI alternation with a
-structured state-feedback initializer, and independent frequency-domain
-verification of every certificate this package returns. The rate
-certificate, the structured design and the BMI initializer run the same
-halving loop, ``_bisect``, each on its own bracket.
+structured state-feedback initializer, and the structured design with a
+re-certification at the rate it returns. The rate certificate, the
+structured design and the BMI initializer run the same halving loop,
+``_bisect``, each on its own bracket.
+
+Every certificate a driver reports passes one gate, ``_checked``: it is
+decoded and then checked against the frequency-domain inequality on the
+unit circle (``verify_fdi``), and a failure raises SolverError. The
+synthesis drivers re-certify through ``certify_rate`` and ``certify_h2``,
+so their results pass the same gate.
 """
 
 import time
@@ -162,15 +168,30 @@ def _bisect(probe, lo: float, hi: float, tol: float):
 
 
 def _rate_feasible(algo, bounds, structure, rho, options, counter):
+    """(asm, sol) when the rate LMI at rho solves certified, else None: the
+    probe contract of _bisect. counter[0] counts the solves."""
     try:
         asm = assemble_rate_for(algo, bounds, structure, rho)
     except InfeasiblePrecondition:
-        return False, None, None
+        return None
     sol = solve(asm.problem, options)
     counter[0] += 1
-    if sol.certified:
-        return True, asm, sol
-    return False, None, sol
+    return (asm, sol) if sol.certified else None
+
+
+def _checked(asm, sol, what: str):
+    """The reporting gate: every certificate a driver returns comes from here.
+
+    Decodes sol's certificate from asm and returns it once verify_fdi
+    accepts it on asm.plant; otherwise raises SolverError, "<what> failed
+    FDI verification (worst eig ...)".
+    """
+    cert = asm.decode(sol)
+    report = verify_fdi(cert, asm.plant)
+    if not report.ok:
+        raise SolverError(
+            f"{what} failed FDI verification (worst eig {report.worst_eig:.3e})")
+    return cert
 
 
 def certify_rate(algo: AlgorithmRealization, bounds: SectorBounds,
@@ -187,22 +208,13 @@ def certify_rate(algo: AlgorithmRealization, bounds: SectorBounds,
     if lo >= hi:
         lo = max(min(hi - config.tol, lo), 1e-6)
     counter = [0]
-
-    def probe(rho):
-        feas, asm, sol = _rate_feasible(algo, bounds, structure, rho, options, counter)
-        return (asm, sol) if feas else None
-
-    lo, rho_star, best, log = _bisect(probe, lo, hi, config.tol)
+    lo, rho_star, best, log = _bisect(
+        lambda rho: _rate_feasible(algo, bounds, structure, rho, options, counter),
+        lo, hi, config.tol)
     if best is None:
         raise NotCertifiable(
             f"rate LMI infeasible at rho_hi={hi} (nominal radius {radius:.4f})")
-    asm, sol = best
-    cert = asm.decode(sol)
-    report = verify_fdi(cert, asm.plant)
-    if not report.ok:
-        raise SolverError(
-            f"certificate at rho={rho_star:.6f} failed FDI verification "
-            f"(worst eig {report.worst_eig:.3e})")
+    cert = _checked(*best, f"certificate at rho={rho_star:.6f}")
     return CertificationResult(
         value=rho_star, kind="rate", certificate=cert, solves=counter[0],
         seconds=time.time() - t0, log=log, bracket=(lo, rho_star))
@@ -221,20 +233,14 @@ def certify_h2(algo: AlgorithmRealization, bounds: SectorBounds,
     # robust stability gate: without a rate certificate at rho = 1 the
     # performance problem is hopeless and solvers tend to return garbage
     # rather than an infeasibility certificate
-    stable, _, _ = _rate_feasible(algo, bounds, structure.with_rho(1.0), 1.0,
-                                  options, [0])
-    if not stable:
+    if _rate_feasible(algo, bounds, structure.with_rho(1.0), 1.0, options, [0]) is None:
         raise NotCertifiable("rate LMI infeasible at rho = 1")
     sol = solve(asm.problem, options)
     if sol.status == "infeasible":
         raise NotCertifiable("H2 LMI infeasible at rho = 1")
     if not sol.certified:
         raise SolverError(f"H2 solve not certified: {sol.status} ({sol.message})")
-    cert = asm.decode(sol)
-    report = verify_fdi(cert, asm.plant)
-    if not report.ok:
-        raise SolverError(
-            f"H2 certificate failed FDI verification (worst eig {report.worst_eig:.3e})")
+    cert = _checked(asm, sol, "H2 certificate")
     return CertificationResult(
         value=cert.gamma, kind="h2", certificate=cert, solves=2,
         seconds=time.time() - t0, log=[(1.0, cert.gamma)])
@@ -262,12 +268,13 @@ def synthesize_convex(n: int, p: int, bounds: SectorBounds, rho: float,
     if not sol.certified:
         raise SolverError(f"synthesis solve not certified: {sol.status} ({sol.message})")
     result = asm.decode(sol)
-    # round-trip: the recovered algorithm must re-pass the analysis LMI
-    recert = certify_rate(result.algo, bounds, structure,
-                          BisectionConfig(rho_hi=min(1.0, rho), tol=1.0),
-                          options)
-    if recert.value > rho + 1e-9:
-        raise SolverError("synthesized algorithm failed rate re-certification")
+    # round-trip: the recovered algorithm must re-pass the analysis LMI at
+    # rho (tol=1 probes rho alone) and the gate
+    try:
+        certify_rate(result.algo, bounds, structure,
+                     BisectionConfig(rho_hi=min(1.0, rho), tol=1.0), options)
+    except NotCertifiable as e:
+        raise SolverError("synthesized algorithm failed rate re-certification") from e
     gamma = result.gamma
     if with_perf:
         re_h2 = certify_h2(result.algo, bounds, structure,
@@ -354,10 +361,9 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
             if sol_p.x is None:
                 break
             s1 = float(sol_p.values["s"])
-            if s1 < min(-1e-9, s_best):
-                ok, _, _ = _rate_feasible(cur, bnds, structure, rho, options, solves)
-                if ok:
-                    best, s_best = cur, s1
+            if (s1 < min(-1e-9, s_best)
+                    and _rate_feasible(cur, bnds, structure, rho, options, solves)):
+                best, s_best = cur, s1
             P_try = asm_p.decode_P(sol_p)
             try:
                 asm_ab = assemble_bmi_fixed_P(n, p, bnds, structure, rho,
@@ -370,10 +376,9 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
                 break
             s2 = float(sol_ab.values["s"])
             cand = asm_ab.decode(sol_ab).algo
-            if s2 < min(-1e-9, s_best):
-                ok, _, _ = _rate_feasible(cand, bnds, structure, rho, options, solves)
-                if ok:
-                    best, s_best = cand, s2
+            if (s2 < min(-1e-9, s_best)
+                    and _rate_feasible(cand, bnds, structure, rho, options, solves)):
+                best, s_best = cand, s2
             if s2 > min(s_prev, s1) - 1e-10:
                 break
             cur = cand
@@ -391,9 +396,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
     while True:
         bnds0 = SectorBounds(bounds.m, bounds.m * kappa0)
         cand, rho0 = _structured_initializer(n, p, bounds=bnds0, options=options)
-        ok, _, _ = _rate_feasible(cand, bnds0, structure, target_rho,
-                                  options, solves)
-        if ok:
+        if _rate_feasible(cand, bnds0, structure, target_rho, options, solves):
             algo = cand
             break
         if kappa0 <= kappa_floor:
@@ -421,8 +424,7 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
                 raise NotCertifiable(
                     f"BMI continuation stalled at kappa={kappa_cur:.3f} "
                     f"(target kappa {kappa_goal:.3f}, rho {target_rho:.4f})")
-    ok, _, _ = _rate_feasible(algo, bounds, structure, target_rho, options, solves)
-    if not ok:
+    if _rate_feasible(algo, bounds, structure, target_rho, options, solves) is None:
         raise NotCertifiable("continuation finished but the final rate "
                              "certification failed")
 
@@ -436,11 +438,10 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
         h2_cert = h2.certificate
         iters.append(("h2-analysis", target_rho, gamma_best))
         for _ in range(BMI_H2_STEPS):
-            ok, asm_r, sol_r = _rate_feasible(algo, bounds, structure, target_rho,
-                                              options, solves)
-            if not ok:
+            got = _rate_feasible(algo, bounds, structure, target_rho, options, solves)
+            if got is None:
                 break
-            P_rate = asm_r.decode(sol_r).P
+            P_rate = got[0].decode(got[1]).P
             P_perf = h2_cert.P_p
             asm = assemble_bmi_fixed_P(n, p, bounds, structure, target_rho,
                                        P_rate, P_p=P_perf, slack=False)
@@ -481,9 +482,27 @@ def synthesize_bmi(n: int, p: int, bounds: SectorBounds, target_rho: float,
 
 def certify_structured_rate(H1, T, m2: float, L2: float, n: int,
                             options: SolverOptions = None) -> tuple:
-    """Bisect the structured design LMI over rho; (best_rho, result)."""
-    probe = _structured_probe(H1, T, m2, L2, n, options or SolverOptions())
+    """Bisect the structured design LMI over rho; (best_rho, result).
+
+    The design is then re-certified at best_rho: one solve of the rate LMI
+    after the structured substitutions, with a static multiplier, whose
+    certificate passes the reporting gate. A design that the analysis LMI
+    refuses there, or whose certificate the gate refuses, raises
+    SolverError instead of being returned.
+    """
+    options = options or SolverOptions()
+    probe = _structured_probe(H1, T, m2, L2, n, options)
     _, hi, best, _ = _bisect(probe, 1e-4, STRUCTURED_RHO_HI, STRUCTURED_TOL)
     if best is None:
         raise NotCertifiable("structured design infeasible near rho = 1")
+    what = f"structured design at rho={hi:.6f}"
+    try:
+        asm = lmi.assemble_structured_rate(
+            best.algo, H1, T, m2, L2, ZamesFalbStructure(0, 0, 1, "unstructured", hi), hi)
+    except InfeasiblePrecondition as e:
+        raise SolverError(f"{what} failed rate re-certification") from e
+    sol = solve(asm.problem, options)
+    if not sol.certified:
+        raise SolverError(f"{what} failed rate re-certification")
+    _checked(asm, sol, what)
     return hi, best

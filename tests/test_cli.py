@@ -12,6 +12,7 @@ import pytest
 import iqcopt
 from iqcopt import cli
 from iqcopt.cli import main
+from iqcopt.errors import SolverError
 
 RUN = lambda *argv: main(list(argv))
 
@@ -339,19 +340,55 @@ class TestNonFiniteAlgorithmFile:
 
 
 class TestSweep:
+    @staticmethod
+    def _rows(path):
+        return [l.split(",") for l in path.read_text().splitlines()
+                if l and not l.startswith(("#", "kappa"))]
+
     def test_small_rate_sweep_matches_analytic(self, tmp_path):
         path = tmp_path / "sweep.csv"
         code = RUN("sweep", "--mode", "rate", "--algos", "gd",
                    "--kappa-grid", "log:2:10:3", "--tol", "1e-4",
                    "-o", str(path))
         assert code == 0
-        rows = [l.split(",") for l in path.read_text().splitlines()
-                if l and not l.startswith("#") and not l.startswith("kappa")]
-        for kappa_s, algo, mode, value_s, lb_s in rows:
+        for kappa_s, algo, mode, value_s, lb_s in self._rows(path):
             kappa = float(kappa_s)
             want = (kappa - 1) / (kappa + 1)
             assert float(value_s) == pytest.approx(want, abs=1e-2)
             assert float(value_s) >= float(lb_s) - 1e-3
+
+    def test_rate_row_refused_by_the_gate_reads_nan(self, monkeypatch, tmp_path):
+        """A SolverError in one --mode rate row writes nan there, as h2 mode
+        does, instead of aborting the grid with exit 4."""
+        calls = []
+        certify_rate = cli.certify_rate
+
+        def refuse_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SolverError("certificate at rho=0.500000 failed FDI verification")
+            return certify_rate(*args)
+
+        monkeypatch.setattr(cli, "certify_rate", refuse_second)
+        path = tmp_path / "sweep.csv"
+        assert RUN("sweep", "--mode", "rate", "--algos", "gd",
+                   "--kappa-grid", "log:2:8:3", "-o", str(path)) == 0
+        values = [row[3] for row in self._rows(path)]
+        assert len(calls) == 3 and values[1] == "nan"
+        assert np.isfinite(float(values[0])) and np.isfinite(float(values[2]))
+
+    def test_h2_rows_have_no_lower_bound(self, tmp_path):
+        """The fundamental lower bound bounds rates, not gamma: h2 rows write
+        nan in its column, while rate rows keep it."""
+        path = tmp_path / "sweep.csv"
+        for mode in ("rate", "h2"):
+            assert RUN("sweep", "--mode", mode, "--algos", "gd",
+                       "--kappa-grid", "log:2:100:3", "-o", str(path)) == 0
+            rows = self._rows(path)
+            assert len(rows) == 3 and all(np.isfinite(float(r[3])) for r in rows)
+            bounds = [r[4] for r in rows]
+            assert (all(b == "nan" for b in bounds) if mode == "h2"
+                    else all(0 < float(b) < 1 for b in bounds))
 
     @pytest.mark.parametrize("grid", [
         "foo", "bad:1:2:3", "log:a:10:3", "log:1:10", "log:1:10:3:4", "log:1:10:2.5",

@@ -9,7 +9,9 @@ from iqcopt.engines import (BisectionConfig, certify_h2, certify_rate,
                             certify_structured_rate, fundamental_lower_bound,
                             h2_norm_linear, synthesize_bmi, synthesize_convex,
                             verify_fdi)
-from iqcopt.errors import DomainError, NotCertifiable, PreconditionError
+from iqcopt.cli import main
+from iqcopt.errors import (DomainError, InfeasiblePrecondition, NotCertifiable,
+                           PreconditionError, SolverError)
 from iqcopt.lmi import H2Certificate, RateCertificate, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbParameters, ZamesFalbStructure
 from iqcopt.plantbuild import build_perf_plant, build_rate_plant, default_noise_channel
@@ -231,6 +233,19 @@ class TestSynthesizeConvex:
         with pytest.raises(NotCertifiable):
             synthesize_convex(2, 1, BOUNDS10, 0.6)
 
+    def test_failed_recertification_is_a_solver_error(self, monkeypatch, capsys):
+        """A design the analysis LMI refuses at its rho raises the round
+        trip's SolverError, and synth-convex exits 4, not 3."""
+        def refuse(*args):
+            raise InfeasiblePrecondition("refused")
+
+        monkeypatch.setattr(engines, "assemble_rate_for", refuse)
+        with pytest.raises(SolverError,
+                           match="^synthesized algorithm failed rate re-certification$"):
+            synthesize_convex(2, 1, BOUNDS10, 0.95)
+        assert main(["synth-convex", "--m", "1", "--L", "10", "--rho", "0.95"]) == 4
+        assert "synthesized algorithm failed rate re-certification" in capsys.readouterr().out
+
     def test_perf_gamma_reported(self):
         bounds = SectorBounds(1.0, 50.0)
         res = synthesize_convex(2, 1, bounds, 0.995, with_perf=True)
@@ -351,7 +366,7 @@ class TestOneBisectionLoop:
         def rate_feasible(algo, bounds, structure, rho, options, counter):
             counter[0] += 1
             got = probe(rho)
-            return (True, Assembly(got.rho), None) if got else (False, None, None)
+            return (Assembly(got.rho), None) if got else None
 
         monkeypatch.setattr(engines, "_rate_feasible", rate_feasible)
         monkeypatch.setattr(engines, "verify_fdi",
@@ -374,9 +389,20 @@ class TestOneBisectionLoop:
 
     @pytest.mark.parametrize("threshold", [0.0, 5e-4, 1e-3, 0.3, 0.905367, 1.0 - 1e-6, 1.0])
     def test_structured_bisections(self, monkeypatch, threshold):
-        seen = []
+        seen, recertified = [], []
         monkeypatch.setattr(engines, "_structured_probe",
                             lambda *args: self._threshold_probe(threshold, seen))
+        # the structured design's re-certification at its returned rho is
+        # stubbed too, and accepts
+        def assemble_structured_rate(algo, H1, T, m2, L2, structure, rho):
+            recertified.append((algo, rho))
+            return SimpleNamespace(problem=None, plant=None, decode=lambda sol: algo)
+
+        monkeypatch.setattr(engines.lmi, "assemble_structured_rate", assemble_structured_rate)
+        monkeypatch.setattr(engines, "solve",
+                            lambda problem, options: SimpleNamespace(certified=True))
+        monkeypatch.setattr(engines, "verify_fdi",
+                            lambda cert, plant: engines.FdiReport(True, -1.0))
         runs = [
             # the initializer returns (algorithm, rho), the structured design (rho, result)
             (lambda: engines._structured_initializer(2, 1, BOUNDS10, None)[::-1],
@@ -387,12 +413,19 @@ class TestOneBisectionLoop:
             ref_seen = []
             ref = reference(self._threshold_probe(threshold, ref_seen))
             seen.clear()
+            recertified.clear()
             if ref is None:
                 with pytest.raises(NotCertifiable):
                     run()
+                assert recertified == []
             else:
                 hi, witness = ref
                 assert run() == (hi, result(witness))
+                # only the structured design is re-certified, once, at hi
+                if reference is reference_structured_bisection:
+                    assert recertified == [(witness.algo, hi)]
+                else:
+                    assert recertified == []
             assert seen == ref_seen
 
     @pytest.mark.parametrize("lo,hi", [(0.2, 1.0), (0.9, 0.9), (0.95, 0.9), (0.0, 1e-12)])
@@ -412,3 +445,75 @@ class TestOneBisectionLoop:
             assert got_hi - got_lo <= tol or len(log) == 1 + engines.MAX_BISECTION_STEPS
         else:           # lo >= hi or already within tol: only hi is probed
             assert (got_lo, got_hi, log) == (lo, hi, [(hi, True)])
+
+
+GD10 = make_named("gd", BOUNDS10)
+NARROW = SectorBounds(1.0, 1.01)
+
+
+def _structured_gd10():
+    return certify_structured_rate(BOUNDS10.m * np.eye(1), np.eye(1), 0.0,
+                                   BOUNDS10.L - BOUNDS10.m, n=2)
+
+
+class TestReportingGate:
+    """Every certificate a public driver returns comes out of engines._checked,
+    the one decode-and-FDI gate, and a refusal there is a SolverError."""
+
+    @pytest.fixture
+    def passed(self, monkeypatch):
+        """The certificates the gate returns, in call order."""
+        out = []
+        gate = engines._checked
+
+        def recording(asm, sol, what):
+            out.append(gate(asm, sol, what))
+            return out[-1]
+
+        monkeypatch.setattr(engines, "_checked", recording)
+        return out
+
+    def test_certifiers_call_it_once(self, passed):
+        res = certify_rate(GD10, BOUNDS10, ST)
+        assert len(passed) == 1 and res.certificate is passed[0]
+        passed.clear()
+        res = certify_h2(GD10, BOUNDS10, ST)
+        assert len(passed) == 1 and res.certificate is passed[0]
+        passed.clear()
+        _structured_gd10()
+        assert len(passed) == 1 and isinstance(passed[0], RateCertificate)
+
+    def test_synthesis_results_passed_it(self, passed):
+        synthesize_convex(2, 1, BOUNDS10, 0.95)
+        assert [type(c) for c in passed] == [RateCertificate]
+        passed.clear()
+        res = synthesize_bmi(1, 1, NARROW, 0.5, optimize="h2")
+        assert any(c is res.rate_certificate for c in passed)
+        assert any(c is res.h2_certificate for c in passed)
+
+    @pytest.mark.parametrize("run,text", [
+        (lambda: certify_rate(GD10, BOUNDS10, ST), r"certificate at rho=0\.\d{6}"),
+        (lambda: certify_h2(GD10, BOUNDS10, ST), "H2 certificate"),
+        (lambda: synthesize_convex(2, 1, BOUNDS10, 0.95), r"certificate at rho=0\.950000"),
+        (lambda: synthesize_bmi(1, 1, NARROW, 0.5, optimize="rate"),
+         r"certificate at rho=0\.500000"),
+        (lambda: synthesize_bmi(1, 1, NARROW, 0.5, optimize="h2"), "H2 certificate"),
+        (_structured_gd10, r"structured design at rho=0\.\d{6}"),
+    ])
+    def test_fdi_refusal_is_a_solver_error(self, monkeypatch, run, text):
+        monkeypatch.setattr(engines, "verify_fdi",
+                            lambda cert, plant: engines.FdiReport(False, 0.5))
+        with pytest.raises(SolverError,
+                           match=f"^{text} failed FDI verification \\(worst eig 5\\.000e-01\\)$"):
+            run()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze-rate", "--algo", "gd", "--m", "1", "--L", "10"],
+        ["analyze-h2", "--algo", "gd", "--m", "1", "--L", "10"],
+        ["synth-convex", "--m", "1", "--L", "10", "--rho", "0.95"],
+    ])
+    def test_fdi_refusal_exits_solver(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(engines, "verify_fdi",
+                            lambda cert, plant: engines.FdiReport(False, 0.5))
+        assert main(argv) == 4
+        assert "failed FDI verification (worst eig 5.000e-01)" in capsys.readouterr().out
