@@ -15,6 +15,20 @@ rank-2 matrices a_i^T a_j + a_j^T a_i, nonzero only where [A B] has
 nonzero columns. P is declared before the multiplier's variables, so a
 block's keys are P's range followed by theirs, and its entries are P's
 followed by the multiplier's, key-major without a sort.
+Where and in what order P's terms are summed depends on the nonzero
+pattern of [A B] alone, and [Ac(rho) Bc] has one pattern at every rho
+that a rho-free plant part accepts; the H2 plant's [boldA boldB1] is it
+at rho = 1. So the rate, H2 and rate-slack assemblies share one KYP plan
+per part (``_KypPlan``), derived from the first plant assembled and kept
+on the part for as long as the part is: P's term plan (the nonzeros,
+the summation order, each term's entry and the entries' key layout), the
+multiplier's coefficient stack (its layout's own) and the names of its
+membership rows. A probe then computes only values: it gathers the
+nonzeros, takes their outer product and sums it by one np.bincount in
+the stored order, takes one batched congruence for the multiplier's row
+term and applies the membership rows' rho weights. A plant with no part
+(a test's reference plant) and a synthesis block's multiplier states get
+their plan from the same code for the one block they build.
 Synthesis variants reshuffle the same blocks by Schur complement so the
 algorithm matrices appear linearly. ``place`` sums a synthesis block's
 (row offset, column offset, term) list entry by entry; the terms of an
@@ -54,8 +68,8 @@ from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant, build_perf_plant,
                          build_rate_plant, build_rate_plant_loop, check_structured_data,
                          default_noise_channel, structured_loop)
-from .problem import (AffineMatrix, SdpProblem, VariableInfo, congruence, from_codes,
-                      from_entries, place, sum_codes, upper_triangle)
+from .problem import (AffineMatrix, SdpProblem, VariableInfo, code_plan, congruence,
+                      from_codes, from_entries, place, sum_codes, upper_triangle)
 from .sdp import SdpSolution
 
 
@@ -95,22 +109,30 @@ class SynthesisResult:
 # ---------------------------------------------------------------------------
 
 def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
-                    name: str = "zf_theta") -> AffineMatrix:
+                    name: str = "zf_theta", names=None) -> AffineMatrix:
     """Declare the kernel variables, add their membership rows, and return
     their M_Delta expression.
 
     Over theta's unit basis, rows @ theta is the transposed membership
     array on theta's consecutive keys, so the rows are added from its
     entries directly and no expression of theta is built. M_Delta's
-    entries are the shape's layout's, shared read-only.
+    entries are the shape's layout's, shared read-only. ``names`` are the
+    rows' names (``_row_names``) when a plan holds them already.
     """
     info = prob.declare(name, "matrix", (structure.parameter_count(), 1))
     keys = info.offset + np.arange(info.size)
     entries, senses, labels = membership_entries(structure)
+    if names is None:
+        names = _row_names(name, labels)
     prob.add_linear(from_entries((len(senses), 1), np.zeros((len(senses), 1)), keys, *entries),
-                                 senses, 0.0, [f"{name}:{label}" for label in labels])
+                    senses, 0.0, names)
     q = m_delta_coefficients(structure).shape[1]
     return from_entries((q, q), np.zeros((q, q)), keys, *m_delta_entries(structure))
+
+
+def _row_names(name: str, labels) -> list:
+    """The names of the membership rows of the variable ``name``."""
+    return [f"{name}:{label}" for label in labels]
 
 
 def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameters:
@@ -118,14 +140,84 @@ def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameter
         np.asarray(theta_value).ravel())))
 
 
-def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
+# the -1 that P's unit basis subtracts, listed after the pairs' products
+_MINUS_ONE = np.array([-1.0])
+_MINUS_ONE.flags.writeable = False
+
+
+class _TermPlan:
+    """What P's terms in a KYP block on an n x m [A B] take from its
+    nonzero pattern alone.
+
+    ``at`` holds the nonzeros' flat positions in [A B], row by row. P's
+    terms list the product of each ordered pair of them, then the basis's
+    -1 entries; ``src`` gives, in the order the terms are summed, each
+    term's product in the pairs' outer product, or the -1 past its end,
+    and ``segment`` the index of its entry among the entries, whose key
+    indices and positions are ``kix`` and ``pos``, key-major. A block
+    then takes one gather of the nonzeros, one outer product and one
+    ``np.bincount``. The arrays are read-only.
+    """
+
+    __slots__ = ("at", "src", "segment", "kix", "pos")
+
+    def __init__(self, AB: np.ndarray):
+        n, m = AB.shape
+        _, _, table, bk, br, bc = upper_triangle(n)
+        r, c = AB.nonzero()
+        mm = m * m
+        pairs = table.take(r, 0).take(r, 1) * mm + np.add.outer(c * m, c)
+        order, self.segment, code = code_plan(
+            np.concatenate([pairs.ravel(), bk * mm + br * m + bc]))
+        self.at = r * m + c
+        self.src = np.minimum(order, pairs.size)
+        self.kix, self.pos = np.divmod(code, mm)
+        for a in (self.at, self.src, self.segment, self.kix, self.pos):
+            a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _KypPlan:
+    """The rho-free plan of the KYP blocks on the plants of one rho-free
+    part: P's term plan, the multiplier's coefficient stack (its layout's
+    own) and the names of its membership rows."""
+
+    terms: _TermPlan
+    stack: np.ndarray
+    names: list
+
+
+def _kyp_plan(plant, AB: np.ndarray) -> _KypPlan:
+    """The plant's KYP plan: its rho-free part's, derived from this [A B]
+    on first use and kept on the part, or derived afresh for a plant with
+    no part.
+
+    [Ac(rho) Bc] has the same nonzeros at every rho the part accepts: a
+    probe divides only nonzero rho-free entries by rho in (0, 1], which
+    makes none of them zero, and the overflow guard keeps them finite. The
+    H2 block's [boldA boldB1] is the rate plant's at rho = 1. Concurrent
+    callers derive equal plans, so at worst one is derived twice.
+    """
+    part = plant.part
+    plan = None if part is None else part.plan
+    if plan is None:
+        structure = plant.structure
+        plan = _KypPlan(_TermPlan(AB), m_delta_coefficients(structure),
+                        _row_names("zf_theta", membership_entries(structure)[2]))
+        if part is not None:
+            part.plan = plan
+    return plan
+
+
+def _kyp(AB: np.ndarray, P: VariableInfo, *rows, terms: _TermPlan = None) -> AffineMatrix:
     """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
 
-    P is a declared symmetric variable and ``rows`` the pairs (out_b, X_b).
-    The block is the sum over the row blocks of out, AB^T P AB -
-    blkdiag(P, 0) + sum_b out_b^T X_b out_b, written as entries over the
-    key union, so neither the zero-padded middle matrix nor P's unit
-    basis is built.
+    P is a declared symmetric variable and ``rows`` the triples
+    (out_b, X_b, F_b), F_b the K x q x q coefficient stack of X_b (None
+    for a constant X_b). The block is the sum over the row blocks of out,
+    AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b, written as
+    entries over the key union, so neither the zero-padded middle matrix
+    nor P's unit basis is built.
 
     P's terms are listed on its unit basis, one basis row per element of
     the symmetric n x n P, at codes k m^2 + c m + d for basis row k and
@@ -137,47 +229,48 @@ def _kyp(AB: np.ndarray, P: VariableInfo, *rows) -> AffineMatrix:
     and shift chains make it, so the product of each ordered pair of AB's
     nonzeros is listed at its basis row and entry, pairs in order of the
     first nonzero, row by row, so the lower row's product comes first;
-    the basis's -1 entries come last. A row variable's matrices are few
-    and small (a multiplier's, a slack's), so each row term is the
-    batched product (out_b^T F) out_b of X_b's dense stack F, and its
-    entries are 0.0 plus the product's that are not +0.0.
+    the basis's -1 entries come last. Where and in what order they are
+    summed depends on AB's nonzero pattern alone, which ``terms`` holds
+    (derived here from AB when not given). A row variable's matrices are
+    few and small (a multiplier's, a slack's), so each row term is the
+    batched product (out_b^T F_b) out_b, and its entries are 0.0 plus the
+    product's that are not +0.0.
 
     Every caller declares P before the row variables, so the key union is
     P's range followed by each X_b's keys in turn, and the entries are
     P's followed by each row term's. Keys out of that order raise
     ArgumentError.
     """
-    n, m = AB.shape
+    m = AB.shape[1]
     last = P.offset + P.size - 1
-    for _, X in rows:
+    for _, X, _ in rows:
         if X.keys.size:
             if X.keys[0] <= last:
                 raise ArgumentError(
                     f"_kyp: row key {int(X.keys[0])} does not follow key {int(last)}; "
                     "declare P before the row variables, in order")
             last = X.keys[-1]
-    keys = np.concatenate([P.offset + np.arange(P.size)] + [X.keys for _, X in rows])
-    _, _, table, bk, br, bc = upper_triangle(n)
-    r, c = AB.nonzero()
-    v = AB[r, c]
-    mm = m * m
-    pairs = table.take(r, 0).take(r, 1) * mm + np.add.outer(c * m, c)
-    code, val = sum_codes(np.concatenate([pairs.ravel(), bk * mm + br * m + bc]),
-                          np.concatenate([np.multiply.outer(v, v).ravel(),
-                                          np.full(bk.size, -1.0)]))
-    codes, vals = [code], [val]
+    keys = np.concatenate([P.offset + np.arange(P.size)] + [X.keys for _, X, _ in rows])
+    terms = terms or _TermPlan(AB)
+    v = AB.take(terms.at)
+    products = np.concatenate([np.multiply.outer(v, v).ravel(), _MINUS_ONE])
+    kix, pos = [terms.kix], [terms.pos]
+    vals = [np.bincount(terms.segment, products[terms.src])]
     const = np.zeros((m, m))
-    lo = P.size * mm
-    for out_b, X in rows:
+    lo = P.size
+    for out_b, X, F in rows:
         if X.const.any():
             const += (out_b.T @ X.const) @ out_b
         if X.val.size:
-            F = ((out_b.T @ X.dense()) @ out_b).ravel()
+            F = ((out_b.T @ F) @ out_b).ravel()
             at = F.view(np.int64).nonzero()[0]
-            codes.append(lo + at)
+            k, e = np.divmod(at, m * m)
+            kix.append(lo + k)
+            pos.append(e)
             vals.append(0.0 + F[at])
-        lo += X.keys.size * mm
-    return from_codes((m, m), const, keys, np.concatenate(codes), np.concatenate(vals))
+        lo += X.keys.size
+    return from_entries((m, m), const, keys, np.concatenate(kix), np.concatenate(pos),
+                        np.concatenate(vals))
 
 
 def _minus_identity(s: AffineMatrix, dim: int) -> AffineMatrix:
@@ -217,10 +310,12 @@ def assemble_rate(plant: AugmentedPlant) -> RateAssembly:
     if plant.nominal_radius >= rho:
         raise InfeasiblePrecondition(
             f"nominal spectral radius {plant.nominal_radius:.6f} >= rho={rho}")
+    AB = np.hstack([plant.Ac, plant.Bc])
+    plan = _kyp_plan(plant, AB)
     prob = SdpProblem(f"rate[rho={rho:.6g}]")
     P = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
-    md = _add_multiplier(prob, structure)
-    kyp = _kyp(np.hstack([plant.Ac, plant.Bc]), P, (np.hstack([plant.Cc, plant.Dc]), md))
+    md = _add_multiplier(prob, structure, names=plan.names)
+    kyp = _kyp(AB, P, (np.hstack([plant.Cc, plant.Dc]), md, plan.stack), terms=plan.terms)
     prob.add_lmi(kyp, "neg", name="rate")
     return RateAssembly(prob, plant, structure)
 
@@ -265,16 +360,17 @@ def assemble_h2(perf_plant: PerformanceAugmentedPlant) -> H2Assembly:
     if perf_plant.nominal_radius >= 1.0:
         raise InfeasiblePrecondition("nominal loop is not Schur stable")
     pl = perf_plant
+    AB = np.hstack([pl.boldA, pl.boldB1])
+    plan = _kyp_plan(pl, AB)
     prob = SdpProblem("h2")
     P_info = prob.declare("P_p", "symmetric", (pl.n_c, pl.n_c))
-    md = _add_multiplier(prob, structure)
+    md = _add_multiplier(prob, structure, names=plan.names)
     Z = prob.add_symmetric("Z", pl.n_wp)
     t = prob.add_scalar("t")
 
-    kyp = _kyp(np.hstack([pl.boldA, pl.boldB1]), P_info,
-               (np.hstack([pl.boldC1, pl.boldD11]), md),
+    kyp = _kyp(AB, P_info, (np.hstack([pl.boldC1, pl.boldD11]), md, plan.stack),
                (np.hstack([pl.boldC2, np.zeros((pl.n_yp, pl.p_c))]),
-                AffineMatrix.constant(np.eye(pl.n_yp))))
+                AffineMatrix.constant(np.eye(pl.n_yp)), None), terms=plan.terms)
     prob.add_lmi(kyp, "neg", name="h2-kyp")
 
     P = prob.variable_expr("P_p")
@@ -381,7 +477,7 @@ def _convex_synth_block(sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
     (N, _), (nd, mt), p = P22.shape, top.shape, C.shape[0]
     dim = N + mt
     RC = dim * dim
-    U = _kyp(top, P11, (CcDc, md)) if nd else congruence(CcDc, md)
+    U = _kyp(top, P11, (CcDc, md, md.dense())) if nd else congruence(CcDc, md)
     blk = place((dim, dim), [(N, N, U)] + list(extra),
                 keys=np.concatenate([P22.keys, QA.keys, QB.keys]))
     keys = blk.keys
@@ -633,14 +729,16 @@ def assemble_rate_slack(algo: AlgorithmRealization, bounds: SectorBounds,
     optimal s measures how far the fixed algorithm is from certifiable.
     """
     plant = build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
+    AB = np.hstack([plant.Ac, plant.Bc])
+    plan = _kyp_plan(plant, AB)
     prob = SdpProblem(f"rate-slack[rho={rho:.6g}]")
     P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
-    md = _add_multiplier(prob, structure.with_rho(rho))
+    md = _add_multiplier(prob, structure.with_rho(rho), names=plan.names)
     s = prob.add_scalar("s")
-    AB = np.hstack([plant.Ac, plant.Bc])
     dim = AB.shape[1]
-    prob.add_lmi(_kyp(AB, P_info, (np.hstack([plant.Cc, plant.Dc]), md),
-                      (np.eye(dim), _minus_identity(s, dim))),
+    minus_s = _minus_identity(s, dim)
+    prob.add_lmi(_kyp(AB, P_info, (np.hstack([plant.Cc, plant.Dc]), md, plan.stack),
+                      (np.eye(dim), minus_s, minus_s.dense()), terms=plan.terms),
                  "neg", eps=0.0, name="rate-slack")
     P = prob.variable_expr("P")
     nd, nl = plant.n_mult, plant.n_loop

@@ -26,10 +26,19 @@ steps without keeping anything.
 
 The loop's nominal spectral radius is computed from its Anom on first
 read, which only the rate and H2 assemblies do, so once per kept
-rho-free part. A rho for which the products of the plant's entries would
-overflow is refused with DomainError before anything is divided by it,
-from the largest entry that the rho-free part records; so is a noise
-channel whose entries would overflow the H2 blocks' products.
+rho-free part. The part holds the KYP plan of its plants (``plan``) the
+same way: :mod:`iqcopt.lmi` derives it when it first assembles one of
+them and stores it on the part, so it lives as long as the part, which
+the kept slot and the plants built from it (each refers to its part)
+hold. Like ``_kept``, the plan is filled idempotently: concurrent
+callers derive equal plans, and at worst one is derived twice. A plant
+from an explicit loop has a part of its own, so its plan serves that
+plant alone.
+
+A rho for which the products of the plant's entries would overflow is
+refused with DomainError before anything is divided by it, from the
+largest entry that the rho-free part records; so is a noise channel
+whose entries would overflow the H2 blocks' products.
 """
 
 from dataclasses import dataclass, field
@@ -129,6 +138,8 @@ class AugmentedPlant:
     loop is the uncertain loop it realizes; nominal_radius is the
     spectral radius of the loop's Anom, before the rho scaling. Bc and Dc
     may be read-only arrays shared with other plants of the same loop.
+    part is the rho-free part the plant was filled from (None for a plant
+    built otherwise), which keeps its KYP plan.
     """
 
     Ac: np.ndarray = field(repr=False)
@@ -142,6 +153,7 @@ class AugmentedPlant:
     rho: float
     loop: UncertainLoop = field(repr=False)
     structure: ZamesFalbStructure = None
+    part: "_RhoFree" = field(default=None, repr=False, compare=False)
 
     @property
     def n_c(self) -> int:
@@ -164,7 +176,8 @@ class _RhoFree:
     block as Bc and Dc. These four arrays are read-only, like psi's A and C.
     amax is the largest magnitude among them, the loop's Anom and 1 (psi's
     A and C hold only 0 and 1), so amax / rho bounds every entry of a
-    plant at rho <= 1.
+    plant at rho <= 1. plan is the KYP plan of the part's plants, None
+    until :mod:`iqcopt.lmi` first assembles one of them.
     """
 
     def __init__(self, loop: UncertainLoop, structure: ZamesFalbStructure):
@@ -184,6 +197,7 @@ class _RhoFree:
             arr.flags.writeable = False
         self.amax = float(np.abs(np.concatenate(
             [a.ravel() for a in (self.BC, self.DC, self.Bc, self.Dc, loop.Anom)])).max(initial=1.0))
+        self.plan = None
 
 
 def _rate_plant(part: _RhoFree, structure: ZamesFalbStructure, rho: float) -> AugmentedPlant:
@@ -207,7 +221,7 @@ def _rate_plant(part: _RhoFree, structure: ZamesFalbStructure, rho: float) -> Au
     np.divide(part.DC, rho, out=Cc[:, nd:])
     return AugmentedPlant(Ac, part.Bc, Cc, part.Dc, n_mult=nd, n_loop=N,
                           p_c=part.loop.channel_dim, q_c=part.q_c, rho=rho,
-                          loop=part.loop, structure=structure)
+                          loop=part.loop, structure=structure, part=part)
 
 
 # the rho-free part kept for the last (algorithm, bounds, multiplier shape)
@@ -251,7 +265,8 @@ class PerformanceAugmentedPlant:
     channel (n_wp). The direct terms D12, D21, D22 vanish for the H2
     setup with D_perf = 0. nominal_radius is the spectral radius of the
     loop's Anom. boldB2 and boldC2 are zero on the multiplier states, so
-    boldB2[n_mult:] is B_perf.
+    boldB2[n_mult:] is B_perf. part is the rho-free part, as for the rate
+    plant.
     """
 
     boldA: np.ndarray = field(repr=False)
@@ -268,6 +283,7 @@ class PerformanceAugmentedPlant:
     n_yp: int
     loop: UncertainLoop = field(repr=False)
     structure: ZamesFalbStructure = None
+    part: "_RhoFree" = field(default=None, repr=False, compare=False)
 
     @property
     def n_c(self) -> int:
@@ -303,7 +319,7 @@ def _perf_plant(part: _RhoFree, structure: ZamesFalbStructure,
         plant.Ac, plant.Bc, np.vstack([np.zeros((nd, nwp)), B_perf]), plant.Cc,
         np.hstack([np.zeros((nyp, nd)), C_perf]), plant.Dc,
         n_mult=nd, n_loop=N, p_c=plant.p_c, q_c=plant.q_c, n_wp=nwp, n_yp=nyp,
-        loop=part.loop, structure=structure,
+        loop=part.loop, structure=structure, part=part,
     )
 
 

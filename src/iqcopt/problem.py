@@ -121,17 +121,28 @@ def from_entries(shape, const, keys, kix, pos, val) -> "AffineMatrix":
     return e
 
 
-def sum_codes(code, val):
-    """Sorted unique codes and, for each, 0.0 + the values listed for it,
-    added in the order they are listed: np.add.at into a zero array, for
-    the codes that occur. An entry's code is k r c + e for key index k and
-    position e in an r x c matrix, so sorted codes are key-major entries."""
+def code_plan(code):
+    """What ``sum_codes`` derives from the codes alone: the stable order
+    that sorts them, the index of each listed value's code among the
+    sorted unique codes, in that order, and the sorted unique codes.
+    Values listed at the same codes are summed by the same plan."""
     order = code.argsort(kind="stable")
     code = code[order]
     first = np.empty(code.size, dtype=bool)
     first[:1] = True
     np.not_equal(code[1:], code[:-1], out=first[1:])
-    return code[first], np.bincount(np.add.accumulate(first, dtype=np.intp), val[order])[1:]
+    unique = code[first]
+    first[:1] = False
+    return order, np.add.accumulate(first, dtype=np.intp), unique
+
+
+def sum_codes(code, val):
+    """Sorted unique codes and, for each, 0.0 + the values listed for it,
+    added in the order they are listed: np.add.at into a zero array, for
+    the codes that occur. An entry's code is k r c + e for key index k and
+    position e in an r x c matrix, so sorted codes are key-major entries."""
+    order, segment, unique = code_plan(code)
+    return unique, np.bincount(segment, val[order])
 
 
 def _entries(stack):

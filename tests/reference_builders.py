@@ -237,13 +237,17 @@ def unit_basis(P_info):
     return basis
 
 
-def reference_kyp(AB, P_info, *rows):
-    """AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b on P's unit basis."""
+def reference_kyp(AB, P_info, *rows, terms=None):
+    """AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b on P's unit basis.
+
+    Called as ``lmi._kyp`` is: ``rows`` are triples (out_b, X_b, F_b), of
+    which F_b, X_b's coefficient stack, and the term plan ``terms`` are
+    not read; each row term is the congruence of X_b."""
     n = P_info.shape[0]
     coeffs = p_terms(AB)
     coeffs[:, :n, :n] -= unit_basis(P_info)
     total = AffineMatrix.from_dense(P_info.offset + np.arange(P_info.size), coeffs)
-    for out_b, X in rows:
+    for out_b, X, _ in rows:
         total = total + congruence(out_b, X)
     return total
 
@@ -298,7 +302,9 @@ def reference_add_matrix_equality(self, expr, name=""):
             self.add_linear(expr[i:i + 1, j:j + 1], "==", 0.0, name=f"{name}[{i},{j}]")
 
 
-def reference_add_multiplier(prob, structure, name="zf_theta"):
+def reference_add_multiplier(prob, structure, name="zf_theta", names=None):
+    """Called as ``lmi._add_multiplier`` is; the rows' names are formatted
+    here from their labels, and ``names`` is not read."""
     theta = prob.add_matrix(name, structure.parameter_count(), 1)
     coeffs = m_delta_coefficients(structure)
     md = AffineMatrix.from_dense(theta.keys, coeffs)
@@ -720,7 +726,7 @@ def reference_assemble_rate_slack(algo, bounds, structure, rho, radius=1e6):
     md = lmi._add_multiplier(prob, structure.with_rho(rho))
     s = prob.add_scalar("s")
     big = lmi._kyp(np.hstack([plant.Ac, plant.Bc]), P_info,
-                   (np.hstack([plant.Cc, plant.Dc]), md))
+                   (np.hstack([plant.Cc, plant.Dc]), md, md.dense()))
     dim = big.shape[0]
     prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="rate-slack")
     P = prob.variable_expr("P")
@@ -885,7 +891,7 @@ def kyp_block(G: StateSpace, M, name: str = "kyp") -> SdpProblem:
     prob = SdpProblem(name)
     P = prob.declare("P", "symmetric", (G.nx, G.nx))
     prob.add_lmi(lmi._kyp(np.hstack([G.A, G.B]), P,
-                          (np.hstack([C, D]), AffineMatrix.constant(M))), "neg", name=name)
+                          (np.hstack([C, D]), AffineMatrix.constant(M), None)), "neg", name=name)
     return prob
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 from iqcopt.algorithms import (SectorBounds, StructuredControllerForm, from_structured,
                                lift, make_named)
 from iqcopt import algorithms, lmi, multipliers, plantbuild
-from iqcopt.engines import h2_norm_linear, verify_fdi
+from iqcopt.engines import certify_h2, certify_rate, h2_norm_linear, verify_fdi
 from iqcopt.errors import (ArgumentError, DimensionError, DomainError, InfeasiblePrecondition,
                            PreconditionError)
 from iqcopt.lmi import (assemble_convex_synth, assemble_convex_synth_perf,
@@ -27,6 +28,7 @@ from iqcopt.problem import SdpProblem, congruence, upper_triangle
 from iqcopt.sdp import SdpSolution, solve
 from iqcopt.statespace import StateSpace
 import reference_builders as ref_builders
+from test_plantbuild import _bisection_rhos
 from reference_builders import (kyp_block, use_reference_builders, use_reference_lmi,
                                 use_reference_rows)
 
@@ -351,7 +353,8 @@ class TestSharedLayout:
         radius = algo.nominal_radius(BOUNDS10.m)
         for rho in np.linspace(1.0, 0.5 * (1.0 + radius), 12):
             asm = assemble_rate_for(algo, BOUNDS10, st, rho)
-        assert upper_triangle.cache_info()[:2] == (11, 1)     # hits, misses
+        # the kept part's KYP plan reads P's pattern once, for the first probe
+        assert upper_triangle.cache_info()[:2] == (0, 1)      # hits, misses
         assemble_h2_for(algo, BOUNDS10, st)
         x = np.random.default_rng(0).standard_normal(asm.problem.nvars)
         sol = SdpSolution(status="optimal", x=x,
@@ -389,6 +392,160 @@ class TestSharedLayout:
         assert built == [2] and radii == [(4, 4)]
         assemble_rate_slack(make_named("nm", BOUNDS10, 2), BOUNDS10, st, 0.9)
         assert built == [2, 2] and radii == [(4, 4)]
+
+
+    def test_kyp_plan_built_once_for_a_certification(self, monkeypatch):
+        """A certify_rate and a certify_h2 of one configuration derive one
+        KYP plan, on the kept part, which every probe and the H2 assembly
+        read; a plant from an explicit loop has a part of its own, so each
+        assembly of one derives its plan."""
+        built = []
+
+        class Counted(lmi._TermPlan):
+            __slots__ = ()
+
+            def __init__(self, AB):
+                built.append(AB.shape)
+                super().__init__(AB)
+
+        assemble_rate = lmi.assemble_rate
+        plans = []
+
+        def assemble(plant):
+            asm = assemble_rate(plant)
+            plans.append(plant.part.plan)
+            return asm
+
+        monkeypatch.setattr(lmi, "_TermPlan", Counted)
+        monkeypatch.setattr(lmi, "assemble_rate", assemble)
+        monkeypatch.setattr(plantbuild, "_kept", None)
+        algo = make_named("nm", BOUNDS10, 1)
+        st = ZamesFalbStructure(2, 1, 1, "unstructured", 1.0)
+        assert certify_rate(algo, BOUNDS10, st).value < 1.0
+        assert certify_h2(algo, BOUNDS10, st).value > 0.0
+        assert built == [(5, 6)]
+        assert len(plans) > 10 and all(plan is plans[0] for plan in plans)
+        assert plantbuild._kept[2].plan is plans[0]
+        loop = plantbuild.sector_loop(algo, BOUNDS10)
+        for k in (1, 2):
+            lmi.assemble_rate(plantbuild.build_rate_plant_loop(loop, st.with_rho(0.9), 0.9))
+            assert len(built) == 1 + k and plans[-1] is not plans[0]
+
+
+def _problem_digest(prob, entries: bool) -> str:
+    """Variables, blocks (names, senses, eps, scales, keys, constants and
+    stacks) and rows (keys, stack, signs, rhs and names) of a problem; with
+    ``entries`` the entry arrays too, which list an entry whose terms sum
+    to +0.0 where a stack shows none."""
+    h = hashlib.sha256()
+    h.update(repr([(v.name, v.kind, v.shape, v.offset, v.size) for v in prob.variables]).encode())
+    exprs = [b.expr for b in prob.blocks] + [prob.linear.expr]
+    for b in prob.blocks:
+        h.update(repr((b.name, b.sense, b.eps, b.scale)).encode())
+    for e in exprs:
+        for a in (e.keys, e.const, e.dense()) + ((e.kix, e.pos, e.val) if entries else ()):
+            h.update(np.ascontiguousarray(a).tobytes())
+    rows = prob.linear
+    for a in (rows.sign, rows.rhs):
+        h.update(a.tobytes())
+    h.update(repr(rows.name).encode())
+    return h.hexdigest()
+
+
+def _smallest_accepted_rho(algo, bounds, st) -> float:
+    """The smallest rho at which build_rate_plant raises no DomainError,
+    bisected over the bit patterns of positive floats; a rho just below
+    it is refused by the plant's overflow guard."""
+    def accepted(bits):
+        rho = float(np.int64(bits).view(np.float64))
+        try:
+            build_rate_plant(algo, bounds, st.with_rho(rho), rho)
+        except DomainError as e:
+            return False, str(e)
+        return True, ""
+
+    lo, hi = int(np.float64(1e-300).view(np.int64)), int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepted(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    assert "would overflow the KYP block" in accepted(lo)[1]
+    return float(np.int64(hi).view(np.float64))
+
+
+class TestKypPlanReuse:
+    """The rate, H2 and rate-slack problems built on the KYP plan that the
+    kept plant part hash equal, entry for entry, to those built on a fresh
+    part (an explicit loop's, whose plan serves that one problem), and
+    their stacks to the reference builders' (whose plants have no part,
+    so their plan is derived inline): at rho = 1, at every rho of a 12-probe bisection and
+    at the smallest rho that the plant's overflow guard accepts, with
+    configurations alternating. The stored summation order is what
+    fixes the bits of P's terms, so these run on the FMA-free kernel too."""
+
+    @staticmethod
+    def _fresh_parts(m):
+        m.setattr(lmi, "build_rate_plant", lambda algo, bounds, st, rho:
+                  plantbuild.build_rate_plant_loop(plantbuild.sector_loop(algo, bounds),
+                                                   st, rho))
+        m.setattr(lmi, "build_perf_plant", lambda algo, bounds, st, perf:
+                  build_perf_plant_loop(plantbuild.sector_loop(algo, bounds), st, *perf[:2]))
+
+    @staticmethod
+    def _builds(algo, bounds, st, rhos, slack_rho):
+        """The rate probes at ``rhos``, the H2 problem and the slack
+        problems at ``rhos`` and ``slack_rho``, in that order."""
+        return ([lambda rho=rho: assemble_rate_for(algo, bounds, st, rho) for rho in rhos]
+                + [lambda: assemble_h2_for(algo, bounds, st)]
+                + [lambda rho=rho: assemble_rate_slack(algo, bounds, st, rho)
+                   for rho in rhos + [slack_rho]])
+
+    def _assert_reuse_invisible(self, monkeypatch, algo, bounds, st, rhos, slack_rho):
+        builds = self._builds(algo, bounds, st, rhos, slack_rho)
+        kept = [build() for build in builds]
+        plan = kept[0].plant.part.plan
+        assert all(asm.plant.part.plan is plan for asm in kept)
+        with monkeypatch.context() as m:
+            self._fresh_parts(m)
+            fresh = [build() for build in builds]
+        assert len({id(asm.plant.part) for asm in fresh}) == len(fresh)
+        with monkeypatch.context() as m:
+            use_reference_builders(m)
+            reference = [build() for build in builds]
+        assert all(asm.plant.part is None for asm in reference)
+        for a, b, c in zip(kept, fresh, reference):
+            name = a.problem.name
+            assert _problem_digest(a.problem, True) == _problem_digest(b.problem, True), name
+            assert _problem_digest(a.problem, False) == _problem_digest(c.problem, False), name
+
+    def test_bisection_probes_alternating_configurations(self, monkeypatch):
+        """B has A's dimensions and more nonzeros (nm's output row C holds
+        two against hb's C = [1 0]), so a plan of A's would miss some of
+        B's products; C has another shape."""
+        bounds = SectorBounds(1.0, 25.0)
+        repeated = ZamesFalbStructure(2, 1, 2, "repeated")
+        configs = {"A": (make_named("hb", bounds, 2), repeated),
+                   "B": (make_named("nm", bounds, 2), repeated),
+                   "C": (make_named("tmm", bounds, 1), ZamesFalbStructure(2, 2, 1))}
+        monkeypatch.setattr(plantbuild, "_kept", None)
+        for name in "ABACA":
+            algo, st = configs[name]
+            rhos = _bisection_rhos(algo, bounds)
+            slack_rho = _smallest_accepted_rho(algo, bounds, st)
+            self._assert_reuse_invisible(monkeypatch, algo, bounds, st, rhos, slack_rho)
+
+    def test_smallest_accepted_rho(self, monkeypatch):
+        """A loop of radius 0 (gd at m = L) takes a rate probe at the
+        smallest rho the overflow guard accepts."""
+        bounds = SectorBounds(4.0, 4.0)
+        algo = make_named("gd", bounds, 2)
+        st = ZamesFalbStructure(2, 1, 2, "nonrepeated")
+        assert algo.nominal_radius(bounds.m) == 0.0
+        rho = _smallest_accepted_rho(algo, bounds, st)
+        assert rho < 1e-100
+        self._assert_reuse_invisible(monkeypatch, algo, bounds, st, [1.0, 0.5, rho], rho)
 
 
 class TestRhoFreeParts:
@@ -702,15 +859,15 @@ class TestKypKeyOrder:
         P_entry = prob.variable_expr("P")[1:2, 1:2]
         for X in (s, P_entry, s + t):
             with pytest.raises(ArgumentError, match="declare P before the row variables"):
-                lmi._kyp(self.AB, P, (self.OUT, X))
+                lmi._kyp(self.AB, P, (self.OUT, X, X.dense()))
 
     def test_row_terms_out_of_order_refused(self):
         prob, _, P, t = self._problem()
         u = prob.add_scalar("u")
         with pytest.raises(ArgumentError, match="declare P before the row variables"):
-            lmi._kyp(self.AB, P, (self.OUT, u), (self.OUT, t))
+            lmi._kyp(self.AB, P, (self.OUT, u, u.dense()), (self.OUT, t, t.dense()))
         with pytest.raises(ArgumentError, match="declare P before the row variables"):
-            lmi._kyp(self.AB, P, (self.OUT, t), (self.OUT, t))
+            lmi._kyp(self.AB, P, (self.OUT, t, t.dense()), (self.OUT, t, t.dense()))
 
 
 class TestKypScatter:
@@ -727,8 +884,8 @@ class TestKypScatter:
         P = prob.declare("P", "symmetric", (n, n))
         X = prob.add_symmetric("X", 2)
         out = np.random.default_rng(n).normal(size=(2, m))
-        got = lmi._kyp(AB, P, (out, X))
-        ref = ref_builders.reference_kyp(AB, P, (out, X))
+        got = lmi._kyp(AB, P, (out, X, X.dense()))
+        ref = ref_builders.reference_kyp(AB, P, (out, X, X.dense()))
         for x, y in ((got.keys, ref.keys), (got.const, ref.const), (got.dense(), ref.dense())):
             assert x.tobytes() == y.tobytes()
 

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from iqcopt import plantbuild
+from iqcopt import lmi, plantbuild
 from iqcopt.algorithms import SectorBounds, lift, make_named
 from iqcopt.errors import DimensionError, UnsupportedError
 from iqcopt.multipliers import CLASSES, ZamesFalbStructure, psi_delta_realization
@@ -177,7 +177,7 @@ def _assert_same_plant(got, ref):
         a, b = getattr(got, f.name), getattr(ref, f.name)
         if isinstance(a, np.ndarray):
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), f.name
-        elif f.name != "loop":
+        elif f.name not in ("loop", "part"):
             assert a == b, f.name
     assert got.nominal_radius == ref.nominal_radius
 
@@ -257,17 +257,24 @@ class TestKeptRhoFreePart:
         _assert_same_plant(again, plant)
 
     def test_only_the_last_configuration_is_kept(self):
+        """A replaced part is dropped, and with it the KYP plan that a rate
+        assembly derived and kept on it."""
         bounds = SectorBounds(1.0, 10.0)
         st = ZamesFalbStructure(1, 0, 1, rho=0.95)
         algos = [make_named(kind, bounds) for kind in ("gd", "nm", "tmm", "hb", "gd")]
         first = weakref.ref(algos[0])
+        plans = []
         for algo in algos:
             plant = build_rate_plant(algo, bounds, st, 0.95)
-            assert plant.nominal_radius < 0.95
+            assert plant.nominal_radius < 0.95 and plant.part.plan is None
+            lmi.assemble_rate(plant)
+            plans.append(weakref.ref(plant.part.plan))
         assert plantbuild._kept[0] is algos[-1]
         del algo, algos, plant
         gc.collect()
         assert first() is None
+        assert [plan() is None for plan in plans] == [True] * 4 + [False]
+        assert plans[-1]() is plantbuild._kept[2].plan
 
     def test_concurrent_callers_get_their_own_plants(self):
         """Threads interleaving configurations never get another's part."""
