@@ -3,7 +3,10 @@ import hashlib
 import json
 import os
 import re
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -535,6 +538,39 @@ class TestKypPlanReuse:
             rhos = _bisection_rhos(algo, bounds)
             slack_rho = _smallest_accepted_rho(algo, bounds, st)
             self._assert_reuse_invisible(monkeypatch, algo, bounds, st, rhos, slack_rho)
+
+    def test_concurrent_assemblies(self, monkeypatch):
+        """Threads interleaving configurations fill and read the kept
+        parts' plans; every problem hashes as one built alone."""
+        bounds = SectorBounds(1.0, 10.0)
+        configs = [(make_named(kind, bounds, p), ZamesFalbStructure(lc, 1, p))
+                   for kind, p, lc in (("gd", 1, 1), ("nm", 2, 2), ("hb", 2, 2), ("tmm", 1, 3))]
+        want = {}
+        for algo, st in configs:
+            for rho in (1.0, 0.99, 0.98):
+                asm = assemble_rate_for(algo, bounds, st, rho)
+                want[id(algo), rho] = _problem_digest(asm.problem, True)
+        monkeypatch.setattr(plantbuild, "_kept", None)
+        workers = 6
+        start = threading.Barrier(workers)
+
+        def work(k):
+            start.wait(timeout=60)
+            for i in range(60):
+                algo, st = configs[(k + i) % len(configs)]
+                for rho in (1.0, 0.99, 0.98):
+                    got = _problem_digest(assemble_rate_for(algo, bounds, st, rho).problem, True)
+                    assert got == want[id(algo), rho]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(work, k) for k in range(workers)]
+                for f in futures:
+                    f.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_smallest_accepted_rho(self, monkeypatch):
         """A loop of radius 0 (gd at m = L) takes a rate probe at the
