@@ -25,7 +25,7 @@ from .algorithms import (SectorBounds, load_algorithm, make_named,
                          save_algorithm, to_json_dict)
 from .engines import (BisectionConfig, certify_h2, certify_rate,
                       fundamental_lower_bound, synthesize_bmi, synthesize_convex)
-from .errors import DomainError, IqcError, NotCertifiable, SolverError
+from .errors import ArgumentError, DomainError, IqcError, NotCertifiable, SolverError
 from .multipliers import ZamesFalbStructure
 from .sampling import sample_function, simulate_h2
 from .sdp import SolverOptions
@@ -37,11 +37,13 @@ EXIT_SOLVER = 4
 
 
 def _solver_options() -> SolverOptions:
-    opts = SolverOptions()
+    """The solver options, with both tolerances from IQC_SOLVER_TOL when it
+    is set; a value that is not a finite number >= 0 raises ArgumentError."""
     tol = os.environ.get("IQC_SOLVER_TOL")
-    if tol:
-        opts.tol_abs = opts.tol_rel = float(tol)
-    return opts
+    try:
+        return SolverOptions(tol_abs=float(tol), tol_rel=float(tol)) if tol else SolverOptions()
+    except ValueError:      # not a number, or a tolerance SolverOptions refuses
+        raise ArgumentError(f"IQC_SOLVER_TOL must be a finite number >= 0, not {tol!r}") from None
 
 
 def _params(args) -> dict:

@@ -7,50 +7,55 @@ All analysis inequalities share one KYP-style congruence
 with the multiplier matrix M affine in the kernel parameters. Every
 block is written as the entries of its coefficient matrices (see
 :mod:`iqcopt.problem`); no builder forms a dense K x m x m stack. One
-writer, ``_kyp``, writes every KYP term: P's unit basis is never built,
-the product of each pair of nonzeros of [A B] is listed as a term of its
-entry of P's terms, and the terms of an entry are summed in a fixed
-order, so P's terms hold the same bits on any BLAS kernel. They are the
-rank-2 matrices a_i^T a_j + a_j^T a_i, nonzero only where [A B] has
-nonzero columns. P is declared before the multiplier's variables, so a
-block's keys are P's range followed by theirs, and its entries are P's
-followed by the multiplier's, key-major without a sort.
-Where and in what order P's terms are summed depends on the nonzero
-pattern of [A B] alone, and [Ac(rho) Bc] has one pattern at every rho
-that a rho-free plant part accepts; the H2 plant's [boldA boldB1] is it
-at rho = 1. So the rate, H2 and rate-slack assemblies share one KYP plan
-per part (``_KypPlan``), derived from the first plant assembled and kept
-on the part for as long as the part is: P's term plan (the nonzeros,
-the summation order, each term's entry and the entries' key layout), the
-multiplier's coefficient stack (its layout's own) and the names of its
-membership rows. A probe then computes only values: it gathers the
-nonzeros, takes their outer product and sums it by one np.bincount in
-the stored order, takes one batched congruence for the multiplier's row
-term and applies the membership rows' rho weights. A plant with no part
-(a test's reference plant) and a synthesis block's multiplier states get
-their plan from the same code for the one block they build.
+writer, :func:`iqcopt.problem.congruence`, writes every T^T X T term by
+one elementwise definition: the product (T[a, c] v) T[b, d] of each
+entry (k, a, b, v) of X and each pair of nonzeros of its rows a and b is
+listed at (k, c, d), and each entry is summed from 0.0 in listing order,
+so every term holds the same bits on any BLAS kernel. ``_kyp`` is that
+congruence over out = [AB; I 0; C D] and the middle blkdiag(P, -P, M),
+in one listing: P's unit basis is never built, its products come first
+(the rank-2 matrices a_i^T a_j + a_j^T a_i, nonzero only where [A B] has
+nonzero columns), then -P's -1 entries, then the multiplier's terms. P is
+declared before the multiplier's variables, so a block's keys are P's
+range followed by theirs, and its entries are P's followed by the
+multiplier's, key-major without a sort.
+Where and in what order the products are summed depends on the nonzero
+pattern of out and the multiplier's layout alone, and
+[Ac(rho) Bc; I 0; Cc(rho) Dc] has one pattern at every rho that a
+rho-free plant part accepts; the H2 plant's rows are it at rho = 1. So
+the rate, H2 and rate-slack assemblies share one KYP plan per part
+(``_KypPlan``), derived from the first plant assembled and kept on the
+part for as long as the part is: the congruence plan (each product's
+factors, its entry and the entries' key layout) and the names of the
+multiplier's membership rows. A probe then computes only values: four
+gathers, two products and one np.bincount for the whole block, and the
+membership rows' rho weights. A plant with no part (a test's reference
+plant), a synthesis block's multiplier states and a BMI block's
+multiplier term get their plan from the same code for the blocks they
+build.
 Synthesis variants reshuffle the same blocks by Schur complement so the
 algorithm matrices appear linearly. ``place`` sums a synthesis block's
 (row offset, column offset, term) list entry by entry; the terms of an
 entry are listed in the order the entry is summed in, so every block
-holds the numbers of the term-by-term sum. A convex block places the
-KYP term of its multiplier states, ``_kyp``'s on P11, and its constant
-terms so; its own terms, -1 at P22's entries and the algorithm rows of
-QA and QB in TR, are a declared variable's unit basis times constants
-and are listed as entries beside them. A BMI half-step places its
-constant and multiplier terms so, and lists the terms of A and B column
-by column from the nonzeros of the algorithm rows bot: TR's columns
-P22[:, a] v and the cross term's columns top^T (P12[:, a] v), all from
-one product, in the association of top^T (P12 bot). Either way the
-blocks hold the same bits as the dense per-key terms. A sub-block of a
-variable is a slice of its expression, never a product with a 0/1
-selector: the H2 Schur block reads P's algorithm block P[nd:, nd:], and
-with canonical Ddagger = [I; 0] the fixed-point rows (A - I) Ddagger = 0
-are the first p columns, QA[:, :p] - P22[:, :p] and A[:, :p] - Ddagger,
-which ``_design`` sets exactly when it decodes a design. Strict
-inequalities carry a relative margin eps = 1e-7 (1 + ||const||_F);
-certificates are rechecked by eigenvalue computation in the solver
-layer, so a reported certificate always holds numerically.
+holds the numbers of the term-by-term sum. A convex block moves the
+KYP term of its multiplier states, ``_kyp``'s on P11 (on no rows of
+[A B] when there are none), to its offset and adds its constant terms;
+its own terms, -1 at P22's entries and the algorithm rows of QA and QB
+in TR, are a declared variable's unit basis times constants and are
+listed as entries beside it. A BMI half-step places its constant and
+multiplier terms, and lists the terms of A and B column by column from
+the nonzeros of the algorithm rows bot: TR's columns P22[:, a] v and the
+cross term's columns top^T (P12[:, a] v), all from one product, in the
+association of top^T (P12 bot). Either way the blocks hold the same bits
+as the dense per-key terms. A sub-block of a variable is a slice of its
+expression, never a product with a 0/1 selector: the H2 Schur block
+reads P's algorithm block P[nd:, nd:], and with canonical
+Ddagger = [I; 0] the fixed-point rows (A - I) Ddagger = 0 are the first
+p columns, QA[:, :p] - P22[:, :p] and A[:, :p] - Ddagger, which
+``_design`` sets exactly when it decodes a design. Strict inequalities carry a relative
+margin eps = 1e-7 (1 + ||const||_F); certificates are rechecked by
+eigenvalue computation in the solver layer, so a reported certificate
+always holds numerically.
 """
 
 from dataclasses import dataclass, field
@@ -68,8 +73,8 @@ from .multipliers import (ZamesFalbParameters, ZamesFalbStructure,
 from .plantbuild import (AugmentedPlant, PerformanceAugmentedPlant, build_perf_plant,
                          build_rate_plant, build_rate_plant_loop, check_structured_data,
                          default_noise_channel, structured_loop)
-from .problem import (AffineMatrix, SdpProblem, VariableInfo, code_plan, congruence,
-                      from_codes, from_entries, place, sum_codes, upper_triangle)
+from .problem import (AffineMatrix, CongruencePlan, SdpProblem, VariableInfo, congruence,
+                      from_codes, from_entries, place, placed_codes, sum_codes, upper_triangle)
 from .sdp import SdpSolution
 
 
@@ -122,8 +127,7 @@ def _add_multiplier(prob: SdpProblem, structure: ZamesFalbStructure,
     info = prob.declare(name, "matrix", (structure.parameter_count(), 1))
     keys = info.offset + np.arange(info.size)
     entries, senses, labels = membership_entries(structure)
-    if names is None:
-        names = _row_names(name, labels)
+    names = names or _row_names(name, labels)
     prob.add_linear(from_entries((len(senses), 1), np.zeros((len(senses), 1)), keys, *entries),
                     senses, 0.0, names)
     q = m_delta_coefficients(structure).shape[1]
@@ -140,137 +144,94 @@ def _decode_zf(structure: ZamesFalbStructure, theta_value) -> ZamesFalbParameter
         np.asarray(theta_value).ravel())))
 
 
-# the -1 that P's unit basis subtracts, listed after the pairs' products
-_MINUS_ONE = np.array([-1.0])
-_MINUS_ONE.flags.writeable = False
-
-
-class _TermPlan:
-    """What P's terms in a KYP block on an n x m [A B] take from its
-    nonzero pattern alone.
-
-    ``at`` holds the nonzeros' flat positions in [A B], row by row. P's
-    terms list the product of each ordered pair of them, then the basis's
-    -1 entries; ``src`` gives, in the order the terms are summed, each
-    term's product in the pairs' outer product, or the -1 past its end,
-    and ``segment`` the index of its entry among the entries, whose key
-    indices and positions are ``kix`` and ``pos``, key-major. A block
-    then takes one gather of the nonzeros, one outer product and one
-    ``np.bincount``. The arrays are read-only.
-    """
-
-    __slots__ = ("at", "src", "segment", "kix", "pos")
-
-    def __init__(self, AB: np.ndarray):
-        n, m = AB.shape
-        _, _, table, bk, br, bc = upper_triangle(n)
-        r, c = AB.nonzero()
-        mm = m * m
-        pairs = table.take(r, 0).take(r, 1) * mm + np.add.outer(c * m, c)
-        order, self.segment, code = code_plan(
-            np.concatenate([pairs.ravel(), bk * mm + br * m + bc]))
-        self.at = r * m + c
-        self.src = np.minimum(order, pairs.size)
-        self.kix, self.pos = np.divmod(code, mm)
-        for a in (self.at, self.src, self.segment, self.kix, self.pos):
-            a.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class _KypPlan:
     """The rho-free plan of the KYP blocks on the plants of one rho-free
-    part: P's term plan, the multiplier's coefficient stack (its layout's
-    own) and the names of its membership rows."""
+    part: the congruence plan of [A B; I 0; C D] over blkdiag(P, -P, M)
+    and the names of the multiplier's membership rows."""
 
-    terms: _TermPlan
-    stack: np.ndarray
+    terms: CongruencePlan
     names: list
 
 
-def _kyp_plan(plant, AB: np.ndarray) -> _KypPlan:
-    """The plant's KYP plan: its rho-free part's, derived from this [A B]
-    on first use and kept on the part, or derived afresh for a plant with
-    no part.
+def _kyp_terms(out: np.ndarray, n: int, rows) -> CongruencePlan:
+    """The congruence plan of ``_kyp``'s listing: out = [AB; I 0; out_1; ..]
+    over blkdiag(P, -P, X_1, ..) for an n x n P and the expressions
+    ``rows`` X_b, of which only the layout is read. P's unit basis is
+    E_ij + E_ji (E_ii on the diagonal) on P's n (n + 1) / 2 keys, 1 in P's
+    block and -1 in -P's, and each X_b's keys follow the last."""
+    R = out.shape[0]
+    _, _, bk, br, bc = upper_triangle(n)
+    kix, pos = [bk, bk], [br * R + bc, (n + br) * R + n + bc]
+    lo, o = n * (n + 1) // 2, 2 * n
+    for X in rows:      # X_b's entry e at row and column o + its own
+        kix.append(lo + X.kix)
+        pos.append(X.pos + X.pos // X.shape[0] * (R - X.shape[0]) + o * (R + 1))
+        lo, o = lo + X.keys.size, o + X.shape[0]
+    return CongruencePlan(out, np.concatenate(kix), np.concatenate(pos))
 
-    [Ac(rho) Bc] has the same nonzeros at every rho the part accepts: a
-    probe divides only nonzero rho-free entries by rho in (0, 1], which
-    makes none of them zero, and the overflow guard keeps them finite. The
-    H2 block's [boldA boldB1] is the rate plant's at rho = 1. Concurrent
-    callers derive equal plans, so at worst one is derived twice.
+
+def _plant_kyp(prob: SdpProblem, plant, AB: np.ndarray, CD: np.ndarray,
+               structure: ZamesFalbStructure, name: str, *rows) -> AffineMatrix:
+    """Declare the symmetric P as ``name`` and the multiplier of
+    ``structure``, and return ``_kyp(AB, P, (CD, M), *rows)`` on the
+    plant's KYP plan: its rho-free part's, derived from this
+    [A B; I 0; C D] on first use and kept on the part, or derived afresh
+    for a plant with no part.
+
+    [Ac(rho) Bc] and [Cc(rho) Dc] have the same nonzeros at every rho the
+    part accepts: a probe divides only nonzero rho-free entries by rho in
+    (0, 1], which makes none of them zero, and the overflow guard keeps
+    them finite. The H2 block's rows are the rate plant's at rho = 1, and
+    M_Delta's layout is its shape's at every rho. Concurrent callers
+    derive equal plans, so at worst one is derived twice.
     """
-    part = plant.part
-    plan = None if part is None else part.plan
+    plan = getattr(plant.part, "plan", None)
+    names = plan.names if plan else _row_names("zf_theta", membership_entries(structure)[2])
+    P = prob.declare(name, "symmetric", (plant.n_c, plant.n_c))
+    md = _add_multiplier(prob, structure, names=names)
     if plan is None:
-        structure = plant.structure
-        plan = _KypPlan(_TermPlan(AB), m_delta_coefficients(structure),
-                        _row_names("zf_theta", membership_entries(structure)[2]))
-        if part is not None:
-            part.plan = plan
-    return plan
+        plan = _KypPlan(_kyp_terms(np.concatenate([AB, np.eye(*AB.shape), CD]), AB.shape[0],
+                                   [md]), names)
+        if plant.part is not None:
+            plant.part.plan = plan
+    return _kyp(AB, P, (CD, md), *rows, terms=plan.terms)
 
 
-def _kyp(AB: np.ndarray, P: VariableInfo, *rows, terms: _TermPlan = None) -> AffineMatrix:
+def _kyp(AB: np.ndarray, P: VariableInfo, *rows, terms: CongruencePlan = None) -> AffineMatrix:
     """out^T blkdiag(P, -P, X_1, ..) out for out = [AB; I 0; out_1; ..].
 
-    P is a declared symmetric variable and ``rows`` the triples
-    (out_b, X_b, F_b), F_b the K x q x q coefficient stack of X_b (None
-    for a constant X_b). The block is the sum over the row blocks of out,
-    AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b, written as
-    entries over the key union, so neither the zero-padded middle matrix
-    nor P's unit basis is built.
-
-    P's terms are listed on its unit basis, one basis row per element of
-    the symmetric n x n P, at codes k m^2 + c m + d for basis row k and
-    entry (c, d). For the rows a_i of AB, entry (c, d) of P's term is, for
-    E_ij + E_ji with i < j, 0 + a_i[c] a_j[d] + a_j[c] a_i[d], and for E_ii
-    it is 0 + a_i[c] a_i[d], then minus 1 where the basis has a 1: each
-    product rounded, then summed in that order, so every entry holds the
-    same bits on any BLAS kernel. [A B] is as sparse as Kronecker lifts
-    and shift chains make it, so the product of each ordered pair of AB's
-    nonzeros is listed at its basis row and entry, pairs in order of the
-    first nonzero, row by row, so the lower row's product comes first;
-    the basis's -1 entries come last. Where and in what order they are
-    summed depends on AB's nonzero pattern alone, which ``terms`` holds
-    (derived here from AB when not given). A row variable's matrices are
-    few and small (a multiplier's, a slack's), so each row term is the
-    batched product (out_b^T F_b) out_b, and its entries are 0.0 plus the
-    product's that are not +0.0.
+    P is a declared symmetric variable (None when AB has no rows) and
+    ``rows`` the pairs (out_b, X_b). The block is one ``congruence``
+    listing over P's unit basis, -P's and the X_b that hold variables, so
+    neither the zero-padded middle matrix nor P's unit basis is built as
+    an expression: for E_ij + E_ji with i < j, entry (c, d) of P's term is
+    0 + a_i[c] a_j[d] + a_j[c] a_i[d] for the rows a_i of AB, for E_ii it
+    is 0 + a_i[c] a_i[d], then minus 1 where the basis has a 1; a row
+    term's entry is the sum of its products (out_b[a, c] v) out_b[b, d]
+    over X_b's entries in key-major order. Each product is rounded, so
+    every entry holds the same bits on any BLAS kernel. Where and in what
+    order the products are summed depends on the nonzero pattern of out
+    and the X_b's layouts alone, which ``terms`` holds (derived here when
+    not given). A constant X_b, such as the H2 block's C2 row, adds
+    (out_b^T X_b) out_b to the constant alone.
 
     Every caller declares P before the row variables, so the key union is
     P's range followed by each X_b's keys in turn, and the entries are
     P's followed by each row term's. Keys out of that order raise
     ArgumentError.
     """
-    m = AB.shape[1]
-    last = P.offset + P.size - 1
-    for _, X, _ in rows:
-        if X.keys.size:
-            if X.keys[0] <= last:
-                raise ArgumentError(
-                    f"_kyp: row key {int(X.keys[0])} does not follow key {int(last)}; "
-                    "declare P before the row variables, in order")
-            last = X.keys[-1]
-    keys = np.concatenate([P.offset + np.arange(P.size)] + [X.keys for _, X, _ in rows])
-    terms = terms or _TermPlan(AB)
-    v = AB.take(terms.at)
-    products = np.concatenate([np.multiply.outer(v, v).ravel(), _MINUS_ONE])
-    kix, pos = [terms.kix], [terms.pos]
-    vals = [np.bincount(terms.segment, products[terms.src])]
-    const = np.zeros((m, m))
-    lo = P.size
-    for out_b, X, F in rows:
-        if X.const.any():
-            const += (out_b.T @ X.const) @ out_b
-        if X.val.size:
-            F = ((out_b.T @ F) @ out_b).ravel()
-            at = F.view(np.int64).nonzero()[0]
-            k, e = np.divmod(at, m * m)
-            kix.append(lo + k)
-            pos.append(e)
-            vals.append(0.0 + F[at])
-        lo += X.keys.size
-    return from_entries((m, m), const, keys, np.concatenate(kix), np.concatenate(pos),
-                        np.concatenate(vals))
+    n, m = AB.shape
+    held = [(o, X) for o, X in rows if X.keys.size]
+    keys = np.concatenate([np.arange(P.offset, P.offset + P.size) if P else np.arange(0)]
+                          + [X.keys for _, X in held])
+    if (keys[1:] <= keys[:-1]).any():
+        raise ArgumentError("_kyp: keys out of order; declare P before the row variables")
+    const = sum(((o.T @ X.const) @ o for o, X in rows if X.const.any()), np.zeros((m, m)))
+    out = np.concatenate([AB, np.eye(n, m)] + [o for o, _ in held])
+    terms = terms or _kyp_terms(out, n, [X for _, X in held])
+    val = np.concatenate([np.repeat([1.0, -1.0], n * n)] + [X.val for _, X in held])
+    return from_entries((m, m), const, keys, *terms.entries(out, val))
 
 
 def _minus_identity(s: AffineMatrix, dim: int) -> AffineMatrix:
@@ -310,13 +271,9 @@ def assemble_rate(plant: AugmentedPlant) -> RateAssembly:
     if plant.nominal_radius >= rho:
         raise InfeasiblePrecondition(
             f"nominal spectral radius {plant.nominal_radius:.6f} >= rho={rho}")
-    AB = np.hstack([plant.Ac, plant.Bc])
-    plan = _kyp_plan(plant, AB)
     prob = SdpProblem(f"rate[rho={rho:.6g}]")
-    P = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
-    md = _add_multiplier(prob, structure, names=plan.names)
-    kyp = _kyp(AB, P, (np.hstack([plant.Cc, plant.Dc]), md, plan.stack), terms=plan.terms)
-    prob.add_lmi(kyp, "neg", name="rate")
+    prob.add_lmi(_plant_kyp(prob, plant, np.hstack([plant.Ac, plant.Bc]),
+                            np.hstack([plant.Cc, plant.Dc]), structure, "P"), "neg", name="rate")
     return RateAssembly(prob, plant, structure)
 
 
@@ -360,17 +317,13 @@ def assemble_h2(perf_plant: PerformanceAugmentedPlant) -> H2Assembly:
     if perf_plant.nominal_radius >= 1.0:
         raise InfeasiblePrecondition("nominal loop is not Schur stable")
     pl = perf_plant
-    AB = np.hstack([pl.boldA, pl.boldB1])
-    plan = _kyp_plan(pl, AB)
     prob = SdpProblem("h2")
-    P_info = prob.declare("P_p", "symmetric", (pl.n_c, pl.n_c))
-    md = _add_multiplier(prob, structure, names=plan.names)
+    kyp = _plant_kyp(prob, pl, np.hstack([pl.boldA, pl.boldB1]),
+                     np.hstack([pl.boldC1, pl.boldD11]), structure, "P_p",
+                     (np.hstack([pl.boldC2, np.zeros((pl.n_yp, pl.p_c))]),
+                      AffineMatrix.constant(np.eye(pl.n_yp))))
     Z = prob.add_symmetric("Z", pl.n_wp)
     t = prob.add_scalar("t")
-
-    kyp = _kyp(AB, P_info, (np.hstack([pl.boldC1, pl.boldD11]), md, plan.stack),
-               (np.hstack([pl.boldC2, np.zeros((pl.n_yp, pl.p_c))]),
-                AffineMatrix.constant(np.eye(pl.n_yp)), None), terms=plan.terms)
     prob.add_lmi(kyp, "neg", name="h2-kyp")
 
     P = prob.variable_expr("P_p")
@@ -455,34 +408,35 @@ def _algorithm_rows(N: int, p: int, sector_m: float, C: np.ndarray, scale: float
 
 
 def _convex_synth_block(sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
-                        extra=()) -> AffineMatrix:
+                        extra=0.0) -> AffineMatrix:
     """[[-P22, TR], [TR^T, U]] for the convex synthesis blocks.
 
     TR = [0  scale (QA + m QB C)  QB] and, with P = blkdiag(P11, P22),
     U = top^T P11 top - blkdiag(P, 0) + CcDc^T M CcDc: the A,B-dependent
     rows of [Ac Bc] are annihilated by P - N P22 N^T = blkdiag(P11, 0).
     Without P22's entries U is the KYP term of the multiplier states,
-    ``_kyp(top, P11, (CcDc, M))``, or the multiplier term alone when
-    there are none (nd = 0, no P11).
+    ``_kyp(top, P11, (CcDc, M))``; with none (nd = 0) top has no rows and
+    there is no P11, so the same listing holds the multiplier term alone.
 
-    ``place`` sums that term and the constant ``extra`` terms over a key
-    union that holds the keys of P22, QA and QB too. Every term of those
-    three is a unit basis times constants, so their entries are listed
-    beside the placed ones: -1 at P22's entries in both of its blocks, and
-    the rows ``_algorithm_rows`` gives QA's and QB's scalars, scale at
-    QA[a, b]'s entry and scale (m C[l, :]) and 1 at QB[a, l]'s, in row a
-    of TR, each beside its transpose. No entry of a key takes two of these
-    terms, so the block holds the bits of the term-by-term sum.
+    That term's entries are placed at (N, N) over a key union that holds
+    the keys of P22, QA and QB too, and the constant ``extra`` is added to
+    U's constant. Every term of those three is a unit basis times
+    constants, so their entries are listed beside U's: -1 at P22's
+    entries in both of its blocks, and the rows ``_algorithm_rows`` gives
+    QA's and QB's scalars, scale at QA[a, b]'s entry and scale (m C[l, :])
+    and 1 at QB[a, l]'s, in row a of TR, each beside its transpose. No
+    entry of a key takes two of these terms, so the block holds the bits
+    of the term-by-term sum, with one sort where ``place`` would take two.
     """
     (N, _), (nd, mt), p = P22.shape, top.shape, C.shape[0]
     dim = N + mt
     RC = dim * dim
-    U = _kyp(top, P11, (CcDc, md, md.dense())) if nd else congruence(CcDc, md)
-    blk = place((dim, dim), [(N, N, U)] + list(extra),
-                keys=np.concatenate([P22.keys, QA.keys, QB.keys]))
-    keys = blk.keys
-    codes, vals = [blk.kix * RC + blk.pos], [blk.val]
-    _, _, _, bk, br, bc = upper_triangle(N)
+    U = _kyp(top, P11, (CcDc, md))
+    keys = np.sort(np.concatenate([P22.keys, QA.keys, QB.keys, U.keys]))
+    const = np.zeros((dim, dim))
+    const[N:, N:] = U.const + extra     # U's constant is +0.0: the multiplier's is
+    codes, vals = [placed_codes(keys, (dim, dim), N, N, U)], [U.val]
+    _, _, bk, br, bc = upper_triangle(N)
     bk = bk + np.searchsorted(keys, P22.keys[0])
     for o in (0, N + nd):
         codes.append(bk * RC + (o + br) * dim + o + bc)
@@ -494,7 +448,7 @@ def _convex_synth_block(sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
     codes += [kq + a * dim + tr, kq + tr * dim + a]
     vals += [rows[k, col]] * 2
     code, val = sum_codes(np.concatenate(codes), np.concatenate(vals))
-    return from_codes((dim, dim), blk.const, keys, code, val)
+    return from_codes((dim, dim), const, keys, code, val)
 
 
 def assemble_convex_synth(n: int, p: int, bounds: SectorBounds,
@@ -538,7 +492,7 @@ def assemble_convex_synth_perf(n: int, p: int, bounds: SectorBounds,
     # performance rows: C_perf = C on the algorithm states, zero elsewhere
     C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
     prob.add_lmi(_convex_synth_block(bounds.m, C, 1.0, P22, Pp11, QA, QB, top1, CcDc1, md_p,
-                                     [(N, N, C2.T @ C2)]), "neg", name="synth-h2")
+                                     C2.T @ C2), "neg", name="synth-h2")
     trace_blk = AffineMatrix.block([[P22, QB], [QB.T, Z]])
     prob.add_lmi(trace_blk, "pos", name="synth-h2-trace")
     prob.add_linear(Z.trace() - t, "<=", 0.0, name="trZ<=t")
@@ -626,6 +580,9 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
     md = _add_multiplier(prob, structure)
     dim = N + nc + p
     AB_keys = np.concatenate([Ae.keys, Be.keys])
+    # the multiplier term's plan; the H2 block's rows at rho = 1 and its
+    # multiplier have the same nonzeros and layout
+    terms = CongruencePlan(CcDc, md.kix, md.pos)
 
     def rate_block(P_, rho_, md_, top_, CcDc_, extra):
         """[[-P22, TR], [TR^T, U]] plus the ``extra`` terms, with TR =
@@ -650,7 +607,7 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
         # [P12; P22][:, a] v for each nonzero: the P12 bot and TR columns
         Pv = P_[:, nd + row_of_key[k]] * rows[k, c]
         blk = place((dim, dim), [(0, 0, -P_[nd:, nd:]), (N, N, top_.T @ P_[:nd, :nd] @ top_),
-                                 (N, N, -P_), (N, N, congruence(CcDc_, md_))] + extra,
+                                 (N, N, -P_), (N, N, congruence(CcDc_, md_, terms))] + extra,
                     keys=AB_keys)
         RC = dim * dim
         k = (k + np.searchsorted(blk.keys, AB_keys[0]))[:, None] * RC
@@ -729,17 +686,11 @@ def assemble_rate_slack(algo: AlgorithmRealization, bounds: SectorBounds,
     optimal s measures how far the fixed algorithm is from certifiable.
     """
     plant = build_rate_plant(algo, bounds, structure.with_rho(rho), rho)
-    AB = np.hstack([plant.Ac, plant.Bc])
-    plan = _kyp_plan(plant, AB)
     prob = SdpProblem(f"rate-slack[rho={rho:.6g}]")
-    P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
-    md = _add_multiplier(prob, structure.with_rho(rho), names=plan.names)
+    kyp = _plant_kyp(prob, plant, np.hstack([plant.Ac, plant.Bc]),
+                     np.hstack([plant.Cc, plant.Dc]), structure.with_rho(rho), "P")
     s = prob.add_scalar("s")
-    dim = AB.shape[1]
-    minus_s = _minus_identity(s, dim)
-    prob.add_lmi(_kyp(AB, P_info, (np.hstack([plant.Cc, plant.Dc]), md, plan.stack),
-                      (np.eye(dim), minus_s, minus_s.dense()), terms=plan.terms),
-                 "neg", eps=0.0, name="rate-slack")
+    prob.add_lmi(kyp + _minus_identity(s, kyp.shape[0]), "neg", eps=0.0, name="rate-slack")
     P = prob.variable_expr("P")
     nd, nl = plant.n_mult, plant.n_loop
     prob.add_lmi(P[nd:, nd:] - np.eye(nl), "pos",

@@ -27,7 +27,13 @@ entry that several terms cover is their sum taken left to right.
 ``AffineMatrix.block`` is ``place`` with non-overlapping offsets. The
 dense stack's unary minus and products with a negative scalar wrote -0.0
 where no entry lies; ``dense()`` reads +0.0 there, and no value reads the
-difference.
+difference. A congruence T^T X T is no product of stacks: ``congruence``
+lists the rounded product (T[a, c] v) T[b, d] of each entry (k, a, b, v)
+of X with each pair of nonzeros of T's rows a and b at (k, c, d) and sums
+each entry from 0.0 in that order, without BLAS, so it holds the same
+bits on any kernel. Where each column of T meets one nonzero of a key's
+rows, as on every multiplier row the library builds, an entry is one
+product, which the batched BLAS product rounds alike.
 
 An SdpProblem collects scalar/matrix decision variables, affine
 matrix-inequality blocks, scalar linear rows and an optional linear
@@ -84,11 +90,9 @@ PATTERN_CACHE_SIZE = 32
 
 @functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
 def upper_triangle(n: int):
-    """Row and column indices of an n x n upper triangle, row by row, the
-    n x n table of positions (entry (r, s) is the position of
-    (min(r, s), max(r, s))), and the entries of the unit basis E_ij + E_ji
-    (E_ii on the diagonal): each entry's basis row, row and column,
-    key-major, (i, j) before (j, i).
+    """Row and column indices of an n x n upper triangle, row by row, and
+    the entries of the unit basis E_ij + E_ji (E_ii on the diagonal): each
+    entry's basis row, row and column, key-major, (i, j) before (j, i).
 
     The order of np.triu_indices(n), the order of a symmetric variable's
     scalars, built from the n (n + 1) / 2 positions instead of an n x n mask.
@@ -99,16 +103,14 @@ def upper_triangle(n: int):
     # row i starts at position i n - i (i - 1) / 2 and its columns at i
     k = np.arange(i.size)
     j = k - i * (2 * n + 1 - i) // 2 + i
-    table = np.empty((n, n), dtype=np.intp)
-    table[i, j] = table[j, i] = k
     two = np.ones((i.size, 2), dtype=bool)
     two[:, 1] = i != j
     bk = np.repeat(k, 2)[two.ravel()]
     br = np.stack([i, j], axis=1)[two]
     bc = np.stack([j, i], axis=1)[two]
-    for a in (i, j, table, bk, br, bc):
+    for a in (i, j, bk, br, bc):
         a.flags.writeable = False
-    return i, j, table, bk, br, bc
+    return i, j, bk, br, bc
 
 
 def from_entries(shape, const, keys, kix, pos, val) -> "AffineMatrix":
@@ -439,13 +441,78 @@ def place(shape, terms, keys=_NO_KEYS) -> AffineMatrix:
     return from_codes(shape, const, keys, code, val)
 
 
-def congruence(T, X: AffineMatrix) -> AffineMatrix:
-    """T^T X T for a constant outer factor T: the products (T^T F_k) T
-    that ``(T.T @ X) @ T`` makes, without its intermediate expression."""
+class CongruencePlan:
+    """What T^T X T takes from the nonzero pattern of an R x m T and the
+    layout of the R x R X's entries (key index, flat position) alone:
+    ``congruence``'s listing and the entries it sums into.
+
+    T's nonzeros are taken row by row, so each row's form one run. Each
+    entry (k, a, b) of X, in X's order, meets each nonzero T[a, c] of row
+    a's run in a half product T[a, c] v, and each half product meets each
+    nonzero T[b, d] of row b's run, one product (T[a, c] v) T[b, d] at
+    (k, c, d) each. Per half product ``left`` gives T[a, c] (a flat
+    position in T) and ``entry`` v (an index into X's values). The
+    products are held sorted stably by their entries, key-major, so each
+    entry's products keep the listing order: per product ``half`` gives
+    its half product, ``right`` T[b, d] and ``segment`` its entry among
+    ``kix`` and ``pos``. The arrays are read-only.
+    """
+
+    __slots__ = ("left", "entry", "half", "right", "segment", "kix", "pos")
+
+    def __init__(self, T: np.ndarray, kix: np.ndarray, pos: np.ndarray):
+        R, m = T.shape
+        a, c = T.nonzero()
+        width = np.bincount(a, minlength=R)
+        end = width.cumsum()
+        row, col = np.divmod(pos, R)
+        w = width.take(row)     # each entry, once per nonzero of its row a ..
+        e = np.arange(row.size).repeat(w)
+        p = np.arange(e.size) - (w.cumsum() - end.take(row)).repeat(w)
+        b = col.take(e)
+        w = width.take(b)       # .. and each of those once per nonzero of row b
+        q = np.arange(w.sum()) - (w.cumsum() - end.take(b)).repeat(w)
+        order, self.segment, code = code_plan(
+            ((kix.take(e) * m + c.take(p)) * m).repeat(w) + c.take(q))
+        flat = a * m + c
+        self.left, self.entry = flat.take(p), e
+        self.half, self.right = np.arange(e.size).repeat(w).take(order), flat.take(q.take(order))
+        self.kix, self.pos = np.divmod(code, m * m)
+        for name in self.__slots__:
+            getattr(self, name).flags.writeable = False
+
+    def entries(self, T: np.ndarray, val: np.ndarray):
+        """The entries of T^T X T for X's values ``val``: each product
+        rounded, added into its entry from 0.0 in listing order by one
+        np.bincount, and the sums that read +0.0 dropped."""
+        t = T.ravel()
+        v = t.take(self.left)
+        v *= val.take(self.entry)
+        v = v.take(self.half)
+        v *= t.take(self.right)
+        v = np.bincount(self.segment, v, self.kix.size)
+        keep = v != 0.0
+        return (self.kix, self.pos, v) if keep.all() else (self.kix[keep], self.pos[keep], v[keep])
+
+
+def congruence(T, X: AffineMatrix, plan: CongruencePlan = None) -> AffineMatrix:
+    """T^T X T for a constant outer factor T, written entry by entry.
+
+    For each entry (k, a, b, v) of X, key-major, and each pair of
+    nonzeros T[a, c] and T[b, d], the product (T[a, c] v) T[b, d] is listed
+    at (k, c, d); each entry is the sum of its products from 0.0, in
+    listing order, and a sum that reads +0.0 is no entry. No BLAS product
+    is involved, so the entries hold the same bits on any kernel. Where
+    each column of T meets one nonzero of a key's rows, every entry is one
+    product and equals the BLAS product (T^T F_k) T on any kernel; where
+    a column meets several, a BLAS product groups the terms otherwise.
+    ``plan`` is the ``CongruencePlan`` of T's pattern and X's layout,
+    derived here when not given. The constant is (T^T const) T, by BLAS.
+    """
     T = np.asarray(T, dtype=float)
-    c = T.shape[1]
-    const = (T.T @ X.const) @ T if X.const.any() else np.zeros((c, c))
-    return X._product((c, c), const, lambda F: (T.T @ F) @ T)
+    const = (T.T @ X.const) @ T if X.const.any() else np.zeros((T.shape[1],) * 2)
+    plan = plan or CongruencePlan(T, X.kix, X.pos)
+    return from_entries(const.shape, const, X.keys, *plan.entries(T, X.val))
 
 
 @dataclass
@@ -464,7 +531,8 @@ class LmiBlock:
     ``scale`` is 1 + ||const||_F, computed once here; eps defaults to
     EPS_REL times it, and ``verify`` measures margins in units of it. A
     non-finite scale or eps raises DomainError, since a NaN margin fails
-    no comparison and would let ``verify`` pass any candidate.
+    no comparison and would let ``verify`` pass any candidate, and a
+    sense other than 'neg' or 'pos' raises ArgumentError.
     """
 
     name: str
@@ -474,6 +542,8 @@ class LmiBlock:
     scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.sense not in ("neg", "pos"):
+            raise ArgumentError(f"block {self.name!r}: sense must be 'neg' or 'pos'")
         self.scale = 1.0 + float(np.linalg.norm(self.expr.const, "fro"))
         self.eps = EPS_REL * self.scale if self.eps is None else float(self.eps)
         if not (math.isfinite(self.scale) and math.isfinite(self.eps)):
@@ -554,7 +624,7 @@ class SdpProblem:
         info = self._by_name[name]
         r, c = info.shape
         if info.kind == "symmetric":
-            _, _, _, kix, row, col = upper_triangle(r)
+            _, _, kix, row, col = upper_triangle(r)
             pos = row * c + col
         else:
             kix = pos = np.arange(info.size)
@@ -587,8 +657,6 @@ class SdpProblem:
         """
         if expr.shape[0] != expr.shape[1]:
             raise DimensionError("LMI block must be square")
-        if sense not in ("neg", "pos"):
-            raise ArgumentError("sense must be 'neg' or 'pos'")
         const = 0.5 * (expr.const + expr.const.T)
         block = LmiBlock(name or f"lmi{len(self.blocks)}",
                          from_entries(expr.shape, const, expr.keys, expr.kix, expr.pos, expr.val),
@@ -736,13 +804,21 @@ class SdpProblem:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SdpProblem":
+        """The problem ``to_json_dict`` wrote. A coefficient on a variable
+        index outside [0, nvars) raises DimensionError, and a block sense
+        other than 'neg' or 'pos' ArgumentError."""
         prob = SdpProblem(d.get("name", ""))
         for v in d["variables"]:
             prob.declare(v["name"], v["kind"], tuple(v["shape"]))
 
+        def var(k) -> int:
+            if not 0 <= int(k) < prob.nvars:
+                raise DimensionError(f"variable index {int(k)} outside [0, {prob.nvars})")
+            return int(k)
+
         def expr_from(const, coeffs):
             const = np.asarray(const, dtype=float)
-            coeffs = sorted(coeffs, key=lambda c: int(c["var"]))
+            coeffs = sorted(coeffs, key=lambda c: var(c["var"]))
             stack = np.reshape(np.asarray([c["matrix"] for c in coeffs], dtype=float),
                                (len(coeffs),) + const.shape)
             return AffineMatrix.from_dense([int(c["var"]) for c in coeffs], stack, const)
@@ -751,7 +827,7 @@ class SdpProblem:
             expr = expr_from(b["const"], b["coeffs"])
             prob.blocks.append(LmiBlock(b["name"], expr, b["sense"], float(b["eps"])))
         rows = d["linear"]
-        cells = sorted({(int(k), i): float(v) for i, r in enumerate(rows)
+        cells = sorted({(var(k), i): float(v) for i, r in enumerate(rows)
                         for k, v in r["coeffs"]}.items())     # key-major; a repeat overwrites
         keys, kix = np.unique(np.array([k for (k, _), _ in cells], dtype=np.intp),
                               return_inverse=True)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
 from .problem import SdpProblem
 
 STATUS_OPTIMAL = "optimal"
@@ -27,9 +28,16 @@ MAX_ITERS = 100
 
 @dataclass
 class SolverOptions:
+    """The solver's tolerances, finite numbers >= 0 (else DomainError), and
+    its iteration cap per phase."""
+
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
     max_iters: int = MAX_ITERS
+
+    def __post_init__(self):
+        if not (0 <= self.tol_abs < np.inf and 0 <= self.tol_rel < np.inf):     # NaN too
+            raise DomainError(f"solver tolerances must be finite numbers >= 0, got {self}")
 
 
 @dataclass

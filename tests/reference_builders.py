@@ -5,8 +5,10 @@ wrote it by index into fresh arrays on every call), the plants through the
 [C; 0] and [0; I] helpers, built whole on every call with nothing kept
 between probes, and the KYP block with P's terms written densely by
 their definition, each entry a sum of rounded products, and subtracted
-P's unit basis stack. The library builds the same objects by index; the
-tests compare the two entry for entry.
+P's unit basis stack. Every other congruence T^T X T here is the batched
+BLAS product of X's dense stack (``dense_congruence``), as the library
+took it before it wrote each one entry by entry. The library builds the
+same objects by index; the tests compare the two entry for entry.
 
 The problem container's former forms are kept here as well: an
 ``add_lmi`` that stores every block symmetrized, and linear rows added one
@@ -51,8 +53,7 @@ from iqcopt.errors import DimensionError, DomainError, PreconditionError, Singul
 from iqcopt.multipliers import (ZamesFalbStructure, m_delta_coefficients, m_delta_matrix,
                                 membership_constraints, psi_delta_realization)
 from iqcopt.plantbuild import AugmentedPlant, PerformanceAugmentedPlant
-from iqcopt.problem import (EPS_REL, _NO_KEYS, AffineMatrix, LmiBlock, SdpProblem, congruence,
-                            place)
+from iqcopt.problem import EPS_REL, _NO_KEYS, AffineMatrix, LmiBlock, SdpProblem, place
 from iqcopt.statespace import POLE_RCOND, StateSpace
 
 
@@ -237,18 +238,31 @@ def unit_basis(P_info):
     return basis
 
 
+def dense_congruence(T, X):
+    """T^T X T as the batched BLAS product (T^T F_k) T of X's dense stack,
+    keeping the entries that are not +0.0, and the constant
+    (T^T const) T: the congruence as the library computed it before it
+    wrote every term entry by entry. Where every column of T holds one
+    nonzero per key's rows, each entry is one rounded product on any
+    kernel, and the library's congruence holds the same bits."""
+    T = np.asarray(T, dtype=float)
+    c = T.shape[1]
+    const = (T.T @ X.const) @ T if X.const.any() else np.zeros((c, c))
+    return AffineMatrix.from_dense(X.keys, (T.T @ X.dense()) @ T, const)
+
+
 def reference_kyp(AB, P_info, *rows, terms=None):
     """AB^T P AB - blkdiag(P, 0) + sum_b out_b^T X_b out_b on P's unit basis.
 
-    Called as ``lmi._kyp`` is: ``rows`` are triples (out_b, X_b, F_b), of
-    which F_b, X_b's coefficient stack, and the term plan ``terms`` are
-    not read; each row term is the congruence of X_b."""
+    Called as ``lmi._kyp`` is: ``rows`` are pairs (out_b, X_b), and the
+    plan ``terms`` is not read; each row term is X_b's dense
+    congruence."""
     n = P_info.shape[0]
     coeffs = p_terms(AB)
     coeffs[:, :n, :n] -= unit_basis(P_info)
     total = AffineMatrix.from_dense(P_info.offset + np.arange(P_info.size), coeffs)
-    for out_b, X, _ in rows:
-        total = total + congruence(out_b, X)
+    for out_b, X in rows:
+        total = total + dense_congruence(out_b, X)
     return total
 
 
@@ -576,19 +590,21 @@ def convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB, top, CcDc, m
              (N + nd, 0, A.T), (N + nd, 0, B.T), (N + nc, 0, QB.T)]
     if nd:
         terms += [(N, N, AffineMatrix.from_dense(P11.keys, p_terms(top))), (N, N, -P11)]
-    return terms + [(N + nd, N + nd, -P22), (N, N, congruence(CcDc, md))]
+    return terms + [(N + nd, N + nd, -P22), (N, N, dense_congruence(CcDc, md))]
 
 
 def reference_convex_synth_block(sector_m, C, scale, P22, P11, QA, QB, top, CcDc, md,
-                                 extra=()):
+                                 extra=None):
     """lmi._convex_synth_block as ``place``'s sum of the dense per-key terms;
-    P11 is the declared variable, None when nd = 0."""
+    P11 is the declared variable, None when nd = 0, and ``extra`` a
+    constant added to U."""
     N, nd = P22.shape[0], top.shape[0]
     if nd:
         P11 = AffineMatrix.from_dense(P11.offset + np.arange(P11.size), unit_basis(P11))
     dim = 2 * N + nd + C.shape[0]
     return place((dim, dim), convex_synth_terms(N, nd, sector_m, C, scale, P22, P11, QA, QB,
-                                                top, CcDc, md) + list(extra))
+                                                top, CcDc, md)
+                 + ([] if extra is None else [(N, N, extra)]))
 
 
 def reference_assemble_convex_synth(n, p, bounds, structure, rho):
@@ -604,10 +620,10 @@ def reference_assemble_convex_synth(n, p, bounds, structure, rho):
     QA = prob.add_matrix("QA", N, N)
     QB = prob.add_matrix("QB", N, p)
     md = lmi._add_multiplier(prob, structure)
-    U = congruence(top, P11) if nd else AffineMatrix((nc + p, nc + p))
+    U = dense_congruence(top, P11) if nd else AffineMatrix((nc + p, nc + p))
     P_full = reference_blkdiag(P11, P22) if nd else P22
     U = U - _embed_state_block(P_full, p)
-    U = U + congruence(CcDc, md)
+    U = U + dense_congruence(CcDc, md)
     TR = reference_block([[np.zeros((N, nd)),
                            (1.0 / rho) * (QA + bounds.m * (QB @ C)),
                            QB]])
@@ -630,10 +646,10 @@ def reference_assemble_convex_synth_perf(n, p, bounds, structure, rho):
     md_p = lmi._add_multiplier(prob, structure.with_rho(1.0), name="zf_theta_p")
     Z = prob.add_symmetric("Z", p)
     t = prob.add_scalar("t")
-    Up = congruence(top1, Pp11) if nd else AffineMatrix((nc + p, nc + p))
+    Up = dense_congruence(top1, Pp11) if nd else AffineMatrix((nc + p, nc + p))
     Pp_full = reference_blkdiag(Pp11, P22) if nd else P22
     Up = Up - _embed_state_block(Pp_full, p)
-    Up = Up + congruence(CcDc1, md_p)
+    Up = Up + dense_congruence(CcDc1, md_p)
     C2 = np.hstack([np.zeros((p, nd)), C, np.zeros((p, p))])
     Up = Up + AffineMatrix.constant(C2.T @ C2)
     TRp = reference_block([[np.zeros((N, nd)), QA + bounds.m * (QB @ C), QB]])
@@ -678,7 +694,7 @@ def reference_assemble_bmi_fixed_P(n, p, bounds, structure, rho, P, P_p=None, sl
         cross = (bot.__rmatmul__(P12c)).__rmatmul__(top_.T)  # top^T (P12 bot)
         U = U + cross + cross.T
         U = U - _embed_state_block(AffineMatrix.constant(P_), p)
-        U = U + congruence(CcDc_, md_)
+        U = U + dense_congruence(CcDc_, md_)
         if extra_const is not None:
             U = U + AffineMatrix.constant(extra_const)
         TR = P22_ @ bot
@@ -725,14 +741,13 @@ def reference_assemble_rate_slack(algo, bounds, structure, rho, radius=1e6):
     P_info = prob.declare("P", "symmetric", (plant.n_c, plant.n_c))
     md = lmi._add_multiplier(prob, structure.with_rho(rho))
     s = prob.add_scalar("s")
-    big = lmi._kyp(np.hstack([plant.Ac, plant.Bc]), P_info,
-                   (np.hstack([plant.Cc, plant.Dc]), md, md.dense()))
+    big = lmi._kyp(np.hstack([plant.Ac, plant.Bc]), P_info, (np.hstack([plant.Cc, plant.Dc]), md))
     dim = big.shape[0]
     prob.add_lmi(big - _smul(s, np.eye(dim)), "neg", eps=0.0, name="rate-slack")
     P = prob.variable_expr("P")
     nd = plant.n_mult
     sel = np.vstack([np.zeros((nd, plant.n_loop)), np.eye(plant.n_loop)])
-    prob.add_lmi(congruence(sel, P) - AffineMatrix.constant(np.eye(plant.n_loop)), "pos",
+    prob.add_lmi(dense_congruence(sel, P) - AffineMatrix.constant(np.eye(plant.n_loop)), "pos",
                  eps=0.0, name="p22-normalized")
     prob.add_lmi(AffineMatrix.constant(radius * np.eye(plant.n_c)) - P, "pos",
                  eps=0.0, name="p-box-hi")
@@ -891,7 +906,7 @@ def kyp_block(G: StateSpace, M, name: str = "kyp") -> SdpProblem:
     prob = SdpProblem(name)
     P = prob.declare("P", "symmetric", (G.nx, G.nx))
     prob.add_lmi(lmi._kyp(np.hstack([G.A, G.B]), P,
-                          (np.hstack([C, D]), AffineMatrix.constant(M), None)), "neg", name=name)
+                          (np.hstack([C, D]), AffineMatrix.constant(M))), "neg", name=name)
     return prob
 
 

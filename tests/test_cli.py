@@ -241,6 +241,36 @@ class TestNanTolerance:
         assert "tol must be a nonnegative number" in captured.err and captured.out == ""
 
 
+class TestSolverTolVariable:
+    """IQC_SOLVER_TOL must be a finite number >= 0; anything else is a
+    usage error that names the variable, before any solve."""
+
+    ARGV = ("analyze-rate", "--algo", "gd", "--m", "1", "--L", "10", "--lc", "1", "--la", "0")
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf", "-inf", "1e-6x"])
+    def test_refused(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("IQC_SOLVER_TOL", value)
+        assert RUN(*self.ARGV) == 2
+        captured = capsys.readouterr()
+        assert "IQC_SOLVER_TOL must be a finite number >= 0" in captured.err
+        assert repr(value) in captured.err and captured.out == ""
+
+    def test_refused_in_a_subprocess_without_a_traceback(self):
+        env = dict(_child_env(), IQC_SOLVER_TOL="abc")
+        proc = subprocess.run([sys.executable, "-m", "iqcopt.cli", *self.ARGV],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "IQC_SOLVER_TOL" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "1e-7"])
+    def test_accepted_into_the_manifest(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("IQC_SOLVER_TOL", value)
+        code, out = run_capture(capsys, *self.ARGV)
+        assert code == 0
+        opts = json.loads(out)["manifest"]["solver_options"]
+        assert opts["tol_abs"] == opts["tol_rel"] == float(value)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("L", ["1", "1.01"])
 def test_synth_bmi_designs_at_m_equal_L(L, capsys):

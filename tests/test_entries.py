@@ -11,7 +11,10 @@ transposes, traces, congruences and ``place`` with overlapping terms,
 from stacks that hold signed zeros. After every step the stored entries
 must give the reference's stack byte for byte, hold every nonzero entry
 of the formula's result, and ``value`` must return the bits of its
-definition, 0 + x_k F_k added key by key, on the dense stack.
+definition, 0 + x_k F_k added key by key, on the dense stack. A
+congruence is checked against its own definition, written out loop by
+loop: its outer factors have columns with several nonzeros, where the
+elementwise sum and a BLAS product round differently.
 """
 
 import numpy as np
@@ -68,7 +71,22 @@ class Dense:
         return Dense._product(self.const @ R, self.keys, self.stack @ R)
 
     def congruence(self, T):
-        return Dense._product((T.T @ self.const) @ T, self.keys, (T.T @ self.stack) @ T)
+        """T^T X T by its definition, one loop per index: for each entry
+        (k, a, b, v) the expression holds, key-major, and each pair of
+        nonzeros T[a, c], T[b, d], the product (T[a, c] v) T[b, d] added
+        at (k, c, d) into a sum from 0.0. A sum that reads +0.0 is no
+        entry; the constant is (T^T const) T."""
+        K, r, _ = self.stack.shape
+        c = T.shape[1]
+        out = np.zeros((K, c, c))
+        for k, a, b in zip(*np.nonzero(self.held)):
+            v = self.stack[k, a, b]
+            for i in range(c):
+                for j in range(c):
+                    if T[a, i] != 0.0 and T[b, j] != 0.0:
+                        out[k, i, j] += (T[a, i] * v) * T[b, j]
+        const = (T.T @ self.const) @ T if self.const.any() else np.zeros((c, c))
+        return Dense(const, self.keys, out, out != 0.0)
 
     def sub(self, rows, cols):
         return Dense(self.const[rows, cols], self.keys, self.stack[:, rows, cols],

@@ -27,7 +27,7 @@ from iqcopt.multipliers import (CLASSES, ZamesFalbStructure, m_delta_coefficient
 from iqcopt.native import _sym_stack
 from iqcopt.plantbuild import (UncertainLoop, build_perf_plant, build_perf_plant_loop,
                                build_rate_plant, default_noise_channel)
-from iqcopt.problem import SdpProblem, congruence, upper_triangle
+from iqcopt.problem import AffineMatrix, SdpProblem, congruence, upper_triangle
 from iqcopt.sdp import SdpSolution, solve
 from iqcopt.statespace import StateSpace
 import reference_builders as ref_builders
@@ -404,12 +404,12 @@ class TestSharedLayout:
         assembly of one derives its plan."""
         built = []
 
-        class Counted(lmi._TermPlan):
+        class Counted(lmi.CongruencePlan):
             __slots__ = ()
 
-            def __init__(self, AB):
-                built.append(AB.shape)
-                super().__init__(AB)
+            def __init__(self, T, *layout):
+                built.append(T.shape)
+                super().__init__(T, *layout)
 
         assemble_rate = lmi.assemble_rate
         plans = []
@@ -419,14 +419,14 @@ class TestSharedLayout:
             plans.append(plant.part.plan)
             return asm
 
-        monkeypatch.setattr(lmi, "_TermPlan", Counted)
+        monkeypatch.setattr(lmi, "CongruencePlan", Counted)
         monkeypatch.setattr(lmi, "assemble_rate", assemble)
         monkeypatch.setattr(plantbuild, "_kept", None)
         algo = make_named("nm", BOUNDS10, 1)
         st = ZamesFalbStructure(2, 1, 1, "unstructured", 1.0)
         assert certify_rate(algo, BOUNDS10, st).value < 1.0
         assert certify_h2(algo, BOUNDS10, st).value > 0.0
-        assert built == [(5, 6)]
+        assert built == [(17, 6)]      # [A B; I 0; C D] of the p = 1, (2, 1) plant
         assert len(plans) > 10 and all(plan is plans[0] for plan in plans)
         assert plantbuild._kept[2].plan is plans[0]
         loop = plantbuild.sector_loop(algo, BOUNDS10)
@@ -729,7 +729,7 @@ class TestH2SchurBlock:
         asm = assemble_h2_for(make_named(kind, BOUNDS10, p), BOUNDS10, st)
         prob, pl = asm.problem, asm.plant
         N = np.vstack([np.zeros((pl.n_mult, pl.n_loop)), np.eye(pl.n_loop)])
-        NPN = congruence(N, prob.variable_expr("P_p"))
+        NPN = ref_builders.dense_congruence(N, prob.variable_expr("P_p"))
         NPNB2 = NPN @ (N.T @ pl.boldB2)
         want = ref_builders.reference_block([[NPN, NPNB2],
                                              [NPNB2.T, prob.variable_expr("Z")]])
@@ -895,21 +895,24 @@ class TestKypKeyOrder:
         P_entry = prob.variable_expr("P")[1:2, 1:2]
         for X in (s, P_entry, s + t):
             with pytest.raises(ArgumentError, match="declare P before the row variables"):
-                lmi._kyp(self.AB, P, (self.OUT, X, X.dense()))
+                lmi._kyp(self.AB, P, (self.OUT, X))
 
     def test_row_terms_out_of_order_refused(self):
         prob, _, P, t = self._problem()
         u = prob.add_scalar("u")
         with pytest.raises(ArgumentError, match="declare P before the row variables"):
-            lmi._kyp(self.AB, P, (self.OUT, u, u.dense()), (self.OUT, t, t.dense()))
+            lmi._kyp(self.AB, P, (self.OUT, u), (self.OUT, t))
         with pytest.raises(ArgumentError, match="declare P before the row variables"):
-            lmi._kyp(self.AB, P, (self.OUT, t, t.dense()), (self.OUT, t, t.dense()))
+            lmi._kyp(self.AB, P, (self.OUT, t), (self.OUT, t))
 
 
 class TestKypScatter:
     """_kyp holds reference_kyp's bytes for ABs the named algorithms do not
     reach: dense, with signed zeros, with one shared pair of rows, with
-    underflowing products, small and large."""
+    underflowing products, small and large. The row's out holds one
+    nonzero per column, as a multiplier's rows do: there each row entry is
+    one rounded product, which the reference takes by BLAS (test_entries
+    checks the definition where columns hold several)."""
 
     N = 16
 
@@ -919,9 +922,11 @@ class TestKypScatter:
         prob = SdpProblem()
         P = prob.declare("P", "symmetric", (n, n))
         X = prob.add_symmetric("X", 2)
-        out = np.random.default_rng(n).normal(size=(2, m))
-        got = lmi._kyp(AB, P, (out, X, X.dense()))
-        ref = ref_builders.reference_kyp(AB, P, (out, X, X.dense()))
+        rng = np.random.default_rng(n)
+        out = np.zeros((2, m))
+        out[rng.integers(2, size=m), np.arange(m)] = rng.normal(size=m)
+        got = lmi._kyp(AB, P, (out, X))
+        ref = ref_builders.reference_kyp(AB, P, (out, X))
         for x, y in ((got.keys, ref.keys), (got.const, ref.const), (got.dense(), ref.dense())):
             assert x.tobytes() == y.tobytes()
 
@@ -988,7 +993,7 @@ class TestKypScatter:
                     n = AB.shape[0]
                     prob = SdpProblem()
                     P = prob.add_symmetric("P", n)
-                    blas = congruence(AB, P).dense()
+                    blas = ref_builders.dense_congruence(AB, P).dense()
                     blas[:, :n, :n] -= P.dense()
                     got = lmi._kyp(AB, prob.variables[0]).dense()
                     assert got.tobytes() == blas.tobytes()
@@ -1008,6 +1013,106 @@ class TestKypScatter:
                  for a, b, c, d in ((x, y, u, v), (u, v, x, y))]
         assert want not in fused
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _assert_same_expr(got, want):
+    for x, y in ((got.keys, want.keys), (got.const, want.const), (got.dense(), want.dense())):
+        assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+
+class TestCongruenceIdentical:
+    """congruence holds the bits of the dense per-key BLAS product on every
+    term the library writes through it where a column of the outer factor
+    meets one nonzero per key: the multiplier rows of the rate, H2 and
+    synthesis blocks over every M_Delta layout, -P's unit basis through
+    [I 0], and the slack row -s I. These run on the FMA-free kernel too."""
+
+    SHAPES = ((0, 0), (1, 0), (0, 2), (2, 1), (6, 0), (6, 1))
+
+    @staticmethod
+    def _multiplier(st):
+        prob = SdpProblem()
+        prob.add_scalar("s")        # the multiplier's keys need not start at 0
+        return lmi._add_multiplier(prob, st)
+
+    @pytest.mark.parametrize("klass", CLASSES)
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_congruence_identical_multiplier_rows(self, klass, p):
+        for lc, la in self.SHAPES:
+            st = ZamesFalbStructure(lc, la, p, klass, 0.9)
+            md = self._multiplier(st)
+            rows = [lmi._synth_constants(n, p, BOUNDS10, st, rho)[-1]
+                    for n in (1, 3) for rho in (0.9, 1.0)]
+            for kind in ("gd", "nm", "tmm", "hb"):
+                algo = make_named(kind, BOUNDS10, p)
+                rate = build_rate_plant(algo, BOUNDS10, st, 0.95)
+                perf = build_perf_plant(algo, BOUNDS10, st.with_rho(1.0),
+                                        default_noise_channel(algo))
+                rows += [np.hstack([rate.Cc, rate.Dc]), np.hstack([perf.boldC1, perf.boldD11])]
+            for T in rows:
+                _assert_same_expr(congruence(T, md), ref_builders.dense_congruence(T, md))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 5), (12, 14)])
+    def test_congruence_identical_minus_p_basis(self, n, m):
+        prob = SdpProblem()
+        P = prob.add_symmetric("P", n)
+        T = np.eye(n, m)
+        _assert_same_expr(congruence(T, -P), ref_builders.dense_congruence(T, -P))
+
+    @pytest.mark.parametrize("dim", [1, 4, 17])
+    def test_congruence_identical_slack_row(self, dim):
+        prob = SdpProblem()
+        prob.add_symmetric("P", 2)
+        minus_s = lmi._minus_identity(prob.add_scalar("s"), dim)
+        T = np.eye(dim)
+        _assert_same_expr(congruence(T, minus_s), ref_builders.dense_congruence(T, minus_s))
+
+    @pytest.mark.parametrize("kind", ["gd", "nm", "tmm", "hb"])
+    def test_congruence_identical_kyp_rows_in_one_listing(self, kind):
+        """_kyp's one listing writes the multiplier row and the constant C2
+        row of the H2 block as the dense products would, beside P's terms."""
+        for p, (lc, la), klass in ((1, (6, 1), "unstructured"), (2, (2, 1), "repeated"),
+                                   (4, (1, 0), "nonrepeated")):
+            st = ZamesFalbStructure(lc, la, p, klass, 1.0)
+            algo = make_named(kind, BOUNDS10, p)
+            got = assemble_h2_for(algo, BOUNDS10, st).problem.blocks[0].expr
+            pl = build_perf_plant_loop(plantbuild.sector_loop(algo, BOUNDS10), st,
+                                       *default_noise_channel(algo)[:2])
+            prob = SdpProblem()
+            P = prob.declare("P_p", "symmetric", (pl.n_c, pl.n_c))
+            md = lmi._add_multiplier(prob, st)
+            want = ref_builders.reference_kyp(
+                np.hstack([pl.boldA, pl.boldB1]), P, (np.hstack([pl.boldC1, pl.boldD11]), md),
+                (np.hstack([pl.boldC2, np.zeros((pl.n_yp, pl.p_c))]),
+                 AffineMatrix.constant(np.eye(pl.n_yp))))
+            assert got.val.all()       # no entry reads +0.0
+            for x, y in ((got.keys, want.keys), (got.dense(), want.dense())):
+                assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+
+class TestConvexBlockWithoutMultiplierStates:
+    """With lc = la = 0 there is no P11: the convex block's multiplier term
+    is _kyp's one listing over no rows of [A B], as every other KYP term."""
+
+    @pytest.mark.parametrize("klass", CLASSES)
+    @pytest.mark.parametrize("n,p", [(1, 1), (2, 2), (3, 4)])
+    def test_written_by_kyp(self, monkeypatch, klass, n, p):
+        calls = []
+        kyp = lmi._kyp
+
+        def spy(AB, P, *rows, **kw):
+            calls.append((AB.shape, P))
+            return kyp(AB, P, *rows, **kw)
+
+        st = ZamesFalbStructure(0, 0, p, klass, 0.9)
+        monkeypatch.setattr(lmi, "_kyp", spy)
+        got = assemble_convex_synth_perf(n, p, BOUNDS10, st, 0.9).problem
+        dim = n * p + p
+        assert calls == [((0, dim), None)] * 2
+        monkeypatch.setattr(lmi, "_convex_synth_block", ref_builders.reference_convex_synth_block)
+        ref = assemble_convex_synth_perf(n, p, BOUNDS10, st, 0.9).problem
+        for a, b in zip(got.blocks, ref.blocks):
+            _assert_same_expr(a.expr, b.expr)
 
 
 class TestSolverInputIdentity:

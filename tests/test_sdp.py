@@ -54,15 +54,19 @@ class TestAffineMatrix:
                                    T.T @ P.value(x) @ T, atol=1e-12)
 
     def test_congruence_is_the_operator_product(self):
-        """congruence holds the bits of (T.T @ X) @ T, signed zeros too."""
+        """Where each column of T holds one nonzero (-0.0 elsewhere), each
+        entry of congruence is one rounded product (T[a, c] v) T[b, d],
+        which (T.T @ X) @ T rounds alike on any kernel: the same bits, and
+        no stored entry reads zero. Columns with several nonzeros sum
+        elementwise instead (tests/test_entries.py)."""
         rng = np.random.default_rng(3)
-        T = rng.normal(size=(4, 3))
-        T[1] = -0.0
+        T = np.full((4, 3), -0.0)
+        T[[1, 3, 1], np.arange(3)] = rng.normal(size=3)
         for keys in (np.array([0, 2, 5]), np.zeros(0, dtype=np.intp)):
             const = rng.normal(size=(4, 4))
             X = AffineMatrix.from_dense(keys, rng.normal(size=(keys.size, 4, 4)), const)
             got, want = congruence(T, X), (T.T @ X) @ T
-            assert got.shape == want.shape == (3, 3)
+            assert got.shape == want.shape == (3, 3) and got.val.all()
             for a, b in ((got.keys, want.keys), (got.const, want.const),
                          (got.dense(), want.dense())):
                 assert a.tobytes() == b.tobytes()
@@ -108,10 +112,8 @@ class TestAffineMatrix:
 
     def test_upper_triangle_is_shared_and_read_only(self):
         for n in range(0, 41):
-            i, j, table, bk, br, bc = upper_triangle(n)
+            i, j, bk, br, bc = upper_triangle(n)
             k = np.arange(i.size)
-            np.testing.assert_array_equal(table[i, j], k)
-            np.testing.assert_array_equal(table[j, i], k)
             # the unit basis's entries: E_ij + E_ji, key-major, (i, j) first
             basis = np.zeros((i.size, n, n))
             basis[k, i, j] = basis[k, j, i] = 1.0
@@ -119,7 +121,7 @@ class TestAffineMatrix:
             np.testing.assert_array_equal(bk, kk)
             np.testing.assert_array_equal(br * n + bc, pp)
             assert upper_triangle(n) is upper_triangle(n)
-            for arr in (i, j, table, bk, br, bc):
+            for arr in (i, j, bk, br, bc):
                 assert not arr.flags.writeable
         assert upper_triangle.cache_info().maxsize == PATTERN_CACHE_SIZE
 
@@ -581,6 +583,37 @@ class TestNonFiniteData:
         with pytest.raises(DomainError, match="non-finite rhs"):
             SdpProblem.from_json_dict(d)
 
+    @pytest.mark.parametrize("index", [1, 7, -1])
+    def test_json_block_variable_out_of_range_refused(self, index):
+        d = self._valid_dict()
+        d["blocks"][0]["coeffs"][0]["var"] = index
+        with pytest.raises(DimensionError, match=rf"variable index {index} outside \[0, 1\)"):
+            SdpProblem.from_json_dict(d)
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_json_row_variable_out_of_range_refused(self, index):
+        d = self._valid_dict()
+        d["linear"][0]["coeffs"][0][0] = index
+        with pytest.raises(DimensionError, match=rf"variable index {index} outside \[0, 1\)"):
+            SdpProblem.from_json_dict(d)
+
+    def test_json_objective_variable_out_of_range_refused(self):
+        d = self._valid_dict()
+        d["objective"] = {"const": [[0.0]], "coeffs": [{"var": 3, "matrix": [[1.0]]}]}
+        with pytest.raises(DimensionError, match="variable index 3"):
+            SdpProblem.from_json_dict(d)
+
+    @pytest.mark.parametrize("sense", ["psd", "NEG", "", None])
+    def test_json_block_sense_refused(self, sense):
+        d = self._valid_dict()
+        d["blocks"][0]["sense"] = sense
+        with pytest.raises(ArgumentError, match="sense must be 'neg' or 'pos'"):
+            SdpProblem.from_json_dict(d)
+
+    def test_json_valid_dict_reads_back(self):
+        prob = SdpProblem.from_json_dict(self._valid_dict())
+        assert prob.verify(np.array([0.5]))[0] and not prob.verify(np.array([-2.0]))[0]
+
 
 class TestNativeBackend:
     def test_minimizes(self):
@@ -636,6 +669,13 @@ class TestNativeBackend:
     def test_default_cap_is_the_applied_one(self):
         assert [f.name for f in fields(SolverOptions)] == ["tol_abs", "tol_rel", "max_iters"]
         assert SolverOptions().max_iters == MAX_ITERS == 100
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
+    def test_options_refuse_a_tolerance_not_finite_and_nonnegative(self, tol):
+        for kw in ({"tol_abs": tol}, {"tol_rel": tol}):
+            with pytest.raises(DomainError, match="finite numbers >= 0"):
+                SolverOptions(**kw)
+        assert SolverOptions(tol_abs=0.0, tol_rel=0.0).tol_abs == 0.0
 
     def test_answers_with_a_cvxpy_stub_first_on_path(self, tmp_path):
         # an importable cvxpy, even an empty one, is not consulted:
