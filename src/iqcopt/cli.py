@@ -94,9 +94,22 @@ def _digest(obj) -> str:
 
 
 def _load_algo(spec: str, bounds: SectorBounds, p: int):
-    if spec.startswith("file:"):
+    """The algorithm ``spec`` names; a file: path that cannot be read, is
+    not UTF-8 JSON or lacks an entry raises ArgumentError naming the path."""
+    if not spec.startswith("file:"):
+        return make_named(spec, bounds, p)
+    try:
         return load_algorithm(spec[5:])
-    return make_named(spec, bounds, p)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as e:
+        raise ArgumentError(f"algorithm file {spec[5:]}: {type(e).__name__}: {e}") from None
+
+
+def _check_output(path) -> None:
+    """ArgumentError unless an output path names a file in a directory that
+    exists, so a run whose result cannot be written is refused before it
+    starts."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ArgumentError(f"cannot write {path}: not a file in an existing directory")
 
 
 def _structure(args) -> ZamesFalbStructure:
@@ -349,6 +362,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
+        _check_output(getattr(args, "output", None))
+        _check_output(getattr(args, "out", None))
         return args.func(args)
     except NotCertifiable as e:
         print(json.dumps({"error": "not-certifiable", "detail": str(e)}))

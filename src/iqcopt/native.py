@@ -114,7 +114,7 @@ class _Reduced:
             blocks.append((keys, F0, Fsub))
         rows = problem.linear
         R = np.zeros((len(rows), n))
-        R[:, rows.expr.keys] = rows.expr.dense()[:, :, 0].T
+        R[rows.row, rows.var] = rows.val
         sign, rhs = rows.sign, rows.rhs
         eq = sign == 0.0
         sign = sign[~eq]          # rhs - a x >= 0 for '<=', a x - rhs >= 0 for '>='

@@ -41,15 +41,15 @@ objective. It is solver-agnostic; see :mod:`iqcopt.sdp` for the conic
 backend. Problems serialize to a JSON interchange with one dense
 coefficient matrix per variable a block holds.
 
-All scalar rows live in one r x 1 AffineMatrix that holds only the
-variables some row uses, beside a per-row sign (+1 for '<=', -1 for '>=',
-0 for '==') and rhs, each one float array, and a list of names, so
-``verify`` evaluates them with the one scatter of ``value`` and the
-native backend scatters them in one step. ``add_linear`` merges the new
-rows' entries into the column. The JSON interchange lists each row's
-nonzero coefficients in key order; ``from_json_dict`` rebuilds the rows
-through ``add_linear``, so a round trip gives the same rows and the same
-``verify`` results bit for bit.
+All scalar rows live in one row-major table: per nonzero coefficient
+its row, its variable index and its value, row by row and, within a row,
+by ascending variable, beside a per-row sign (+1 for '<=', -1 for '>=',
+0 for '==') and rhs, each one float array, and a list of names.
+``add_linear`` appends the new rows to the table, so ``verify`` evaluates
+the rows with one np.bincount, the native backend fills its row matrix
+in one step and the JSON interchange lists the rows in table order;
+``from_json_dict`` rebuilds the rows through ``add_linear``, so a round
+trip gives the same table and the same ``verify`` results bit for bit.
 
 A block means the symmetric part of its expression: v^T F v = v^T sym(F) v,
 so F(x) <= 0 and sym(F(x)) <= 0 are the same constraint. ``add_lmi`` keeps
@@ -557,20 +557,25 @@ _SENSE = {s: sense for sense, s in _SIGN.items()}
 
 @dataclass
 class LinearRows:
-    """Scalar rows expr[i, 0] (sense i) rhs[i], the sense kept as its sign.
+    """Scalar rows (sum of val[j] x[var[j]] over row i's entries j)
+    (sense i) rhs[i], the sense kept as its sign.
 
-    expr is one r x 1 expression with a zero constant that holds only
-    the variables some row uses; sign and rhs are float arrays of length r,
-    so ``verify`` and the native backend read them without a conversion.
+    row, var and val are one row-major table of the rows' nonzero
+    coefficients: each entry's row, global variable index and value,
+    ordered by row and, within a row, by ascending variable. sign and rhs
+    are float arrays of length r, so ``verify`` and the native backend
+    read them without a conversion.
     """
 
-    expr: AffineMatrix
+    row: np.ndarray
+    var: np.ndarray
+    val: np.ndarray
     sign: np.ndarray
     rhs: np.ndarray
     name: list
 
     def __len__(self) -> int:
-        return self.expr.shape[0]
+        return self.sign.size
 
 
 class SdpProblem:
@@ -582,7 +587,7 @@ class SdpProblem:
         self._by_name: dict[str, VariableInfo] = {}
         self.nvars = 0
         self.blocks: list[LmiBlock] = []
-        self.linear = LinearRows(AffineMatrix((0, 1)), np.zeros(0), np.zeros(0), [])
+        self.linear = LinearRows(_NO_KEYS, _NO_KEYS, _NO_VALUES, _NO_VALUES, _NO_VALUES, [])
         self.objective: AffineMatrix | None = None  # 1x1, minimized
 
     # -- variables ----------------------------------------------------------
@@ -668,48 +673,35 @@ class SdpProblem:
         """Scalar rows expr[i, 0] (sense) rhs for an r x 1 expression.
 
         sense, rhs and name are each one value for every row or a sequence
-        of one value per row. The rows are appended in order to the one
-        column of ``self.linear``, with the constant moved to the rhs; a
+        of one value per row; other lengths, and an rhs of another shape,
+        raise DimensionError. The rows are appended in order to the table
+        of ``self.linear``, with the constant moved to the rhs; a
         non-finite rhs raises DomainError, since a NaN row passes every
-        ``verify``. Only the keys with a nonzero entry are kept, and their
-        entries are merged into the column's, below its n rows: appended
-        when their keys follow the column's, else sorted into it by key
-        index. The column is not rebuilt.
+        ``verify``. The nonzero entries are appended row by row: one
+        stable sort by row keeps each row's variables ascending, as the
+        expression lists them key-major. A +-0.0 entry is not kept, since
+        it adds nothing to a row's sum from +0.0.
         """
         r = expr.shape[0]
         if expr.shape[1] != 1:
             raise DimensionError("expected an r x 1 expression")
         senses = [sense] * r if isinstance(sense, str) else list(sense)
         names = [name] * r if isinstance(name, str) else list(name)
-        if len(senses) != r or len(names) != r:
-            raise DimensionError(f"expected {r} senses and names")
+        rhs = np.asarray(rhs, dtype=float)
+        if len(senses) != r or len(names) != r or rhs.shape not in ((), (r,)):
+            raise DimensionError(f"expected one sense, rhs and name or {r} of each")
         if not set(senses) <= _SIGN.keys():
             raise ArgumentError("sense must be one of <=, >=, ==")
-        rhs = np.asarray(rhs, dtype=float) - expr.const[:, 0]
+        rhs = rhs - expr.const[:, 0]
         if not np.isfinite(rhs).all():
             raise DomainError("linear rows: non-finite rhs or constant")
         old, n = self.linear, len(self.linear)
-        keys, kix, pos, val = expr.keys, expr.kix, expr.pos, expr.val
-        used = np.zeros(keys.size, dtype=bool)
-        used[kix[val != 0.0]] = True
-        if not used.all():
-            keep = used[kix]
-            keys, kix = keys[used], (np.cumsum(used) - 1)[kix[keep]]
-            pos, val = pos[keep], val[keep]
-        if n:
-            e = old.expr
-            pos, val = np.concatenate([e.pos, n + pos]), np.concatenate([e.val, val])
-            if not (e.keys.size and keys.size) or keys[0] > e.keys[-1]:
-                kix = np.concatenate([e.kix, e.keys.size + kix])
-                keys = np.concatenate([e.keys, keys])
-            else:
-                union = np.union1d(e.keys, keys)
-                kix = np.concatenate([np.searchsorted(union, e.keys)[e.kix],
-                                      np.searchsorted(union, keys)[kix]])
-                order = kix.argsort(kind="stable")     # each key's old rows, then its new
-                keys, kix, pos, val = union, kix[order], pos[order], val[order]
+        at = expr.val.nonzero()[0]
+        at = at[expr.pos[at].argsort(kind="stable")]
         self.linear = LinearRows(
-            from_entries((n + r, 1), np.zeros((n + r, 1)), keys, kix, pos, val),
+            np.concatenate([old.row, n + expr.pos[at]]),
+            np.concatenate([old.var, expr.keys[expr.kix[at]]]),
+            np.concatenate([old.val, expr.val[at]]),
             np.concatenate([old.sign, [_SIGN[s] for s in senses]]),
             np.concatenate([old.rhs, rhs]),
             old.name + names)
@@ -735,9 +727,10 @@ class SdpProblem:
         inequalities and get a slack of LIN_TOL times that scale instead,
         since objective problems routinely drive them onto the boundary.
         Linear rows are allowed LIN_TOL slack. Both are module constants,
-        so no caller can loosen the check. Returns (ok, worst
-        violation); a candidate with a non-finite entry returns
-        (False, inf).
+        so no caller can loosen the check. A row's value is 0.0 + its
+        products x[var] val, added in table order (ascending variable) by
+        one np.bincount. Returns (ok, worst violation); a candidate with a
+        non-finite entry returns (False, inf).
         """
         xmax = float(np.max(np.abs(x))) if x.size else 0.0
         if not np.isfinite(xmax):
@@ -758,10 +751,9 @@ class SdpProblem:
                 ok = False
         rows = self.linear
         if len(rows):
-            sign, rhs = rows.sign, rows.rhs
-            d = rows.expr.value(x)[:, 0] - rhs
-            viol = np.where(sign, sign * d, np.abs(d))
-            tol = LIN_TOL * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
+            d = np.bincount(rows.row, x[rows.var] * rows.val, len(rows)) - rows.rhs
+            viol = np.where(rows.sign, rows.sign * d, np.abs(d))
+            tol = LIN_TOL * (1.0 + np.abs(rows.rhs) + xmax if x.size else 1.0)
             ok = ok and not np.any(viol > tol)
             worst = max(worst, float(np.max(viol - tol)))
         return ok, worst
@@ -773,13 +765,9 @@ class SdpProblem:
                     for k, v in zip(expr.keys, expr.dense())]
 
         rows = self.linear
-        nz = rows.expr.val != 0.0
-        r, k = rows.expr.pos[nz], rows.expr.kix[nz]
-        order = np.lexsort((k, r))     # row by row, keys ascending within a row
         coeffs = [[] for _ in range(len(rows))]
-        for i, key, v in zip(r[order].tolist(), rows.expr.keys[k[order]].tolist(),
-                             rows.expr.val[nz][order].tolist()):
-            coeffs[i].append([key, v])
+        for i, k, v in zip(rows.row.tolist(), rows.var.tolist(), rows.val.tolist()):
+            coeffs[i].append([k, v])
         return {
             "name": self.name,
             "variables": [
@@ -804,12 +792,26 @@ class SdpProblem:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SdpProblem":
-        """The problem ``to_json_dict`` wrote. A coefficient on a variable
-        index outside [0, nvars) raises DimensionError, and a block sense
-        other than 'neg' or 'pos' ArgumentError."""
+        """The problem ``to_json_dict`` wrote. A variable of an unknown kind
+        raises ArgumentError; one whose shape does not fit its kind (a
+        negative dimension, a scalar not 1 x 1, a symmetric one not
+        square) or whose recorded offset and size are not those its
+        declaration computes raises DimensionError. A coefficient on a
+        variable index outside [0, nvars) raises DimensionError, and a
+        block sense other than 'neg' or 'pos' ArgumentError."""
         prob = SdpProblem(d.get("name", ""))
         for v in d["variables"]:
-            prob.declare(v["name"], v["kind"], tuple(v["shape"]))
+            kind, shape, who = v["kind"], tuple(v["shape"]), f"variable {v['name']!r}"
+            fits = {"scalar": shape == (1, 1), "matrix": len(shape) == 2,
+                    "symmetric": len(shape) == 2 and shape[0] == shape[1]}
+            if kind not in fits:
+                raise ArgumentError(f"{who}: unknown kind {kind!r}")
+            if not fits[kind] or min(shape) < 0:
+                raise DimensionError(f"{who}: shape {list(shape)} does not fit kind {kind!r}")
+            info = prob.declare(v["name"], kind, shape)
+            if [v.get("offset"), v.get("size")] != [info.offset, info.size]:
+                raise DimensionError(f"{who}: recorded offset and size {v.get('offset')}, "
+                                     f"{v.get('size')}, not {info.offset}, {info.size}")
 
         def var(k) -> int:
             if not 0 <= int(k) < prob.nvars:
@@ -829,11 +831,9 @@ class SdpProblem:
         rows = d["linear"]
         cells = sorted({(var(k), i): float(v) for i, r in enumerate(rows)
                         for k, v in r["coeffs"]}.items())     # key-major; a repeat overwrites
-        keys, kix = np.unique(np.array([k for (k, _), _ in cells], dtype=np.intp),
-                              return_inverse=True)
-        prob.add_linear(AffineMatrix((len(rows), 1), keys=keys,
-                                     entries=(kix, [i for (_, i), _ in cells],
-                                              [v for _, v in cells])),
+        kix, pos = np.array([c for c, _ in cells], dtype=np.intp).reshape(-1, 2).T
+        prob.add_linear(AffineMatrix((len(rows), 1), keys=np.arange(prob.nvars),
+                                     entries=(kix, pos, [v for _, v in cells])),
                         [r["sense"] for r in rows], [r["rhs"] for r in rows],
                         [r.get("name", "") for r in rows])
         if d.get("objective"):

@@ -375,7 +375,11 @@ def reference_verify(prob, x, lin_tol=1e-8, eig_margin=1e-10):
     rows = prob.linear
     if len(rows):
         sign, rhs = np.array(rows.sign), np.array(rows.rhs)
-        d = dense_value(rows.expr, x)[:, 0] - rhs
+        # the rows' coefficient stack, one r x 1 matrix per variable a row holds
+        keys = np.unique(rows.var)
+        stack = np.zeros((keys.size, len(rows), 1))
+        stack[np.searchsorted(keys, rows.var), rows.row, 0] = rows.val
+        d = dense_value(AffineMatrix.from_dense(keys, stack), x)[:, 0] - rhs
         viol = np.where(sign, sign * d, np.abs(d))
         tol = lin_tol * (1.0 + np.abs(rhs) + xmax if x.size else 1.0)
         ok = ok and not np.any(viol > tol)

@@ -369,6 +369,65 @@ class TestNonFiniteAlgorithmFile:
         assert f"{name} has a non-finite entry" in err and "Traceback" not in err
 
 
+class TestUnreadableFiles:
+    """A file: algorithm that is missing, not JSON or lacks an entry, and
+    an output path that is a directory or lies in a missing one, are usage
+    errors: exit 2 with one line on stderr that names the path, before any
+    solve."""
+
+    ARGV = ("--m", "1", "--L", "10")
+
+    @staticmethod
+    def _files(tmp_path):
+        from iqcopt.algorithms import SectorBounds, make_named, to_json_dict
+
+        d = to_json_dict(make_named("gd", SectorBounds(1.0, 10.0)))
+        text = json.dumps(d)
+        del d["A"]
+        files = {"missing": tmp_path / "nope.json", "truncated": tmp_path / "cut.json",
+                 "binary": tmp_path / "bin.json", "no-A": tmp_path / "noA.json"}
+        files["truncated"].write_text(text[:len(text) // 2])
+        files["binary"].write_bytes(b"\xff\xfe" + text.encode())
+        files["no-A"].write_text(json.dumps(d))
+        return files
+
+    @pytest.mark.parametrize("case", ["missing", "truncated", "binary", "no-A"])
+    @pytest.mark.parametrize("command", ["analyze-rate", "analyze-h2"])
+    def test_algorithm_file_exits_usage(self, tmp_path, capfd, monkeypatch, case, command):
+        monkeypatch.setattr(cli, "certify_rate", None)     # no solve may start
+        monkeypatch.setattr(cli, "certify_h2", None)
+        path = self._files(tmp_path)[case]
+        code = RUN(command, "--algo", f"file:{path}", *self.ARGV)
+        out, err = capfd.readouterr()
+        assert code == 2 and out == ""
+        assert str(path) in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze-rate", "--algo", "gd", *ARGV, "-o"),
+        ("sweep", "--kappa-grid", "log:2:100:3", "-o"),
+        ("synth-convex", *ARGV, "--rho", "0.9", "-o"),
+        ("synth-convex", *ARGV, "--rho", "0.9", "--out")])
+    def test_unwritable_output_exits_usage(self, tmp_path, capfd, monkeypatch,
+                                                       argv):
+        for name in ("certify_rate", "certify_h2", "synthesize_convex"):
+            monkeypatch.setattr(cli, name, None)     # refused before the run
+        path = tmp_path / "nonexistent" / "out.json"
+        for target in (path, tmp_path):     # in a missing directory, a directory
+            code = RUN(*argv, str(target))
+            out, err = capfd.readouterr()
+            assert code == 2 and out == ""
+            assert str(target) in err and len(err.splitlines()) == 1
+        assert not path.parent.exists()
+
+    def test_refused_in_a_subprocess_without_a_traceback(self, tmp_path):
+        path = self._files(tmp_path)["no-A"]
+        proc = subprocess.run([sys.executable, "-m", "iqcopt.cli", "analyze-rate", "--algo",
+                               f"file:{path}", *self.ARGV],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 2
+        assert str(path) in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestSweep:
     @staticmethod
     def _rows(path):

@@ -44,12 +44,13 @@ def _feed(h, prob):
         for a in (b.expr.keys, b.expr.const, b.expr.dense()):
             h.update(np.ascontiguousarray(a).tobytes())
     rows = prob.linear
-    for a in (rows.expr.keys, rows.expr.dense(), rows.sign, rows.rhs):
+    for a in (rows.row, rows.var, rows.val, rows.sign, rows.rhs):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr(rows.name).encode())
     x = np.random.default_rng(prob.nvars).standard_normal(prob.nvars)
-    for expr in [b.expr for b in prob.blocks] + [rows.expr]:
-        h.update(expr.value(x).tobytes())
+    for b in prob.blocks:
+        h.update(b.expr.value(x).tobytes())
+    h.update(np.bincount(rows.row, x[rows.var] * rows.val, len(rows)).tobytes())
     h.update(repr(prob.verify(x)[0]).encode())
 
 

@@ -437,19 +437,18 @@ class TestSharedLayout:
 
 def _problem_digest(prob, entries: bool) -> str:
     """Variables, blocks (names, senses, eps, scales, keys, constants and
-    stacks) and rows (keys, stack, signs, rhs and names) of a problem; with
-    ``entries`` the entry arrays too, which list an entry whose terms sum
-    to +0.0 where a stack shows none."""
+    stacks) and rows (table, signs, rhs and names) of a problem; with
+    ``entries`` the blocks' entry arrays too, which list an entry whose
+    terms sum to +0.0 where a stack shows none."""
     h = hashlib.sha256()
     h.update(repr([(v.name, v.kind, v.shape, v.offset, v.size) for v in prob.variables]).encode())
-    exprs = [b.expr for b in prob.blocks] + [prob.linear.expr]
     for b in prob.blocks:
         h.update(repr((b.name, b.sense, b.eps, b.scale)).encode())
-    for e in exprs:
+    for e in [b.expr for b in prob.blocks]:
         for a in (e.keys, e.const, e.dense()) + ((e.kix, e.pos, e.val) if entries else ()):
             h.update(np.ascontiguousarray(a).tobytes())
     rows = prob.linear
-    for a in (rows.sign, rows.rhs):
+    for a in (rows.row, rows.var, rows.val, rows.sign, rows.rhs):
         h.update(a.tobytes())
     h.update(repr(rows.name).encode())
     return h.hexdigest()
@@ -627,8 +626,8 @@ class TestRhoFreeParts:
             assert got.variables == ref.variables
             a, b = got.linear, ref.linear
             assert a.name == b.name
-            for x, y in ((a.sign, b.sign), (a.rhs, b.rhs), (a.expr.keys, b.expr.keys),
-                         (a.expr.const, b.expr.const), (a.expr.dense(), b.expr.dense())):
+            for x, y in ((a.sign, b.sign), (a.rhs, b.rhs), (a.row, b.row), (a.var, b.var),
+                         (a.val, b.val)):
                 assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
             assert md.keys.tobytes() == theta.keys.tobytes()
             assert md.dense().tobytes() == m_delta_coefficients(st).tobytes()

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import iqcopt
 from iqcopt.algorithms import SectorBounds, make_named
 from iqcopt.errors import ArgumentError, DimensionError, DomainError
-from iqcopt.lmi import assemble_bmi_fixed_P, assemble_h2_for, assemble_rate_for
+from iqcopt.lmi import (assemble_bmi_fixed_P, assemble_convex_synth, assemble_convex_synth_perf,
+                        assemble_h2_for, assemble_rate_for, assemble_rate_slack,
+                        assemble_structured_rate, assemble_structured_synth)
 from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.problem import (PATTERN_CACHE_SIZE, AffineMatrix, SdpProblem, congruence, place,
                             upper_triangle)
@@ -309,9 +311,9 @@ class TestLinearRows:
         assert bulk.to_json_dict()["linear"] == rows.to_json_dict()["linear"]
         a, b = bulk.linear, rows.linear
         assert len(a) == len(b) == 3 and a.name == b.name
-        for got, want in ((a.expr.keys, b.expr.keys), (a.expr.dense(), b.expr.dense()),
-                          (a.sign, b.sign), (a.rhs, b.rhs)):
-            np.testing.assert_array_equal(got, want)
+        for got, want in ((a.row, b.row), (a.var, b.var), (a.val, b.val), (a.sign, b.sign),
+                          (a.rhs, b.rhs)):
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
     def test_slack_scales_with_the_largest_magnitude(self):
         # row a <= 0 may be violated by lin_tol (1 + |rhs| + max|x|)
@@ -332,6 +334,12 @@ class TestLinearRows:
             prob.add_linear(col, ["<=", ">="])
         with pytest.raises(ArgumentError):
             prob.add_linear(col, ["<=", ">=", "<"])
+        # an rhs is one value or one per row
+        with pytest.raises(DimensionError, match="one sense, rhs and name or 3 of each"):
+            prob.add_linear(col, "<=", [1.0, 2.0])
+        with pytest.raises(DimensionError, match="one sense, rhs and name or 3 of each"):
+            prob.add_linear(col, "<=", np.ones((3, 1)))
+        assert len(prob.linear) == 0
 
 
 class TestRowColumn:
@@ -399,8 +407,10 @@ class TestRowColumn:
         prob, calls = self._calls(rng, plan)
         rows = self._rows(calls)
         assert len(prob.linear) == len(rows) == sum(r for _, r, _ in plan)
-        # the column holds exactly the variables some row uses
-        assert prob.linear.expr.keys.tolist() == sorted({k for *_, c in rows for k, _ in c})
+        # the table holds exactly the nonzero coefficients, row by row, keys ascending
+        table = prob.linear
+        assert list(zip(table.row.tolist(), table.var.tolist(), table.val.tolist())) == [
+            (i, k, v) for i, (*_, c) in enumerate(rows) for k, v in c]
         assert prob.to_json_dict()["linear"] == [
             {"name": n, "sense": s, "rhs": r, "coeffs": c} for n, s, r, c in rows]
         clone = SdpProblem.from_json_dict(prob.to_json_dict())
@@ -757,6 +767,81 @@ class TestJsonInterchange:
             for b in d["blocks"]:
                 want = sorted(k for name in held[kind][b["name"]] for k in where[name])
                 assert [c["var"] for c in b["coeffs"]] == want
+
+    @staticmethod
+    def _every_kind():
+        """One problem of each kind the library builds."""
+        bounds = SectorBounds(1.0, 10.0)
+        nm = make_named("nm", bounds, 2)
+        st = ZamesFalbStructure(2, 1, 2, "repeated", 0.9)
+        probs = {"rate": assemble_rate_for(nm, bounds, st, 0.9),
+                 "h2": assemble_h2_for(nm, bounds, st.with_rho(1.0)),
+                 "rate-slack": assemble_rate_slack(nm, bounds, st, 0.9),
+                 "convex": assemble_convex_synth(2, 2, bounds, st, 0.9),
+                 "convex-perf": assemble_convex_synth_perf(2, 2, bounds, st, 0.9),
+                 "structured-synth": assemble_structured_synth(
+                     np.eye(2), np.array([[1.0, 0.5]]), 0.0, 9.0, 2, 0.9),
+                 "structured-rate": assemble_structured_rate(
+                     make_named("gd", bounds, 2), np.eye(2), np.eye(2), 0.0, 9.0, st, 0.9)}
+        nc = 3 * 2 + 2 * 2
+        P = np.eye(nc) + 0.1 * np.ones((nc, nc))
+        for slack in (False, True):
+            for P_p in (None, P):
+                probs[f"bmi slack={slack} P_p={P_p is not None}"] = assemble_bmi_fixed_P(
+                    2, 2, bounds, st, 0.9, P, P_p=P_p, slack=slack)
+        return {name: asm.problem for name, asm in probs.items()}
+
+    def test_json_is_a_fixed_point(self):
+        """Reading a problem's JSON back gives the same JSON and the same
+        row table, byte for byte."""
+        for name, prob in self._every_kind().items():
+            d = prob.to_json_dict()
+            clone = SdpProblem.from_json_dict(d)
+            assert clone.to_json_dict() == d, name
+            a, b = prob.linear, clone.linear
+            assert a.name == b.name, name
+            for x, y in ((a.row, b.row), (a.var, b.var), (a.val, b.val), (a.sign, b.sign),
+                         (a.rhs, b.rhs)):
+                assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
+
+    @staticmethod
+    def _variables_dict():
+        prob = SdpProblem("vars")
+        P = prob.add_symmetric("P", 2)
+        prob.add_scalar("t")
+        prob.add_matrix("M", 2, 3)
+        prob.add_lmi(P, "pos")
+        return prob.to_json_dict()
+
+    def test_variables_read_back(self):
+        d = self._variables_dict()
+        clone = SdpProblem.from_json_dict(d)
+        assert clone.to_json_dict() == d and clone.nvars == 10
+
+    def test_unknown_kind_refused(self):
+        d = self._variables_dict()
+        d["variables"][1]["kind"] = "hermitian"
+        with pytest.raises(ArgumentError, match="unknown kind 'hermitian'"):
+            SdpProblem.from_json_dict(d)
+
+    @pytest.mark.parametrize("index,shape", [
+        (0, [2, 3]), (1, [2, 2]), (1, [1, 2]), (2, [-1, 3]), (2, [2, -3]), (0, [-2, -2]),
+        (2, [6])])
+    def test_shape_that_does_not_fit_its_kind_refused(self, index, shape):
+        # symmetric P, scalar t and matrix M
+        d = self._variables_dict()
+        d["variables"][index]["shape"] = shape
+        with pytest.raises(DimensionError, match="does not fit kind"):
+            SdpProblem.from_json_dict(d)
+
+    @pytest.mark.parametrize("index,key,value", [
+        (0, "offset", 1), (1, "offset", 2), (2, "offset", 5), (0, "size", 4), (2, "size", 5),
+        (1, "size", 0)])
+    def test_recorded_offset_and_size_must_match(self, index, key, value):
+        d = self._variables_dict()
+        d["variables"][index][key] = value
+        with pytest.raises(DimensionError, match="recorded offset and size"):
+            SdpProblem.from_json_dict(d)
 
     def test_roundtrip_verify_is_identical(self):
         rng = np.random.default_rng(5)
