@@ -345,15 +345,30 @@ def to_json_dict(algo: AlgorithmRealization) -> dict:
     }
 
 
+def _entry(d: dict, name: str, read=lambda v: np.asarray(v, dtype=float)):
+    """read(d[name]), a matrix by default; DomainError naming the entry when
+    it is not the number or numeric matrix it should be."""
+    try:
+        return read(d[name])
+    except (TypeError, ValueError) as e:    # a string, a ragged list or a null
+        raise DomainError(f"entry {name!r} is malformed: {e}") from None
+
+
 def from_json_dict(d: dict) -> AlgorithmRealization:
+    """The algorithm a JSON object names (``kind``, ``m``, ``L``, ``p``) or
+    lists (``n``, ``p``, ``A``..``D`` and ``Ddagger``, solved for when it is
+    missing). A missing entry raises KeyError; an object of another type,
+    or a malformed entry, DomainError."""
+    if not isinstance(d, dict):
+        raise DomainError(f"an algorithm is a JSON object, not a {type(d).__name__}")
     if "kind" in d:
-        bounds = SectorBounds(float(d["m"]), float(d["L"]))
-        return make_named(d["kind"], bounds, int(d.get("p", 1)))
-    n, p = int(d["n"]), int(d["p"])
+        bounds = SectorBounds(_entry(d, "m", float), _entry(d, "L", float))
+        return make_named(_entry(d, "kind", str), bounds, _entry(d, "p", int) if "p" in d else 1)
+    n, p = _entry(d, "n", int), _entry(d, "p", int)
     # checked here too, since solving for a missing Ddagger reads them first
-    A, B, C, D = (_finite(name, np.asarray(d[name], dtype=float)) for name in "ABCD")
-    if "Ddagger" in d and d["Ddagger"] is not None:
-        Dd = np.asarray(d["Ddagger"], dtype=float)
+    A, B, C, D = (_finite(name, _entry(d, name)) for name in "ABCD")
+    if d.get("Ddagger") is not None:
+        Dd = _entry(d, "Ddagger")
     else:
         ok, Dd = check_equilibrium_conditions(A, B, C, D)
         if not ok:

@@ -46,44 +46,54 @@ def _solver_options() -> SolverOptions:
         raise ArgumentError(f"IQC_SOLVER_TOL must be a finite number >= 0, not {tol!r}") from None
 
 
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def _manifest(command: str, params: dict, seconds: float, solver_opts: SolverOptions) -> dict:
+def _manifest(args, solver_opts: SolverOptions, drop=()) -> dict:
+    """The run manifest: the command, its parameters but ``drop``, the tool
+    version and the solver options."""
     return {
-        "command": command,
-        "parameters": params,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", *drop)},
         "tool_version": __version__,
         "solver_options": {"tol_abs": solver_opts.tol_abs,
                            "tol_rel": solver_opts.tol_rel,
                            "max_iters": solver_opts.max_iters},
-        "seconds": round(seconds, 6),
     }
 
 
-def _emit_json(payload: dict, path=None):
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+def _json_command(result):
+    """The command whose result dict ``result(args, opts, bounds)`` computes.
+
+    The command reads the solver options and the bounds, times the run,
+    and prints the result under its manifest as JSON, to -o as well.
+    """
+    def run(args) -> int:
+        opts = _solver_options()
+        bounds = SectorBounds(args.m, args.L)
+        t0 = time.time()
+        payload = {"result": result(args, opts, bounds),
+                   "manifest": {**_manifest(args, opts),
+                                "seconds": round(time.time() - t0, 6)}}
+        text = json.dumps(payload, indent=1, sort_keys=True)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        print(text)
+        return EXIT_OK
+
+    return run
 
 
-def _emit_csv(manifest: dict, header, rows, path=None):
-    # CSV reruns must be byte-identical, so volatile fields stay out
-    manifest = dict(manifest)
-    manifest.pop("seconds", None)
-    if isinstance(manifest.get("parameters"), dict):
-        manifest["parameters"] = {k: v for k, v in manifest["parameters"].items()
-                                  if k != "output"}
+def _emit_csv(args, solver_opts: SolverOptions, header, rows) -> None:
+    """Print the rows as CSV under the manifest in '#' lines, or write them
+    to -o; the manifest leaves out -o and the run time, so reruns are
+    byte-identical."""
+    manifest = _manifest(args, solver_opts, drop=("output",))
     lines = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in sorted(manifest.items())]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(str(c) for c in row))
     text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -95,12 +105,13 @@ def _digest(obj) -> str:
 
 def _load_algo(spec: str, bounds: SectorBounds, p: int):
     """The algorithm ``spec`` names; a file: path that cannot be read, is
-    not UTF-8 JSON or lacks an entry raises ArgumentError naming the path."""
+    not UTF-8 JSON, lacks an entry or holds one the library refuses raises
+    ArgumentError naming the path."""
     if not spec.startswith("file:"):
         return make_named(spec, bounds, p)
     try:
         return load_algorithm(spec[5:])
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, IqcError) as e:
         raise ArgumentError(f"algorithm file {spec[5:]}: {type(e).__name__}: {e}") from None
 
 
@@ -112,95 +123,60 @@ def _check_output(path) -> None:
         raise ArgumentError(f"cannot write {path}: not a file in an existing directory")
 
 
-def _structure(args) -> ZamesFalbStructure:
-    return ZamesFalbStructure(args.lc, args.la, getattr(args, "p", 1),
-                              getattr(args, "klass", "unstructured"))
+def _structure(args, rho=1.0) -> ZamesFalbStructure:
+    return ZamesFalbStructure(args.lc, args.la, args.p, args.klass, rho)
+
+
+def _design(args, res, **fields) -> dict:
+    """A synthesis command's result: the design's rho, gamma, algorithm and
+    ``fields``. The algorithm is also written to --out when it is given."""
+    if args.out:
+        save_algorithm(res.algo, args.out)
+    return {"rho": res.rho, "gamma": res.gamma, "algorithm": to_json_dict(res.algo), **fields}
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze_rate(args) -> int:
-    opts = _solver_options()
-    bounds = SectorBounds(args.m, args.L)
+@_json_command
+def cmd_analyze_rate(args, opts, bounds) -> dict:
     algo = _load_algo(args.algo, bounds, args.p)
-    t0 = time.time()
     res = certify_rate(algo, bounds, _structure(args),
                        BisectionConfig(tol=args.tol), opts)
     cert = res.certificate
-    payload = {
-        "manifest": _manifest("analyze-rate", _params(args), time.time() - t0, opts),
-        "result": {
-            "rho": res.value,
-            "certificate_digest": _digest({"P": np.round(cert.P, 12).tolist(),
-                                           "M": [Mi.tolist() for Mi in cert.zf.M]}),
-            "solves": res.solves,
-            "seconds": res.seconds,
-            "bracket": list(res.bracket),
-        },
+    return {
+        "rho": res.value,
+        "certificate_digest": _digest({"P": np.round(cert.P, 12).tolist(),
+                                       "M": [Mi.tolist() for Mi in cert.zf.M]}),
+        "solves": res.solves,
+        "seconds": res.seconds,
+        "bracket": list(res.bracket),
     }
-    _emit_json(payload, args.output)
-    return EXIT_OK
 
 
-def cmd_analyze_h2(args) -> int:
-    opts = _solver_options()
-    bounds = SectorBounds(args.m, args.L)
+@_json_command
+def cmd_analyze_h2(args, opts, bounds) -> dict:
     algo = _load_algo(args.algo, bounds, args.p)
-    t0 = time.time()
     res = certify_h2(algo, bounds, _structure(args), options=opts)
-    payload = {
-        "manifest": _manifest("analyze-h2", _params(args), time.time() - t0, opts),
-        "result": {"gamma": res.value, "solves": res.solves, "seconds": res.seconds},
-    }
-    _emit_json(payload, args.output)
-    return EXIT_OK
+    return {"gamma": res.value, "solves": res.solves, "seconds": res.seconds}
 
 
-def cmd_synth_convex(args) -> int:
-    opts = _solver_options()
-    bounds = SectorBounds(args.m, args.L)
-    t0 = time.time()
-    st = ZamesFalbStructure(args.lc, args.la, args.p, args.klass, args.rho)
-    res = synthesize_convex(args.n, args.p, bounds, args.rho,
-                            with_perf=args.perf, structure=st, options=opts)
-    if args.out:
-        save_algorithm(res.algo, args.out)
-    payload = {
-        "manifest": _manifest("synth-convex", _params(args), time.time() - t0, opts),
-        "result": {
-            "rho": res.rho,
-            "gamma": res.gamma,
-            "algorithm": to_json_dict(res.algo),
-        },
-    }
-    _emit_json(payload, args.output)
-    return EXIT_OK
+@_json_command
+def cmd_synth_convex(args, opts, bounds) -> dict:
+    res = synthesize_convex(args.n, args.p, bounds, args.rho, with_perf=args.perf,
+                            structure=_structure(args, args.rho), options=opts)
+    return _design(args, res)
 
 
-def cmd_synth_bmi(args) -> int:
-    opts = _solver_options()
-    bounds = SectorBounds(args.m, args.L)
-    t0 = time.time()
-    st = ZamesFalbStructure(args.lc, args.la, args.p, args.klass, args.target_rho)
-    res = synthesize_bmi(args.n, args.p, bounds, args.target_rho,
-                         optimize=args.optimize, structure=st, options=opts)
-    if args.out:
-        save_algorithm(res.algo, args.out)
-    payload = {
-        "manifest": _manifest("synth-bmi", _params(args), time.time() - t0, opts),
-        "result": {
-            "rho": res.rho,
-            "gamma": res.gamma,
-            "initializer_rho": res.initializer_rho,
-            "iterations": [[tag, r, g] for tag, r, g in res.iterations],
-            "solves": res.solves,
-            "algorithm": to_json_dict(res.algo),
-        },
-    }
-    _emit_json(payload, args.output)
-    return EXIT_OK
+@_json_command
+def cmd_synth_bmi(args, opts, bounds) -> dict:
+    res = synthesize_bmi(args.n, args.p, bounds, args.target_rho, optimize=args.optimize,
+                         structure=_structure(args, args.target_rho), options=opts)
+    return _design(args, res,
+                   initializer_rho=res.initializer_rho,
+                   iterations=[[tag, r, g] for tag, r, g in res.iterations],
+                   solves=res.solves)
 
 
 def cmd_sample_h2(args) -> int:
@@ -211,7 +187,6 @@ def cmd_sample_h2(args) -> int:
     opts = _solver_options()
     bounds = SectorBounds(args.m, args.L)
     algo = _load_algo(args.algo, bounds, args.p)
-    t0 = time.time()
     rows = []
     for i in range(args.runs):
         seed = args.seed + i
@@ -222,9 +197,7 @@ def cmd_sample_h2(args) -> int:
         run = simulate_h2(algo, spec, args.steps, args.realizations, noise_seed)
         rows.append([args.algo, args.kind, args.m, args.L, seed, args.steps,
                      args.realizations, repr(run.estimate)])
-    manifest = _manifest("sample-h2", _params(args), time.time() - t0, opts)
-    _emit_csv(manifest, ["algo", "kind", "m", "L", "seed", "k_max", "N", "estimate"],
-              rows, args.output)
+    _emit_csv(args, opts, ["algo", "kind", "m", "L", "seed", "k_max", "N", "estimate"], rows)
     return EXIT_OK
 
 
@@ -257,7 +230,6 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.kappa_grid)
     algos = args.algos.split(",")
     rate = args.mode == "rate"
-    t0 = time.time()
     rows = []
     for kappa in grid:
         bounds = SectorBounds(args.m, args.m * float(kappa))
@@ -272,9 +244,7 @@ def cmd_sweep(args) -> int:
                 value = float("nan")
             bound = fundamental_lower_bound(bounds) if rate else float("nan")
             rows.append([f"{kappa:.6g}", name, args.mode, repr(value), f"{bound:.12g}"])
-    manifest = _manifest("sweep", _params(args), time.time() - t0, opts)
-    _emit_csv(manifest, ["kappa", "algo", "mode", "value", "lower_bound"],
-              rows, args.output)
+    _emit_csv(args, opts, ["kappa", "algo", "mode", "value", "lower_bound"], rows)
     return EXIT_OK
 
 
@@ -289,12 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, algo=True, mult=True):
+    def common(p, algo=True, mult=True, grid=False):
         if algo:
             p.add_argument("--algo", required=True,
                            help="gd|nm|nm-mod|tmm|hb|file:<path>")
-        p.add_argument("--m", type=float, required=True)
-        p.add_argument("--L", type=float, required=True)
+        if grid:    # the kappa grid sets L = kappa m
+            p.add_argument("--m", type=float, default=1.0)
+        else:
+            p.add_argument("--m", type=float, required=True)
+            p.add_argument("--L", type=float, required=True)
         p.add_argument("--p", type=int, default=1)
         if mult:
             p.add_argument("--lc", type=int, default=1)
@@ -339,18 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample_h2)
 
     p = sub.add_parser("sweep", help="grid sweeps over the condition ratio")
+    common(p, algo=False, grid=True)
     p.add_argument("--mode", choices=["rate", "h2"], default="rate")
     p.add_argument("--algos", default="gd,nm,tmm")
     p.add_argument("--kappa-grid", type=_grid_spec, default="log:1.02:1000:25",
                    help="KIND:LO:HI:NUM, KIND log or lin")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--lc", type=int, default=1)
-    p.add_argument("--la", type=int, default=0)
-    p.add_argument("--klass", default="unstructured",
-                   choices=["unstructured", "repeated", "nonrepeated"])
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_sweep)
     return ap
 
@@ -362,7 +329,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
-        _check_output(getattr(args, "output", None))
+        _check_output(args.output)
         _check_output(getattr(args, "out", None))
         return args.func(args)
     except NotCertifiable as e:

@@ -652,9 +652,8 @@ def assemble_bmi_fixed_P(n: int, p: int, bounds: SectorBounds,
                      "neg", eps=1e-9, name="bmi-h2")
         Z = prob.add_symmetric("Z", p)
         t = prob.add_scalar("t")
-        trace_blk = AffineMatrix.block([
-            [AffineMatrix.constant(Pp22c), Pp22c @ Be],
-            [(Pp22c @ Be).T, Z]])
+        PB = Pp22c @ Be
+        trace_blk = AffineMatrix.block([[AffineMatrix.constant(Pp22c), PB], [PB.T, Z]])
         prob.add_lmi(trace_blk, "pos", eps=1e-9, name="bmi-h2-trace")
         prob.add_linear(Z.trace() - t, "<=", 0.0)
         if not slack:

@@ -544,7 +544,8 @@ class LmiBlock:
     def __post_init__(self):
         if self.sense not in ("neg", "pos"):
             raise ArgumentError(f"block {self.name!r}: sense must be 'neg' or 'pos'")
-        self.scale = 1.0 + float(np.linalg.norm(self.expr.const, "fro"))
+        c = self.expr.const     # not np.linalg.norm, whose BLAS dot follows the kernel
+        self.scale = 1.0 + math.sqrt((c * c).sum())
         self.eps = EPS_REL * self.scale if self.eps is None else float(self.eps)
         if not (math.isfinite(self.scale) and math.isfinite(self.eps)):
             raise DomainError(f"block {self.name!r}: non-finite constant or eps")

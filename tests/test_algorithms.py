@@ -342,6 +342,21 @@ class TestJson:
         with pytest.raises(DomainError, match=f"{name} has a non-finite entry"):
             from_json_dict(json.loads(json.dumps(d)))
 
+    @pytest.mark.parametrize("entry,value", [
+        ("A", "x"), ("A", [[1, 2], [3]]), ("Ddagger", "q"), ("n", "two"), ("p", None)])
+    def test_malformed_entry_is_a_domain_error(self, entry, value):
+        d = {**to_json_dict(make_named("gd", SectorBounds(1.0, 10.0))), entry: value}
+        with pytest.raises(DomainError, match=f"entry '{entry}' is malformed"):
+            from_json_dict(json.loads(json.dumps(d)))
+
+    def test_malformed_named_form_and_non_object_are_domain_errors(self):
+        with pytest.raises(DomainError, match="entry 'm' is malformed"):
+            from_json_dict({"kind": "gd", "m": "x", "L": 10.0})
+        with pytest.raises(ArgumentError, match="unknown algorithm kind"):
+            from_json_dict({"kind": 5, "m": 1.0, "L": 10.0})
+        with pytest.raises(DomainError, match="a JSON object, not a list"):
+            from_json_dict([to_json_dict(make_named("gd", SectorBounds(1.0, 10.0)))])
+
     def test_constructor_refuses_non_finite_core(self):
         with pytest.raises(DomainError, match="C has a non-finite entry"):
             AlgorithmRealization([[1.0]], [[-0.1]], [[np.nan]], [[1.0]], [[1.0]], n=1, p=2, q=2)

@@ -369,13 +369,38 @@ class TestNonFiniteAlgorithmFile:
         assert f"{name} has a non-finite entry" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,keys", [
+    (["analyze-rate", "--algo", "gd", "--m", "1", "--L", "10"],
+     {"rho", "certificate_digest", "solves", "seconds", "bracket"}),
+    (["analyze-h2", "--algo", "gd", "--m", "1", "--L", "10"], {"gamma", "solves", "seconds"}),
+    (["synth-convex", "--m", "1", "--L", "10", "--rho", "0.9", "--n", "1"],
+     {"rho", "gamma", "algorithm"}),
+    (["synth-bmi", "--m", "1", "--L", "1", "--target-rho", "0.5", "--n", "1"],
+     {"rho", "gamma", "algorithm", "initializer_rho", "iterations", "solves"})])
+def test_json_commands_write_one_payload(tmp_path, capsys, argv, keys):
+    """Each JSON command prints its result under the run manifest, and -o
+    holds the same bytes."""
+    path = tmp_path / "out.json"
+    code, out = run_capture(capsys, *argv, "-o", str(path))
+    assert code == 0
+    assert path.read_text() == out
+    payload = json.loads(out)
+    assert set(payload) == {"manifest", "result"}
+    assert set(payload["manifest"]) == {"command", "parameters", "solver_options",
+                                        "tool_version", "seconds"}
+    assert payload["manifest"]["command"] == argv[0]
+    assert payload["manifest"]["parameters"]["output"] == str(path)
+    assert set(payload["result"]) == keys
+
+
 class TestUnreadableFiles:
-    """A file: algorithm that is missing, not JSON or lacks an entry, and
-    an output path that is a directory or lies in a missing one, are usage
-    errors: exit 2 with one line on stderr that names the path, before any
-    solve."""
+    """A file: algorithm that is missing, not JSON, lacks an entry or holds
+    a malformed one, and an output path that is a directory or lies in a
+    missing one, are usage errors: exit 2 with one line on stderr that
+    names the path, before any solve."""
 
     ARGV = ("--m", "1", "--L", "10")
+    MALFORMED = ["A-string", "A-ragged", "list", "Ddagger-string", "n-string", "named-m-string"]
 
     @staticmethod
     def _files(tmp_path):
@@ -383,15 +408,22 @@ class TestUnreadableFiles:
 
         d = to_json_dict(make_named("gd", SectorBounds(1.0, 10.0)))
         text = json.dumps(d)
+        malformed = {"A-string": {**d, "A": "x"}, "A-ragged": {**d, "A": [[1, 2], [3]]},
+                     "list": [d], "Ddagger-string": {**d, "Ddagger": "q"},
+                     "n-string": {**d, "n": "two"},
+                     "named-m-string": {"kind": "gd", "m": "x", "L": 10.0}}
         del d["A"]
         files = {"missing": tmp_path / "nope.json", "truncated": tmp_path / "cut.json",
                  "binary": tmp_path / "bin.json", "no-A": tmp_path / "noA.json"}
         files["truncated"].write_text(text[:len(text) // 2])
         files["binary"].write_bytes(b"\xff\xfe" + text.encode())
         files["no-A"].write_text(json.dumps(d))
+        for case, content in malformed.items():
+            files[case] = tmp_path / f"{case}.json"
+            files[case].write_text(json.dumps(content))
         return files
 
-    @pytest.mark.parametrize("case", ["missing", "truncated", "binary", "no-A"])
+    @pytest.mark.parametrize("case", ["missing", "truncated", "binary", "no-A", *MALFORMED])
     @pytest.mark.parametrize("command", ["analyze-rate", "analyze-h2"])
     def test_algorithm_file_exits_usage(self, tmp_path, capfd, monkeypatch, case, command):
         monkeypatch.setattr(cli, "certify_rate", None)     # no solve may start
@@ -419,12 +451,13 @@ class TestUnreadableFiles:
             assert str(target) in err and len(err.splitlines()) == 1
         assert not path.parent.exists()
 
-    def test_refused_in_a_subprocess_without_a_traceback(self, tmp_path):
-        path = self._files(tmp_path)["no-A"]
+    @pytest.mark.parametrize("case", ["no-A", *MALFORMED])
+    def test_refused_in_a_subprocess_without_a_traceback(self, tmp_path, case):
+        path = self._files(tmp_path)[case]
         proc = subprocess.run([sys.executable, "-m", "iqcopt.cli", "analyze-rate", "--algo",
                                f"file:{path}", *self.ARGV],
                               capture_output=True, text=True, env=_child_env())
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and proc.stdout == ""
         assert str(path) in proc.stderr and "Traceback" not in proc.stderr
 
 
