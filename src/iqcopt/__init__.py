@@ -4,7 +4,7 @@ via integral quadratic constraints and semidefinite programming."""
 from .algorithms import (AlgorithmRealization, SectorBounds,
                          StructuredControllerForm, check_equilibrium_conditions,
                          from_structured, load_algorithm, make_named,
-                         nominal_closed_loop, save_algorithm)
+                         save_algorithm)
 from .engines import (BisectionConfig, BmiResult, CertificationResult,
                       certify_h2, certify_rate, certify_structured_rate,
                       fundamental_lower_bound, h2_norm_linear, synthesize_bmi,

@@ -226,11 +226,6 @@ def spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def nominal_closed_loop(algo: AlgorithmRealization, bounds: SectorBounds):
-    """Closed loop A + m B C and its spectral radius."""
-    return algo.nominal_matrix(bounds.m), algo.nominal_radius(bounds.m)
-
-
 @dataclass(frozen=True)
 class StructuredControllerForm:
     """Gain list K_1..K_n of the integrator-chain parametrization."""
@@ -345,12 +340,21 @@ def to_json_dict(algo: AlgorithmRealization) -> dict:
     }
 
 
+def _count(v) -> int:
+    """v as an int; a fractional count is refused, never truncated."""
+    n = int(v)
+    if n != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return n
+
+
 def _entry(d: dict, name: str, read=lambda v: np.asarray(v, dtype=float)):
     """read(d[name]), a matrix by default; DomainError naming the entry when
-    it is not the number or numeric matrix it should be."""
+    it is not the number, count or numeric matrix it should be."""
     try:
         return read(d[name])
-    except (TypeError, ValueError) as e:    # a string, a ragged list or a null
+    # a string, a ragged list, a null, a fraction or an infinite count
+    except (TypeError, ValueError, OverflowError) as e:
         raise DomainError(f"entry {name!r} is malformed: {e}") from None
 
 
@@ -363,8 +367,8 @@ def from_json_dict(d: dict) -> AlgorithmRealization:
         raise DomainError(f"an algorithm is a JSON object, not a {type(d).__name__}")
     if "kind" in d:
         bounds = SectorBounds(_entry(d, "m", float), _entry(d, "L", float))
-        return make_named(_entry(d, "kind", str), bounds, _entry(d, "p", int) if "p" in d else 1)
-    n, p = _entry(d, "n", int), _entry(d, "p", int)
+        return make_named(_entry(d, "kind", str), bounds, _entry(d, "p", _count) if "p" in d else 1)
+    n, p = _entry(d, "n", _count), _entry(d, "p", _count)
     # checked here too, since solving for a missing Ddagger reads them first
     A, B, C, D = (_finite(name, _entry(d, name)) for name in "ABCD")
     if d.get("Ddagger") is not None:

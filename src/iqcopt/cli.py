@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--la", type=int, default=0)
             p.add_argument("--klass", default="unstructured",
                            choices=["unstructured", "repeated", "nonrepeated"])
-        p.add_argument("-o", "--output", default=None, help="also write to file")
+        p.add_argument("-o", "--output", default=None,
+                       help="write the output to this file; the JSON commands print it "
+                       "too, sample-h2 and sweep do not")
 
     p = sub.add_parser("analyze-rate", help="certify the smallest decay rate")
     common(p)

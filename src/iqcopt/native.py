@@ -27,14 +27,22 @@ certificate that is rechecked on the problem's own coefficients: Z >= 0
 with <G(x0), Z> < 0, whose residual A*(Z) proves that no x satisfying the
 equalities with ||G(x) - G(x0)||_F < FEAS_RADIUS (1 + ||G(x0)||_F)
 satisfies G(x) >= 0.
-"""
 
-from dataclasses import dataclass
+``solve_native`` answers with an ``sdp.SdpSolution`` that records the
+phase that stopped (0 when none ran), its stop word and the iterations:
+``infeasible`` with such a certificate, with inconsistent equality rows
+or with violated constant constraints; ``diverged`` when the objective
+decreases along a direction no constraint restricts or phase II's
+iterate grows past 1e12; and ``undecided`` otherwise. An undecided
+answer holds x only at a candidate (the point of a constant problem,
+phase I's feasible point or phase II's last iterate), which
+``sdp.solve`` then certifies or refuses with its strict recheck.
+"""
 
 import numpy as np
 import scipy.linalg as sla
 
-from .sdp import MAX_ITERS
+from .sdp import MAX_ITERS, SdpSolution
 
 # a Farkas certificate must exclude every x with ||G(x) - G(x0)||_F below
 # this many times the problem's scale 1 + ||G(x0)||_F, x0 the minimum-norm
@@ -43,14 +51,6 @@ FEAS_RADIUS = 1e6
 # after Jacobi scaling, directions whose singular value is below this
 # fraction of the largest barely move any constraint and are dropped
 RANK_TOL = 1e-12
-
-
-@dataclass
-class NativeResult:
-    status: str                 # 'optimal' | 'stalled' | 'infeasible' | 'unbounded' | 'error'
-    x: np.ndarray | None = None
-    iterations: int = 0
-    message: str = ""
 
 
 class _Lmi:
@@ -137,7 +137,7 @@ class _Reduced:
             if np.linalg.norm(resid) > 1e-9 * (1.0 + np.linalg.norm(b)):
                 # b - E x0 is orthogonal to range(E): a Farkas certificate
                 self.inconsistent = True
-                self.message = f"equality rows inconsistent (residual {np.linalg.norm(resid):.2e})"
+                self.message = f"equality residual {np.linalg.norm(resid):.2e}"
         else:
             self.x0 = np.zeros(n)
             N = None
@@ -418,47 +418,49 @@ def _phase2(red: _Reduced, w, tol_abs, tol_rel, max_iters):
         if small_gap and (settled or info["dinf"] <= tol_abs + tol_rel * np.linalg.norm(c)):
             return "optimal"
         if np.linalg.norm(st.x) > 1e12 * (1.0 + np.linalg.norm(w)):
-            return "unbounded"
+            return "diverged"
         return None
 
     return _pdip(lmi, c, _State(w.copy(), S, s, Z, z), monitor, max_iters)
 
 
 def solve_native(problem, verify, tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                 max_iters: int = MAX_ITERS) -> NativeResult:
+                 max_iters: int = MAX_ITERS) -> SdpSolution:
     """Solve an SdpProblem; ``verify(x) -> bool`` is the strict recheck.
 
     The tolerances bound the duality gap and the residuals as
     tol_abs + tol_rel * |objective|. ``max_iters`` caps the iterations of
     each phase; it is clipped to MAX_ITERS.
+
+    Returns the answer of the module docstring, without values; an
+    undecided answer with an x holds the candidate, which ``sdp.solve``
+    certifies once its own verify accepts it.
     """
     max_iters = min(max_iters, MAX_ITERS)
     red = _Reduced(problem)
     if red.inconsistent:
-        return NativeResult("infeasible", message=red.message)
+        return SdpSolution("infeasible", stop="inconsistent", detail=red.message)
     if red.unbounded:
-        return NativeResult("unbounded", message="objective decreases along a "
-                            "direction no constraint restricts")
+        return SdpSolution("diverged", stop="unbounded", detail="objective decreases along "
+                           "a direction no constraint restricts")
     if red.lmi.m == 0:
         x = red.x_of(np.zeros(0))
         if verify(x):
-            return NativeResult("optimal", x=x)
+            return SdpSolution("undecided", x=x, stop="constant")
         # a violated constant constraint: its eigenvector is a certificate
-        return NativeResult("infeasible", message="constant constraints violated")
+        return SdpSolution("infeasible", stop="constant", detail="constraints violated")
     verdict, st, its, radius = _phase1(red, verify, tol_abs, tol_rel, max_iters)
     if verdict == "infeasible":
-        return NativeResult("infeasible", iterations=its,
-                            message=f"Farkas certificate, radius {radius:.3g}")
+        return SdpSolution("infeasible", phase=1, stop=verdict, iterations=its,
+                           detail=f"Farkas certificate, radius {radius:.3g}")
     if verdict != "feasible":
-        return NativeResult("error", iterations=its,
-                            message=f"phase I {verdict} at t={st.x[-1]:.3e}")
+        return SdpSolution("undecided", phase=1, stop=verdict, iterations=its,
+                           detail=f"t={st.x[-1]:.3e}")
     w = st.x[:-1]
     if problem.objective is None:
-        return NativeResult("optimal", x=red.x_of(w), iterations=its)
+        return SdpSolution("undecided", x=red.x_of(w), phase=1, stop=verdict, iterations=its)
     verdict2, st2, its2 = _phase2(red, w, tol_abs, tol_rel, max_iters)
     its += its2
-    if verdict2 == "unbounded":
-        return NativeResult("unbounded", iterations=its, message="phase II diverged")
-    status = "optimal" if verdict2 == "optimal" else "stalled"
-    return NativeResult(status, x=red.x_of(st2.x), iterations=its,
-                        message=f"phase II {verdict2}")
+    if verdict2 == "diverged":
+        return SdpSolution("diverged", phase=2, stop=verdict2, iterations=its)
+    return SdpSolution("undecided", x=red.x_of(st2.x), phase=2, stop=verdict2, iterations=its)

@@ -663,10 +663,11 @@ class SdpProblem:
         """
         if expr.shape[0] != expr.shape[1]:
             raise DimensionError("LMI block must be square")
-        const = 0.5 * (expr.const + expr.const.T)
-        block = LmiBlock(name or f"lmi{len(self.blocks)}",
-                         from_entries(expr.shape, const, expr.keys, expr.kix, expr.pos, expr.val),
-                         sense, eps)
+        # an overflow (or inf - inf) makes a non-finite scale, which LmiBlock refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            const = 0.5 * (expr.const + expr.const.T)
+            block = LmiBlock(name or f"lmi{len(self.blocks)}", from_entries(
+                expr.shape, const, expr.keys, expr.kix, expr.pos, expr.val), sense, eps)
         self.blocks.append(block)
         return block
 
@@ -826,9 +827,10 @@ class SdpProblem:
                                (len(coeffs),) + const.shape)
             return AffineMatrix.from_dense([int(c["var"]) for c in coeffs], stack, const)
 
-        for b in d["blocks"]:
-            expr = expr_from(b["const"], b["coeffs"])
-            prob.blocks.append(LmiBlock(b["name"], expr, b["sense"], float(b["eps"])))
+        with np.errstate(over="ignore", invalid="ignore"):     # as in add_lmi
+            for b in d["blocks"]:
+                expr = expr_from(b["const"], b["coeffs"])
+                prob.blocks.append(LmiBlock(b["name"], expr, b["sense"], float(b["eps"])))
         rows = d["linear"]
         cells = sorted({(var(k), i): float(v) for i, r in enumerate(rows)
                         for k, v in r["coeffs"]}.items())     # key-major; a repeat overwrites

@@ -1,11 +1,26 @@
 """Solver front end for SdpProblem instances.
 
 ``solve`` runs the native backend (:mod:`iqcopt.native`), a primal-dual
-interior-point method that needs only numpy and scipy. Every candidate
-it returns is re-checked by direct eigenvalue computation
-(``SdpProblem.verify``) before it is reported as certified; an
-unverifiable solution is downgraded so that callers never act on a
-certificate that does not numerically hold.
+interior-point method that needs only numpy and scipy, and answers with
+one ``SdpSolution`` whose ``status`` is one of four outcomes:
+
+* ``certified``: x satisfies every constraint by the strict eigenvalue
+  recheck ``SdpProblem.verify``. That is the trivial problem, a
+  feasibility problem whose phase I reached t < 0, and a phase II that
+  ended optimal, stalled or at its iteration cap at a point verify
+  accepts.
+* ``infeasible``: a checked certificate that no x satisfies the
+  constraints: inconsistent equality rows, a Farkas certificate, or a
+  violated problem without free variables.
+* ``undecided``: neither. Phase I ended undecided, stalled or at its
+  iteration cap, an eigen- or SVD solver did not converge, or verify
+  refused the candidate; only that candidate is kept in x.
+* ``diverged``: the objective decreases along a direction no constraint
+  restricts, or phase II's iterate grew without bound.
+
+Callers act on ``status`` and ``x`` only. ``phase``, ``stop`` and
+``iterations`` say where the solver stopped, and ``message`` formats the
+answer for display.
 """
 
 from dataclasses import dataclass, field
@@ -14,12 +29,6 @@ import numpy as np
 
 from .errors import DomainError
 from .problem import SdpProblem
-
-STATUS_OPTIMAL = "optimal"
-STATUS_FEASIBLE = "feasible"        # not converged, verified anyway
-STATUS_INFEASIBLE = "infeasible"
-STATUS_INACCURATE = "inaccurate"    # candidate returned, verification failed
-STATUS_ERROR = "error"
 
 # iterations per phase; an interior-point method that has not converged
 # by then is stalled, so larger caps are clipped to this one
@@ -42,55 +51,73 @@ class SolverOptions:
 
 @dataclass
 class SdpSolution:
+    """The solver's answer.
+
+    status is certified, infeasible, undecided or diverged (see the module
+    docstring); any other word, as a caller may build for decoding, is not
+    certified. phase is the phase that answered, 1 or 2, or 0 when none
+    did; stop is that phase's own stop word (optimal, stalled, max_iters,
+    undecided, ...) and iterations the iterations of both phases. worst is
+    verify's worst margin at x, positive when x violates a constraint.
+    detail holds the numbers shown by ``message`` (phase I's final t, the
+    Farkas radius) and is for display only.
+    """
+
     status: str
     x: np.ndarray | None = None
     values: dict = field(default_factory=dict)
     objective: float | None = None
-    primal_residual: float | None = None
-    verified: bool = False
-    solver: str = ""
-    message: str = ""
+    phase: int = 0
+    stop: str = ""
+    iterations: int = 0
+    worst: float | None = None
+    detail: str = ""
 
     @property
     def certified(self) -> bool:
         """True when the solution numerically satisfies every constraint."""
-        return self.status in (STATUS_OPTIMAL, STATUS_FEASIBLE) and self.verified
+        return self.status == "certified"
+
+    @property
+    def message(self) -> str:
+        """The answer for display, e.g. "undecided (stalled in phase 1
+        after 19 iterations, t=8.573e-07)"."""
+        text = self.stop
+        if self.phase:
+            text += f" in phase {self.phase} after {self.iterations} iterations"
+        if self.detail:
+            text += f", {self.detail}"
+        if self.worst is not None:
+            text += f", worst margin {self.worst:.3e}"
+        return f"{self.status} ({text})"
+
+    __str__ = message.fget
 
 
 def solve(problem: SdpProblem, options: SolverOptions = None) -> SdpSolution:
     """Solve an SdpProblem; never raises on solver failure.
 
-    The returned status is one of optimal/feasible/infeasible/inaccurate/
-    error. ``certified`` solutions satisfy every block to a strict
-    eigenvalue recheck; bisection drivers treat everything else as
-    not-feasible, which can only bias certified rates conservatively.
-    ``infeasible`` is reported only with a checked Farkas certificate.
+    The answer is certified, infeasible, undecided or diverged, as the
+    module docstring maps them. ``certified`` solutions satisfy every
+    block to a strict eigenvalue recheck; bisection drivers treat
+    everything else as not feasible, which can only bias certified rates
+    conservatively. ``infeasible`` is reported only with a checked
+    certificate.
     """
     options = options or SolverOptions()
     if problem.nvars == 0 and not problem.blocks and not problem.linear:
-        return SdpSolution(status=STATUS_OPTIMAL, x=np.zeros(0), objective=0.0,
-                           verified=True, solver="trivial")
+        return SdpSolution("certified", x=np.zeros(0), objective=0.0, stop="trivial")
     from .native import solve_native  # deferred: keeps `import iqcopt` cheap
 
     try:
-        res = solve_native(problem, lambda x: problem.verify(x)[0], options.tol_abs,
+        sol = solve_native(problem, lambda x: problem.verify(x)[0], options.tol_abs,
                            options.tol_rel, options.max_iters)
     except np.linalg.LinAlgError as e:   # an eigen- or SVD solver did not converge
-        return SdpSolution(status=STATUS_ERROR, solver="native", message=f"native: {e}")
-    message = f"{res.status} after {res.iterations} iterations" + (
-        f": {res.message}" if res.message else "")
-    if res.status == "infeasible":
-        return SdpSolution(status=STATUS_INFEASIBLE, solver="native", message=message)
-    if res.x is None:
-        return SdpSolution(status=STATUS_ERROR, solver="native", message=message)
-    ok, worst = problem.verify(res.x)
-    obj = None
-    if problem.objective is not None:
-        obj = float(problem.objective.value(res.x)[0, 0])
-    return SdpSolution(
-        status=(STATUS_OPTIMAL if (res.status == "optimal" and ok) else
-                STATUS_FEASIBLE if ok else STATUS_INACCURATE),
-        x=res.x, values={v.name: problem.extract(v.name, res.x) for v in problem.variables},
-        objective=obj, primal_residual=float(max(worst, 0.0)), verified=ok,
-        solver="native", message=message,
-    )
+        return SdpSolution("undecided", stop="linalg", detail=str(e))
+    if sol.x is not None:
+        ok, sol.worst = problem.verify(sol.x)
+        sol.status = "certified" if ok else "undecided"
+        sol.values = {v.name: problem.extract(v.name, sol.x) for v in problem.variables}
+        if problem.objective is not None:
+            sol.objective = float(problem.objective.value(sol.x)[0, 0])
+    return sol

@@ -10,7 +10,6 @@ from iqcopt.algorithms import (KINDS, AlgorithmRealization, SectorBounds,
                                StructuredControllerForm, canonical_output,
                                check_equilibrium_conditions, from_structured,
                                from_json_dict, kronecker_factor, lift, make_named,
-                               nominal_closed_loop,
                                reduce_to_scalar_block, to_json_dict)
 from iqcopt.errors import ArgumentError, DimensionError, DomainError, StructureError
 from iqcopt.sampling import sample_function, simulate_h2
@@ -52,7 +51,7 @@ class TestNamed:
         bounds = SectorBounds(2.0, 2.0)
         algo = make_named("gd", bounds)
         assert algo.B[0, 0] == pytest.approx(-1.0 / 2.0)
-        _, radius = nominal_closed_loop(algo, bounds)
+        radius = algo.nominal_radius(bounds.m)
         assert radius == pytest.approx(0.0, abs=1e-12)
 
     def test_unknown_kind(self):
@@ -111,19 +110,20 @@ class TestEquilibrium:
 class TestNominal:
     def test_gd_matrix_and_radius(self):
         bounds = SectorBounds(1.0, 10.0)
-        M, radius = nominal_closed_loop(make_named("gd", bounds), bounds)
+        algo = make_named("gd", bounds)
+        M, radius = algo.nominal_matrix(bounds.m), algo.nominal_radius(bounds.m)
         np.testing.assert_allclose(M, [[9.0 / 11.0, 0.0], [1.0, 0.0]])
         assert radius == pytest.approx(9.0 / 11.0)
 
     def test_hb_kappa_one_deadbeat(self):
         bounds = SectorBounds(1.0, 1.0)
-        _, radius = nominal_closed_loop(make_named("hb", bounds), bounds)
+        radius = make_named("hb", bounds).nominal_radius(bounds.m)
         assert radius == pytest.approx(0.0, abs=1e-12)
 
     def test_gd_radius_matches_table_rate(self):
         for kappa in (2.0, 10.0, 47.0):
             bounds = SectorBounds(1.0, kappa)
-            _, radius = nominal_closed_loop(make_named("gd", bounds), bounds)
+            radius = make_named("gd", bounds).nominal_radius(bounds.m)
             assert radius == pytest.approx((kappa - 1) / (kappa + 1), rel=1e-12)
 
 
@@ -343,7 +343,8 @@ class TestJson:
             from_json_dict(json.loads(json.dumps(d)))
 
     @pytest.mark.parametrize("entry,value", [
-        ("A", "x"), ("A", [[1, 2], [3]]), ("Ddagger", "q"), ("n", "two"), ("p", None)])
+        ("A", "x"), ("A", [[1, 2], [3]]), ("Ddagger", "q"), ("n", "two"), ("p", None),
+        ("n", 2.9), ("p", 1.5), ("n", float("inf"))])
     def test_malformed_entry_is_a_domain_error(self, entry, value):
         d = {**to_json_dict(make_named("gd", SectorBounds(1.0, 10.0))), entry: value}
         with pytest.raises(DomainError, match=f"entry '{entry}' is malformed"):
@@ -352,6 +353,11 @@ class TestJson:
     def test_malformed_named_form_and_non_object_are_domain_errors(self):
         with pytest.raises(DomainError, match="entry 'm' is malformed"):
             from_json_dict({"kind": "gd", "m": "x", "L": 10.0})
+        with pytest.raises(DomainError, match="entry 'm' is malformed: int too large"):
+            from_json_dict({"kind": "gd", "m": 10 ** 400, "L": 10.0})
+        with pytest.raises(DomainError, match="entry 'p' is malformed: 2.7 is not an integer"):
+            from_json_dict({"kind": "nm", "m": 1, "L": 10, "p": 2.7})
+        assert from_json_dict({"kind": "nm", "m": 1, "L": 10, "p": 2.0}).p == 2
         with pytest.raises(ArgumentError, match="unknown algorithm kind"):
             from_json_dict({"kind": 5, "m": 1.0, "L": 10.0})
         with pytest.raises(DomainError, match="a JSON object, not a list"):

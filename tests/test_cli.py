@@ -393,6 +393,17 @@ def test_json_commands_write_one_payload(tmp_path, capsys, argv, keys):
     assert set(payload["result"]) == keys
 
 
+@pytest.mark.parametrize("command", ["analyze-rate", "analyze-h2", "synth-convex", "synth-bmi",
+                                     "sample-h2", "sweep"])
+def test_output_help_is_true_for_every_command(capsys, command):
+    """The JSON commands print their result and write it to -o; the CSV
+    commands write it to -o instead of stdout. One help text says both."""
+    assert RUN(command, "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("write the output to this file; the JSON commands print it too, "
+            "sample-h2 and sweep do not") in text
+
+
 class TestUnreadableFiles:
     """A file: algorithm that is missing, not JSON, lacks an entry or holds
     a malformed one, and an output path that is a directory or lies in a
@@ -400,7 +411,8 @@ class TestUnreadableFiles:
     names the path, before any solve."""
 
     ARGV = ("--m", "1", "--L", "10")
-    MALFORMED = ["A-string", "A-ragged", "list", "Ddagger-string", "n-string", "named-m-string"]
+    MALFORMED = ["A-string", "A-ragged", "list", "Ddagger-string", "n-string", "named-m-string",
+                 "n-fraction", "named-p-fraction"]
 
     @staticmethod
     def _files(tmp_path):
@@ -411,7 +423,9 @@ class TestUnreadableFiles:
         malformed = {"A-string": {**d, "A": "x"}, "A-ragged": {**d, "A": [[1, 2], [3]]},
                      "list": [d], "Ddagger-string": {**d, "Ddagger": "q"},
                      "n-string": {**d, "n": "two"},
-                     "named-m-string": {"kind": "gd", "m": "x", "L": 10.0}}
+                     "named-m-string": {"kind": "gd", "m": "x", "L": 10.0},
+                     "n-fraction": {**d, "n": 1.5},
+                     "named-p-fraction": {"kind": "nm", "m": 1, "L": 10, "p": 2.7}}
         del d["A"]
         files = {"missing": tmp_path / "nope.json", "truncated": tmp_path / "cut.json",
                  "binary": tmp_path / "bin.json", "no-A": tmp_path / "noA.json"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iqcopt import engines
-from iqcopt.algorithms import SectorBounds, make_named, nominal_closed_loop
+from iqcopt.algorithms import SectorBounds, make_named
 from iqcopt.engines import (BisectionConfig, certify_h2, certify_rate,
                             certify_structured_rate, fundamental_lower_bound,
                             h2_norm_linear, synthesize_bmi, synthesize_convex,
@@ -15,7 +15,7 @@ from iqcopt.errors import (DomainError, InfeasiblePrecondition, NotCertifiable,
 from iqcopt.lmi import H2Certificate, RateCertificate, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbParameters, ZamesFalbStructure
 from iqcopt.plantbuild import build_perf_plant, build_rate_plant, default_noise_channel
-from iqcopt.sdp import solve
+from iqcopt.sdp import SdpSolution, solve
 from reference_builders import (reference_initializer_bisection, reference_rate_bisection,
                                 reference_structured_bisection, reference_verify_fdi)
 
@@ -72,6 +72,53 @@ class TestCertifyH2:
         res = certify_h2(make_named("gd", bounds), bounds,
                          ZamesFalbStructure(4, 0, 1))
         assert np.isfinite(res.value) and res.value > 0
+
+    @staticmethod
+    def _solved(monkeypatch, h2_answer=None):
+        """The names of the problems engines solves, in order; h2_answer,
+        when given, is the answer of the H2 solve."""
+        names = []
+
+        def recording(problem, options=None):
+            names.append(problem.name)
+            if problem.name == "h2" and h2_answer is not None:
+                return h2_answer
+            return solve(problem, options)
+
+        monkeypatch.setattr(engines, "solve", recording)
+        return names
+
+    def test_certified_run_is_one_solve(self, monkeypatch):
+        names = self._solved(monkeypatch)
+        res = certify_h2(make_named("gd", BOUNDS10), BOUNDS10, ST)
+        assert res.solves == 1 and names == ["h2"]
+
+    def test_failed_solve_with_a_refused_rate_gate_exits_not_certifiable(self, monkeypatch,
+                                                                          capsys):
+        names = self._solved(monkeypatch)
+        bounds = SectorBounds(1.0, 100.0)
+        with pytest.raises(NotCertifiable, match="^rate LMI infeasible at rho = 1$"):
+            certify_h2(make_named("hb", bounds), bounds, ST)
+        assert names == ["h2", "rate[rho=1]"]
+        assert main(["analyze-h2", "--algo", "hb", "--m", "1", "--L", "100"]) == 3
+        assert "rate LMI infeasible at rho = 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("answer,error,text", [
+        (SdpSolution("infeasible", phase=1, stop="infeasible", iterations=3),
+         NotCertifiable, "H2 LMI infeasible at rho = 1"),
+        (SdpSolution("undecided", phase=1, stop="stalled", iterations=19, detail="t=8.573e-07"),
+         SolverError,
+         r"H2 solve not certified: undecided \(stalled in phase 1 after 19 iterations, "
+         r"t=8\.573e-07\)"),
+        (SdpSolution("diverged", phase=2, stop="diverged", iterations=32),
+         SolverError,
+         r"H2 solve not certified: diverged \(diverged in phase 2 after 32 iterations\)"),
+    ])
+    def test_failed_solve_past_the_rate_gate(self, monkeypatch, answer, error, text):
+        names = self._solved(monkeypatch, answer)
+        with pytest.raises(error, match=f"^{text}$"):
+            certify_h2(make_named("gd", BOUNDS10), BOUNDS10, ST)
+        assert names == ["h2", "rate[rho=1]"]
 
 
 class TestVerifyFdi:
@@ -337,7 +384,7 @@ class TestOneBisectionLoop:
     threshold, so no solver runs."""
 
     GD = make_named("gd", BOUNDS10)
-    RADIUS = nominal_closed_loop(GD, BOUNDS10)[1]
+    RADIUS = GD.nominal_radius(BOUNDS10.m)
 
     @staticmethod
     def _threshold_probe(threshold, seen):

@@ -18,7 +18,7 @@ from iqcopt.lmi import (assemble_bmi_fixed_P, assemble_convex_synth, assemble_co
 from iqcopt.multipliers import ZamesFalbStructure
 from iqcopt.problem import (PATTERN_CACHE_SIZE, AffineMatrix, SdpProblem, congruence, place,
                             upper_triangle)
-from iqcopt.sdp import MAX_ITERS, SolverOptions, solve
+from iqcopt.sdp import MAX_ITERS, SdpSolution, SolverOptions, solve
 from reference_builders import reference_add_linear
 
 
@@ -426,7 +426,7 @@ class TestRowColumn:
 class TestSolve:
     def test_empty_problem(self):
         sol = solve(SdpProblem())
-        assert sol.status == "optimal"
+        assert sol.status == "certified"
         assert sol.objective == pytest.approx(0.0)
 
     def test_scalar_lp_as_sdp(self):
@@ -535,11 +535,11 @@ class TestNonFiniteCandidates:
 
         prob = getattr(self, build)()
         x = np.full(prob.nvars, np.nan)
-        monkeypatch.setattr(native, "solve_native",
-                            lambda *args, **kwargs: native.NativeResult("optimal", x=x))
+        monkeypatch.setattr(native, "solve_native", lambda *args, **kwargs: SdpSolution(
+            "undecided", x=x, phase=2, stop="optimal"))
         sol = solve(prob)
         assert not sol.certified
-        assert (sol.status, sol.verified, sol.primal_residual) == ("inaccurate", False, np.inf)
+        assert (sol.status, sol.worst) == ("undecided", np.inf) and sol.x is x
 
 
 class TestNonFiniteData:
@@ -555,6 +555,25 @@ class TestNonFiniteData:
         with pytest.raises(DomainError, match="non-finite constant or eps"):
             prob.add_lmi(AffineMatrix.from_dense(t.keys, np.eye(3)[None], const), "pos")
         assert not prob.blocks
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("const", [
+        np.full((3, 3), 1.3e154), np.full((3, 3), 1e200), np.full((3, 3), 1e308),
+        np.array([[0.0, np.inf, 0.0], [-np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])])
+    def test_overflowing_block_constant_refused_before_a_warning(self, const):
+        # the scale's squares, or the constant's symmetrization at 1e308
+        # (inf - inf off the diagonal), overflow; that is refused as a
+        # non-finite scale, not warned about
+        prob = SdpProblem()
+        t = prob.add_scalar("t")
+        with pytest.raises(DomainError, match="non-finite constant or eps"):
+            prob.add_lmi(AffineMatrix.from_dense(t.keys, np.eye(3)[None], const), "pos")
+        assert not prob.blocks
+        prob.add_lmi(AffineMatrix.from_dense(t.keys, np.eye(3)[None], 1e150 * np.eye(3)), "pos")
+        d = prob.to_json_dict()
+        d["blocks"][0]["const"] = const.tolist()
+        with pytest.raises(DomainError, match="non-finite constant or eps"):
+            SdpProblem.from_json_dict(d)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_non_finite_eps_refused(self, eps):
@@ -633,7 +652,7 @@ class TestNativeBackend:
         prob.add_lmi(blk, "pos", eps=0.0)
         prob.minimize(x)
         sol = solve(prob)
-        assert sol.solver == "native" and sol.certified
+        assert sol.certified and (sol.phase, sol.stop) == (2, "optimal")
         assert sol.values["x"] == pytest.approx(1.0, abs=1e-6)
 
     def test_inconsistent_equalities_infeasible(self):
@@ -644,13 +663,13 @@ class TestNativeBackend:
         prob.add_lmi(x, "pos", eps=0.0)
         assert solve(prob).status == "infeasible"
 
-    def test_unbounded_objective_is_an_error(self):
+    def test_unbounded_objective_diverges(self):
         prob = SdpProblem()
         x = prob.add_scalar("x")
         prob.add_lmi(x, "pos", eps=0.0)
         prob.minimize(-1.0 * x)
         sol = solve(prob)
-        assert sol.status == "error" and not sol.certified
+        assert sol.status == "diverged" and not sol.certified
 
     def test_nearly_dependent_direction_not_declared_infeasible(self):
         # x1 = -x2 = 2^51 satisfies every row, but the direction x1 = -x2
@@ -673,8 +692,16 @@ class TestNativeBackend:
         blk = AffineMatrix.block([[x, np.ones((1, 1))], [np.ones((1, 1)), x]])
         prob.add_lmi(blk, "pos", eps=0.0)
         prob.minimize(x)
-        assert solve(prob).status == "optimal"
-        assert solve(prob, SolverOptions(max_iters=1)).status != "optimal"
+        full = solve(prob)
+        assert full.certified and full.stop == "optimal" and full.iterations > 5
+        # a cap above MAX_ITERS is clipped to it
+        assert solve(prob, SolverOptions(max_iters=10 * MAX_ITERS)).iterations == full.iterations
+        # each phase stops at the cap; one iteration reaches no feasible point
+        for cap in (1, 2, 5):
+            sol = solve(prob, SolverOptions(max_iters=cap))
+            assert sol.stop == "max_iters" and sol.iterations <= 2 * cap
+        sol = solve(prob, SolverOptions(max_iters=1))
+        assert (sol.status, sol.phase, sol.iterations) == ("undecided", 1, 1)
 
     def test_default_cap_is_the_applied_one(self):
         assert [f.name for f in fields(SolverOptions)] == ["tol_abs", "tol_rel", "max_iters"]
@@ -702,7 +729,7 @@ class TestNativeBackend:
             prob.add_lmi(AffineMatrix.block([[x, one], [one, x]]), "pos", eps=0.0)
             prob.minimize(x)
             sol = solve(prob)
-            print(cvxpy.__file__, sol.solver, sol.certified, round(sol.values["x"], 6))
+            print(cvxpy.__file__, sol.status, sol.certified, round(sol.values["x"], 6))
         """)
         src = str(Path(iqcopt.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -710,7 +737,104 @@ class TestNativeBackend:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(tmp_path / "cvxpy.py"), "native", "True", "1.0"]
+        assert proc.stdout.split() == [str(tmp_path / "cvxpy.py"), "certified", "True", "1.0"]
+
+
+def _scalar_problem(*constraints, objective=None):
+    """A problem in one scalar x. constraints are ("lmi", sense, c, eps),
+    the block x - c, or ("row", sense, rhs); the objective is "x", "-x" or
+    "-y", for a second scalar y that no constraint reads."""
+    prob = SdpProblem()
+    x = prob.add_scalar("x")
+    for kind, sense, value, *eps in constraints:
+        if kind == "lmi":
+            prob.add_lmi(x - AffineMatrix.constant([[value]]), sense, eps=eps[0])
+        else:
+            prob.add_linear(x, sense, value)
+    if objective == "-y":
+        prob.minimize(-1.0 * prob.add_scalar("y"))
+    elif objective is not None:
+        prob.minimize(x if objective == "x" else -1.0 * x)
+    return prob
+
+
+# (problem, status, phase, stop, whether x is kept): one row per outcome
+OUTCOMES = {
+    "trivial": (SdpProblem, "certified", 0, "trivial", True),
+    "inconsistent-equalities": (
+        lambda: _scalar_problem(("row", "==", 1.0), ("row", "==", 2.0), ("lmi", "pos", 0.0, 0.0)),
+        "infeasible", 0, "inconsistent", False),
+    "unbounded-direction": (
+        lambda: _scalar_problem(("lmi", "pos", 0.0, 0.0), objective="-y"),
+        "diverged", 0, "unbounded", False),
+    "violated-constant": (
+        lambda: _scalar_problem(("row", "==", 1.0), ("lmi", "neg", 0.0, 0.0)),
+        "infeasible", 0, "constant", False),
+    "constant": (
+        lambda: _scalar_problem(("row", "==", 1.0), ("lmi", "pos", 0.0, 0.0)),
+        "certified", 0, "constant", True),
+    "farkas-certificate": (
+        lambda: _scalar_problem(("row", "<=", -1.0), ("lmi", "pos", 0.0, 0.5)),
+        "infeasible", 1, "infeasible", False),
+    # x >= 0 and x <= 0: phase I's t converges to 0 and never falls below
+    "phase-1-undecided": (
+        lambda: _scalar_problem(("lmi", "pos", 0.0, 0.0), ("lmi", "neg", 0.0, 0.0)),
+        "undecided", 1, "undecided", False),
+    "phase-1-feasible": (
+        lambda: _scalar_problem(("lmi", "pos", 1.0, 0.0)), "certified", 1, "feasible", True),
+    "phase-2-optimal": (
+        lambda: _scalar_problem(("lmi", "pos", 1.0, 0.0), objective="x"),
+        "certified", 2, "optimal", True),
+    "phase-2-diverged": (
+        lambda: _scalar_problem(("lmi", "pos", 0.0, 0.0), objective="-x"),
+        "diverged", 2, "diverged", False),
+    # the solver meets x >= 1 + 1e-14, but verify asks for x - 1 to clear
+    # EIG_MARGIN times the block's scale
+    "verify-refused": (
+        lambda: _scalar_problem(("lmi", "pos", 1.0, 1e-14), objective="x"),
+        "undecided", 2, "optimal", True),
+}
+
+
+class TestOutcomes:
+    """Each row of the outcome mapping of ``sdp.solve``, on a problem that
+    reaches it."""
+
+    @pytest.mark.parametrize("row", OUTCOMES)
+    def test_mapping(self, row):
+        build, status, phase, stop, keeps_x = OUTCOMES[row]
+        prob = build()
+        sol = solve(prob)
+        assert (sol.status, sol.phase, sol.stop) == (status, phase, stop)
+        assert sol.certified == (status == "certified")
+        assert (sol.x is not None) == keeps_x
+        assert (sol.iterations > 0) == (phase > 0)
+        if keeps_x and prob.nvars:
+            assert prob.verify(sol.x) == (sol.certified, sol.worst)
+            assert set(sol.values) == {v.name for v in prob.variables}
+        assert sol.message.startswith(f"{status} ({stop}") and str(sol) == sol.message
+
+    def test_linalg_error_is_undecided(self, monkeypatch):
+        import iqcopt.native as native
+
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(native, "solve_native", fail)
+        sol = solve(OUTCOMES["phase-2-optimal"][0]())
+        assert (sol.status, sol.phase, sol.stop, sol.x) == ("undecided", 0, "linalg", None)
+        assert sol.message == "undecided (linalg, SVD did not converge)"
+
+    def test_message_shows_phase_iterations_and_numbers(self):
+        sol = solve(OUTCOMES["phase-1-undecided"][0]())
+        assert sol.message.startswith(
+            f"undecided (undecided in phase 1 after {sol.iterations} iterations, t=")
+
+    def test_another_status_word_is_not_certified(self):
+        # decoders build solutions by hand; only "certified" certifies
+        x = np.ones(2)
+        sol = SdpSolution(status="optimal", x=x, values={"x": x})
+        assert not sol.certified and sol.message == "optimal ()"
 
 
 class TestJsonInterchange:
