@@ -204,8 +204,8 @@ def cmd_sample_h2(args) -> int:
 def _parse_grid(spec: str):
     """The grid a KIND:LO:HI:NUM spec names; ArgumentTypeError if it names none.
 
-    KIND is log or lin, LO and HI finite numbers (positive for log) and NUM
-    a positive integer.
+    KIND is log or lin, LO and HI finite numbers >= 1, since kappa = L/m
+    >= 1, and NUM a positive integer.
     """
     try:
         kind, lo, hi, num = spec.split(":")
@@ -213,9 +213,9 @@ def _parse_grid(spec: str):
     except ValueError:
         raise argparse.ArgumentTypeError(f"{spec!r} is not KIND:LO:HI:NUM") from None
     if (kind not in ("log", "lin") or num < 1 or not np.isfinite([lo, hi]).all()
-            or (kind == "log" and min(lo, hi) <= 0)):
+            or min(lo, hi) < 1):
         raise argparse.ArgumentTypeError(f"{spec!r}: KIND must be log or lin, LO and HI "
-                                         "finite (positive for log), NUM >= 1")
+                                         "finite and >= 1, NUM >= 1")
     return (np.geomspace if kind == "log" else np.linspace)(lo, hi, num)
 
 
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["rate", "h2"], default="rate")
     p.add_argument("--algos", default="gd,nm,tmm")
     p.add_argument("--kappa-grid", type=_grid_spec, default="log:1.02:1000:25",
-                   help="KIND:LO:HI:NUM, KIND log or lin")
+                   help="KIND:LO:HI:NUM, KIND log or lin, LO and HI >= 1")
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_sweep)
     return ap

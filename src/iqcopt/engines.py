@@ -14,6 +14,7 @@ synthesis drivers re-certify through ``certify_rate`` and ``certify_h2``,
 so their results pass the same gate.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -116,10 +117,11 @@ def verify_fdi(certificate, plant, n_samples: int = 64) -> FdiReport:
     eigenvalue fails the check. The plant is evaluated on the whole grid
     in one eval_frequency call, which still checks each point for a pole;
     Phi^H mid Phi and its eigenvalues are then one stacked product and
-    one batched eigvalsh.
+    one batched eigvalsh. An n_samples that is not an integer >= 1 raises
+    DomainError.
     """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be a positive integer, got {n_samples}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise DomainError(f"n_samples must be a positive integer, got {n_samples!r}")
     if isinstance(certificate, RateCertificate) and isinstance(plant, AugmentedPlant):
         ss = plant.as_statespace()
         mid = m_delta_matrix(certificate.zf, certificate.structure)

@@ -28,21 +28,18 @@ with <G(x0), Z> < 0, whose residual A*(Z) proves that no x satisfying the
 equalities with ||G(x) - G(x0)||_F < FEAS_RADIUS (1 + ||G(x0)||_F)
 satisfies G(x) >= 0.
 
-``solve_native`` answers with an ``sdp.SdpSolution`` that records the
-phase that stopped (0 when none ran), its stop word and the iterations:
-``infeasible`` with such a certificate, with inconsistent equality rows
-or with violated constant constraints; ``diverged`` when the objective
-decreases along a direction no constraint restricts or phase II's
-iterate grows past 1e12; and ``undecided`` otherwise. An undecided
-answer holds x only at a candidate (the point of a constant problem,
-phase I's feasible point or phase II's last iterate), which
-``sdp.solve`` then certifies or refuses with its strict recheck.
+``solve_native`` forms the final answer, an ``sdp.SdpSolution`` with
+the phase that stopped (0 when none ran), its stop word and the
+iterations; the ``sdp`` module docstring maps its four outcomes. A
+candidate x (the point of a constant problem, phase I's feasible point
+or phase II's last iterate) is certified only once ``SdpProblem.verify``
+accepts it.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from .sdp import MAX_ITERS, SdpSolution
+from .sdp import MAX_ITERS, SdpSolution, SolverOptions
 
 # a Farkas certificate must exclude every x with ||G(x) - G(x0)||_F below
 # this many times the problem's scale 1 + ||G(x0)||_F, x0 the minimum-norm
@@ -250,8 +247,10 @@ def _pdip(lmi: _Lmi, c, state: _State, monitor, max_iters: int):
     """Minimize c^T x s.t. G(x) >= 0 from a state with S, Z > 0.
 
     ``monitor(state, info)`` is called at every iterate and may return a
-    final status string to stop. Returns (status, state, iterations).
+    final status string to stop; ``max_iters`` is clipped to MAX_ITERS.
+    Returns (status, state, iterations).
     """
+    max_iters = min(max_iters, MAX_ITERS)
     n_tot = lmi.size
     for it in range(max_iters):
         Gx, gx = lmi.value(state.x)
@@ -348,11 +347,11 @@ def _central_dual(S, s, scale: float):
     return [_sym(scale * np.linalg.inv(M)) for M in S], scale / s
 
 
-def _phase1(red: _Reduced, verify, tol_abs, tol_rel, max_iters):
+def _phase1(red: _Reduced, problem, options: SolverOptions):
     """Phase I: min t s.t. G(w) + tI >= 0.
 
-    Stops when t < 0 and ``verify`` accepts the point, or with a checked
-    Farkas certificate.
+    Stops when t < 0 and ``problem.verify`` accepts the point, or with a
+    checked Farkas certificate.
     """
     # the bound on t keeps the phase-I dual feasible (Z = 0 with the bound
     # row's multiplier 1), so both sides of the method stay well posed
@@ -373,7 +372,7 @@ def _phase1(red: _Reduced, verify, tol_abs, tol_rel, max_iters):
 
     def monitor(st, info):
         t = st.x[-1]
-        if t < 0 and verify(red.x_of(st.x[:-1])):
+        if t < 0 and problem.verify(red.x_of(st.x[:-1]))[0]:
             return "feasible"
         if info["dobj"] > 0:
             # lower bound on t: the dual iterate may prove infeasibility
@@ -381,23 +380,24 @@ def _phase1(red: _Reduced, verify, tol_abs, tol_rel, max_iters):
             if radius >= FEAS_RADIUS:
                 found["radius"] = radius
                 return "infeasible"
-        if (info["gap"] <= 1e-4 * (tol_abs + tol_rel * abs(info["pobj"]))
-                and info["dinf"] <= tol_abs):
+        if (info["gap"] <= 1e-4 * (options.tol_abs + options.tol_rel * abs(info["pobj"]))
+                and info["dinf"] <= options.tol_abs):
             # converged without deciding: t* is zero to working accuracy
             return "undecided"
         if np.linalg.norm(st.x) > 1e12:
             return "undecided"
         return None
 
-    verdict, st, its = _pdip(lmi, c, _State(x, S, s, Z, z), monitor, max_iters)
-    if verdict in ("stalled", "max_iters", "undecided") and st.x[-1] < 0:
-        if verify(red.x_of(st.x[:-1])):
-            verdict = "feasible"
+    verdict, st, its = _pdip(lmi, c, _State(x, S, s, Z, z), monitor, options.max_iters)
+    if (verdict in ("stalled", "max_iters", "undecided") and st.x[-1] < 0
+            and problem.verify(red.x_of(st.x[:-1]))[0]):
+        verdict = "feasible"
     return verdict, st, its, found.get("radius")
 
 
-def _phase2(red: _Reduced, w, tol_abs, tol_rel, max_iters):
+def _phase2(red: _Reduced, w, options: SolverOptions):
     lmi = red.lmi
+    tol_abs, tol_rel = options.tol_abs, options.tol_rel
     c = red.c
     S, s = lmi.value(w)
     a = lmi.adjoint([np.linalg.inv(M) for M in S], 1.0 / s)
@@ -421,22 +421,28 @@ def _phase2(red: _Reduced, w, tol_abs, tol_rel, max_iters):
             return "diverged"
         return None
 
-    return _pdip(lmi, c, _State(w.copy(), S, s, Z, z), monitor, max_iters)
+    return _pdip(lmi, c, _State(w.copy(), S, s, Z, z), monitor, options.max_iters)
 
 
-def solve_native(problem, verify, tol_abs: float = 1e-9, tol_rel: float = 1e-9,
-                 max_iters: int = MAX_ITERS) -> SdpSolution:
-    """Solve an SdpProblem; ``verify(x) -> bool`` is the strict recheck.
+def _answer(problem, x, **fields) -> SdpSolution:
+    """The answer at a candidate x: certified when ``problem.verify``
+    accepts x, else undecided, with verify's worst margin, the variables'
+    values and the objective at x either way."""
+    ok, worst = problem.verify(x)
+    return SdpSolution(
+        "certified" if ok else "undecided", x=x, worst=worst,
+        values={v.name: problem.extract(v.name, x) for v in problem.variables},
+        objective=None if problem.objective is None else float(problem.objective.value(x)[0, 0]),
+        **fields)
+
+
+def solve_native(problem, options: SolverOptions) -> SdpSolution:
+    """Solve an SdpProblem and answer as the ``sdp`` module docstring maps.
 
     The tolerances bound the duality gap and the residuals as
-    tol_abs + tol_rel * |objective|. ``max_iters`` caps the iterations of
-    each phase; it is clipped to MAX_ITERS.
-
-    Returns the answer of the module docstring, without values; an
-    undecided answer with an x holds the candidate, which ``sdp.solve``
-    certifies once its own verify accepts it.
+    tol_abs + tol_rel * |objective|. ``options.max_iters`` caps the
+    iterations of each phase; it is clipped to MAX_ITERS.
     """
-    max_iters = min(max_iters, MAX_ITERS)
     red = _Reduced(problem)
     if red.inconsistent:
         return SdpSolution("infeasible", stop="inconsistent", detail=red.message)
@@ -444,12 +450,11 @@ def solve_native(problem, verify, tol_abs: float = 1e-9, tol_rel: float = 1e-9,
         return SdpSolution("diverged", stop="unbounded", detail="objective decreases along "
                            "a direction no constraint restricts")
     if red.lmi.m == 0:
-        x = red.x_of(np.zeros(0))
-        if verify(x):
-            return SdpSolution("undecided", x=x, stop="constant")
+        sol = _answer(problem, red.x_of(np.zeros(0)), stop="constant")
         # a violated constant constraint: its eigenvector is a certificate
-        return SdpSolution("infeasible", stop="constant", detail="constraints violated")
-    verdict, st, its, radius = _phase1(red, verify, tol_abs, tol_rel, max_iters)
+        return sol if sol.certified else SdpSolution("infeasible", stop="constant",
+                                                     detail="constraints violated")
+    verdict, st, its, radius = _phase1(red, problem, options)
     if verdict == "infeasible":
         return SdpSolution("infeasible", phase=1, stop=verdict, iterations=its,
                            detail=f"Farkas certificate, radius {radius:.3g}")
@@ -458,9 +463,9 @@ def solve_native(problem, verify, tol_abs: float = 1e-9, tol_rel: float = 1e-9,
                            detail=f"t={st.x[-1]:.3e}")
     w = st.x[:-1]
     if problem.objective is None:
-        return SdpSolution("undecided", x=red.x_of(w), phase=1, stop=verdict, iterations=its)
-    verdict2, st2, its2 = _phase2(red, w, tol_abs, tol_rel, max_iters)
+        return _answer(problem, red.x_of(w), phase=1, stop=verdict, iterations=its)
+    verdict2, st2, its2 = _phase2(red, w, options)
     its += its2
     if verdict2 == "diverged":
         return SdpSolution("diverged", phase=2, stop=verdict2, iterations=its)
-    return SdpSolution("undecided", x=red.x_of(st2.x), phase=2, stop=verdict2, iterations=its)
+    return _answer(problem, red.x_of(st2.x), phase=2, stop=verdict2, iterations=its)

@@ -1,11 +1,13 @@
 """Solver front end for SdpProblem instances.
 
 ``solve`` runs the native backend (:mod:`iqcopt.native`), a primal-dual
-interior-point method that needs only numpy and scipy, and answers with
-one ``SdpSolution`` whose ``status`` is one of four outcomes:
+interior-point method that needs only numpy and scipy. The backend forms
+the answer itself, one ``SdpSolution`` whose ``status`` is one of four
+outcomes:
 
 * ``certified``: x satisfies every constraint by the strict eigenvalue
-  recheck ``SdpProblem.verify``. That is the trivial problem, a
+  recheck ``SdpProblem.verify``. That is a problem without free
+  variables whose constraints hold (the empty problem too), a
   feasibility problem whose phase I reached t < 0, and a phase II that
   ended optimal, stalled or at its iteration cap at a point verify
   accepts.
@@ -23,6 +25,7 @@ Callers act on ``status`` and ``x`` only. ``phase``, ``stop`` and
 answer for display.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +40,8 @@ MAX_ITERS = 100
 
 @dataclass
 class SolverOptions:
-    """The solver's tolerances, finite numbers >= 0 (else DomainError), and
-    its iteration cap per phase."""
+    """The solver's tolerances, finite numbers >= 0, and its iteration cap
+    per phase, an integer >= 1; other values raise DomainError."""
 
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
@@ -47,6 +50,9 @@ class SolverOptions:
     def __post_init__(self):
         if not (0 <= self.tol_abs < np.inf and 0 <= self.tol_rel < np.inf):     # NaN too
             raise DomainError(f"solver tolerances must be finite numbers >= 0, got {self}")
+        cap = self.max_iters
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise DomainError(f"solver max_iters must be an integer >= 1, got {self}")
 
 
 @dataclass
@@ -104,20 +110,9 @@ def solve(problem: SdpProblem, options: SolverOptions = None) -> SdpSolution:
     conservatively. ``infeasible`` is reported only with a checked
     certificate.
     """
-    options = options or SolverOptions()
-    if problem.nvars == 0 and not problem.blocks and not problem.linear:
-        return SdpSolution("certified", x=np.zeros(0), objective=0.0, stop="trivial")
     from .native import solve_native  # deferred: keeps `import iqcopt` cheap
 
     try:
-        sol = solve_native(problem, lambda x: problem.verify(x)[0], options.tol_abs,
-                           options.tol_rel, options.max_iters)
+        return solve_native(problem, options or SolverOptions())
     except np.linalg.LinAlgError as e:   # an eigen- or SVD solver did not converge
         return SdpSolution("undecided", stop="linalg", detail=str(e))
-    if sol.x is not None:
-        ok, sol.worst = problem.verify(sol.x)
-        sol.status = "certified" if ok else "undecided"
-        sol.values = {v.name: problem.extract(v.name, sol.x) for v in problem.variables}
-        if problem.objective is not None:
-            sol.objective = float(problem.objective.value(sol.x)[0, 0])
-    return sol

@@ -538,6 +538,19 @@ class TestSweep:
         assert f"argument --kappa-grid: {grid!r}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("grid", ["lin:4:0.5:3", "log:0.5:0.9:2", "lin:0.99:2:2"])
+    def test_kappa_below_one_exits_usage_before_any_solve(self, grid, capsys, monkeypatch):
+        # kappa = L/m >= 1; the kappa = 4 rows of lin:4:0.5:3 used to be
+        # solved before m=1, L=0.5 was refused
+        monkeypatch.setattr(cli, "certify_rate", None)     # no solve may start
+        monkeypatch.setattr(cli, "certify_h2", None)
+        for mode in ("rate", "h2"):
+            assert RUN("sweep", "--mode", mode, "--kappa-grid", grid) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --kappa-grid: {grid!r}" in captured.err
+            assert ">= 1" in captured.err
+
     @pytest.mark.parametrize("grid,want", [("log:2:8:3", [2.0, 4.0, 8.0]),
                                            ("lin:2:3:3", [2.0, 2.5, 3.0]),
                                            ("lin:5:5:1", [5.0])])

@@ -231,7 +231,7 @@ class TestVerifyFdiMatchesPointLoop:
                                structure=rate_cert.structure)
         assert not self._assert_same(cert, rate_plant).ok
 
-    @pytest.mark.parametrize("n_samples", [1, 7])
+    @pytest.mark.parametrize("n_samples", [1, 7, np.int64(7)])
     def test_other_grid_sizes(self, rate_cert, rate_plant, n_samples):
         self._assert_same(rate_cert, rate_plant, n_samples)
 
@@ -260,6 +260,13 @@ class TestVerifyFdiMatchesPointLoop:
     def test_empty_grid_rejected(self, rate_cert, rate_plant, n_samples):
         # an empty grid would report ok=True for any certificate
         with pytest.raises(DomainError):
+            verify_fdi(rate_cert, rate_plant, n_samples)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True, "64"])
+    def test_grid_size_not_an_integer_rejected(self, rate_cert, rate_plant, n_samples):
+        # 2.5 evaluated 3 points at angles 2 pi k / 2.5, off the grid;
+        # True evaluated one point
+        with pytest.raises(DomainError, match="n_samples must be a positive integer"):
             verify_fdi(rate_cert, rate_plant, n_samples)
 
 

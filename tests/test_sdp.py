@@ -426,8 +426,8 @@ class TestRowColumn:
 class TestSolve:
     def test_empty_problem(self):
         sol = solve(SdpProblem())
-        assert sol.status == "certified"
-        assert sol.objective == pytest.approx(0.0)
+        assert (sol.status, sol.stop) == ("certified", "constant")
+        assert sol.objective is None
 
     def test_scalar_lp_as_sdp(self):
         prob = SdpProblem()
@@ -530,14 +530,12 @@ class TestNonFiniteCandidates:
             assert prob.verify(x) == (False, np.inf)
 
     @pytest.mark.parametrize("build", ["_rows_only", "_h2_shaped", "_block_reads_all"])
-    def test_solve_downgrades_a_nan_candidate(self, monkeypatch, build):
-        import iqcopt.native as native
+    def test_answer_downgrades_a_nan_candidate(self, build):
+        from iqcopt.native import _answer
 
         prob = getattr(self, build)()
         x = np.full(prob.nvars, np.nan)
-        monkeypatch.setattr(native, "solve_native", lambda *args, **kwargs: SdpSolution(
-            "undecided", x=x, phase=2, stop="optimal"))
-        sol = solve(prob)
+        sol = _answer(prob, x, phase=2, stop="optimal")
         assert not sol.certified
         assert (sol.status, sol.worst) == ("undecided", np.inf) and sol.x is x
 
@@ -703,6 +701,14 @@ class TestNativeBackend:
         sol = solve(prob, SolverOptions(max_iters=1))
         assert (sol.status, sol.phase, sol.iterations) == ("undecided", 1, 1)
 
+    @pytest.mark.parametrize("cap", [2.5, 0, -3, True, "100", None])
+    def test_options_refuse_a_cap_not_an_integer_at_least_one(self, cap):
+        # 2.5 reached range() inside the solver as a TypeError; 0 and -3
+        # left every solve undecided, so certify_rate refused GD
+        with pytest.raises(DomainError, match="max_iters must be an integer >= 1"):
+            SolverOptions(max_iters=cap)
+        assert SolverOptions(max_iters=np.int64(7)).max_iters == 7
+
     def test_default_cap_is_the_applied_one(self):
         assert [f.name for f in fields(SolverOptions)] == ["tol_abs", "tol_rel", "max_iters"]
         assert SolverOptions().max_iters == MAX_ITERS == 100
@@ -758,9 +764,17 @@ def _scalar_problem(*constraints, objective=None):
     return prob
 
 
+def _constant_objective():
+    """A problem without variables or constraints that minimizes 5."""
+    prob = SdpProblem()
+    prob.minimize(AffineMatrix.constant([[5.0]]))
+    return prob
+
+
 # (problem, status, phase, stop, whether x is kept): one row per outcome
 OUTCOMES = {
-    "trivial": (SdpProblem, "certified", 0, "trivial", True),
+    "empty": (SdpProblem, "certified", 0, "constant", True),
+    "constant-objective": (_constant_objective, "certified", 0, "constant", True),
     "inconsistent-equalities": (
         lambda: _scalar_problem(("row", "==", 1.0), ("row", "==", 2.0), ("lmi", "pos", 0.0, 0.0)),
         "infeasible", 0, "inconsistent", False),
@@ -798,7 +812,7 @@ OUTCOMES = {
 
 class TestOutcomes:
     """Each row of the outcome mapping of ``sdp.solve``, on a problem that
-    reaches it."""
+    reaches it; the native backend forms every answer."""
 
     @pytest.mark.parametrize("row", OUTCOMES)
     def test_mapping(self, row):
@@ -809,10 +823,27 @@ class TestOutcomes:
         assert sol.certified == (status == "certified")
         assert (sol.x is not None) == keeps_x
         assert (sol.iterations > 0) == (phase > 0)
-        if keeps_x and prob.nvars:
+        if keeps_x:
             assert prob.verify(sol.x) == (sol.certified, sol.worst)
             assert set(sol.values) == {v.name for v in prob.variables}
+            assert sol.objective == (None if prob.objective is None
+                                     else float(prob.objective.value(sol.x)[0, 0]))
+        if row == "constant-objective":
+            # a problem without variables is answered at its one point,
+            # where the objective is its constant
+            assert sol.objective == 5.0
         assert sol.message.startswith(f"{status} ({stop}") and str(sol) == sol.message
+
+    def test_native_forms_the_final_answer(self):
+        from iqcopt.native import solve_native
+
+        prob = OUTCOMES["phase-2-optimal"][0]()
+        sol = solve_native(prob, SolverOptions())
+        assert (sol.status, sol.phase, sol.stop) == ("certified", 2, "optimal")
+        assert sol.values["x"] == pytest.approx(1.0, abs=1e-6)
+        assert sol.objective == pytest.approx(1.0, abs=1e-6)
+        assert prob.verify(sol.x) == (True, sol.worst) and sol.worst < 0
+        assert solve_native(OUTCOMES["phase-1-feasible"][0](), SolverOptions()).certified
 
     def test_linalg_error_is_undecided(self, monkeypatch):
         import iqcopt.native as native
