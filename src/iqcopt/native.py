@@ -351,7 +351,9 @@ def _phase1(red: _Reduced, problem, options: SolverOptions):
     """Phase I: min t s.t. G(w) + tI >= 0.
 
     Stops when t < 0 and ``problem.verify`` accepts the point, or with a
-    checked Farkas certificate.
+    checked Farkas certificate. Returns (verdict, state, iterations,
+    found): found holds the Farkas radius, or the accepted point and its
+    verify result (ok, worst).
     """
     # the bound on t keeps the phase-I dual feasible (Z = 0 with the bound
     # row's multiplier 1), so both sides of the method stay well posed
@@ -370,9 +372,15 @@ def _phase1(red: _Reduced, problem, options: SolverOptions):
     c[-1] = 1.0
     found = {}
 
+    def accepts(st):
+        if st.x[-1] < 0:
+            x = red.x_of(st.x[:-1])
+            found.update(x=x, check=problem.verify(x))
+            return found["check"][0]
+        return False
+
     def monitor(st, info):
-        t = st.x[-1]
-        if t < 0 and problem.verify(red.x_of(st.x[:-1]))[0]:
+        if accepts(st):
             return "feasible"
         if info["dobj"] > 0:
             # lower bound on t: the dual iterate may prove infeasibility
@@ -389,10 +397,9 @@ def _phase1(red: _Reduced, problem, options: SolverOptions):
         return None
 
     verdict, st, its = _pdip(lmi, c, _State(x, S, s, Z, z), monitor, options.max_iters)
-    if (verdict in ("stalled", "max_iters", "undecided") and st.x[-1] < 0
-            and problem.verify(red.x_of(st.x[:-1]))[0]):
+    if verdict in ("stalled", "max_iters", "undecided") and accepts(st):
         verdict = "feasible"
-    return verdict, st, its, found.get("radius")
+    return verdict, st, its, found
 
 
 def _phase2(red: _Reduced, w, options: SolverOptions):
@@ -424,11 +431,12 @@ def _phase2(red: _Reduced, w, options: SolverOptions):
     return _pdip(lmi, c, _State(w.copy(), S, s, Z, z), monitor, options.max_iters)
 
 
-def _answer(problem, x, **fields) -> SdpSolution:
+def _answer(problem, x, check=None, **fields) -> SdpSolution:
     """The answer at a candidate x: certified when ``problem.verify``
     accepts x, else undecided, with verify's worst margin, the variables'
-    values and the objective at x either way."""
-    ok, worst = problem.verify(x)
+    values and the objective at x either way. check is verify's result at
+    x when it is already known."""
+    ok, worst = problem.verify(x) if check is None else check
     return SdpSolution(
         "certified" if ok else "undecided", x=x, worst=worst,
         values={v.name: problem.extract(v.name, x) for v in problem.variables},
@@ -454,16 +462,17 @@ def solve_native(problem, options: SolverOptions) -> SdpSolution:
         # a violated constant constraint: its eigenvector is a certificate
         return sol if sol.certified else SdpSolution("infeasible", stop="constant",
                                                      detail="constraints violated")
-    verdict, st, its, radius = _phase1(red, problem, options)
+    verdict, st, its, found = _phase1(red, problem, options)
     if verdict == "infeasible":
         return SdpSolution("infeasible", phase=1, stop=verdict, iterations=its,
-                           detail=f"Farkas certificate, radius {radius:.3g}")
+                           detail=f"Farkas certificate, radius {found['radius']:.3g}")
     if verdict != "feasible":
         return SdpSolution("undecided", phase=1, stop=verdict, iterations=its,
                            detail=f"t={st.x[-1]:.3e}")
     w = st.x[:-1]
     if problem.objective is None:
-        return _answer(problem, red.x_of(w), phase=1, stop=verdict, iterations=its)
+        return _answer(problem, found["x"], found["check"], phase=1, stop=verdict,
+                       iterations=its)
     verdict2, st2, its2 = _phase2(red, w, options)
     its += its2
     if verdict2 == "diverged":

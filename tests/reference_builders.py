@@ -412,7 +412,9 @@ def reference_eval_frequency(sys, z):
 
 
 def reference_verify_fdi(certificate, plant, n_samples=64):
-    """(ok, worst_eig) of verify_fdi, one grid point at a time."""
+    """(ok, worst_eig) of verify_fdi, one point of its grid at a time: every
+    one of the n_samples points, the lower half (k > n_samples // 2) as the
+    conjugates of exp(2 pi i (n_samples - k) / n_samples)."""
     if isinstance(plant, PerformanceAugmentedPlant):
         ss = StateSpace(plant.boldA, plant.boldB1, np.vstack([plant.boldC1, plant.boldC2]),
                         np.vstack([plant.boldD11, np.zeros((plant.n_yp, plant.p_c))]))
@@ -422,7 +424,9 @@ def reference_verify_fdi(certificate, plant, n_samples=64):
         ss = plant.as_statespace()
         mid = reference_m_delta_matrix(certificate.zf, certificate.structure)
     worst = -np.inf
-    for z in np.exp(1j * 2.0 * np.pi * np.arange(n_samples) / n_samples):
+    k = np.arange(n_samples)
+    upper = np.exp(1j * 2.0 * np.pi * np.minimum(k, n_samples - k) / n_samples)
+    for z in np.where(k <= n_samples // 2, upper, upper.conj()):
         Phi = reference_eval_frequency(ss, z)
         F = Phi.conj().T @ mid @ Phi
         worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (F + F.conj().T)))))

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +13,12 @@ from iqcopt.engines import (BisectionConfig, certify_h2, certify_rate,
                             verify_fdi)
 from iqcopt.cli import main
 from iqcopt.errors import (DomainError, InfeasiblePrecondition, NotCertifiable,
-                           PreconditionError, SolverError)
+                           PreconditionError, SingularityError, SolverError)
 from iqcopt.lmi import H2Certificate, RateCertificate, assemble_rate_for
 from iqcopt.multipliers import ZamesFalbParameters, ZamesFalbStructure
 from iqcopt.plantbuild import build_perf_plant, build_rate_plant, default_noise_channel
 from iqcopt.sdp import SdpSolution, solve
+from iqcopt.statespace import eval_frequency
 from reference_builders import (reference_initializer_bisection, reference_rate_bisection,
                                 reference_structured_bisection, reference_verify_fdi)
 
@@ -200,8 +203,47 @@ def h2_cert():
     return certify_h2(make_named("gd", BOUNDS10), BOUNDS10, ST).certificate
 
 
+class TestUnitCircle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_conjugate_symmetric(self, n):
+        z = engines._unit_circle(n)
+        assert z.shape == (n,) and z[0] == 1.0
+        # the even-n midpoint z_{n/2} = exp(i pi) is its own twin
+        for k in range(1, (n + 1) // 2):
+            assert z[n - k] == z[k].conjugate()
+        assert np.max(np.abs(z - np.exp(2j * np.pi * np.arange(n) / n))) <= 1e-15
+
+
+def _rotation(z):
+    """A real 2-state block whose poles are z and conj(z)."""
+    return np.array([[z.real, -z.imag], [z.imag, z.real]])
+
+
+class TestGridPolesRefused:
+    """A plant with a pole on the grid is refused on the upper half-grid,
+    a lower-half pole at its upper-half twin."""
+
+    GRID = engines._unit_circle(64)
+
+    @pytest.mark.parametrize("A,twin", [
+        (_rotation(GRID[59]), 5),                   # poles z_5 and z_59
+        (np.diag([1.0, 0.5]), 0),                   # z = 1
+        (np.diag([-1.0, 0.5]), 32),                 # z = -1, the even-n midpoint
+    ], ids=["rotation", "one", "minus-one"])
+    def test_refused(self, rate_cert, rate_plant, A, twin):
+        # the rate plant's input and output sizes around the poles in A
+        plant = dataclasses.replace(rate_plant, Ac=A, Bc=np.ones((2, rate_plant.Bc.shape[1])),
+                                    Cc=np.ones((rate_plant.Cc.shape[0], 2)))
+        match = re.escape(f"z={self.GRID[twin]} ")
+        with pytest.raises(SingularityError, match=match):
+            eval_frequency(plant.as_statespace(), self.GRID[:33])
+        with pytest.raises(SingularityError, match=match):
+            verify_fdi(rate_cert, plant)
+
+
 class TestVerifyFdiMatchesPointLoop:
-    """The batched grid gives the (ok, worst_eig) of one evaluation per point."""
+    """The batched upper half of the grid gives the (ok, worst_eig) of one
+    evaluation per point of the whole grid."""
 
     @staticmethod
     def _assert_same(cert, plant, n_samples=64):
@@ -231,9 +273,22 @@ class TestVerifyFdiMatchesPointLoop:
                                structure=rate_cert.structure)
         assert not self._assert_same(cert, rate_plant).ok
 
-    @pytest.mark.parametrize("n_samples", [1, 7, np.int64(7)])
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, np.int64(7), 64])
     def test_other_grid_sizes(self, rate_cert, rate_plant, n_samples):
         self._assert_same(rate_cert, rate_plant, n_samples)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 64])
+    def test_evaluates_the_upper_half_only(self, rate_cert, rate_plant, monkeypatch,
+                                           n_samples):
+        sizes = []
+
+        def spy(ss, z):
+            sizes.append(z.size)
+            return eval_frequency(ss, z)
+
+        monkeypatch.setattr(engines, "eval_frequency", spy)
+        verify_fdi(rate_cert, rate_plant, n_samples)
+        assert sizes == [n_samples // 2 + 1]
 
     def test_near_rate_plant_at_kappa_1000(self):
         # the plant of TestVerifyFdi.test_near_rate_plant_at_kappa_1000

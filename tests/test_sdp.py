@@ -845,6 +845,28 @@ class TestOutcomes:
         assert prob.verify(sol.x) == (True, sol.worst) and sol.worst < 0
         assert solve_native(OUTCOMES["phase-1-feasible"][0](), SolverOptions()).certified
 
+    def test_phase1_point_is_verified_once(self, monkeypatch):
+        # the check that accepts phase I's point is the answer's check
+        bounds = SectorBounds(1.0, 10.0)
+        prob = assemble_rate_for(make_named("gd", bounds), bounds,
+                                 ZamesFalbStructure(1, 0, 1, "unstructured", 0.9), 0.9).problem
+        verify, checks = SdpProblem.verify, []
+
+        def counted(problem, x):
+            checks.append(verify(problem, x))
+            return checks[-1]
+
+        monkeypatch.setattr(SdpProblem, "verify", counted)
+        sol = solve(prob)
+        assert (sol.status, sol.phase, sol.stop) == ("certified", 1, "feasible")
+        assert len(checks) == 1 and checks[0] == (True, sol.worst)
+        monkeypatch.undo()
+        assert prob.verify(sol.x) == (True, sol.worst)
+        assert set(sol.values) == {v.name for v in prob.variables}
+        for name, value in sol.values.items():
+            assert np.array_equal(value, prob.extract(name, sol.x))
+        assert sol.objective is None
+
     def test_linalg_error_is_undecided(self, monkeypatch):
         import iqcopt.native as native
 
